@@ -1,58 +1,50 @@
-"""Benchmark the compiled end-probability kernel against the numpy fallback.
+"""Time one first-arrival evaluation per chain size.
+
+Each evaluation is what the optimizer, the calibration and the sweeps repeat
+for every Hamiltonian: the bandwidth-scaled scan of |A_N(t)|^2 followed by
+the analytic-slope refine of the first peak.  The chains are Protocol 2,
+bent at the centre with kappa = 0.5 and detuned by -1.5 Omega_max (near the
+optimum), over the unbent arrival window pi/2.
 
 Run:  python3 benchmarks/kernel_bench.py
 """
 
+import math
+import statistics
 import time
 
-import numpy as np
+from bentchain import (
+    COMPILED,
+    BendSpec,
+    ChainSpec,
+    Protocol,
+    build_hamiltonian,
+    first_arrival,
+    omega_max,
+)
 
-from bentchain import _kernels_np
-from bentchain.chain import ChainSpec, Protocol, build_hamiltonian
-
-try:
-    from bentchain import _kernels
-
-    impls = {"compiled": _kernels, "numpy": _kernels_np}
-except ImportError:
-    print("compiled kernel not built; benchmarking numpy fallback only")
-    impls = {"numpy": _kernels_np}
-
-
-def bench(impl, eigvals, coef, times, scalar_reps=20000, curve_reps=200):
-    t0 = time.perf_counter()
-    for _ in range(scalar_reps):
-        impl.end_probability(eigvals, coef, 1.234)
-    scalar = (time.perf_counter() - t0) / scalar_reps
-    t0 = time.perf_counter()
-    for _ in range(curve_reps):
-        impl.end_probability_curve(eigvals, coef, times)
-    curve = (time.perf_counter() - t0) / curve_reps
-    return scalar, curve
+REPEATS = 7
+EVALS_PER_REPEAT = 500
 
 
 def main():
+    print(f"compiled kernel: {COMPILED}")
+    window = math.pi / 2
     for n in (9, 13, 25):
-        ham = build_hamiltonian(ChainSpec(Protocol.PROTOCOL_2, n))
-        eigvals = np.ascontiguousarray(ham.eigenvalues)
-        coef = np.ascontiguousarray(ham.eigenvectors[0] * ham.eigenvectors[-1])
-        times = np.linspace(0.0, np.pi / 2, 4096)
-        print(f"N={n} (grid 4096):")
-        results = {
-            name: bench(impl, eigvals, coef, times) for name, impl in impls.items()
-        }
-        ref_scalar, ref_curve = results["numpy"]
-        for name, (scalar, curve) in results.items():
-            print(
-                f"  {name:9s} scalar {scalar * 1e6:8.2f} us (x{ref_scalar / scalar:4.1f})   "
-                f"curve {curve * 1e3:8.3f} ms (x{ref_curve / curve:4.1f})"
-            )
-
-        # agreement check
-        if len(impls) == 2:
-            a = impls["compiled"].end_probability_curve(eigvals, coef, times)
-            b = impls["numpy"].end_probability_curve(eigvals, coef, times)
-            print(f"  max |compiled - numpy| = {np.abs(a - b).max():.3e}")
+        spec = ChainSpec(Protocol.PROTOCOL_2, n)
+        bend = BendSpec(alpha=(n + 1) // 2, kappa=0.5, delta_alpha=-1.5 * omega_max(spec))
+        ham = build_hamiltonian(spec, bend)
+        samples = []
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            for _ in range(EVALS_PER_REPEAT):
+                fm = first_arrival(ham, window)
+            samples.append((time.perf_counter() - start) / EVALS_PER_REPEAT)
+        q1, median, q3 = statistics.quantiles(samples, n=4)
+        print(
+            f"N={n:2d}: {median * 1e3:.3f} ms per evaluation "
+            f"(quartiles {q1 * 1e3:.3f}-{q3 * 1e3:.3f}), t*={fm.t_star:.9f} p*={fm.p_star:.9f}"
+        )
 
 
 if __name__ == "__main__":

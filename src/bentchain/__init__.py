@@ -32,7 +32,7 @@ from .photonic import (
     parasitic_check,
     separation_from_coupling,
 )
-from .propagate import AmplitudeTrace, FirstMaximum, evolve, first_maximum
+from .propagate import AmplitudeTrace, FirstMaximum, evolve, first_arrival, first_maximum
 from .reference import ReferencePoint, calibrate_protocol1, reference
 from .spectral import SpectrumReport, overlap_profile, spectrum_report
 
@@ -63,6 +63,7 @@ __all__ = [
     "design_layout",
     "detuning_curve",
     "evolve",
+    "first_arrival",
     "first_maximum",
     "fit_gaussian",
     "fit_linear",

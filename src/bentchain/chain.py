@@ -42,6 +42,12 @@ class Protocol(Enum):
     PROTOCOL_2 = 2
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """An unbent N-site chain: protocol, size, energy scale, site energy.
@@ -61,6 +67,9 @@ class ChainSpec:
     def __post_init__(self):
         if self.n_sites < 2:
             raise ValueError(f"n_sites must be >= 2, got {self.n_sites}")
+        _require_finite(omega0=self.omega0, epsilon=self.epsilon)
+        if self.boundary_ratio is not None:
+            _require_finite(boundary_ratio=self.boundary_ratio)
         if self.omega0 <= 0:
             raise ValueError(f"omega0 must be > 0, got {self.omega0}")
         if self.protocol is Protocol.PROTOCOL_1:
@@ -89,6 +98,7 @@ class BendSpec:
             raise ValueError(f"alpha must be >= 2, got {self.alpha}")
         if not 0.0 <= self.kappa <= 1.0:
             raise ValueError(f"kappa must be in [0, 1], got {self.kappa}")
+        _require_finite(delta_alpha=self.delta_alpha)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .chain import BendSpec, ChainSpec, build_hamiltonian, spec_to_dict
 from .optimize import OptimizationResult, detuning_curve, optimize_detuning
-from .propagate import DEFAULT_N_STEPS, end_probability_on_grid, _first_maximum
+from .propagate import first_arrival
 from .reference import ReferencePoint, reference
 
 __all__ = [
@@ -122,14 +122,11 @@ def transfer_metrics(
     spec: ChainSpec,
     bend: BendSpec,
     ref: ReferencePoint,
-    n_steps: int = DEFAULT_N_STEPS,
 ) -> TransferResult:
     """First-maximum metrics of the bent chain within [0, ref.t0]."""
     if ref.protocol is not spec.protocol or ref.n_sites != spec.n_sites:
         raise ValueError("reference point does not match the chain spec")
-    ham = build_hamiltonian(spec, bend)
-    times, p_end = end_probability_on_grid(ham, ref.t0, n_steps)
-    fm = _first_maximum(times, p_end, ham)
+    fm = first_arrival(build_hamiltonian(spec, bend), ref.t0)
     return TransferResult(
         p=fm.p_star, t=fm.t_star, q=fm.p_star / ref.p0, s=fm.t_star / ref.t0
     )
@@ -149,7 +146,6 @@ def sweep_kappa(
     kappa_grid,
     optimize: bool = False,
     ref: ReferencePoint | None = None,
-    n_steps: int = DEFAULT_N_STEPS,
 ) -> SweepTable:
     """One TransferResult per kappa at a fixed corner; optionally also the
     optimal detuning and optimized metrics per row."""
@@ -157,11 +153,11 @@ def sweep_kappa(
     ref = ref or reference(spec)
     optima: dict[float, OptimizationResult] = {}
     if optimize:
-        optima = dict(detuning_curve(spec, alpha, kappa_grid, ref, n_steps=n_steps))
+        optima = dict(detuning_curve(spec, alpha, kappa_grid, ref))
     rows = []
     for kappa in kappa_grid:
         bend = BendSpec(alpha=alpha, kappa=float(kappa))
-        result = transfer_metrics(spec, bend, ref, n_steps)
+        result = transfer_metrics(spec, bend, ref)
         rows.append(
             SweepRow(
                 axis_value=float(kappa),
@@ -180,17 +176,14 @@ def sweep_alpha(
     alpha_range,
     optimize: bool = True,
     ref: ReferencePoint | None = None,
-    n_steps: int = DEFAULT_N_STEPS,
 ) -> SweepTable:
     """Metrics (and optimal detunings) per corner position at fixed kappa."""
     ref = ref or reference(spec)
     rows = []
     for alpha in sorted(int(a) for a in alpha_range):
         bend = BendSpec(alpha=alpha, kappa=kappa)
-        result = transfer_metrics(spec, bend, ref, n_steps)
-        opt = (
-            optimize_detuning(spec, bend, ref, n_steps=n_steps) if optimize else None
-        )
+        result = transfer_metrics(spec, bend, ref)
+        opt = optimize_detuning(spec, bend, ref) if optimize else None
         rows.append(SweepRow(axis_value=float(alpha), result=result, optimized=opt))
     meta = _base_metadata(spec, ref)
     meta["kappa"] = kappa

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chain import BendSpec, ChainSpec, build_hamiltonian, omega_max
-from .propagate import DEFAULT_N_STEPS, end_probability_on_grid, _first_maximum
+from .propagate import first_arrival
 from .reference import ReferencePoint
 from .search import golden_max
 
@@ -41,7 +41,6 @@ def optimize_detuning(
     ref: ReferencePoint,
     interval: tuple[float, float] = DEFAULT_INTERVAL,
     n_coarse: int = DEFAULT_N_COARSE,
-    n_steps: int = DEFAULT_N_STEPS,
 ) -> OptimizationResult:
     """Maximize the first-maximum transfer probability over the corner
     detuning.
@@ -64,8 +63,7 @@ def optimize_detuning(
         ham = build_hamiltonian(
             spec, replace(bend, delta_alpha=delta_units * om)
         )
-        times, p_end = end_probability_on_grid(ham, window, n_steps)
-        fm = _first_maximum(times, p_end, ham)
+        fm = first_arrival(ham, window)
         return fm.p_star, fm.t_star
 
     grid = np.linspace(lo, hi, n_coarse)
@@ -96,7 +94,6 @@ def detuning_curve(
     alpha: int,
     kappa_grid: np.ndarray,
     ref: ReferencePoint,
-    n_steps: int = DEFAULT_N_STEPS,
 ) -> list[tuple[float, OptimizationResult]]:
     """Optimal detuning per kappa, warm-starting each coarse scan on the
     previous optimum (kappa values processed in ascending order)."""
@@ -105,7 +102,7 @@ def detuning_curve(
     grid = np.sort(np.asarray(kappa_grid, dtype=float))
     for i, kappa in enumerate(grid):
         bend = BendSpec(alpha=alpha, kappa=float(kappa))
-        res = _optimize_expanding(spec, bend, ref, interval, n_steps)
+        res = _optimize_expanding(spec, bend, ref, interval)
         results.append((float(kappa), res))
         # recentre the next scan around this optimum; the margin covers the
         # steepest observed drift of delta* with kappa (about -3 per unit)
@@ -126,14 +123,13 @@ def _optimize_expanding(
     bend: BendSpec,
     ref: ReferencePoint,
     interval: tuple[float, float],
-    n_steps: int,
 ) -> OptimizationResult:
     """Re-run the optimizer with a widened interval while the optimum sits
     on the interval edge (the optimal detuning grows superlinearly with
     kappa and can escape any fixed window)."""
     lo, hi = interval
     while True:
-        res = optimize_detuning(spec, bend, ref, interval=(lo, hi), n_steps=n_steps)
+        res = optimize_detuning(spec, bend, ref, interval=(lo, hi))
         if not res.on_boundary:
             return res
         width = hi - lo

@@ -16,7 +16,7 @@ import numpy as np
 
 from .chain import Hamiltonian
 from .kernels import end_probability, end_probability_curve
-from .search import golden_max
+from .search import brent_root, golden_max
 
 DEFAULT_N_STEPS = 4096
 
@@ -24,12 +24,22 @@ DEFAULT_N_STEPS = 4096
 # O(1) spectral terms leaves ~1e-24 noise), not physical arrivals.
 NOISE_FLOOR = 1e-16
 
+# First-arrival scan: samples per half-period pi / (lam_max - lam_min) of the
+# fastest frequency in |A_N|^2, with a floor for narrow spectra.  The
+# ceiling stops a huge detuning from asking for an unbounded grid; the
+# optimizer's widest range (delta = -32 Omega_max) needs a few thousand.
+SAMPLES_PER_HALF_PERIOD = 16
+MIN_GRID_POINTS = 64
+MAX_GRID_POINTS = 2**20
+REL_TOL = 1e-9  # arrival-time tolerance, relative to the window
+
 __all__ = [
     "AmplitudeTrace",
     "FirstMaximum",
     "evolve",
     "end_probability_at",
     "end_probability_on_grid",
+    "first_arrival",
     "first_maximum",
     "dump_trace_csv",
 ]
@@ -97,43 +107,73 @@ def end_probability_on_grid(
     return times, p
 
 
-def first_maximum(
-    trace: AmplitudeTrace, ham: Hamiltonian, rel_tol: float = 1e-9
-) -> FirstMaximum:
-    """Locate the first local maximum of the end-site probability.
-
-    Scans the grid for the first point where p_end stops increasing, then
-    refines by golden-section maximization of the exactly evaluated
-    |A_N(t)|^2 on the bracketing interval.  If p_end is still increasing at
-    the window end, the endpoint is reported (transfer not yet peaked).
-    """
-    return _first_maximum(trace.times, trace.p_end, ham, rel_tol)
-
-
-def _first_maximum(
-    times: np.ndarray, p_end: np.ndarray, ham: Hamiltonian, rel_tol: float = 1e-9
-) -> FirstMaximum:
-    if len(times) < 3:
+def first_maximum(trace: AmplitudeTrace, ham: Hamiltonian) -> FirstMaximum:
+    """First local maximum of the end-site probability within the trace's
+    window [0, trace.times[-1]]; see :func:`first_arrival`."""
+    if len(trace.times) < 3:
         raise ValueError("trace needs at least 3 grid points")
-    n = len(times)
-    peak = None
-    for i in range(1, n - 1):
-        if (
-            p_end[i] >= p_end[i - 1]
-            and p_end[i] >= p_end[i + 1]
-            and p_end[i] > NOISE_FLOOR
-        ):
-            peak = i
-            break
-    if peak is None:
-        return FirstMaximum(t_star=float(times[-1]), p_star=float(p_end[-1]))
-    eigvals = np.ascontiguousarray(ham.eigenvalues)
+    return first_arrival(ham, trace.times[-1])
+
+
+def first_arrival(ham: Hamiltonian, window: float) -> FirstMaximum:
+    """Locate the first local maximum of |A_N(t)|^2 in [0, window].
+
+    Scans a uniform grid with ``SAMPLES_PER_HALF_PERIOD`` points per
+    half-period of the fastest frequency in |A_N|^2 (the spectral bandwidth)
+    for the first point at or above both neighbours and above
+    ``NOISE_FLOOR``.  The bracketing cells are refined by Brent's method on
+    the analytic slope p'(t), or by golden section on p where p' does not
+    change sign across them (a flat or kinked top).  Without an interior
+    peak, a falling slope at the window end puts the peak in the last cell,
+    which is refined the same way; otherwise the endpoint is reported
+    (transfer not yet peaked).  Raises ValueError if the window is not
+    finite and positive, or if the bandwidth would need more than
+    ``MAX_GRID_POINTS`` points.
+    """
+    window = float(window)
+    if not math.isfinite(window) or window <= 0:
+        raise ValueError(f"window must be finite and > 0, got {window}")
+    eigvals = ham.eigenvalues
+    bandwidth = float(eigvals[-1] - eigvals[0])
+    needed = SAMPLES_PER_HALF_PERIOD * window * bandwidth / math.pi
+    if not needed < MAX_GRID_POINTS:
+        raise ValueError(
+            f"first-arrival scan needs {needed:.3g} grid points (spectral "
+            f"bandwidth {bandwidth:.6g} over window {window:.6g}); the limit "
+            f"is {MAX_GRID_POINTS}"
+        )
+    # centring the spectrum is a global phase: |A_N|^2 and p' are unchanged,
+    # and the phases lam * t stay as small as the bandwidth allows
+    lam = np.ascontiguousarray(eigvals - 0.5 * (eigvals[-1] + eigvals[0]))
     coef = _end_coef(ham)
-    a, b = float(times[peak - 1]), float(times[peak + 1])
-    tol = rel_tol * max(b, times[-1] - times[0])
-    t_star, p_star, _ = golden_max(
-        lambda t: end_probability(eigvals, coef, t), a, b, tol
-    )
+    times = np.linspace(0.0, window, max(MIN_GRID_POINTS, math.ceil(needed)) + 1)
+    p = end_probability_curve(lam, coef, times)
+    mid = p[1:-1]
+    peaks = np.flatnonzero((mid >= p[:-2]) & (mid >= p[2:]) & (mid > NOISE_FLOOR))
+    weights = np.column_stack([coef, lam * coef])
+
+    def slope(t: float) -> float:
+        # p' = 2 Re(conj(A) A') with A' = -i D, D = sum lam_k c_k e^{-i lam_k t},
+        # so p' = 2 Im(conj(A) D)
+        amp, damp = np.exp(-1j * lam * t) @ weights
+        return 2.0 * float((amp.conjugate() * damp).imag)
+
+    if peaks.size:
+        i = int(peaks[0]) + 1
+        a, b = float(times[i - 1]), float(times[i + 1])
+    else:
+        a, b = float(times[-2]), window
+        if not (p[-1] > NOISE_FLOOR and slope(b) < 0.0):
+            return FirstMaximum(t_star=window, p_star=float(p[-1]))
+    tol = REL_TOL * window
+    fa, fb = slope(a), slope(b)
+    if fa > 0.0 > fb:
+        t_star = brent_root(slope, a, b, fa, fb, tol)
+        p_star = end_probability(lam, coef, t_star)
+    else:
+        t_star, p_star, _ = golden_max(
+            lambda t: end_probability(lam, coef, t), a, b, tol
+        )
     return FirstMaximum(t_star=float(t_star), p_star=float(p_star))
 
 

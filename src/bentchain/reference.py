@@ -18,12 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .chain import ChainSpec, Protocol, build_hamiltonian, perfect_transfer_time
-from .propagate import (
-    DEFAULT_N_STEPS,
-    end_probability_at,
-    end_probability_on_grid,
-    _first_maximum,
-)
+from .propagate import end_probability_at, first_arrival
 from .search import golden_max
 
 DEFAULT_REFERENCE_WINDOW = 40.0  # in units of 1/omega0
@@ -77,14 +72,6 @@ class ReferencePoint:
         )
 
 
-def _first_max_unbent(
-    spec: ChainSpec, window: float, n_steps: int = DEFAULT_N_STEPS
-):
-    ham = build_hamiltonian(spec)
-    times, p_end = end_probability_on_grid(ham, window, n_steps)
-    return _first_maximum(times, p_end, ham)
-
-
 def reference(spec: ChainSpec, t_max_window: float | None = None) -> ReferencePoint:
     """Unbent-chain reference (p0, t0).
 
@@ -97,7 +84,7 @@ def reference(spec: ChainSpec, t_max_window: float | None = None) -> ReferencePo
         p0 = end_probability_at(build_hamiltonian(spec), t0)
         return ReferencePoint(protocol=spec.protocol, n_sites=spec.n_sites, p0=p0, t0=t0)
     window = t_max_window or DEFAULT_REFERENCE_WINDOW / spec.omega0
-    fm = _first_max_unbent(spec, window)
+    fm = first_arrival(build_hamiltonian(spec), window)
     return ReferencePoint(
         protocol=spec.protocol,
         n_sites=spec.n_sites,
@@ -145,7 +132,7 @@ def calibrate_protocol1(
             omega0=omega0,
             boundary_ratio=ratio,
         )
-        return _first_max_unbent(spec, window).p_star
+        return first_arrival(build_hamiltonian(spec), window).p_star
 
     grid = np.sort(ratio_grid)
     scores = np.array([p_first_max(r) for r in grid])
@@ -168,7 +155,7 @@ def calibrate_protocol1(
         omega0=omega0,
         boundary_ratio=best_ratio,
     )
-    fm = _first_max_unbent(spec, window)
+    fm = first_arrival(build_hamiltonian(spec), window)
     point = ReferencePoint(
         protocol=Protocol.PROTOCOL_1,
         n_sites=n_sites,

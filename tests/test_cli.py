@@ -12,7 +12,8 @@ from bentchain import (
     reference,
     transfer_metrics,
 )
-from bentchain.cli import EXIT_IO, EXIT_USAGE, main, parse_grid
+from bentchain import cli
+from bentchain.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_USAGE, main, parse_grid
 
 
 def run(capsys, *argv):
@@ -181,3 +182,23 @@ class TestErrors:
             "--alpha", "9", "--kappa", "0.4", "--out", str(tmp_path),
         )
         assert code == EXIT_USAGE
+
+    def test_nonfinite_delta_is_usage_error(self, tmp_path, capsys):
+        code, out, err = run(
+            capsys, "metrics", "--protocol", "2", "--n", "9", "--alpha", "5",
+            "--kappa", "0.4", "--delta", "inf", "--out", str(tmp_path),
+        )
+        assert code == EXIT_USAGE
+        assert "delta_alpha must be finite" in err
+        assert "nan" not in out
+
+    def test_linalg_error_is_numerical(self, tmp_path, capsys, monkeypatch):
+        def fail(args, config):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setitem(cli.COMMANDS, "reference", fail)
+        code, _, err = run(
+            capsys, "reference", "--protocol", "2", "--n", "9", "--out", str(tmp_path)
+        )
+        assert code == EXIT_NUMERICAL
+        assert "numerical error" in err

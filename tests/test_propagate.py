@@ -1,14 +1,27 @@
 import math
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bentchain import BendSpec, ChainSpec, Protocol, build_hamiltonian, evolve, first_maximum
+from bentchain import (
+    BendSpec,
+    ChainSpec,
+    Protocol,
+    build_hamiltonian,
+    evolve,
+    first_arrival,
+    first_maximum,
+    omega_max,
+)
 from bentchain.propagate import (
     dump_trace_csv,
     end_probability_at,
     end_probability_on_grid,
 )
+from dense_reference import first_arrival_dense
 
 
 def p2(n):
@@ -140,6 +153,60 @@ class TestFirstMaximum:
         )
         with pytest.raises(ValueError):
             first_maximum(stub, ham)
+
+
+class TestFirstArrival:
+    """The bandwidth-scaled scan with its slope refine against the dense
+    65,536-point reference."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(4, 29),
+        protocol=st.sampled_from(Protocol),
+        ratio=st.floats(0.3, 1.0),
+        corner=st.floats(0.0, 1.0),
+        kappa=st.floats(0.0, 1.0),
+        delta=st.floats(-32.0, 1.0),
+    )
+    def test_matches_dense_reference(self, n, protocol, ratio, corner, kappa, delta):
+        if protocol is Protocol.PROTOCOL_1:
+            spec = ChainSpec(protocol, n, boundary_ratio=ratio)
+            window, _ = first_arrival_dense(build_hamiltonian(spec).matrix, 40.0)
+        else:
+            spec = ChainSpec(protocol, n)
+            window = math.pi / 2
+        alpha = 2 + min(int(corner * (n - 2)), n - 3)
+        bend = BendSpec(alpha=alpha, kappa=kappa, delta_alpha=delta * omega_max(spec))
+        ham = build_hamiltonian(spec, bend)
+        fm = first_arrival(ham, window)
+        t_ref, p_ref = first_arrival_dense(ham.matrix, window)
+        assert abs(fm.t_star - t_ref) <= 1e-9 * window
+        assert abs(fm.p_star - p_ref) <= 1e-12
+
+    def test_peak_in_last_cell(self):
+        # the window ends just past the first peak, inside the last cell of
+        # any scan grid: the peak must be refined, not reported as the end
+        ham = build_hamiltonian(p2(9), BendSpec(alpha=5, kappa=0.4))
+        t_peak, _ = first_arrival_dense(ham.matrix, math.pi / 2)
+        assert t_peak < math.pi / 2 * (1 - 1e-3)
+        window = t_peak * (1 + 1e-5)
+        t_ref, p_ref = first_arrival_dense(ham.matrix, window)
+        for fm in (first_arrival(ham, window), first_maximum(evolve(ham, window), ham)):
+            assert abs(fm.t_star - t_ref) <= 1e-9 * window
+            assert abs(fm.p_star - p_ref) <= 1e-12
+
+    def test_huge_detuning_rejected_fast(self):
+        spec = p2(9)
+        ham = build_hamiltonian(spec, BendSpec(alpha=5, kappa=0.4, delta_alpha=1e9 * omega_max(spec)))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="grid points"):
+            first_arrival(ham, math.pi / 2)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("window", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_window(self, window):
+        with pytest.raises(ValueError):
+            first_arrival(build_hamiltonian(p2(4)), window)
 
 
 def test_trace_csv_dump(tmp_path):

@@ -5,8 +5,8 @@ import pytest
 
 from bentchain import ChainSpec, Protocol, calibrate_protocol1, reference
 from bentchain.chain import build_hamiltonian
-from bentchain.propagate import end_probability_on_grid, _first_maximum
 from bentchain.reference import load_cache, save_cache
+from dense_reference import first_arrival_dense
 
 
 class TestReference:
@@ -26,10 +26,9 @@ class TestReference:
         assert ref.p0 < 1.0
         # dense-grid oracle over the same window
         ham = build_hamiltonian(ChainSpec(Protocol.PROTOCOL_1, 4, boundary_ratio=1.0))
-        times, p = end_probability_on_grid(ham, 40.0, 200_000)
-        oracle = _first_maximum(times, p, ham)
-        assert math.isclose(ref.p0, oracle.p_star, abs_tol=1e-8)
-        assert math.isclose(ref.t0, oracle.t_star, abs_tol=1e-4)
+        t_star, p_star = first_arrival_dense(ham.matrix, 40.0)
+        assert math.isclose(ref.p0, p_star, abs_tol=1e-8)
+        assert math.isclose(ref.t0, t_star, abs_tol=1e-4)
 
 
 class TestCalibration:
