@@ -14,7 +14,6 @@ import statistics
 import time
 
 from bentchain import (
-    COMPILED,
     BendSpec,
     ChainSpec,
     Protocol,
@@ -28,7 +27,6 @@ EVALS_PER_REPEAT = 500
 
 
 def main():
-    print(f"compiled kernel: {COMPILED}")
     window = math.pi / 2
     for n in (9, 13, 25):
         spec = ChainSpec(Protocol.PROTOCOL_2, n)

@@ -10,7 +10,6 @@ from .chain import (
     omega_max,
     perfect_transfer_time,
 )
-from .kernels import COMPILED
 from .metrics import (
     FitDivergedError,
     FitReport,
@@ -41,7 +40,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AmplitudeTrace",
     "BendSpec",
-    "COMPILED",
     "ChainSpec",
     "DeviceParams",
     "FirstMaximum",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -171,11 +171,6 @@ def build_hamiltonian(spec: ChainSpec, bend: BendSpec | None = None) -> Hamilton
     return Hamiltonian(matrix=h, eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
-def with_detuning(bend: BendSpec, delta_alpha: float) -> BendSpec:
-    """Copy of ``bend`` with a different corner detuning."""
-    return replace(bend, delta_alpha=delta_alpha)
-
-
 # --- JSON config (keys: protocol, n_sites, omega0, boundary_ratio, epsilon,
 #     alpha, kappa, delta_alpha) ---
 
@@ -225,10 +220,6 @@ def dump_specs(spec: ChainSpec, bend: BendSpec | None, path: str | Path) -> None
     with open(path, "w") as fh:
         json.dump(spec_to_dict(spec, bend), fh, indent=2)
         fh.write("\n")
-
-
-def is_centrosymmetric(couplings: np.ndarray, tol: float = 0.0) -> bool:
-    return bool(np.all(np.abs(couplings - couplings[::-1]) <= tol))
 
 
 def perfect_transfer_time(spec: ChainSpec) -> float:

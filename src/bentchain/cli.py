@@ -29,9 +29,9 @@ from .metrics import (
     sweep_kappa,
     transfer_metrics,
 )
-from .optimize import detuning_curve, optimize_detuning
+from .optimize import DEFAULT_INTERVAL, detuning_curve, optimize_detuning
 from .photonic import DeviceParams, design_layout, parasitic_check
-from .reference import calibrate_protocol1, reference
+from .reference import ReferencePoint, calibrate_protocol1, reference
 from .spectral import spectrum_report
 
 EXIT_USAGE = 2
@@ -57,6 +57,8 @@ def parse_grid(text: str) -> np.ndarray:
 
 
 def _chain_args(parser: argparse.ArgumentParser, bend: bool = False) -> None:
+    parser.add_argument("--config", type=Path,
+                        help="JSON file providing chain/bend parameters")
     parser.add_argument("--protocol", type=int, choices=(1, 2), help="1 or 2")
     parser.add_argument("--n", type=int, dest="n_sites", help="number of sites")
     parser.add_argument("--omega0", type=float, default=None)
@@ -71,14 +73,9 @@ def _chain_args(parser: argparse.ArgumentParser, bend: bool = False) -> None:
 
 
 def _out_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path,
-                        help="JSON file providing chain/bend parameters")
     parser.add_argument("--out", type=Path, default=Path("out"))
     parser.add_argument("--label", default=None,
                         help="run directory name (defaults to the command)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for figure panels")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,6 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="0:0.1:1", help="kappa grid")
     p.add_argument("--optimize", action="store_true",
                    help="also optimize the corner detuning per point")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     _out_args(p)
 
     p = sub.add_parser("sweep-alpha", help="sweep corner position at fixed kappa")
@@ -120,12 +118,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-range", default=None,
                    help="alpha grid (default 2:1:ceil(N/2))")
     p.add_argument("--no-optimize", action="store_true")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     _out_args(p)
 
     p = sub.add_parser("optimize", help="optimal corner detuning for one bend")
     _chain_args(p, bend=True)
-    p.add_argument("--interval", default="-4:0.5",
-                   help="detuning search interval lo:hi, units of Omega_max")
+    p.add_argument("--interval", nargs=2, type=float, default=DEFAULT_INTERVAL,
+                   metavar=("LO", "HI"),
+                   help="detuning search interval, units of Omega_max "
+                   "(default: -4 0.5)")
     _out_args(p)
 
     p = sub.add_parser("curve", help="optimal detuning vs kappa")
@@ -154,6 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure", help="reproduce a figure's data files")
     p.add_argument("tag", choices=("fig2", "fig3", "fig4", "fig5"))
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for figure panels")
     _out_args(p)
 
     return parser
@@ -176,7 +179,21 @@ def _resolve_chain(args, config: dict) -> tuple[ChainSpec, BendSpec | None]:
             merged[key] = value
     if "protocol" not in merged or "n_sites" not in merged:
         raise ValueError("missing --protocol/--n (or a --config providing them)")
-    return spec_from_dict(merged)
+    try:
+        return spec_from_dict(merged)
+    except TypeError as exc:  # a config value of the wrong JSON type, e.g. null
+        raise ValueError(f"bad chain parameter: {exc}") from None
+
+
+def _load_config(path: Path) -> dict:
+    with open(path) as fh:
+        try:
+            config = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config {path}: {exc}") from None
+    if not isinstance(config, dict):
+        raise ValueError(f"config {path} must hold a JSON object")
+    return config
 
 
 def _run_dir(args) -> Path:
@@ -192,8 +209,26 @@ def _write_manifest(run_dir: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _reference_for(spec: ChainSpec):
-    return reference(spec)
+def _emit(run_dir: Path, name: str, payload: dict, manifest: dict,
+          summary: str) -> None:
+    """Write ``<name>.json`` and the manifest, then print the summary line."""
+    with open(run_dir / f"{name}.json", "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+    _write_manifest(run_dir, manifest)
+    print(summary)
+
+
+def _protocol_chain(proto: int, n: int) -> tuple[ChainSpec, ReferencePoint]:
+    """Unbent chain and reference: Protocol 2 as is, Protocol 1 at its
+    calibrated boundary ratio."""
+    if proto == 2:
+        spec = ChainSpec(protocol=Protocol.PROTOCOL_2, n_sites=n)
+        return spec, reference(spec)
+    ref = calibrate_protocol1(n)
+    spec = ChainSpec(protocol=Protocol.PROTOCOL_1, n_sites=n,
+                     boundary_ratio=ref.boundary_ratio)
+    return spec, ref
 
 
 def _write_table(table: SweepTable, run_dir: Path, fmt: str, stem: str) -> Path:
@@ -208,12 +243,9 @@ def _write_table(table: SweepTable, run_dir: Path, fmt: str, stem: str) -> Path:
 def cmd_reference(args, config) -> int:
     spec, _ = _resolve_chain(args, config)
     ref = reference(spec, args.window)
-    run_dir = _run_dir(args)
-    with open(run_dir / "reference.json", "w") as fh:
-        json.dump(ref.to_dict(), fh, indent=2)
-        fh.write("\n")
-    _write_manifest(run_dir, {"command": "reference", "chain": spec_to_dict(spec)})
-    print(f"reference: protocol={spec.protocol.value} N={spec.n_sites} "
+    _emit(_run_dir(args), "reference", ref.to_dict(),
+          {"command": "reference", "chain": spec_to_dict(spec)},
+          f"reference: protocol={spec.protocol.value} N={spec.n_sites} "
           f"p0={ref.p0:.8f} t0={ref.t0:.8f}")
     return 0
 
@@ -224,13 +256,10 @@ def cmd_calibrate(args, config) -> int:
         args.n_sites, ratio_grid=grid, window=args.window,
         omega0=args.omega0, cache_path=args.cache,
     )
-    run_dir = _run_dir(args)
-    with open(run_dir / "calibration.json", "w") as fh:
-        json.dump(ref.to_dict(), fh, indent=2)
-        fh.write("\n")
-    _write_manifest(run_dir, {"command": "calibrate", "n_sites": args.n_sites,
-                              "window": args.window, "grid": args.grid})
-    print(f"calibrate: N={args.n_sites} ratio={ref.boundary_ratio:.6f} "
+    _emit(_run_dir(args), "calibration", ref.to_dict(),
+          {"command": "calibrate", "n_sites": args.n_sites,
+           "window": args.window, "grid": args.grid},
+          f"calibrate: N={args.n_sites} ratio={ref.boundary_ratio:.6f} "
           f"p0={ref.p0:.6f} t0={ref.t0:.6f}")
     return 0
 
@@ -239,16 +268,11 @@ def cmd_metrics(args, config) -> int:
     spec, bend = _resolve_chain(args, config)
     if bend is None:
         raise ValueError("metrics needs --alpha and --kappa")
-    ref = _reference_for(spec)
-    result = transfer_metrics(spec, bend, ref)
-    run_dir = _run_dir(args)
-    payload = {"p": result.p, "t": result.t, "q": result.q, "s": result.s}
-    with open(run_dir / "metrics.json", "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    _write_manifest(run_dir, {"command": "metrics",
-                              "chain": spec_to_dict(spec, bend)})
-    print(f"metrics: q={result.q:.6f} s={result.s:.6f} p={result.p:.6f} "
+    result = transfer_metrics(spec, bend, reference(spec))
+    _emit(_run_dir(args), "metrics",
+          {"p": result.p, "t": result.t, "q": result.q, "s": result.s},
+          {"command": "metrics", "chain": spec_to_dict(spec, bend)},
+          f"metrics: q={result.q:.6f} s={result.s:.6f} p={result.p:.6f} "
           f"t={result.t:.6f}")
     return 0
 
@@ -292,10 +316,8 @@ def cmd_optimize(args, config) -> int:
     spec, bend = _resolve_chain(args, config)
     if bend is None:
         raise ValueError("optimize needs --alpha and --kappa")
-    lo, hi = (float(v) for v in args.interval.split(":"))
-    ref = _reference_for(spec)
-    res = optimize_detuning(spec, bend, ref, interval=(lo, hi))
-    run_dir = _run_dir(args)
+    lo, hi = args.interval
+    res = optimize_detuning(spec, bend, reference(spec), interval=(lo, hi))
     payload = {
         "delta_star": res.delta_star,
         "delta_energy": res.delta_energy,
@@ -304,13 +326,11 @@ def cmd_optimize(args, config) -> int:
         "evaluations": res.evaluations,
         "on_boundary": res.on_boundary,
     }
-    with open(run_dir / "optimize.json", "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    _write_manifest(run_dir, {"command": "optimize", "interval": [lo, hi],
-                              "chain": spec_to_dict(spec, bend)})
     flag = " (boundary)" if res.on_boundary else ""
-    print(f"optimize: delta*={res.delta_star:.6f} q_opt={res.q_opt:.6f} "
+    _emit(_run_dir(args), "optimize", payload,
+          {"command": "optimize", "interval": [lo, hi],
+           "chain": spec_to_dict(spec, bend)},
+          f"optimize: delta*={res.delta_star:.6f} q_opt={res.q_opt:.6f} "
           f"s_opt={res.s_opt:.6f}{flag}")
     return 0
 
@@ -320,8 +340,7 @@ def cmd_curve(args, config) -> int:
     if bend is None:
         raise ValueError("curve needs --alpha")
     grid = parse_grid(args.grid)
-    ref = _reference_for(spec)
-    curve = detuning_curve(spec, bend.alpha, grid, ref)
+    curve = detuning_curve(spec, bend.alpha, grid, reference(spec))
     run_dir = _run_dir(args)
     path = run_dir / "curve.csv"
     with open(path, "w", newline="") as fh:
@@ -342,8 +361,7 @@ def cmd_spectrum(args, config) -> int:
     spec, bend = _resolve_chain(args, config)
     if bend is None:
         raise ValueError("spectrum needs --alpha and --kappa")
-    ref = _reference_for(spec)
-    res = optimize_detuning(spec, bend, ref)
+    res = optimize_detuning(spec, bend, reference(spec))
     report = spectrum_report(spec, bend, res.delta_energy)
     run_dir = _run_dir(args)
     path = run_dir / "spectrum.csv"
@@ -375,12 +393,22 @@ def cmd_design(args, config) -> int:
 
 
 def cmd_fit(args, config) -> int:
-    rows = []
     with open(args.input, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(rec)
-    run_dir = _run_dir(args)
+        reader = csv.DictReader(fh)
+        present = reader.fieldnames or []
+        rows = list(reader)
+
+    def column(*names: str) -> str:
+        """The first of ``names`` that the input has as a column."""
+        for name in names:
+            if name in present:
+                return name
+        raise ValueError(f"{args.input}: {args.kind} fit needs a "
+                         f"{' or '.join(names)} column")
+
     if args.kind == "gaussian":
+        for name in ("axis", "p", "t", "q", "s"):
+            column(name)
         table = SweepTable(
             axis="kappa",
             rows=[
@@ -396,32 +424,22 @@ def cmd_fit(args, config) -> int:
         summary = (f"fit gaussian: A={report.params[0]:.6f} "
                    f"sigma={report.params[1]:.6f} rms={report.residual_rms:.3g}")
     else:
-        key = "delta_opt" if "delta_opt" in rows[0] else "delta_star"
-        pairs = [(float(r["axis" if "axis" in r else "kappa"]), float(r[key]))
-                 for r in rows if r.get(key)]
+        x_key, key = column("axis", "kappa"), column("delta_opt", "delta_star")
+        pairs = [(float(r[x_key]), float(r[key])) for r in rows if r.get(key)]
         report = fit_linear(pairs, kappa_cut=args.kappa_cut)
         summary = (f"fit linear: slope={report.params[0]:.6f} "
                    f"intercept={report.params[1]:.6f} rms={report.residual_rms:.3g}")
-    with open(run_dir / "fit.json", "w") as fh:
-        json.dump({"kind": report.kind, "params": list(report.params),
-                   "residual_rms": report.residual_rms,
-                   "domain": list(report.domain)}, fh, indent=2)
-        fh.write("\n")
-    _write_manifest(run_dir, {"command": "fit", "kind": args.kind,
-                              "input": str(args.input)})
-    print(summary)
+    _emit(_run_dir(args), "fit",
+          {"kind": report.kind, "params": list(report.params),
+           "residual_rms": report.residual_rms, "domain": list(report.domain)},
+          {"command": "fit", "kind": args.kind, "input": str(args.input)},
+          summary)
     return 0
 
 
 def _figure_panel(job: tuple) -> tuple[str, SweepTable | list]:
     kind, proto, n, alpha, kappa, grid = job
-    if proto == 2:
-        spec = ChainSpec(protocol=Protocol.PROTOCOL_2, n_sites=n)
-        ref = reference(spec)
-    else:
-        ref = calibrate_protocol1(n)
-        spec = ChainSpec(protocol=Protocol.PROTOCOL_1, n_sites=n,
-                         boundary_ratio=ref.boundary_ratio)
+    spec, ref = _protocol_chain(proto, n)
     if kind == "kappa":
         table = sweep_kappa(spec, alpha, grid, optimize=True, ref=ref)
         return f"p{proto}_n{n}_alpha{alpha}_kappa", table
@@ -445,13 +463,7 @@ def cmd_figure(args, config) -> int:
                 jobs.append(("alpha", proto, n, None, 0.4, None))
     else:  # fig5: spectra for N=25, alpha=12
         for proto, kappa in ((1, 0.5), (2, 0.3)):
-            if proto == 2:
-                spec = ChainSpec(protocol=Protocol.PROTOCOL_2, n_sites=25)
-                ref = reference(spec)
-            else:
-                ref = calibrate_protocol1(25)
-                spec = ChainSpec(protocol=Protocol.PROTOCOL_1, n_sites=25,
-                                 boundary_ratio=ref.boundary_ratio)
+            spec, ref = _protocol_chain(proto, 25)
             bend = BendSpec(alpha=12, kappa=kappa)
             res = optimize_detuning(spec, bend, ref)
             report = spectrum_report(spec, bend, res.delta_energy)
@@ -502,15 +514,8 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config: dict = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                config = json.load(fh)
-        except OSError as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return EXIT_IO
     try:
+        config = _load_config(args.config) if getattr(args, "config", None) else {}
         return COMMANDS[args.command](args, config)
     except FitDivergedError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -1,23 +1,30 @@
-"""Kernel selection: compiled extension if available, numpy otherwise.
+"""End-site probability kernel.
 
-Set BENTCHAIN_PURE_PYTHON=1 to force the numpy fallback (used by the
-benchmark and by tests that compare the two paths).
+A(t) = sum_k exp(-i lam_k t) c_k with real spectral weights c_k, so
+|A(t)|^2 = (sum_k c_k cos(lam_k t))^2 + (sum_k c_k sin(lam_k t))^2.
+Every first-arrival search, sweep and detuning optimization evaluates it.
 """
 
 from __future__ import annotations
 
-import os
+import numpy as np
 
-if os.environ.get("BENTCHAIN_PURE_PYTHON"):
-    COMPILED = False
-    from ._kernels_np import end_probability, end_probability_curve
-else:
-    try:
-        from ._kernels import end_probability, end_probability_curve
+__all__ = ["end_probability", "end_probability_curve"]
 
-        COMPILED = True
-    except ImportError:
-        COMPILED = False
-        from ._kernels_np import end_probability, end_probability_curve
 
-__all__ = ["COMPILED", "end_probability", "end_probability_curve"]
+def end_probability(eigvals: np.ndarray, coef: np.ndarray, t: float) -> float:
+    """|A_end(t)|^2 for a single time."""
+    phase = eigvals * t
+    re = float(coef @ np.cos(phase))
+    im = float(coef @ np.sin(phase))
+    return re * re + im * im
+
+
+def end_probability_curve(
+    eigvals: np.ndarray, coef: np.ndarray, times: np.ndarray
+) -> np.ndarray:
+    """|A_end(t)|^2 on a grid of times."""
+    phases = np.outer(times, eigvals)
+    re = np.cos(phases) @ coef
+    im = np.sin(phases) @ coef
+    return re * re + im * im

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -185,7 +186,14 @@ def load_cache(path: str | Path) -> dict[str, ReferencePoint]:
 
 
 def save_cache(cache: dict[str, ReferencePoint], path: str | Path) -> None:
+    """Write the cache atomically: a failed write leaves the old file intact."""
+    path = Path(path)
     records = [{"key": k, **v.to_dict()} for k, v in sorted(cache.items())]
-    with open(path, "w") as fh:
-        json.dump(records, fh, indent=2)
-        fh.write("\n")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(records, fh, indent=2)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

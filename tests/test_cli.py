@@ -150,6 +150,22 @@ class TestCommands:
         )["q"]
         assert math.isclose(q2, 1.0, abs_tol=1e-8)
 
+    def test_optimize_interval_negative_bound(self, tmp_path, capsys):
+        code, _, _ = run(
+            capsys, "optimize", "--protocol", "2", "--n", "13", "--alpha", "7",
+            "--kappa", "0.5", "--interval", "-3", "0.5", "--out", str(tmp_path),
+        )
+        assert code == 0
+        run_dir = tmp_path / "optimize" / "optimize"
+        payload = json.loads((run_dir / "optimize.json").read_text())
+        spec = ChainSpec(Protocol.PROTOCOL_2, 13)
+        expected = optimize_detuning(
+            spec, BendSpec(alpha=7, kappa=0.5), reference(spec), interval=(-3.0, 0.5)
+        )
+        assert payload["delta_star"] == expected.delta_star
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["interval"] == [-3.0, 0.5]
+
     def test_deterministic_output(self, tmp_path, capsys):
         paths = []
         for tag in ("a", "b"):
@@ -202,3 +218,70 @@ class TestErrors:
         )
         assert code == EXIT_NUMERICAL
         assert "numerical error" in err
+
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "chain.json"
+        cfg.write_text("{bad")
+        code, _, err = run(
+            capsys, "metrics", "--config", str(cfg), "--out", str(tmp_path)
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith("error: config")
+
+    @pytest.mark.parametrize("content", [
+        [1, 2],
+        {"protocol": 2, "n_sites": None, "alpha": 5, "kappa": 0.4},
+    ])
+    def test_config_of_wrong_type_is_usage_error(self, tmp_path, capsys, content):
+        cfg = tmp_path / "chain.json"
+        cfg.write_text(json.dumps(content))
+        code, _, err = run(
+            capsys, "metrics", "--config", str(cfg), "--out", str(tmp_path)
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("kind,text,missing", [
+        ("gaussian", "", "axis"),
+        ("gaussian", "axis,p,t,q\n0.1,1,1,1\n", "s"),
+        ("linear", "a,b\n1,2\n", "axis or kappa"),
+        ("linear", "kappa,q_opt\n0.1,1\n", "delta_opt or delta_star"),
+    ])
+    def test_fit_input_missing_column(self, tmp_path, capsys, kind, text, missing):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        code, _, err = run(
+            capsys, "fit", "--kind", kind, "--input", str(path), "--out", str(tmp_path)
+        )
+        assert code == EXIT_USAGE
+        assert f"needs a {missing} column" in err
+
+
+class TestOptionSurface:
+    """Each subcommand accepts only the options it reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ["metrics", "--protocol", "2", "--n", "9", "--alpha", "5", "--kappa", "0.4",
+         "--format", "json"],
+        ["reference", "--protocol", "2", "--n", "9", "--jobs", "2"],
+        ["fit", "--kind", "linear", "--input", "curve.csv", "--config", "x.json"],
+    ])
+    def test_unread_option_is_usage_error(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path)])
+        assert exc.value.code == EXIT_USAGE
+        assert not any(tmp_path.iterdir())
+
+    def test_figure_takes_jobs(self, tmp_path, capsys):
+        code, _, _ = run(capsys, "figure", "fig5", "--jobs", "1", "--out", str(tmp_path))
+        assert code == 0
+        manifest = json.loads((tmp_path / "figure" / "fig5" / "manifest.json").read_text())
+        assert len(manifest["files"]) == 2
+
+    def test_sweep_takes_format(self, tmp_path, capsys):
+        code, _, _ = run(
+            capsys, "sweep-kappa", "--protocol", "2", "--n", "9", "--alpha", "5",
+            "--grid", "0:0.5:1", "--format", "json", "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert (tmp_path / "sweep-kappa" / "sweep-kappa" / "sweep_kappa.json").exists()

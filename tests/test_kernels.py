@@ -7,7 +7,7 @@ from bentchain.propagate import _end_coef
 
 
 class TestKernelConsistency:
-    """The selected end-probability kernel must reproduce the |A_N|^2 column
+    """The end-probability kernel must reproduce the |A_N|^2 column
     of the full amplitude trace, which propagates every site amplitude."""
 
     def test_scalar_agreement(self):

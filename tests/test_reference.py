@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from bentchain import ChainSpec, Protocol, calibrate_protocol1, reference
 from bentchain.chain import build_hamiltonian
-from bentchain.reference import load_cache, save_cache
+from bentchain.reference import ReferencePoint, load_cache, save_cache
 from dense_reference import first_arrival_dense
 
 
@@ -80,3 +81,18 @@ class TestCalibration:
         assert len(records) == 1
         save_cache(records, path)
         assert load_cache(path) == records
+
+    def test_failed_cache_write_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.json"
+        point = ReferencePoint(Protocol.PROTOCOL_1, 6, 0.9, 3.0, boundary_ratio=0.5)
+        save_cache({"k": point}, path)
+        before = path.read_bytes()
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(json, "dump", fail)
+        with pytest.raises(RuntimeError):
+            save_cache({"k": point, "k2": point}, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
