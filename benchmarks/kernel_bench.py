@@ -1,10 +1,14 @@
-"""Time one first-arrival evaluation per chain size.
+"""Time the two propagator layers per chain size.
 
-Each evaluation is what the optimizer, the calibration and the sweeps repeat
-for every Hamiltonian: the bandwidth-scaled scan of |A_N(t)|^2 followed by
-the analytic-slope refine of the first peak.  The chains are Protocol 2,
-bent at the centre with kappa = 0.5 and detuned by -1.5 Omega_max (near the
-optimum), over the unbent arrival window pi/2.
+First arrival: what the optimizer, the calibration and the sweeps repeat for
+every Hamiltonian, the bandwidth-scaled scan of |A_N(t)|^2 followed by the
+analytic-slope refine of the first peak (N = 9, 13, 25).
+
+Amplitude trace: ``evolve``, every site amplitude on 4096 steps over the
+window (N = 60, 120, 200), as the spectra and trace files use it.
+
+The chains are Protocol 2, bent at the centre with kappa = 0.5 and detuned by
+-1.5 Omega_max (near the optimum), over the unbent arrival window pi/2.
 
 Run:  python3 benchmarks/kernel_bench.py
 """
@@ -18,30 +22,49 @@ from bentchain import (
     ChainSpec,
     Protocol,
     build_hamiltonian,
+    evolve,
     first_arrival,
     omega_max,
 )
 
 REPEATS = 7
-EVALS_PER_REPEAT = 500
+WINDOW = math.pi / 2
+EVOLVE_STEPS = 4096
+
+
+def bent_chain(n):
+    spec = ChainSpec(Protocol.PROTOCOL_2, n)
+    bend = BendSpec(alpha=(n + 1) // 2, kappa=0.5, delta_alpha=-1.5 * omega_max(spec))
+    return build_hamiltonian(spec, bend)
+
+
+def time_call(call, per_repeat):
+    """Median and quartiles of the time per call, in ms, and the last result."""
+    samples = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        for _ in range(per_repeat):
+            result = call()
+        samples.append((time.perf_counter() - start) / per_repeat * 1e3)
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return median, q1, q3, result
 
 
 def main():
-    window = math.pi / 2
     for n in (9, 13, 25):
-        spec = ChainSpec(Protocol.PROTOCOL_2, n)
-        bend = BendSpec(alpha=(n + 1) // 2, kappa=0.5, delta_alpha=-1.5 * omega_max(spec))
-        ham = build_hamiltonian(spec, bend)
-        samples = []
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            for _ in range(EVALS_PER_REPEAT):
-                fm = first_arrival(ham, window)
-            samples.append((time.perf_counter() - start) / EVALS_PER_REPEAT)
-        q1, median, q3 = statistics.quantiles(samples, n=4)
+        ham = bent_chain(n)
+        median, q1, q3, fm = time_call(lambda: first_arrival(ham, WINDOW), 500)
         print(
-            f"N={n:2d}: {median * 1e3:.3f} ms per evaluation "
-            f"(quartiles {q1 * 1e3:.3f}-{q3 * 1e3:.3f}), t*={fm.t_star:.9f} p*={fm.p_star:.9f}"
+            f"first_arrival N={n:3d}: {median:.3f} ms per evaluation "
+            f"(quartiles {q1:.3f}-{q3:.3f}), t*={fm.t_star:.9f} p*={fm.p_star:.9f}"
+        )
+    for n in (60, 120, 200):
+        ham = bent_chain(n)
+        median, q1, q3, trace = time_call(lambda: evolve(ham, WINDOW, EVOLVE_STEPS), 10)
+        print(
+            f"evolve        N={n:3d}: {median:.3f} ms per trace "
+            f"(quartiles {q1:.3f}-{q3:.3f}), {EVOLVE_STEPS} steps, "
+            f"p_end[-1]={trace.p_end[-1]:.9f}"
         )
 
 

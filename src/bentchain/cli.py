@@ -56,6 +56,13 @@ def parse_grid(text: str) -> np.ndarray:
     return np.array([float(v) for v in text.split(",")])
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _chain_args(parser: argparse.ArgumentParser, bend: bool = False) -> None:
     parser.add_argument("--config", type=Path,
                         help="JSON file providing chain/bend parameters")
@@ -155,8 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure", help="reproduce a figure's data files")
     p.add_argument("tag", choices=("fig2", "fig3", "fig4", "fig5"))
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for figure panels")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker processes for figure panels (at most one "
+                        "per panel)")
     _out_args(p)
 
     return parser
@@ -472,10 +480,11 @@ def cmd_figure(args, config) -> int:
             files.append(name)
 
     if jobs:
-        if args.jobs > 1:
+        workers = min(args.jobs, len(jobs))
+        if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 panels = list(pool.map(_figure_panel, jobs))
         else:
             panels = [_figure_panel(j) for j in jobs]

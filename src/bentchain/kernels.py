@@ -1,15 +1,33 @@
-"""End-site probability kernel.
+"""Spectral phase kernels.
 
-A(t) = sum_k exp(-i lam_k t) c_k with real spectral weights c_k, so
-|A(t)|^2 = (sum_k c_k cos(lam_k t))^2 + (sum_k c_k sin(lam_k t))^2.
-Every first-arrival search, sweep and detuning optimization evaluates it.
+Every amplitude in the package is a spectral sum A(t) = sum_k e^{-i lam_k t} w_k
+over the eigenvalues lam_k.  On a uniform grid t_k = t0 + k dt of T points
+the phases factorise by angle addition,
+
+    e^{-i lam (t0 + (j1 m2 + j2) dt)} = e^{-i lam (t0 + j1 m2 dt)} e^{-i lam j2 dt},
+
+with k = j1 m2 + j2, m2 = isqrt(T) and m1 = ceil(T / m2).  So two tables of
+about sqrt(T) rows each (:func:`phase_tables`) replace the T x N table of
+transcendental functions: the end-site amplitude on the whole grid is one
+complex matrix product, and the full phase array of ``propagate.evolve`` is
+one broadcast product.  The grid must be uniform; a grid that is not raises
+ValueError rather than giving a wrong curve.  Every first-arrival scan,
+sweep, detuning optimization and amplitude trace goes through here.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["end_probability", "end_probability_curve"]
+__all__ = ["end_probability", "end_probability_curve", "phase_tables"]
+
+# Largest departure of ``times`` from t0 + k dt, relative to the largest
+# |t|, that still counts as uniform: the few ulp of rounding in linspace or
+# arange pass, while a grid whose points sit further off would get a curve
+# at times it did not ask for.
+UNIFORM_RTOL = 1e-12
 
 
 def end_probability(eigvals: np.ndarray, coef: np.ndarray, t: float) -> float:
@@ -20,11 +38,44 @@ def end_probability(eigvals: np.ndarray, coef: np.ndarray, t: float) -> float:
     return re * re + im * im
 
 
+def _cis(phase: np.ndarray) -> np.ndarray:
+    """e^{i phase}; cos and sin write straight into the complex result,
+    with no complex temporary as in np.exp(1j * phase)."""
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
+def phase_tables(
+    eigvals: np.ndarray, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Outer and inner phase tables of a uniform time grid.
+
+    For T = len(times) points t0 + k dt, returns ``outer`` of shape (m1, N)
+    holding e^{-i lam (t0 + j1 m2 dt)} and ``inner`` of shape (m2, N) holding
+    e^{-i lam j2 dt}, with m2 = isqrt(T) and m1 = ceil(T / m2).  Row k of the
+    full table is ``outer[k // m2] * inner[k % m2]``; the m1 m2 - T rows past
+    the grid's end are surplus.  Raises ValueError unless ``times`` is
+    uniform to ``UNIFORM_RTOL`` of its largest |t|.
+    """
+    times = np.asarray(times, dtype=float)
+    n = times.size
+    m2 = max(1, math.isqrt(n))
+    dt = (times[-1] - times[0]) / (n - 1) if n > 1 else 0.0
+    starts = times[::m2]
+    steps = dt * np.arange(m2)
+    grid = (starts[:, None] + steps).ravel()[:n]
+    if not np.all(np.abs(grid - times) <= UNIFORM_RTOL * np.abs(times).max(initial=0.0)):
+        raise ValueError("times must be a finite, uniform grid")
+    minus_lam = -np.asarray(eigvals, dtype=float)
+    return _cis(np.outer(starts, minus_lam)), _cis(np.outer(steps, minus_lam))
+
+
 def end_probability_curve(
     eigvals: np.ndarray, coef: np.ndarray, times: np.ndarray
 ) -> np.ndarray:
-    """|A_end(t)|^2 on a grid of times."""
-    phases = np.outer(times, eigvals)
-    re = np.cos(phases) @ coef
-    im = np.sin(phases) @ coef
-    return re * re + im * im
+    """|A_end(t)|^2 on a uniform grid of times (see :func:`phase_tables`)."""
+    outer, inner = phase_tables(eigvals, times)
+    amp = ((outer * coef) @ inner.T).ravel()[: np.size(times)]
+    return amp.real * amp.real + amp.imag * amp.imag

@@ -17,7 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import ChainSpec, Protocol, build_couplings, perfect_transfer_time
+from .chain import (
+    ChainSpec,
+    Protocol,
+    _require_finite,
+    build_couplings,
+    perfect_transfer_time,
+)
 from .reference import reference
 
 __all__ = [
@@ -43,6 +49,8 @@ class DeviceParams:
     wavelength: float = 633.0
 
     def __post_init__(self):
+        _require_finite(eta=self.eta, xi=self.xi, length=self.length,
+                        wavelength=self.wavelength)
         if self.eta <= 0 or self.xi <= 0 or self.length <= 0:
             raise ValueError("eta, xi and length must all be > 0")
 

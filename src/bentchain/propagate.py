@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .chain import Hamiltonian
-from .kernels import end_probability, end_probability_curve
+from .kernels import end_probability, end_probability_curve, phase_tables
 from .search import brent_root, golden_max
 
 DEFAULT_N_STEPS = 4096
@@ -85,8 +85,9 @@ def evolve(ham: Hamiltonian, t_end: float, n_steps: int = DEFAULT_N_STEPS) -> Am
         raise ValueError(f"n_steps must be >= 100, got {n_steps}")
     times = np.linspace(0.0, t_end, n_steps)
     weights = ham.eigenvectors[0, :]  # <v_k, e_1>
-    phases = np.exp(-1j * np.outer(times, ham.eigenvalues))
-    amplitudes = (phases * weights) @ ham.eigenvectors.T
+    outer, inner = phase_tables(ham.eigenvalues, times)
+    phases = (outer * weights)[:, None, :] * inner[None, :, :]
+    amplitudes = phases.reshape(-1, weights.size)[:n_steps] @ ham.eigenvectors.T
     p_end = np.abs(amplitudes[:, -1]) ** 2
     return AmplitudeTrace(times=times, amplitudes=amplitudes, p_end=p_end)
 

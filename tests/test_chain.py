@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bentchain import (
     BendSpec,
@@ -170,3 +171,30 @@ class TestConfigRoundtrip:
     def test_defaults_applied(self):
         spec, bend = spec_from_dict({"protocol": 2, "n_sites": 4})
         assert spec.omega0 == 1.0 and spec.epsilon == 0.0 and bend is None
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(3, 200),
+        protocol=st.sampled_from(Protocol),
+        omega0=st.floats(1e-6, 1e6),
+        ratio=st.floats(1e-6, 1e6),
+        epsilon=st.floats(-1e6, 1e6),
+        bent=st.booleans(),
+        corner=st.floats(0.0, 1.0),
+        kappa=st.floats(0.0, 1.0),
+        delta=st.floats(-1e6, 1e6),
+    )
+    def test_dict_roundtrip_property(
+        self, n, protocol, omega0, ratio, epsilon, bent, corner, kappa, delta
+    ):
+        spec = ChainSpec(
+            protocol, n, omega0=omega0, epsilon=epsilon,
+            boundary_ratio=ratio if protocol is Protocol.PROTOCOL_1 else None,
+        )
+        bend = None
+        if bent:
+            alpha = 2 + min(int(corner * (n - 2)), n - 3)
+            bend = BendSpec(alpha=alpha, kappa=kappa, delta_alpha=delta)
+        d = spec_to_dict(spec, bend)
+        assert spec_from_dict(d) == (spec, bend)
+        assert spec_from_dict(json.loads(json.dumps(d))) == (spec, bend)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 
@@ -14,6 +15,7 @@ from bentchain import (
 )
 from bentchain import cli
 from bentchain.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_USAGE, main, parse_grid
+from bentchain.metrics import SweepTable
 
 
 def run(capsys, *argv):
@@ -241,6 +243,30 @@ class TestErrors:
         assert code == EXIT_USAGE
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("device,name", [
+        (["--L", "nan"], "length"),
+        (["--L", "10", "--xi", "nan"], "xi"),
+        (["--L", "10", "--eta", "inf"], "eta"),
+        (["--L", "10", "--wavelength", "nan"], "wavelength"),
+    ])
+    def test_nonfinite_device_is_usage_error(self, tmp_path, capsys, device, name):
+        code, out, err = run(
+            capsys, "design", "--protocol", "2", "--n", "9", *device,
+            "--out", str(tmp_path),
+        )
+        assert code == EXIT_USAGE
+        assert f"{name} must be finite" in err
+        assert "nan" not in out
+        assert not list(tmp_path.rglob("layout.*"))
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_figure_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "fig2", "--jobs", jobs, "--out", str(tmp_path)])
+        assert exc.value.code == EXIT_USAGE
+        assert "--jobs: must be >= 1" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("kind,text,missing", [
         ("gaussian", "", "axis"),
         ("gaussian", "axis,p,t,q\n0.1,1,1,1\n", "s"),
@@ -277,6 +303,40 @@ class TestOptionSurface:
         assert code == 0
         manifest = json.loads((tmp_path / "figure" / "fig5" / "manifest.json").read_text())
         assert len(manifest["files"]) == 2
+
+    @pytest.mark.parametrize("tag,jobs,workers", [
+        ("fig4", "64", 8), ("fig2", "2", 2), ("fig3", "1", None),
+    ])
+    def test_figure_workers_capped_at_panels(self, tmp_path, capsys, monkeypatch,
+                                             tag, jobs, workers):
+        # a pool that records its size and runs the panels in this process,
+        # with a stub panel, so the test starts no worker
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return [fn(job) for job in jobs]
+
+        def stub_panel(job):
+            kind, proto, n = job[:3]
+            return f"{kind}_p{proto}_n{n}", SweepTable(axis=kind, rows=[])
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_figure_panel", stub_panel)
+        code, _, _ = run(capsys, "figure", tag, "--jobs", jobs, "--out", str(tmp_path))
+        assert code == 0
+        assert sizes == ([] if workers is None else [workers])
+        manifest = json.loads((tmp_path / "figure" / tag / "manifest.json").read_text())
+        assert len(manifest["files"]) == (8 if tag == "fig4" else 4)
 
     def test_sweep_takes_format(self, tmp_path, capsys):
         code, _, _ = run(

@@ -1,8 +1,11 @@
-import numpy as np
+import math
 
-from bentchain import BendSpec, ChainSpec, Protocol, evolve
+import numpy as np
+import pytest
+
+from bentchain import BendSpec, ChainSpec, Protocol, evolve, omega_max
 from bentchain.chain import build_hamiltonian
-from bentchain.kernels import end_probability, end_probability_curve
+from bentchain.kernels import end_probability, end_probability_curve, phase_tables
 from bentchain.propagate import _end_coef
 
 
@@ -35,3 +38,65 @@ class TestKernelConsistency:
         p = end_probability_curve(ham.eigenvalues, coef, times)
         assert np.all(p >= -1e-14)
         assert np.all(p <= 1 + 1e-12)
+
+
+def _direct_curve(lam, coef, times, rows=4096):
+    """|sum_k c_k e^{-i lam_k t}|^2 with one complex exponential per
+    (time, eigenvalue) pair, in blocks of rows to bound memory."""
+    return np.concatenate([
+        np.abs(np.exp(-1j * np.outer(times[i:i + rows], lam)) @ coef) ** 2
+        for i in range(0, times.size, rows)
+    ])
+
+
+class TestPhaseTables:
+    """The factorised phases against one exponential per (t, lam) pair."""
+
+    # non-square sizes, and sizes where the tables cover more than T rows
+    @pytest.mark.parametrize("size", [3, 64, 65, 4097, 2**16 + 1])
+    @pytest.mark.parametrize("n", [5, 25, 100])
+    def test_curve_matches_direct(self, n, size):
+        spec = ChainSpec(Protocol.PROTOCOL_2, n)
+        # a start below zero puts t = 0 inside the grid
+        times = np.linspace(-0.5, math.pi / 2, size)
+        for delta in (0.0, -1.5, -32.0):
+            bend = BendSpec(alpha=(n + 1) // 2, kappa=0.5,
+                            delta_alpha=delta * omega_max(spec))
+            ham = build_hamiltonian(spec, bend)
+            lam, coef = ham.eigenvalues, _end_coef(ham)
+            direct = _direct_curve(lam, coef, times)
+            # raw and centred spectra, as end_probability_on_grid and
+            # first_arrival pass them; a shift of lam is a global phase
+            for shift in (0.0, 0.5 * (lam[0] + lam[-1])):
+                p = end_probability_curve(lam - shift, coef, times)
+                assert p.shape == times.shape
+                np.testing.assert_allclose(p, direct, rtol=0, atol=1e-13)
+
+    def test_table_shapes(self):
+        lam = np.arange(4.0)
+        for size, m1, m2 in ((3, 3, 1), (64, 8, 8), (65, 9, 8), (4097, 65, 64)):
+            outer, inner = phase_tables(lam, np.linspace(0.0, 1.0, size))
+            assert outer.shape == (m1, 4) and inner.shape == (m2, 4)
+
+    @pytest.mark.parametrize("times", [
+        np.geomspace(1e-3, 1.0, 50),
+        np.concatenate([np.linspace(0.0, 1.0, 30), np.linspace(1.1, 3.0, 20)]),
+        np.linspace(0.0, 1.0, 50) + np.where(np.arange(50) == 37, 1e-9, 0.0),
+        np.array([0.0, 0.5, np.nan, 1.5]),
+    ])
+    def test_non_uniform_grid_rejected(self, times):
+        ham = build_hamiltonian(ChainSpec(Protocol.PROTOCOL_2, 9))
+        with pytest.raises(ValueError, match="uniform"):
+            end_probability_curve(ham.eigenvalues, _end_coef(ham), times)
+
+    def test_evolve_matches_direct(self):
+        spec = ChainSpec(Protocol.PROTOCOL_2, 200)
+        ham = build_hamiltonian(
+            spec, BendSpec(alpha=100, kappa=0.5, delta_alpha=-1.5 * omega_max(spec))
+        )
+        trace = evolve(ham, math.pi / 2, 4096)
+        assert np.array_equal(trace.times, np.linspace(0.0, math.pi / 2, 4096))
+        phases = np.exp(-1j * np.outer(trace.times, ham.eigenvalues))
+        direct = (phases * ham.eigenvectors[0, :]) @ ham.eigenvectors.T
+        np.testing.assert_allclose(trace.amplitudes, direct, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(trace.norms(), 1.0, rtol=0, atol=1e-12)

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bentchain import (
     BendSpec,
     ChainSpec,
     Protocol,
     fit_gaussian,
+    omega_max,
     fit_linear,
     reference,
     sweep_alpha,
@@ -60,6 +62,48 @@ class TestTransferMetrics:
             b = transfer_metrics(spec, BendSpec(alpha=13 - alpha, kappa=0.4), ref)
             assert math.isclose(a.p, b.p, abs_tol=1e-8)
             assert math.isclose(a.t, b.t, abs_tol=1e-6)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(4, 29),
+        protocol=st.sampled_from(Protocol),
+        ratio=st.floats(0.3, 1.0),
+        corner=st.floats(0.0, 1.0),
+        kappa=st.floats(0.0, 1.0),
+        delta=st.floats(-32.0, 1.0),
+    )
+    def test_mirror_symmetry_property(self, n, protocol, ratio, corner, kappa, delta):
+        # both protocols are centrosymmetric, so the corner at N+1-alpha is
+        # the mirror image of alpha and A_1N is the same function of t
+        p1 = protocol is Protocol.PROTOCOL_1
+        spec = ChainSpec(protocol, n, boundary_ratio=ratio if p1 else None)
+        ref = reference(spec)
+        alpha = 2 + min(int(corner * (n - 2)), n - 3)
+        a, b = (
+            transfer_metrics(spec, BendSpec(alpha=c, kappa=kappa,
+                                            delta_alpha=delta * omega_max(spec)), ref)
+            for c in (alpha, n + 1 - alpha)
+        )
+        assert abs(a.q - b.q) <= 1e-12
+        # each arrival time is refined to 1e-9 of the window, here t0
+        assert abs(a.s - b.s) <= 2e-9
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(3, 40),
+        corner=st.floats(0.0, 1.0),
+        kappa=st.floats(0.0, 1.0),
+        delta=st.floats(-32.0, 1.0),
+    )
+    def test_protocol2_bend_never_gains(self, n, corner, kappa, delta):
+        # Protocol 2 transfers perfectly (p0 = 1), so no bend can raise q
+        spec = _p2(n)
+        alpha = 2 + min(int(corner * (n - 2)), n - 3)
+        res = transfer_metrics(
+            spec, BendSpec(alpha=alpha, kappa=kappa, delta_alpha=delta * omega_max(spec)),
+            reference(spec),
+        )
+        assert res.q <= 1 + 1e-9
 
     def test_longer_chains_lose_less(self):
         kappa = 0.5
