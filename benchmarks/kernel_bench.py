@@ -1,4 +1,5 @@
-"""Time the two propagator layers per chain size.
+"""Time the two propagator layers, and the optimizer and calibration built on
+them, per chain size.
 
 First arrival: what the optimizer, the calibration and the sweeps repeat for
 every Hamiltonian, the bandwidth-scaled scan of |A_N(t)|^2 followed by the
@@ -7,8 +8,16 @@ analytic-slope refine of the first peak (N = 9, 13, 25).
 Amplitude trace: ``evolve``, every site amplitude on 4096 steps over the
 window (N = 60, 120, 200), as the spectra and trace files use it.
 
+Detuning optimizer: ``optimize_detuning`` on the default interval, the
+64-detuning batched coarse scan plus the Brent refine, with its evaluations
+per optimized point (N = 9, 13, 25).
+
+Protocol 1 calibration: ``calibrate_protocol1`` over the default 100-point
+ratio grid, uncached (N = 13, 21).
+
 The chains are Protocol 2, bent at the centre with kappa = 0.5 and detuned by
--1.5 Omega_max (near the optimum), over the unbent arrival window pi/2.
+-1.5 Omega_max (near the optimum), over the unbent arrival window pi/2; the
+optimizer tunes the detuning of the same bend itself.
 
 Run:  python3 benchmarks/kernel_bench.py
 """
@@ -22,9 +31,12 @@ from bentchain import (
     ChainSpec,
     Protocol,
     build_hamiltonian,
+    calibrate_protocol1,
     evolve,
     first_arrival,
     omega_max,
+    optimize_detuning,
+    reference,
 )
 
 REPEATS = 7
@@ -57,6 +69,23 @@ def main():
         print(
             f"first_arrival N={n:3d}: {median:.3f} ms per evaluation "
             f"(quartiles {q1:.3f}-{q3:.3f}), t*={fm.t_star:.9f} p*={fm.p_star:.9f}"
+        )
+    for n in (9, 13, 25):
+        spec = ChainSpec(Protocol.PROTOCOL_2, n)
+        ref = reference(spec)
+        bend = BendSpec(alpha=(n + 1) // 2, kappa=0.5)
+        median, q1, q3, res = time_call(lambda: optimize_detuning(spec, bend, ref), 5)
+        print(
+            f"optimize      N={n:3d}: {median:.3f} ms per optimized point "
+            f"(quartiles {q1:.3f}-{q3:.3f}), {res.evaluations} evaluations, "
+            f"delta*={res.delta_star:.9f} q_opt={res.q_opt:.9f}"
+        )
+    for n in (13, 21):
+        median, q1, q3, ref = time_call(lambda: calibrate_protocol1(n), 3)
+        print(
+            f"calibrate     N={n:3d}: {median:.3f} ms per calibration "
+            f"(quartiles {q1:.3f}-{q3:.3f}), ratio={ref.boundary_ratio:.9f} "
+            f"p0={ref.p0:.9f}"
         )
     for n in (60, 120, 200):
         ham = bent_chain(n)

@@ -30,6 +30,7 @@ __all__ = [
     "build_couplings",
     "omega_max",
     "build_hamiltonian",
+    "hamiltonian_matrix",
     "spec_to_dict",
     "spec_from_dict",
     "load_specs",
@@ -142,8 +143,8 @@ def omega_max(spec: ChainSpec) -> float:
     return float(build_couplings(spec).max())
 
 
-def build_hamiltonian(spec: ChainSpec, bend: BendSpec | None = None) -> Hamiltonian:
-    """Assemble the one-excitation matrix and diagonalize it.
+def hamiltonian_matrix(spec: ChainSpec, bend: BendSpec | None = None) -> np.ndarray:
+    """The one-excitation matrix of a chain, bent or not.
 
     Without a bend the matrix is tridiagonal: ``epsilon`` on the diagonal
     and the protocol couplings on the off-diagonals.  A bend adds
@@ -167,6 +168,13 @@ def build_hamiltonian(spec: ChainSpec, bend: BendSpec | None = None) -> Hamilton
         h[a - 1, a + 1] += g
         h[a + 1, a - 1] += g
         h[a, a] += bend.delta_alpha
+    return h
+
+
+def build_hamiltonian(spec: ChainSpec, bend: BendSpec | None = None) -> Hamiltonian:
+    """Assemble the one-excitation matrix (:func:`hamiltonian_matrix`) and
+    diagonalize it."""
+    h = hamiltonian_matrix(spec, bend)
     eigenvalues, eigenvectors = np.linalg.eigh(h)
     return Hamiltonian(matrix=h, eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 

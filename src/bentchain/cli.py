@@ -526,7 +526,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config(args.config) if getattr(args, "config", None) else {}
         return COMMANDS[args.command](args, config)
-    except FitDivergedError as exc:
+    except (FitDivergedError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except np.linalg.LinAlgError as exc:  # a ValueError subclass: catch it first

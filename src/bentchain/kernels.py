@@ -11,8 +11,12 @@ about sqrt(T) rows each (:func:`phase_tables`) replace the T x N table of
 transcendental functions: the end-site amplitude on the whole grid is one
 complex matrix product, and the full phase array of ``propagate.evolve`` is
 one broadcast product.  The grid must be uniform; a grid that is not raises
-ValueError rather than giving a wrong curve.  Every first-arrival scan,
-sweep, detuning optimization and amplitude trace goes through here.
+ValueError rather than giving a wrong curve.  The eigenvalues may carry a
+leading batch axis, one row per Hamiltonian sharing the grid: the batched
+first-arrival scans of the detuning optimizer and of the Protocol 1
+calibration evaluate a whole block of Hamiltonians in one stacked product.
+Every first-arrival scan, sweep, detuning optimization and amplitude trace
+goes through here.
 """
 
 from __future__ import annotations
@@ -56,7 +60,8 @@ def phase_tables(
     holding e^{-i lam (t0 + j1 m2 dt)} and ``inner`` of shape (m2, N) holding
     e^{-i lam j2 dt}, with m2 = isqrt(T) and m1 = ceil(T / m2).  Row k of the
     full table is ``outer[k // m2] * inner[k % m2]``; the m1 m2 - T rows past
-    the grid's end are surplus.  Raises ValueError unless ``times`` is
+    the grid's end are surplus.  Eigenvalues of shape (B, N) give tables of
+    shape (B, m1, N) and (B, m2, N).  Raises ValueError unless ``times`` is
     uniform to ``UNIFORM_RTOL`` of its largest |t|.
     """
     times = np.asarray(times, dtype=float)
@@ -68,14 +73,19 @@ def phase_tables(
     grid = (starts[:, None] + steps).ravel()[:n]
     if not np.all(np.abs(grid - times) <= UNIFORM_RTOL * np.abs(times).max(initial=0.0)):
         raise ValueError("times must be a finite, uniform grid")
-    minus_lam = -np.asarray(eigvals, dtype=float)
-    return _cis(np.outer(starts, minus_lam)), _cis(np.outer(steps, minus_lam))
+    minus_lam = -np.asarray(eigvals, dtype=float)[..., None, :]
+    return _cis(starts[:, None] * minus_lam), _cis(steps[:, None] * minus_lam)
 
 
 def end_probability_curve(
     eigvals: np.ndarray, coef: np.ndarray, times: np.ndarray
 ) -> np.ndarray:
-    """|A_end(t)|^2 on a uniform grid of times (see :func:`phase_tables`)."""
+    """|A_end(t)|^2 on a uniform grid of times (see :func:`phase_tables`).
+
+    ``eigvals`` and ``coef`` of shape (B, N) give B curves, shape (B, T).
+    """
     outer, inner = phase_tables(eigvals, times)
-    amp = ((outer * coef) @ inner.T).ravel()[: np.size(times)]
+    coef = np.asarray(coef)[..., None, :]
+    amp = ((outer * coef) @ np.swapaxes(inner, -1, -2))
+    amp = amp.reshape(*amp.shape[:-2], -1)[..., : np.size(times)]
     return amp.real * amp.real + amp.imag * amp.imag

@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import BendSpec, ChainSpec, build_hamiltonian, spec_to_dict
+from .chain import BendSpec, ChainSpec, hamiltonian_matrix, spec_to_dict
 from .optimize import OptimizationResult, detuning_curve, optimize_detuning
-from .propagate import first_arrival
+from .propagate import first_arrivals
 from .reference import ReferencePoint, reference
 
 __all__ = [
@@ -123,13 +123,28 @@ def transfer_metrics(
     bend: BendSpec,
     ref: ReferencePoint,
 ) -> TransferResult:
-    """First-maximum metrics of the bent chain within [0, ref.t0]."""
+    """First-maximum metrics of the bent chain within [0, ref.t0].
+
+    Raises FloatingPointError if the reference probability is not positive
+    or any of p, t, q, s is not finite.
+    """
+    (result,) = _transfer_rows(spec, [bend], ref)
+    return result
+
+
+def _transfer_rows(
+    spec: ChainSpec, bends: list[BendSpec], ref: ReferencePoint
+) -> list[TransferResult]:
+    """:func:`transfer_metrics` of each bend of one chain, with the first
+    arrivals evaluated as one batch (see :func:`first_arrivals`)."""
     if ref.protocol is not spec.protocol or ref.n_sites != spec.n_sites:
         raise ValueError("reference point does not match the chain spec")
-    fm = first_arrival(build_hamiltonian(spec, bend), ref.t0)
-    return TransferResult(
-        p=fm.p_star, t=fm.t_star, q=fm.p_star / ref.p0, s=fm.t_star / ref.t0
-    )
+    t_star, p_star = first_arrivals((hamiltonian_matrix(spec, b) for b in bends), ref.t0)
+    results = []
+    for p, t in zip(p_star.tolist(), t_star.tolist()):
+        q, s = ref.normalise(p, t)
+        results.append(TransferResult(p=p, t=t, q=q, s=s))
+    return results
 
 
 def _base_metadata(spec: ChainSpec, ref: ReferencePoint) -> dict:
@@ -154,17 +169,11 @@ def sweep_kappa(
     optima: dict[float, OptimizationResult] = {}
     if optimize:
         optima = dict(detuning_curve(spec, alpha, kappa_grid, ref))
-    rows = []
-    for kappa in kappa_grid:
-        bend = BendSpec(alpha=alpha, kappa=float(kappa))
-        result = transfer_metrics(spec, bend, ref)
-        rows.append(
-            SweepRow(
-                axis_value=float(kappa),
-                result=result,
-                optimized=optima.get(float(kappa)),
-            )
-        )
+    bends = [BendSpec(alpha=alpha, kappa=float(kappa)) for kappa in kappa_grid]
+    rows = [
+        SweepRow(axis_value=bend.kappa, result=result, optimized=optima.get(bend.kappa))
+        for bend, result in zip(bends, _transfer_rows(spec, bends, ref))
+    ]
     meta = _base_metadata(spec, ref)
     meta["alpha"] = alpha
     return SweepTable(axis="kappa", rows=rows, metadata=meta)
@@ -179,12 +188,15 @@ def sweep_alpha(
 ) -> SweepTable:
     """Metrics (and optimal detunings) per corner position at fixed kappa."""
     ref = ref or reference(spec)
-    rows = []
-    for alpha in sorted(int(a) for a in alpha_range):
-        bend = BendSpec(alpha=alpha, kappa=kappa)
-        result = transfer_metrics(spec, bend, ref)
-        opt = optimize_detuning(spec, bend, ref) if optimize else None
-        rows.append(SweepRow(axis_value=float(alpha), result=result, optimized=opt))
+    bends = [BendSpec(alpha=alpha, kappa=kappa) for alpha in sorted(int(a) for a in alpha_range)]
+    rows = [
+        SweepRow(
+            axis_value=float(bend.alpha),
+            result=result,
+            optimized=optimize_detuning(spec, bend, ref) if optimize else None,
+        )
+        for bend, result in zip(bends, _transfer_rows(spec, bends, ref))
+    ]
     meta = _base_metadata(spec, ref)
     meta["kappa"] = kappa
     return SweepTable(axis="alpha", rows=rows, metadata=meta)

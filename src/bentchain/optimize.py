@@ -12,10 +12,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain import BendSpec, ChainSpec, build_hamiltonian, omega_max
-from .propagate import first_arrival
+from .chain import BendSpec, ChainSpec, build_hamiltonian, hamiltonian_matrix, omega_max
+from .propagate import first_arrival, first_arrivals
 from .reference import ReferencePoint
-from .search import golden_max
+from .search import brent_max
 
 DEFAULT_INTERVAL = (-4.0, 0.5)  # in units of Omega_max
 DEFAULT_N_COARSE = 64
@@ -46,28 +46,39 @@ def optimize_detuning(
     detuning.
 
     Coarse scan at ``n_coarse`` equispaced detunings over ``interval``
-    (units of Omega_max), then golden-section maximization within the best
-    bracketing cell.  An optimum pinned at the interval edge is flagged,
-    not raised.  Fully deterministic; ties break toward smaller |delta|.
+    (units of Omega_max), evaluated as a batch: the bent matrix is built
+    once, copied with one corner diagonal entry per detuning, and handed to
+    :func:`first_arrivals` (one stacked ``eigh`` and one scan per block).
+    Then Brent's method (parabolic and golden-section steps) refines the
+    optimum within the best bracketing cell, one detuning at a time.  An
+    optimum pinned at the interval edge is flagged, not raised.  Fully
+    deterministic; ties break toward smaller |delta|.  Raises
+    FloatingPointError if the reference probability is not positive or the
+    optimized metrics are not finite.
     """
     lo, hi = interval
     if lo >= hi:
         raise ValueError(f"invalid interval: [{lo}, {hi}]")
     om = omega_max(spec)
     window = ref.t0
-    evaluations = 0
+    seen: dict[float, tuple[float, float]] = {}  # delta -> (p*, t*)
 
-    def p_first_max(delta_units: float) -> tuple[float, float]:
-        nonlocal evaluations
-        evaluations += 1
-        ham = build_hamiltonian(
-            spec, replace(bend, delta_alpha=delta_units * om)
-        )
+    def p_first_max(delta_units: float) -> float:
+        ham = build_hamiltonian(spec, replace(bend, delta_alpha=delta_units * om))
         fm = first_arrival(ham, window)
-        return fm.p_star, fm.t_star
+        seen[delta_units] = fm.p_star, fm.t_star
+        return fm.p_star
 
     grid = np.linspace(lo, hi, n_coarse)
-    scores = np.array([p_first_max(d)[0] for d in grid])
+    base = hamiltonian_matrix(spec, replace(bend, delta_alpha=0.0))
+    corner = bend.alpha - 1
+
+    def detuned(delta_units: float) -> np.ndarray:
+        h = base.copy()
+        h[corner, corner] += delta_units * om
+        return h
+
+    _, scores = first_arrivals(map(detuned, grid), window)
     # ties break toward the smaller |delta|
     best_score = scores.max()
     candidates = np.flatnonzero(scores >= best_score)
@@ -76,14 +87,15 @@ def optimize_detuning(
     on_boundary = best in (0, n_coarse - 1)
     a = float(grid[max(best - 1, 0)])
     b = float(grid[min(best + 1, n_coarse - 1)])
-    delta_star, _, _ = golden_max(lambda d: p_first_max(d)[0], a, b, DELTA_TOL)
-    p_star, t_star = p_first_max(delta_star)
+    delta_star, _, n_refine = brent_max(p_first_max, a, b, DELTA_TOL)
+    p_star, t_star = seen[delta_star]
+    q_opt, s_opt = ref.normalise(p_star, t_star)
     return OptimizationResult(
         delta_star=float(delta_star),
         delta_energy=float(delta_star * om),
-        q_opt=p_star / ref.p0,
-        s_opt=t_star / ref.t0,
-        evaluations=evaluations,
+        q_opt=q_opt,
+        s_opt=s_opt,
+        evaluations=n_coarse + n_refine,
         bracket=(a, b),
         on_boundary=on_boundary,
     )

@@ -18,12 +18,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import ChainSpec, Protocol, build_hamiltonian, perfect_transfer_time
-from .propagate import end_probability_at, first_arrival
-from .search import golden_max
+from .chain import (
+    ChainSpec,
+    Protocol,
+    build_hamiltonian,
+    hamiltonian_matrix,
+    perfect_transfer_time,
+)
+from .propagate import FirstMaximum, end_probability_at, first_arrival, first_arrivals
+from .search import brent_max
 
 DEFAULT_REFERENCE_WINDOW = 40.0  # in units of 1/omega0
 DEFAULT_RATIO_GRID_STEP = 1e-2
+RATIO_TOL = 1e-6  # refine tolerance of the calibrated boundary ratio
 
 
 def default_calibration_window(n_sites: int, omega0: float = 1.0) -> float:
@@ -52,6 +59,24 @@ class ReferencePoint:
     p0: float
     t0: float
     boundary_ratio: float | None = None
+
+    def normalise(self, p: float, t: float) -> tuple[float, float]:
+        """(q, s) = (p / p0, t / t0) of a first maximum (p, t).
+
+        Raises FloatingPointError when p0 is not positive or any of p, t,
+        q, s is not finite: such a reference cannot normalise anything.
+        """
+        if not self.p0 > 0.0:
+            raise FloatingPointError(
+                f"reference probability p0 = {self.p0!r} is not positive; "
+                "the excitation never reaches the end site in the reference window"
+            )
+        q, s = p / self.p0, t / self.t0
+        if not all(math.isfinite(v) for v in (p, t, q, s)):
+            raise FloatingPointError(
+                f"non-finite transfer metrics: p={p!r} t={t!r} q={q!r} s={s!r}"
+            )
+        return q, s
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -105,9 +130,12 @@ def calibrate_protocol1(
     """Pick the Protocol 1 boundary ratio maximizing the first-maximum
     transfer probability of the unbent chain.
 
-    Scans the grid (default 0.01 resolution on (0, 1]), then refines by
-    golden section around the best grid cell.  Ties break toward the
-    smaller ratio.  Results are cached to ``cache_path`` if given.
+    Scans the grid (default 0.01 resolution on (0, 1]) as a batch: one
+    matrix per ratio, differing only in the boundary couplings, handed to
+    :func:`first_arrivals` (one stacked ``eigh`` and one scan per block).
+    Then Brent's method refines the ratio within the best grid cell.  Ties
+    break toward the smaller ratio.  Results are cached to ``cache_path``
+    if given.
     """
     if n_sites < 4:
         raise ValueError(f"calibration needs n_sites >= 4, got {n_sites}")
@@ -126,37 +154,42 @@ def calibrate_protocol1(
         if cached is not None:
             return cached
 
-    def p_first_max(ratio: float) -> float:
-        spec = ChainSpec(
+    def chain(ratio: float) -> ChainSpec:
+        return ChainSpec(
             protocol=Protocol.PROTOCOL_1,
             n_sites=n_sites,
             omega0=omega0,
             boundary_ratio=ratio,
         )
-        return first_arrival(build_hamiltonian(spec), window).p_star
+
+    seen: dict[float, FirstMaximum] = {}
+
+    def p_first_max(ratio: float) -> float:
+        seen[ratio] = first_arrival(build_hamiltonian(chain(ratio)), window)
+        return seen[ratio].p_star
 
     grid = np.sort(ratio_grid)
-    scores = np.array([p_first_max(r) for r in grid])
+    base = hamiltonian_matrix(chain(1.0))
+
+    def with_ratio(ratio: float) -> np.ndarray:
+        # the matrices differ only in the two boundary couplings
+        h = base.copy()
+        h[0, 1] = h[1, 0] = h[-2, -1] = h[-1, -2] = ratio * omega0
+        return h
+
+    _, scores = first_arrivals(map(with_ratio, grid), window)
     best = int(np.argmax(scores))  # argmax takes the first (smallest) on ties
     if grid.size > 1 and best in (0, grid.size - 1):
         warnings.warn(
             f"calibration optimum at ratio grid boundary ({grid[best]:.4g})",
             stacklevel=2,
         )
-    if grid.size == 1:
-        best_ratio = float(grid[0])
-    else:
-        lo = grid[max(best - 1, 0)]
-        hi = grid[min(best + 1, grid.size - 1)]
-        best_ratio, _, _ = golden_max(p_first_max, float(lo), float(hi), 1e-6)
+    # a one-point grid gives lo = hi, which brent_max evaluates as it is
+    lo = grid[max(best - 1, 0)]
+    hi = grid[min(best + 1, grid.size - 1)]
+    best_ratio, _, _ = brent_max(p_first_max, float(lo), float(hi), RATIO_TOL)
 
-    spec = ChainSpec(
-        protocol=Protocol.PROTOCOL_1,
-        n_sites=n_sites,
-        omega0=omega0,
-        boundary_ratio=best_ratio,
-    )
-    fm = first_arrival(build_hamiltonian(spec), window)
+    fm = seen[best_ratio]
     point = ReferencePoint(
         protocol=Protocol.PROTOCOL_1,
         n_sites=n_sites,

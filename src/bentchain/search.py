@@ -1,93 +1,74 @@
-"""Deterministic bracketed searches: golden-section maximization and
-Brent's root finder."""
+"""Deterministic bracketed maximization: Brent's method."""
 
 from __future__ import annotations
 
 import math
 import sys
 
-INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
-INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
-EPS = sys.float_info.epsilon
+INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2, the golden-section ratio
+SQRT_EPS = math.sqrt(sys.float_info.epsilon)
 
 
-def golden_max(f, a: float, b: float, tol: float):
+def brent_max(f, a: float, b: float, tol: float):
     """Maximize f on [a, b]; returns (x*, f(x*), n_evals).
 
-    Shrinks the bracket until its width is below ``tol``; deterministic for
-    identical inputs.
+    Brent's method (Brent 1973, ch. 5): a parabola through the three best
+    points when it steps inside the bracket and shrinks fast enough,
+    golden-section steps otherwise.  Stops when x* lies within about ``tol``
+    (plus ``SQRT_EPS`` |x*|) of a local maximum; f is only evaluated inside
+    [a, b], and x* is always one of the evaluated points.  Deterministic
+    for identical inputs.
     """
     if b < a:
         a, b = b, a
-    h = b - a
-    if h <= tol:
+    if b - a <= tol:
         x = 0.5 * (a + b)
         return x, f(x), 1
-    c = a + INVPHI2 * h
-    d = a + INVPHI * h
-    fc = f(c)
-    fd = f(d)
-    n_evals = 2
-    while h > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + INVPHI2 * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + INVPHI * h
-            fd = f(d)
-        n_evals += 1
-    if fc > fd:
-        return c, fc, n_evals
-    return d, fd, n_evals
-
-
-def brent_root(f, a: float, b: float, fa: float, fb: float, tol: float) -> float:
-    """Root of f in [a, b], given fa = f(a) and fb = f(b) of opposite signs.
-
-    Brent's method (Brent 1973, ch. 4): inverse quadratic or secant steps,
-    falling back to bisection whenever a step would not shrink the bracket
-    fast enough.  The returned point lies within ``tol`` of a sign change of
-    f; deterministic for identical inputs.
-    """
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    # b is the best estimate, c the other end of the bracket, a the previous b
-    c, fc = a, fa
-    step = prev_step = b - a
+    # minimize g = -f; x is the best point, w the second best, v the previous w
+    x = w = v = a + INVPHI2 * (b - a)
+    gx = gw = gv = -f(x)
+    n_evals = 1
+    d = e = 0.0  # the last step and the one before it
     while True:
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            step = prev_step = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        half_tol = 2.0 * EPS * abs(b) + 0.5 * tol
-        mid = 0.5 * (c - b)
-        if fb == 0.0 or abs(mid) <= half_tol:
-            return b
-        if abs(prev_step) >= half_tol and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:  # secant
-                p, q = 2.0 * mid * s, 1.0 - s
-            else:  # inverse quadratic interpolation
-                qa, r = fa / fc, fb / fc
-                p = s * (2.0 * mid * qa * (qa - r) - (b - a) * (r - 1.0))
-                q = (qa - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * mid * q - abs(half_tol * q), abs(prev_step * q)):
-                prev_step, step = step, p / q
+        mid = 0.5 * (a + b)
+        tol1 = SQRT_EPS * abs(x) + tol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - mid) <= tol2 - 0.5 * (b - a):
+            return x, -gx, n_evals
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (gx - gv)
+            q = (x - v) * (gx - gw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            # accept the parabola's vertex if it lies inside the bracket and
+            # the step is under half the step before last
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                golden = False
+                if (x + d) - a < tol2 or b - (x + d) < tol2:
+                    d = math.copysign(tol1, mid - x)
+        if golden:
+            e = (a - x) if x >= mid else (b - x)
+            d = INVPHI2 * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        gu = -f(u)
+        n_evals += 1
+        if gu <= gx:
+            if u >= x:
+                a = x
             else:
-                prev_step = step = mid
+                b = x
+            v, gv, w, gw, x, gx = w, gw, x, gx, u, gu
         else:
-            prev_step = step = mid
-        a, fa = b, fb
-        b += step if abs(step) > half_tol else math.copysign(half_tol, mid)
-        fb = f(b)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if gu <= gw or w == x:
+                v, gv, w, gw = w, gw, u, gu
+            elif gu <= gv or v == x or v == w:
+                v, gv = u, gu

@@ -221,6 +221,17 @@ class TestErrors:
         assert code == EXIT_NUMERICAL
         assert "numerical error" in err
 
+    @pytest.mark.parametrize("command", ["metrics", "optimize"])
+    def test_zero_reference_probability_is_numerical(self, tmp_path, capsys, command):
+        # so weak a boundary coupling leaves p0 = 0 in the reference window
+        code, out, err = run(
+            capsys, command, "--protocol", "1", "--n", "9", "--ratio", "1e-300",
+            "--alpha", "4", "--kappa", "0.5", "--out", str(tmp_path),
+        )
+        assert code == EXIT_NUMERICAL
+        assert "numerical error" in err and "p0" in err
+        assert "nan" not in out and not list(tmp_path.rglob("*.json"))
+
     def test_malformed_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "chain.json"
         cfg.write_text("{bad")

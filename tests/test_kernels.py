@@ -77,6 +77,27 @@ class TestPhaseTables:
         for size, m1, m2 in ((3, 3, 1), (64, 8, 8), (65, 9, 8), (4097, 65, 64)):
             outer, inner = phase_tables(lam, np.linspace(0.0, 1.0, size))
             assert outer.shape == (m1, 4) and inner.shape == (m2, 4)
+            outer, inner = phase_tables(np.stack([lam, lam + 1.0, -lam]),
+                                        np.linspace(0.0, 1.0, size))
+            assert outer.shape == (3, m1, 4) and inner.shape == (3, m2, 4)
+
+    @pytest.mark.parametrize("size", [3, 65, 4097])
+    def test_batched_curve_matches_rows(self, size):
+        # rows of very different bandwidth share one grid
+        spec = ChainSpec(Protocol.PROTOCOL_2, 13)
+        times = np.linspace(0.0, math.pi / 2, size)
+        hams = [
+            build_hamiltonian(spec, BendSpec(alpha=7, kappa=kappa,
+                                             delta_alpha=delta * omega_max(spec)))
+            for kappa, delta in ((0.0, 0.0), (0.5, -1.5), (1.0, -32.0), (0.3, 1.0))
+        ]
+        lam = np.stack([h.eigenvalues for h in hams])
+        coef = np.stack([_end_coef(h) for h in hams])
+        p = end_probability_curve(lam, coef, times)
+        assert p.shape == (len(hams), size)
+        for row, ham in zip(p, hams):
+            direct = _direct_curve(ham.eigenvalues, _end_coef(ham), times)
+            np.testing.assert_allclose(row, direct, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("times", [
         np.geomspace(1e-3, 1.0, 50),

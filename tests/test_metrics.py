@@ -105,6 +105,26 @@ class TestTransferMetrics:
         )
         assert res.q <= 1 + 1e-9
 
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(4, 29),
+        protocol=st.sampled_from(Protocol),
+        ratio=st.floats(0.3, 1.0),
+        corner=st.floats(0.0, 1.0),
+        kappa=st.floats(0.0, 1.0),
+        delta=st.floats(-32.0, 1.0),
+    )
+    def test_bend_never_slows_arrival(self, n, protocol, ratio, corner, kappa, delta):
+        # the bent arrival is searched within the unbent window [0, t0]
+        p1 = protocol is Protocol.PROTOCOL_1
+        spec = ChainSpec(protocol, n, boundary_ratio=ratio if p1 else None)
+        alpha = 2 + min(int(corner * (n - 2)), n - 3)
+        res = transfer_metrics(
+            spec, BendSpec(alpha=alpha, kappa=kappa, delta_alpha=delta * omega_max(spec)),
+            reference(spec),
+        )
+        assert 0.0 < res.s <= 1 + 1e-9
+
     def test_longer_chains_lose_less(self):
         kappa = 0.5
         q = {}
@@ -143,6 +163,23 @@ class TestSweeps:
         qs = {int(r.axis_value): r.result.q for r in table.rows}
         for alpha in (2, 3, 4):
             assert math.isclose(qs[alpha], qs[10 - alpha], abs_tol=1e-8)
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_rows_match_transfer_metrics(self, protocol):
+        # a sweep evaluates its rows as one batch on a shared grid; each row
+        # agrees with its own single evaluation
+        p1 = protocol is Protocol.PROTOCOL_1
+        spec = ChainSpec(protocol, 11, boundary_ratio=0.6 if p1 else None)
+        ref = reference(spec)
+        kappas = sweep_kappa(spec, 4, np.linspace(0.0, 1.0, 11), ref=ref)
+        alphas = sweep_alpha(spec, 0.7, range(2, 11), optimize=False, ref=ref)
+        bends = ([BendSpec(alpha=4, kappa=r.axis_value) for r in kappas.rows]
+                 + [BendSpec(alpha=int(r.axis_value), kappa=0.7) for r in alphas.rows])
+        for bend, row in zip(bends, kappas.rows + alphas.rows):
+            single = transfer_metrics(spec, bend, ref)
+            assert abs(row.result.t - single.t) <= 1e-9 * ref.t0
+            assert abs(row.result.p - single.p) <= 1e-12
+            assert abs(row.result.q - single.q) <= 1e-12 / ref.p0
 
     def test_csv_roundtrip(self, tmp_path):
         spec = _p2(9)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,12 +8,16 @@ from bentchain import (
     BendSpec,
     ChainSpec,
     Protocol,
+    build_hamiltonian,
+    calibrate_protocol1,
     detuning_curve,
     optimize_detuning,
     reference,
     transfer_metrics,
 )
 from bentchain.chain import omega_max
+from bentchain.optimize import DEFAULT_INTERVAL
+from bentchain.propagate import first_arrivals
 
 
 def _p2(n):
@@ -80,6 +85,54 @@ class TestOptimizeDetuning:
         assert optimize_detuning(spec, bend, ref) == optimize_detuning(
             spec, bend, ref
         )
+
+
+def _p1(n):
+    ref = calibrate_protocol1(n)
+    return ChainSpec(Protocol.PROTOCOL_1, n, boundary_ratio=ref.boundary_ratio), ref
+
+
+# (spec, reference, bend) with an optimum inside the default interval
+INTERIOR_CASES = [
+    pytest.param(lambda: (_p2(9), reference(_p2(9)), BendSpec(alpha=5, kappa=0.4)),
+                 id="p2-n9-a5-k0.4"),
+    pytest.param(lambda: (_p2(13), reference(_p2(13)), BendSpec(alpha=4, kappa=0.5)),
+                 id="p2-n13-a4-k0.5"),
+    pytest.param(lambda: (*_p1(12), BendSpec(alpha=6, kappa=0.5)), id="p1-n12-a6-k0.5"),
+    pytest.param(lambda: (*_p1(21), BendSpec(alpha=3, kappa=0.2)), id="p1-n21-a3-k0.2"),
+]
+
+
+class TestAgainstDenseScan:
+    @pytest.mark.parametrize("case", INTERIOR_CASES)
+    def test_delta_star_matches_dense_scan(self, case):
+        spec, ref, bend = case()
+        res = optimize_detuning(spec, bend, ref)
+        assert not res.on_boundary
+        om = omega_max(spec)
+        corner = bend.alpha - 1
+
+        def scan(deltas):
+            matrices = np.repeat(build_hamiltonian(spec, bend).matrix[None],
+                                 deltas.size, axis=0)
+            matrices[:, corner, corner] += deltas * om
+            return first_arrivals(matrices, ref.t0)[1]
+
+        # the whole interval at 1e-3, then 1e-7 steps around delta*
+        coarse = np.arange(DEFAULT_INTERVAL[0], DEFAULT_INTERVAL[1] + 1e-9, 1e-3)
+        assert abs(res.delta_star - coarse[np.argmax(scan(coarse))]) <= 1e-3
+        fine = res.delta_star + 1e-7 * np.arange(-50, 51)
+        assert abs(res.delta_star - fine[np.argmax(scan(fine))]) <= 1e-6
+        # the reported metrics are those of delta* itself
+        tuned = transfer_metrics(spec, replace(bend, delta_alpha=res.delta_energy), ref)
+        assert (res.q_opt, res.s_opt) == (tuned.q, tuned.s)
+
+    @pytest.mark.parametrize("case", INTERIOR_CASES)
+    def test_evaluations_on_default_interval(self, case):
+        spec, ref, bend = case()
+        res = optimize_detuning(spec, bend, ref)
+        # 64 coarse detunings, then Brent's parabolic refine
+        assert res.evaluations <= 80
 
 
 @pytest.fixture(scope="module")

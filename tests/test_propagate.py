@@ -16,10 +16,13 @@ from bentchain import (
     first_maximum,
     omega_max,
 )
+from bentchain import propagate
 from bentchain.propagate import (
+    BLOCK_ROWS,
     dump_trace_csv,
     end_probability_at,
     end_probability_on_grid,
+    first_arrivals,
 )
 from dense_reference import first_arrival_dense
 
@@ -100,6 +103,25 @@ class TestEvolve:
         )
         trace = evolve(ham, t_end=10.0, n_steps=512)
         np.testing.assert_allclose(trace.norms(), 1.0, atol=1e-10)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(3, 40),
+        protocol=st.sampled_from(Protocol),
+        ratio=st.floats(0.05, 1.0),
+        corner=st.floats(0.0, 1.0),
+        kappa=st.floats(0.0, 1.0),
+        delta=st.floats(-32.0, 1.0),
+        t_end=st.floats(0.1, 60.0),
+        n_steps=st.integers(100, 3000),
+    )
+    def test_norm_conserved(self, n, protocol, ratio, corner, kappa, delta, t_end, n_steps):
+        p1 = protocol is Protocol.PROTOCOL_1
+        spec = ChainSpec(protocol, n, boundary_ratio=ratio if p1 else None)
+        alpha = 2 + min(int(corner * (n - 2)), n - 3)
+        bend = BendSpec(alpha=alpha, kappa=kappa, delta_alpha=delta * omega_max(spec))
+        trace = evolve(build_hamiltonian(spec, bend), t_end, n_steps)
+        assert np.all(np.abs(trace.norms() - 1.0) <= 1e-10)
 
     def test_rk4_cross_check(self):
         ham = build_hamiltonian(p2(7), BendSpec(alpha=4, kappa=0.5))
@@ -207,6 +229,104 @@ class TestFirstArrival:
     def test_rejects_bad_window(self, window):
         with pytest.raises(ValueError):
             first_arrival(build_hamiltonian(p2(4)), window)
+
+
+class TestFirstArrivals:
+    """The batched scan: every row of a stack agrees with its own
+    first_arrival call and with the dense reference, although the rows
+    share one grid sized for the widest spectrum among them."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(4, 29),
+        ratio=st.floats(0.3, 1.0),
+        rows=st.lists(
+            st.tuples(st.sampled_from(Protocol), st.floats(0.0, 1.0),
+                      st.floats(0.0, 1.0), st.floats(-32.0, 1.0)),
+            min_size=1, max_size=6,
+        ),
+        p1_window=st.booleans(),
+        last_cell=st.booleans(),
+    )
+    def test_rows_match_single_calls(self, n, ratio, rows, p1_window, last_cell):
+        specs = {Protocol.PROTOCOL_1: ChainSpec(Protocol.PROTOCOL_1, n, boundary_ratio=ratio),
+                 Protocol.PROTOCOL_2: p2(n)}
+        hams = []
+        for protocol, corner, kappa, delta in rows:
+            spec = specs[protocol]
+            alpha = 2 + min(int(corner * (n - 2)), n - 3)
+            hams.append(build_hamiltonian(spec, BendSpec(
+                alpha=alpha, kappa=kappa, delta_alpha=delta * omega_max(spec))))
+        if p1_window:
+            unbent = build_hamiltonian(specs[Protocol.PROTOCOL_1]).matrix
+            window, _ = first_arrival_dense(unbent, 40.0)
+        else:
+            window = math.pi / 2
+        if last_cell:
+            # end the window just past row 0's first peak, inside the last
+            # cell of the shared grid
+            t_peak, _ = first_arrival_dense(hams[0].matrix, window)
+            if t_peak < window:
+                window = t_peak * (1 + 1e-5)
+        t, p = first_arrivals(np.stack([h.matrix for h in hams]), window)
+        assert t.shape == p.shape == (len(hams),)
+        for i, ham in enumerate(hams):
+            fm = first_arrival(ham, window)
+            assert abs(t[i] - fm.t_star) <= 1e-9 * window
+            assert abs(p[i] - fm.p_star) <= 1e-12
+        # the dense reference (slow) for the first row, whose window may end
+        # in the last cell, and the last
+        for i in {0, len(hams) - 1}:
+            t_ref, p_ref = first_arrival_dense(hams[i].matrix, window)
+            assert abs(t[i] - t_ref) <= 1e-9 * window
+            assert abs(p[i] - p_ref) <= 1e-12
+
+    def test_several_blocks(self):
+        # a detuning scan over the optimizer's widest range, longer than
+        # two blocks
+        spec = p2(13)
+        deltas = np.linspace(-32.0, 1.0, 2 * BLOCK_ROWS + 5)
+        hams = [build_hamiltonian(spec, BendSpec(alpha=7, kappa=0.5,
+                                                 delta_alpha=d * omega_max(spec)))
+                for d in deltas]
+        # any iterable of matrices, taken a block at a time
+        t, p = first_arrivals((h.matrix for h in hams), math.pi / 2)
+        assert t.shape == p.shape == (len(hams),)
+        for ham, t_row, p_row in zip(hams, t, p):
+            fm = first_arrival(ham, math.pi / 2)
+            assert abs(t_row - fm.t_star) <= 1e-9 * math.pi / 2
+            assert abs(p_row - fm.p_star) <= 1e-12
+
+    def test_grid_fits_widest_row(self, monkeypatch):
+        # the block's grid has the point count of its widest spectrum, so
+        # no row is sampled more coarsely than it would be alone
+        sizes = []
+        curve = propagate.end_probability_curve
+
+        def recording(lam, coef, times):
+            sizes.append(times.size)
+            return curve(lam, coef, times)
+
+        monkeypatch.setattr(propagate, "end_probability_curve", recording)
+        spec = p2(13)
+        narrow, wide = (
+            build_hamiltonian(spec, BendSpec(alpha=7, kappa=0.5,
+                                             delta_alpha=d * omega_max(spec)))
+            for d in (0.0, -32.0)
+        )
+        first_arrival(narrow, math.pi / 2)
+        first_arrival(wide, math.pi / 2)
+        first_arrivals([narrow.matrix, wide.matrix, narrow.matrix], math.pi / 2)
+        assert sizes[0] < sizes[1] == sizes[2]
+
+    def test_no_matrices(self):
+        t, p = first_arrivals([], math.pi / 2)
+        assert t.shape == p.shape == (0,)
+
+    def test_rejects_bad_window(self):
+        matrices = build_hamiltonian(p2(4)).matrix[None]
+        with pytest.raises(ValueError):
+            first_arrivals(matrices, math.nan)
 
 
 def test_trace_csv_dump(tmp_path):
