@@ -31,7 +31,7 @@ from .photonic import (
     parasitic_check,
     separation_from_coupling,
 )
-from .propagate import AmplitudeTrace, FirstMaximum, evolve, first_arrival, first_maximum
+from .propagate import AmplitudeTrace, FirstMaximum, evolve, first_arrival
 from .reference import ReferencePoint, calibrate_protocol1, reference
 from .spectral import SpectrumReport, overlap_profile, spectrum_report
 
@@ -62,7 +62,6 @@ __all__ = [
     "detuning_curve",
     "evolve",
     "first_arrival",
-    "first_maximum",
     "fit_gaussian",
     "fit_linear",
     "omega_max",

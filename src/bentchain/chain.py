@@ -14,11 +14,9 @@ between the corner's two neighbours, and optionally an energy defect
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -33,8 +31,6 @@ __all__ = [
     "hamiltonian_matrix",
     "spec_to_dict",
     "spec_from_dict",
-    "load_specs",
-    "dump_specs",
 ]
 
 
@@ -113,10 +109,6 @@ class Hamiltonian:
     matrix: np.ndarray
     eigenvalues: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
     def eigen_residual(self) -> float:
         """Max-norm residual of H v = lambda v over all eigenpairs."""
@@ -217,17 +209,6 @@ def spec_from_dict(d: dict) -> tuple[ChainSpec, BendSpec | None]:
             delta_alpha=float(d.get("delta_alpha", 0.0)),
         )
     return spec, bend
-
-
-def load_specs(path: str | Path) -> tuple[ChainSpec, BendSpec | None]:
-    with open(path) as fh:
-        return spec_from_dict(json.load(fh))
-
-
-def dump_specs(spec: ChainSpec, bend: BendSpec | None, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(spec_to_dict(spec, bend), fh, indent=2)
-        fh.write("\n")
 
 
 def perfect_transfer_time(spec: ChainSpec) -> float:

@@ -97,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reference", help="unbent-chain reference (p0, t0)")
     _chain_args(p)
-    p.add_argument("--window", type=float, default=None)
     _out_args(p)
 
     p = sub.add_parser("calibrate", help="calibrate Protocol 1 boundary ratio")
@@ -250,7 +249,7 @@ def _write_table(table: SweepTable, run_dir: Path, fmt: str, stem: str) -> Path:
 
 def cmd_reference(args, config) -> int:
     spec, _ = _resolve_chain(args, config)
-    ref = reference(spec, args.window)
+    ref = reference(spec)
     _emit(_run_dir(args), "reference", ref.to_dict(),
           {"command": "reference", "chain": spec_to_dict(spec)},
           f"reference: protocol={spec.protocol.value} N={spec.n_sites} "
@@ -307,8 +306,13 @@ def cmd_sweep_alpha(args, config) -> int:
     kappa = args.kappa if args.kappa is not None else config.get("kappa")
     if kappa is None:
         raise ValueError("sweep-alpha needs --kappa")
+    if not isinstance(kappa, (int, float, str)):  # a config list or object
+        raise ValueError(f"bad chain parameter: kappa = {kappa!r}")
     if args.alpha_range:
-        alphas = [int(a) for a in parse_grid(args.alpha_range)]
+        corners = parse_grid(args.alpha_range)
+        if not all(float(a).is_integer() for a in corners):
+            raise ValueError(f"--alpha-range must hold integer corners, got {args.alpha_range!r}")
+        alphas = [int(a) for a in corners]
     else:
         alphas = list(range(2, math.ceil(spec.n_sites / 2) + 1))
     table = sweep_alpha(spec, float(kappa), alphas, optimize=not args.no_optimize)

@@ -1,6 +1,6 @@
-"""Spectral phase kernels.
+"""Spectral phase kernels on a uniform time grid.
 
-Every amplitude in the package is a spectral sum A(t) = sum_k e^{-i lam_k t} w_k
+An amplitude of the package is a spectral sum A(t) = sum_k e^{-i lam_k t} w_k
 over the eigenvalues lam_k.  On a uniform grid t_k = t0 + k dt of T points
 the phases factorise by angle addition,
 
@@ -13,10 +13,10 @@ complex matrix product, and the full phase array of ``propagate.evolve`` is
 one broadcast product.  The grid must be uniform; a grid that is not raises
 ValueError rather than giving a wrong curve.  The eigenvalues may carry a
 leading batch axis, one row per Hamiltonian sharing the grid: the batched
-first-arrival scans of the detuning optimizer and of the Protocol 1
-calibration evaluate a whole block of Hamiltonians in one stacked product.
-Every first-arrival scan, sweep, detuning optimization and amplitude trace
-goes through here.
+first-arrival scans evaluate a whole block of Hamiltonians in one stacked
+product.  The first-arrival scan and ``evolve`` go through here; sums at
+scattered times (the peak refine and single-time probabilities) are
+``propagate._spectral_sums``.
 """
 
 from __future__ import annotations
@@ -25,21 +25,13 @@ import math
 
 import numpy as np
 
-__all__ = ["end_probability", "end_probability_curve", "phase_tables"]
+__all__ = ["end_probability_curve", "phase_tables"]
 
 # Largest departure of ``times`` from t0 + k dt, relative to the largest
 # |t|, that still counts as uniform: the few ulp of rounding in linspace or
 # arange pass, while a grid whose points sit further off would get a curve
 # at times it did not ask for.
 UNIFORM_RTOL = 1e-12
-
-
-def end_probability(eigvals: np.ndarray, coef: np.ndarray, t: float) -> float:
-    """|A_end(t)|^2 for a single time."""
-    phase = eigvals * t
-    re = float(coef @ np.cos(phase))
-    im = float(coef @ np.sin(phase))
-    return re * re + im * im
 
 
 def _cis(phase: np.ndarray) -> np.ndarray:

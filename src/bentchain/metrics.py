@@ -202,13 +202,21 @@ def sweep_alpha(
     return SweepTable(axis="alpha", rows=rows, metadata=meta)
 
 
+def _require_finite_points(points) -> None:
+    """Raise ValueError at the first (x, y) point with a non-finite entry."""
+    for x, y in points:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"fit points must be finite, got ({x!r}, {y!r})")
+
+
 def fit_gaussian(
     table: SweepTable, max_iter: int = 200, tol: float = 1e-12
 ) -> FitReport:
     """Gauss-Newton fit of q(kappa) ~ A exp(-kappa^2 / (2 sigma^2)).
 
-    Starts from (A, sigma) = (1, 0.5).  Raises FitDivergedError (carrying
-    the best iterate) on non-convergence or a degenerate flat profile.
+    Starts from (A, sigma) = (1, 0.5).  Raises ValueError on fewer than 5
+    rows or a non-finite point, and FitDivergedError (carrying the best
+    iterate) on non-convergence or a degenerate flat profile.
     """
     if table.axis != "kappa":
         raise ValueError("gaussian fit expects a kappa sweep")
@@ -216,6 +224,7 @@ def fit_gaussian(
     y = np.array([row.result.q for row in table.rows])
     if x.size < 5:
         raise ValueError("gaussian fit needs at least 5 rows")
+    _require_finite_points(zip(x.tolist(), y.tolist()))
     domain = (float(x.min()), float(x.max()))
 
     amp, sigma = 1.0, 0.5
@@ -253,9 +262,11 @@ def fit_linear(pairs, kappa_cut: float = 0.7) -> FitReport:
     """Ordinary least squares on (kappa, delta*) pairs with kappa <= cut.
 
     ``delta*`` values are expected in units of Omega_max, matching the
-    optimizer's output.
+    optimizer's output.  Raises ValueError on a non-finite pair.
     """
-    pts = [(float(k), float(d)) for k, d in pairs if float(k) <= kappa_cut]
+    pts = [(float(k), float(d)) for k, d in pairs]
+    _require_finite_points(pts)
+    pts = [(k, d) for k, d in pts if k <= kappa_cut]
     if len(pts) < 3:
         raise ValueError(f"linear fit needs >= 3 points with kappa <= {kappa_cut}")
     x = np.array([p[0] for p in pts])

@@ -8,17 +8,18 @@ they compare directly with the bend strength kappa = g / Omega_max.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain import BendSpec, ChainSpec, build_hamiltonian, hamiltonian_matrix, omega_max
-from .propagate import first_arrival, first_arrivals
+from .chain import BendSpec, ChainSpec, hamiltonian_matrix, omega_max
+from .propagate import first_arrivals
 from .reference import ReferencePoint
 from .search import brent_max
 
 DEFAULT_INTERVAL = (-4.0, 0.5)  # in units of Omega_max
-DEFAULT_N_COARSE = 64
+N_COARSE = 64  # detunings of the coarse scan
 DELTA_TOL = 1e-6  # |delta| tolerance, units of Omega_max
 
 __all__ = ["OptimizationResult", "optimize_detuning", "detuning_curve"]
@@ -40,36 +41,27 @@ def optimize_detuning(
     bend: BendSpec,
     ref: ReferencePoint,
     interval: tuple[float, float] = DEFAULT_INTERVAL,
-    n_coarse: int = DEFAULT_N_COARSE,
 ) -> OptimizationResult:
     """Maximize the first-maximum transfer probability over the corner
     detuning.
 
-    Coarse scan at ``n_coarse`` equispaced detunings over ``interval``
+    Coarse scan at ``N_COARSE`` equispaced detunings over ``interval``
     (units of Omega_max), evaluated as a batch: the bent matrix is built
     once, copied with one corner diagonal entry per detuning, and handed to
     :func:`first_arrivals` (one stacked ``eigh`` and one scan per block).
     Then Brent's method (parabolic and golden-section steps) refines the
-    optimum within the best bracketing cell, one detuning at a time.  An
-    optimum pinned at the interval edge is flagged, not raised.  Fully
-    deterministic; ties break toward smaller |delta|.  Raises
-    FloatingPointError if the reference probability is not positive or the
-    optimized metrics are not finite.
+    optimum within the best bracketing cell, one detuning at a time, each a
+    one-matrix call of the same :func:`first_arrivals`.  An optimum pinned
+    at the interval edge is flagged, not raised.  Fully deterministic; ties
+    break toward smaller |delta|.  Raises ValueError unless the interval
+    ends are finite with lo < hi, and FloatingPointError if the reference
+    probability is not positive or the optimized metrics are not finite.
     """
     lo, hi = interval
-    if lo >= hi:
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid interval: [{lo}, {hi}]")
     om = omega_max(spec)
     window = ref.t0
-    seen: dict[float, tuple[float, float]] = {}  # delta -> (p*, t*)
-
-    def p_first_max(delta_units: float) -> float:
-        ham = build_hamiltonian(spec, replace(bend, delta_alpha=delta_units * om))
-        fm = first_arrival(ham, window)
-        seen[delta_units] = fm.p_star, fm.t_star
-        return fm.p_star
-
-    grid = np.linspace(lo, hi, n_coarse)
     base = hamiltonian_matrix(spec, replace(bend, delta_alpha=0.0))
     corner = bend.alpha - 1
 
@@ -78,15 +70,24 @@ def optimize_detuning(
         h[corner, corner] += delta_units * om
         return h
 
+    seen: dict[float, tuple[float, float]] = {}  # delta -> (p*, t*)
+
+    def p_first_max(delta_units: float) -> float:
+        # a Python float, so that brent_max's iterates stay Python floats
+        t_star, p_star = first_arrivals([detuned(delta_units)], window)
+        seen[delta_units] = float(p_star[0]), float(t_star[0])
+        return seen[delta_units][0]
+
+    grid = np.linspace(lo, hi, N_COARSE)
     _, scores = first_arrivals(map(detuned, grid), window)
     # ties break toward the smaller |delta|
     best_score = scores.max()
     candidates = np.flatnonzero(scores >= best_score)
     best = int(candidates[np.argmin(np.abs(grid[candidates]))])
 
-    on_boundary = best in (0, n_coarse - 1)
+    on_boundary = best in (0, N_COARSE - 1)
     a = float(grid[max(best - 1, 0)])
-    b = float(grid[min(best + 1, n_coarse - 1)])
+    b = float(grid[min(best + 1, N_COARSE - 1)])
     delta_star, _, n_refine = brent_max(p_first_max, a, b, DELTA_TOL)
     p_star, t_star = seen[delta_star]
     q_opt, s_opt = ref.normalise(p_star, t_star)
@@ -95,7 +96,7 @@ def optimize_detuning(
         delta_energy=float(delta_star * om),
         q_opt=q_opt,
         s_opt=s_opt,
-        evaluations=n_coarse + n_refine,
+        evaluations=N_COARSE + n_refine,
         bracket=(a, b),
         on_boundary=on_boundary,
     )

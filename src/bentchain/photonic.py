@@ -36,8 +36,6 @@ __all__ = [
     "parasitic_check",
 ]
 
-CM_PER_UM = 1e-4
-
 
 @dataclass(frozen=True)
 class DeviceParams:

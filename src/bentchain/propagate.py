@@ -7,17 +7,15 @@ step-size error; accuracy is set by the eigensolver residual alone.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .chain import Hamiltonian
-from .kernels import end_probability, end_probability_curve, phase_tables
+from .kernels import end_probability_curve, phase_tables
 from .search import brent_max
 
 DEFAULT_N_STEPS = 4096
@@ -47,11 +45,8 @@ __all__ = [
     "FirstMaximum",
     "evolve",
     "end_probability_at",
-    "end_probability_on_grid",
     "first_arrival",
     "first_arrivals",
-    "first_maximum",
-    "dump_trace_csv",
 ]
 
 
@@ -103,27 +98,10 @@ def evolve(ham: Hamiltonian, t_end: float, n_steps: int = DEFAULT_N_STEPS) -> Am
 
 
 def end_probability_at(ham: Hamiltonian, t: float) -> float:
-    """Exact |A_N(t)|^2 at a single time."""
-    return end_probability(np.ascontiguousarray(ham.eigenvalues), _end_coef(ham), t)
-
-
-def end_probability_on_grid(
-    ham: Hamiltonian, t_end: float, n_steps: int = DEFAULT_N_STEPS
-) -> tuple[np.ndarray, np.ndarray]:
-    """(times, |A_N|^2) on a uniform grid; cheaper than a full trace."""
-    times = np.linspace(0.0, t_end, n_steps)
-    p = end_probability_curve(
-        np.ascontiguousarray(ham.eigenvalues), _end_coef(ham), times
-    )
-    return times, p
-
-
-def first_maximum(trace: AmplitudeTrace, ham: Hamiltonian) -> FirstMaximum:
-    """First local maximum of the end-site probability within the trace's
-    window [0, trace.times[-1]]; see :func:`first_arrival`."""
-    if len(trace.times) < 3:
-        raise ValueError("trace needs at least 3 grid points")
-    return first_arrival(ham, trace.times[-1])
+    """Exact |A_N(t)|^2 at a single time, from the spectral sums of the
+    first-arrival refine."""
+    _, ilam, moments = _centred_sums(ham.eigenvalues[None, :], _end_coef(ham)[None, :])
+    return _end_probability(ilam, moments, t)
 
 
 def first_arrival(ham: Hamiltonian, window: float) -> FirstMaximum:
@@ -176,6 +154,24 @@ def _spectral_sums(ilam: np.ndarray, moments: np.ndarray, t: np.ndarray) -> np.n
     return np.exp(t[:, :, None] * ilam[:, None, :]) @ moments
 
 
+def _centred_sums(
+    eigvals: np.ndarray, coef: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The centred spectrum lam of each row of a (B, N) spectrum, with the
+    arguments -i lam and lam^j c (j = 0, 1, 2) of :func:`_spectral_sums`.
+    Centring is a global phase: |A_N|^2 and p' are unchanged, and the
+    phases lam * t stay as small as the bandwidth allows."""
+    lam = eigvals - 0.5 * (eigvals[:, -1:] + eigvals[:, :1])
+    moments = (coef[:, :, None] * lam[:, :, None] ** np.arange(3)).astype(complex)
+    return lam, -1j * lam, moments
+
+
+def _end_probability(ilam: np.ndarray, moments: np.ndarray, t: float) -> float:
+    """|A_N(t)|^2 = |S_0|^2 of a one-row spectrum at one time."""
+    amp = _spectral_sums(ilam, moments, np.array([[t]]))[0, 0, 0]
+    return float(amp.real * amp.real + amp.imag * amp.imag)
+
+
 def _scan(eigvals: np.ndarray, coef: np.ndarray, window: float) -> tuple[np.ndarray, np.ndarray]:
     """First arrival of each row of a (B, N) spectrum with its (B, N) end
     weights, on one grid shared by the rows: the code path of
@@ -191,9 +187,7 @@ def _scan(eigvals: np.ndarray, coef: np.ndarray, window: float) -> tuple[np.ndar
             f"bandwidth {bandwidth:.6g} over window {window:.6g}); the limit "
             f"is {MAX_GRID_POINTS}"
         )
-    # centring the spectrum is a global phase: |A_N|^2 and p' are unchanged,
-    # and the phases lam * t stay as small as the bandwidth allows
-    lam = eigvals - 0.5 * (eigvals[:, -1:] + eigvals[:, :1])
+    lam, ilam, moments = _centred_sums(eigvals, coef)
     times = np.linspace(0.0, window, max(MIN_GRID_POINTS, math.ceil(needed)) + 1)
     p = end_probability_curve(lam, coef, times)
     mid = p[:, 1:-1]
@@ -203,8 +197,6 @@ def _scan(eigvals: np.ndarray, coef: np.ndarray, window: float) -> tuple[np.ndar
     ends = np.append(times, (times[-2], 0.5 * (times[-2] + window), window))
     first = np.where(peaks.any(axis=1), peaks.argmax(axis=1), times.size)
     cells = ends[first[:, None] + np.arange(3)]
-    ilam = -1j * lam
-    moments = (coef[:, :, None] * lam[:, :, None] ** np.arange(3)).astype(complex)
     s = _spectral_sums(ilam, moments, cells)
     slopes = (s[..., 0].conjugate() * s[..., 1]).imag  # p' / 2
     t_star, p_star = np.full(len(p), window), p[:, -1].copy()
@@ -217,7 +209,7 @@ def _scan(eigvals: np.ndarray, coef: np.ndarray, window: float) -> tuple[np.ndar
         )
     for i in np.flatnonzero(refine & ~root):
         t_star[i], p_star[i], _ = brent_max(
-            lambda t, i=i: end_probability(lam[i], coef[i], t),
+            lambda t, i=i: _end_probability(ilam[i : i + 1], moments[i : i + 1], t),
             cells[i, 0], cells[i, 2], tol,
         )
     return t_star, p_star
@@ -260,22 +252,3 @@ def _slope_root(ilam, moments, cells, slopes, tol) -> tuple[np.ndarray, np.ndarr
     x = np.clip(x, a, b)
     amp = _spectral_sums(ilam, moments, x[:, None])[:, 0, 0]
     return x, amp.real * amp.real + amp.imag * amp.imag
-
-
-def dump_trace_csv(trace: AmplitudeTrace, path: str | Path) -> None:
-    """CSV with columns t, Re A_j, Im A_j (j = 1..N), p_end."""
-    n = trace.n_sites
-    header = ["t"]
-    for j in range(1, n + 1):
-        header += [f"re_A{j}", f"im_A{j}"]
-    header.append("p_end")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, t in enumerate(trace.times):
-            row = [repr(float(t))]
-            for j in range(n):
-                a = trace.amplitudes[i, j]
-                row += [repr(float(a.real)), repr(float(a.imag))]
-            row.append(repr(float(trace.p_end[i])))
-            writer.writerow(row)

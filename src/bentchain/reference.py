@@ -25,7 +25,7 @@ from .chain import (
     hamiltonian_matrix,
     perfect_transfer_time,
 )
-from .propagate import FirstMaximum, end_probability_at, first_arrival, first_arrivals
+from .propagate import end_probability_at, first_arrival, first_arrivals
 from .search import brent_max
 
 DEFAULT_REFERENCE_WINDOW = 40.0  # in units of 1/omega0
@@ -98,19 +98,18 @@ class ReferencePoint:
         )
 
 
-def reference(spec: ChainSpec, t_max_window: float | None = None) -> ReferencePoint:
+def reference(spec: ChainSpec) -> ReferencePoint:
     """Unbent-chain reference (p0, t0).
 
     Protocol 2 uses the analytic arrival time and verifies the probability
-    there; Protocol 1 searches for the first maximum within the window
-    (default 40/omega0).
+    there; Protocol 1 searches for the first maximum within
+    ``DEFAULT_REFERENCE_WINDOW`` (40/omega0).
     """
     if spec.protocol is Protocol.PROTOCOL_2:
         t0 = perfect_transfer_time(spec)
         p0 = end_probability_at(build_hamiltonian(spec), t0)
         return ReferencePoint(protocol=spec.protocol, n_sites=spec.n_sites, p0=p0, t0=t0)
-    window = t_max_window or DEFAULT_REFERENCE_WINDOW / spec.omega0
-    fm = first_arrival(build_hamiltonian(spec), window)
+    fm = first_arrival(build_hamiltonian(spec), DEFAULT_REFERENCE_WINDOW / spec.omega0)
     return ReferencePoint(
         protocol=spec.protocol,
         n_sites=spec.n_sites,
@@ -146,7 +145,8 @@ def calibrate_protocol1(
         raise ValueError("ratio grid is empty")
     if np.any(ratio_grid <= 0) or np.any(ratio_grid > 1):
         raise ValueError("ratio grid must lie within (0, 1]")
-    window = window or default_calibration_window(n_sites, omega0)
+    if window is None:
+        window = default_calibration_window(n_sites, omega0)
 
     key = _cache_key(n_sites, ratio_grid, window, omega0)
     if cache_path is not None:
@@ -154,22 +154,9 @@ def calibrate_protocol1(
         if cached is not None:
             return cached
 
-    def chain(ratio: float) -> ChainSpec:
-        return ChainSpec(
-            protocol=Protocol.PROTOCOL_1,
-            n_sites=n_sites,
-            omega0=omega0,
-            boundary_ratio=ratio,
-        )
-
-    seen: dict[float, FirstMaximum] = {}
-
-    def p_first_max(ratio: float) -> float:
-        seen[ratio] = first_arrival(build_hamiltonian(chain(ratio)), window)
-        return seen[ratio].p_star
-
-    grid = np.sort(ratio_grid)
-    base = hamiltonian_matrix(chain(1.0))
+    base = hamiltonian_matrix(
+        ChainSpec(Protocol.PROTOCOL_1, n_sites, omega0=omega0, boundary_ratio=1.0)
+    )
 
     def with_ratio(ratio: float) -> np.ndarray:
         # the matrices differ only in the two boundary couplings
@@ -177,6 +164,15 @@ def calibrate_protocol1(
         h[0, 1] = h[1, 0] = h[-2, -1] = h[-1, -2] = ratio * omega0
         return h
 
+    seen: dict[float, tuple[float, float]] = {}  # ratio -> (p*, t*)
+
+    def p_first_max(ratio: float) -> float:
+        # a Python float, so that brent_max's iterates stay Python floats
+        t_star, p_star = first_arrivals([with_ratio(ratio)], window)
+        seen[ratio] = float(p_star[0]), float(t_star[0])
+        return seen[ratio][0]
+
+    grid = np.sort(ratio_grid)
     _, scores = first_arrivals(map(with_ratio, grid), window)
     best = int(np.argmax(scores))  # argmax takes the first (smallest) on ties
     if grid.size > 1 and best in (0, grid.size - 1):
@@ -189,12 +185,12 @@ def calibrate_protocol1(
     hi = grid[min(best + 1, grid.size - 1)]
     best_ratio, _, _ = brent_max(p_first_max, float(lo), float(hi), RATIO_TOL)
 
-    fm = seen[best_ratio]
+    p0, t0 = seen[best_ratio]
     point = ReferencePoint(
         protocol=Protocol.PROTOCOL_1,
         n_sites=n_sites,
-        p0=fm.p_star,
-        t0=fm.t_star,
+        p0=p0,
+        t0=t0,
         boundary_ratio=best_ratio,
     )
     if cache_path is not None:

@@ -13,7 +13,7 @@ from bentchain import (
     build_hamiltonian,
     omega_max,
 )
-from bentchain.chain import dump_specs, load_specs, spec_from_dict, spec_to_dict
+from bentchain.chain import spec_from_dict, spec_to_dict
 
 
 def p2(n, omega0=1.0, epsilon=0.0):
@@ -151,15 +151,6 @@ class TestHamiltonian:
 
 
 class TestConfigRoundtrip:
-    def test_roundtrip(self, tmp_path):
-        spec = p1(8, 0.63)
-        bend = BendSpec(alpha=4, kappa=0.25, delta_alpha=-1.1)
-        path = tmp_path / "config.json"
-        dump_specs(spec, bend, path)
-        loaded_spec, loaded_bend = load_specs(path)
-        assert loaded_spec == spec
-        assert loaded_bend == bend
-
     def test_keys(self):
         d = spec_to_dict(p2(5), BendSpec(alpha=3, kappa=0.5))
         assert set(d) == {

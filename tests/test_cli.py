@@ -278,6 +278,62 @@ class TestErrors:
         assert "--jobs: must be >= 1" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    def test_calibrate_zero_window_is_usage_error(self, tmp_path, capsys):
+        # a window of 0 is rejected, not replaced by the default window
+        code, out, err = run(
+            capsys, "calibrate", "--n", "9", "--window", "0", "--out", str(tmp_path)
+        )
+        assert code == EXIT_USAGE
+        assert "window must be finite and > 0" in err
+        assert out == "" and not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("interval", [("0", "nan"), ("-1", "inf"), ("nan", "nan")])
+    def test_nonfinite_interval_is_usage_error(self, tmp_path, capsys, interval):
+        code, out, err = run(
+            capsys, "optimize", "--protocol", "2", "--n", "9", "--alpha", "5",
+            "--kappa", "0.4", "--interval", *interval, "--out", str(tmp_path),
+        )
+        assert code == EXIT_USAGE
+        assert "invalid interval" in err
+        assert out == "" and not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("kind,text", [
+        ("linear", "kappa,delta_opt\n0.1,-0.2\n0.2,nan\n0.3,-0.6\n0.4,-0.8\n"),
+        ("gaussian", "axis,p,t,q,s\n" + "".join(
+            f"{k / 10},1,1,{'inf' if k == 3 else 1 - k / 100},1\n" for k in range(6))),
+    ], ids=["linear", "gaussian"])
+    def test_fit_nonfinite_point_is_usage_error(self, tmp_path, capsys, kind, text):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            capsys, "fit", "--kind", kind, "--input", str(path), "--out", str(out_dir)
+        )
+        assert code == EXIT_USAGE
+        assert "fit points must be finite" in err
+        assert out == "" and not out_dir.exists()
+
+    def test_sweep_alpha_config_kappa_list_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "k.json"
+        cfg.write_text(json.dumps({"protocol": 2, "n_sites": 9, "kappa": [1]}))
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            capsys, "sweep-alpha", "--config", str(cfg), "--out", str(out_dir)
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith("error: bad chain parameter: kappa")
+        assert out == "" and not out_dir.exists()
+
+    def test_non_integer_alpha_range_is_usage_error(self, tmp_path, capsys):
+        # 2.7 used to truncate to a second corner 2
+        code, out, err = run(
+            capsys, "sweep-alpha", "--protocol", "2", "--n", "9", "--kappa", "0.4",
+            "--alpha-range", "2,2.7", "--no-optimize", "--out", str(tmp_path),
+        )
+        assert code == EXIT_USAGE
+        assert "integer corners" in err
+        assert out == "" and not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("kind,text,missing", [
         ("gaussian", "", "axis"),
         ("gaussian", "axis,p,t,q\n0.1,1,1,1\n", "s"),
@@ -301,6 +357,7 @@ class TestOptionSurface:
         ["metrics", "--protocol", "2", "--n", "9", "--alpha", "5", "--kappa", "0.4",
          "--format", "json"],
         ["reference", "--protocol", "2", "--n", "9", "--jobs", "2"],
+        ["reference", "--protocol", "2", "--n", "9", "--window", "3"],
         ["fit", "--kind", "linear", "--input", "curve.csv", "--config", "x.json"],
     ])
     def test_unread_option_is_usage_error(self, tmp_path, capsys, argv):

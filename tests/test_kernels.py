@@ -5,20 +5,20 @@ import pytest
 
 from bentchain import BendSpec, ChainSpec, Protocol, evolve, omega_max
 from bentchain.chain import build_hamiltonian
-from bentchain.kernels import end_probability, end_probability_curve, phase_tables
-from bentchain.propagate import _end_coef
+from bentchain.kernels import end_probability_curve, phase_tables
+from bentchain.propagate import _end_coef, end_probability_at
 
 
 class TestKernelConsistency:
-    """The end-probability kernel must reproduce the |A_N|^2 column
+    """The end-probability evaluators must reproduce the |A_N|^2 column
     of the full amplitude trace, which propagates every site amplitude."""
 
     def test_scalar_agreement(self):
         ham = build_hamiltonian(ChainSpec(Protocol.PROTOCOL_2, 17))
-        coef = _end_coef(ham)
         trace = evolve(ham, t_end=3.0, n_steps=113)
         for t, amp in zip(trace.times[::2], trace.amplitudes[::2, -1]):
-            p = end_probability(ham.eigenvalues, coef, float(t))
+            p = end_probability_at(ham, float(t))
+            assert type(p) is float
             assert abs(p - abs(amp) ** 2) < 1e-13
 
     def test_curve_agreement(self):
@@ -65,8 +65,8 @@ class TestPhaseTables:
             ham = build_hamiltonian(spec, bend)
             lam, coef = ham.eigenvalues, _end_coef(ham)
             direct = _direct_curve(lam, coef, times)
-            # raw and centred spectra, as end_probability_on_grid and
-            # first_arrival pass them; a shift of lam is a global phase
+            # raw and centred spectra (first_arrival passes the centred
+            # one); a shift of lam is a global phase
             for shift in (0.0, 0.5 * (lam[0] + lam[-1])):
                 p = end_probability_curve(lam - shift, coef, times)
                 assert p.shape == times.shape

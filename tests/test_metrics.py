@@ -48,6 +48,14 @@ class TestTransferMetrics:
         assert strong.q < weak.q
         assert strong.q < 0.5
 
+    def test_fields_are_floats(self):
+        spec = _p2(9)
+        ref = reference(spec)
+        results = [transfer_metrics(spec, BendSpec(alpha=5, kappa=0.4), ref)]
+        results += [row.result for row in sweep_kappa(spec, 5, [0.0, 0.5], ref=ref).rows]
+        for res in results:
+            assert all(type(v) is float for v in (res.p, res.t, res.q, res.s))
+
     def test_mismatched_reference_rejected(self):
         ref = reference(_p2(9))
         with pytest.raises(ValueError):
@@ -257,6 +265,20 @@ class TestFits:
         pairs = [(k, -2.0 * k) for k in (0.2, 0.4, 0.6)] + [(0.9, 5.0)]
         fit = fit_linear(pairs, kappa_cut=0.7)
         assert math.isclose(fit.params[0], -2.0, abs_tol=1e-10)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_points_rejected(self, bad):
+        x = np.linspace(0.0, 1.0, 11)
+        y = 0.97 * np.exp(-(x**2) / (2 * 0.5**2))
+        y[4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_gaussian(_synthetic_table(x, y))
+        pairs = [(k, -2.0 * k) for k in (0.1, 0.2, 0.3, 0.4)]
+        for i in range(2):
+            point = list(pairs[1])
+            point[i] = bad
+            with pytest.raises(ValueError, match="finite"):
+                fit_linear(pairs[:1] + [tuple(point)] + pairs[2:])
 
     def test_linear_too_few_points(self):
         with pytest.raises(ValueError):

@@ -70,6 +70,21 @@ class TestOptimizeDetuning:
                 spec, BendSpec(alpha=5, kappa=0.4), ref, interval=(1.0, -1.0)
             )
 
+    @pytest.mark.parametrize("interval", [
+        (0.0, math.nan), (math.nan, 0.0), (-1.0, math.inf), (-math.inf, 0.5),
+    ])
+    def test_nonfinite_interval_rejected(self, interval):
+        spec = _p2(9)
+        with pytest.raises(ValueError, match="invalid interval"):
+            optimize_detuning(spec, BendSpec(alpha=5, kappa=0.4), reference(spec),
+                              interval=interval)
+
+    def test_fields_are_floats(self):
+        spec = _p2(9)
+        res = optimize_detuning(spec, BendSpec(alpha=5, kappa=0.4), reference(spec))
+        for value in (res.delta_star, res.delta_energy, res.q_opt, res.s_opt):
+            assert type(value) is float
+
     def test_boundary_flagged(self):
         spec = _p2(9)
         ref = reference(spec)

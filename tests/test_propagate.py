@@ -13,22 +13,23 @@ from bentchain import (
     build_hamiltonian,
     evolve,
     first_arrival,
-    first_maximum,
     omega_max,
 )
 from bentchain import propagate
-from bentchain.propagate import (
-    BLOCK_ROWS,
-    dump_trace_csv,
-    end_probability_at,
-    end_probability_on_grid,
-    first_arrivals,
-)
+from bentchain.kernels import end_probability_curve
+from bentchain.propagate import BLOCK_ROWS, end_probability_at, first_arrivals
 from dense_reference import first_arrival_dense
 
 
 def p2(n):
     return ChainSpec(Protocol.PROTOCOL_2, n)
+
+
+def end_curve(ham, t_end, n_steps):
+    """(times, |A_N|^2) on a uniform grid of [0, t_end]."""
+    times = np.linspace(0.0, t_end, n_steps)
+    coef = ham.eigenvectors[0] * ham.eigenvectors[-1]
+    return times, end_probability_curve(ham.eigenvalues, coef, times)
 
 
 def rk4_site_probs(ham, t_end, dt):
@@ -81,8 +82,10 @@ class TestEvolve:
     def test_protocol2_closed_form(self, n):
         # p_end(t) = sin^(2(N-1))(t) for the engineered couplings
         ham = build_hamiltonian(p2(n))
-        times, p = end_probability_on_grid(ham, math.pi / 2, 500)
+        times, p = end_curve(ham, math.pi / 2, 500)
         np.testing.assert_allclose(p, np.sin(times) ** (2 * (n - 1)), atol=1e-8)
+        for t in times[::50]:
+            assert abs(end_probability_at(ham, t) - math.sin(t) ** (2 * (n - 1))) <= 1e-8
 
     def test_rejects_bad_window(self):
         ham = build_hamiltonian(p2(4))
@@ -136,45 +139,52 @@ class TestEvolve:
 
 class TestFirstMaximum:
     def test_perfect_transfer_window_end(self):
-        ham = build_hamiltonian(p2(5))
-        trace = evolve(ham, t_end=math.pi / 2, n_steps=256)
-        fm = first_maximum(trace, ham)
+        fm = first_arrival(build_hamiltonian(p2(5)), math.pi / 2)
         assert math.isclose(fm.t_star, math.pi / 2, rel_tol=1e-8)
         assert fm.p_star >= 1 - 1e-8
 
     def test_two_site(self):
-        ham = build_hamiltonian(p2(2))
-        trace = evolve(ham, t_end=2.0, n_steps=256)
-        fm = first_maximum(trace, ham)
+        fm = first_arrival(build_hamiltonian(p2(2)), 2.0)
         assert math.isclose(fm.t_star, math.pi / 2, rel_tol=1e-8)
         assert math.isclose(fm.p_star, 1.0, abs_tol=1e-12)
 
     def test_bend_accelerates(self):
         # dense-grid scan as oracle for the refined answer
         ham = build_hamiltonian(p2(9), BendSpec(alpha=5, kappa=0.4))
-        trace = evolve(ham, t_end=math.pi / 2, n_steps=4096)
-        fm = first_maximum(trace, ham)
+        fm = first_arrival(ham, math.pi / 2)
         assert fm.t_star < math.pi / 2
-        times, p = end_probability_on_grid(ham, math.pi / 2, 100_000)
+        times, p = end_curve(ham, math.pi / 2, 100_000)
         i = int(np.argmax(p))
         assert math.isclose(fm.t_star, times[i], abs_tol=1e-3)
         assert fm.p_star >= p[i] - 1e-12
 
-    def test_grid_independence(self):
-        ham = build_hamiltonian(p2(11), BendSpec(alpha=6, kappa=0.7))
-        fm_a = first_maximum(evolve(ham, math.pi / 2, 4096), ham)
-        fm_b = first_maximum(evolve(ham, math.pi / 2, 8192), ham)
-        assert abs(fm_a.p_star - fm_b.p_star) <= 1e-8
-
-    def test_short_trace_rejected(self):
-        ham = build_hamiltonian(p2(4))
-        trace = evolve(ham, 1.0, 256)
-        stub = type(trace)(
-            times=trace.times[:2], amplitudes=trace.amplitudes[:2],
-            p_end=trace.p_end[:2],
-        )
-        with pytest.raises(ValueError):
-            first_maximum(stub, ham)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(4, 29),
+        protocol=st.sampled_from(Protocol),
+        ratio=st.floats(0.3, 1.0),
+        corner=st.floats(0.0, 1.0),
+        kappa=st.floats(0.0, 1.0),
+        delta=st.floats(-32.0, 1.0),
+    )
+    def test_grid_independence(self, n, protocol, ratio, corner, kappa, delta):
+        # four times the scan's sampling moves neither the arrival nor the
+        # probability beyond the refine's tolerance
+        if protocol is Protocol.PROTOCOL_1:
+            spec = ChainSpec(protocol, n, boundary_ratio=ratio)
+            window = first_arrival(build_hamiltonian(spec), 40.0).t_star
+        else:
+            spec = p2(n)
+            window = math.pi / 2
+        alpha = 2 + min(int(corner * (n - 2)), n - 3)
+        bend = BendSpec(alpha=alpha, kappa=kappa, delta_alpha=delta * omega_max(spec))
+        ham = build_hamiltonian(spec, bend)
+        coarse = first_arrival(ham, window)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(propagate, "SAMPLES_PER_HALF_PERIOD", 64)
+            fine = first_arrival(ham, window)
+        assert abs(coarse.t_star - fine.t_star) <= 1e-9 * window
+        assert abs(coarse.p_star - fine.p_star) <= 1e-12
 
 
 class TestFirstArrival:
@@ -213,9 +223,9 @@ class TestFirstArrival:
         assert t_peak < math.pi / 2 * (1 - 1e-3)
         window = t_peak * (1 + 1e-5)
         t_ref, p_ref = first_arrival_dense(ham.matrix, window)
-        for fm in (first_arrival(ham, window), first_maximum(evolve(ham, window), ham)):
-            assert abs(fm.t_star - t_ref) <= 1e-9 * window
-            assert abs(fm.p_star - p_ref) <= 1e-12
+        fm = first_arrival(ham, window)
+        assert abs(fm.t_star - t_ref) <= 1e-9 * window
+        assert abs(fm.p_star - p_ref) <= 1e-12
 
     def test_huge_detuning_rejected_fast(self):
         spec = p2(9)
@@ -329,14 +339,55 @@ class TestFirstArrivals:
             first_arrivals(matrices, math.nan)
 
 
-def test_trace_csv_dump(tmp_path):
-    ham = build_hamiltonian(p2(3))
-    trace = evolve(ham, 1.0, 128)
-    path = tmp_path / "trace.csv"
-    dump_trace_csv(trace, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,re_A1,im_A1,re_A2,im_A2,re_A3,im_A3,p_end"
-    assert len(lines) == 129
-    row0 = lines[1].split(",")
-    assert float(row0[0]) == 0.0
-    assert math.isclose(float(row0[1]), 1.0, abs_tol=1e-12)
+class TestFlatTopFallback:
+    """The branch of the scan where p' does not fall across the bracket
+    around the peak (here the last cell, with p' <= 0 at both ends), so
+    Brent's method on p refines it.  Physical chains never reach it; small
+    random spectra with random weights do."""
+
+    # (draw, t*, p*) of the draws that take the branch, as the scalar
+    # cos/sin evaluator the branch once used found them
+    RECORDED = [
+        (6, 4.170321559134791, 0.7163565120533719),
+        (11, 0.6039924359074884, 2.1491386229525),
+        (17, 1.9718353340706005, 4.358045680671118),
+        (35, 0.904193331500236, 0.2701924443505935),
+        (41, 1.5646673614783753, 1.0616837256940688),
+        (45, 2.9264362854922643, 4.230694024845519),
+        (64, 17.608367848859693, 2.3591010328058477),
+        (104, 1.5180375593806084, 0.5359383239312906),
+        (151, 1.240199714488328, 0.6758134544841293),
+        (156, 1.2021903926581565, 0.2802275508705089),
+        (158, 4.339136499205559, 1.0601951956955065),
+        (168, 17.43041441042651, 5.085460642455859),
+    ]
+
+    def test_refines_on_p(self, monkeypatch):
+        brackets = []
+        brent_max = propagate.brent_max
+
+        def spy(f, a, b, tol):
+            brackets.append((a, b))
+            return brent_max(f, a, b, tol)
+
+        monkeypatch.setattr(propagate, "brent_max", spy)
+        rng = np.random.default_rng(1)
+        found = []
+        for draw in range(200):
+            n = int(rng.integers(2, 5))
+            lam = np.sort(rng.uniform(-3.0, 3.0, n))
+            coef = rng.normal(size=n)
+            window = float(rng.uniform(0.5, 20.0))
+            calls = len(brackets)
+            (t,), (p,) = propagate._scan(lam[None], coef[None], window)
+            if len(brackets) == calls:
+                continue
+            a, b = brackets[-1]
+            assert b == window and a < t <= b  # the last cell
+            direct = abs(np.sum(coef * np.exp(-1j * lam * t))) ** 2
+            assert abs(p - direct) <= 1e-14
+            found.append((draw, t, p))
+        assert [d for d, _, _ in found] == [d for d, _, _ in self.RECORDED]
+        for (_, t, p), (_, t_rec, p_rec) in zip(found, self.RECORDED):
+            assert abs(t - t_rec) <= 1e-12
+            assert abs(p - p_rec) <= 1e-12

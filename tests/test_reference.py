@@ -32,6 +32,16 @@ class TestReference:
         assert math.isclose(ref.t0, t_star, abs_tol=1e-4)
 
 
+    def test_fields_are_floats(self):
+        p2 = reference(ChainSpec(Protocol.PROTOCOL_2, 9))
+        p1 = reference(ChainSpec(Protocol.PROTOCOL_1, 9, boundary_ratio=0.6))
+        cal = calibrate_protocol1(9)
+        for ref in (p2, p1, cal):
+            assert type(ref.p0) is float and type(ref.t0) is float
+        assert p2.boundary_ratio is None
+        assert type(p1.boundary_ratio) is float and type(cal.boundary_ratio) is float
+
+
 class TestCalibration:
     def test_n6_high_fidelity(self):
         ref = calibrate_protocol1(6)
@@ -66,6 +76,12 @@ class TestCalibration:
             calibrate_protocol1(6, ratio_grid=np.array([]))
         with pytest.raises(ValueError):
             calibrate_protocol1(6, ratio_grid=np.array([0.0, 0.5]))
+
+    @pytest.mark.parametrize("window", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_window(self, window):
+        # an explicit window is used as given, never replaced by the default
+        with pytest.raises(ValueError, match="window"):
+            calibrate_protocol1(6, window=window)
 
     def test_boundary_warning(self):
         with pytest.warns(UserWarning, match="boundary"):
