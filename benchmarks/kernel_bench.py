@@ -12,6 +12,10 @@ Detuning optimizer: ``optimize_detuning`` on the default interval, the
 64-detuning batched coarse scan plus the Brent refine, with its evaluations
 per optimized point (N = 9, 13, 25).
 
+Detuning curve: ``detuning_curve`` over kappa = 0, 0.1, ..., 1 (N = 13,
+alpha = 7), warm-started scans widened at the edge plus one refine per
+point, in ms and evaluations per optimized point.
+
 Protocol 1 calibration: ``calibrate_protocol1`` over the default 100-point
 ratio grid, uncached (N = 13, 21).
 
@@ -26,12 +30,15 @@ import math
 import statistics
 import time
 
+import numpy as np
+
 from bentchain import (
     BendSpec,
     ChainSpec,
     Protocol,
     build_hamiltonian,
     calibrate_protocol1,
+    detuning_curve,
     evolve,
     first_arrival,
     omega_max,
@@ -80,6 +87,18 @@ def main():
             f"(quartiles {q1:.3f}-{q3:.3f}), {res.evaluations} evaluations, "
             f"delta*={res.delta_star:.9f} q_opt={res.q_opt:.9f}"
         )
+    spec = ChainSpec(Protocol.PROTOCOL_2, 13)
+    ref = reference(spec)
+    kappas = np.linspace(0.0, 1.0, 11)
+    median, q1, q3, curve = time_call(lambda: detuning_curve(spec, 7, kappas, ref), 3)
+    points = len(curve)
+    evaluations = sum(res.evaluations for _, res in curve)
+    print(
+        f"curve         N= 13: {median / points:.3f} ms per optimized point "
+        f"(quartiles {q1 / points:.3f}-{q3 / points:.3f}), "
+        f"{evaluations / points:.1f} evaluations per point over {points} kappas, "
+        f"delta*(1)={curve[-1][1].delta_star:.9f}"
+    )
     for n in (13, 21):
         median, q1, q3, ref = time_call(lambda: calibrate_protocol1(n), 3)
         print(

@@ -42,17 +42,19 @@ FIGURE_DEFAULT_N = (12, 13, 21, 25)
 
 
 def parse_grid(text: str) -> np.ndarray:
-    """Inclusive `start:step:end` grid (both ends, half-step tolerance),
-    or a comma-separated list of values."""
+    """Inclusive `start:step:end` grid (both ends, half-step tolerance; at
+    least one point, all finite), or a comma-separated list of values."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid must be start:step:end, got {text!r}")
         start, step, end = (float(p) for p in parts)
-        if step <= 0:
-            raise ValueError("grid step must be > 0")
-        n = int(math.floor((end - start) / step + 0.5)) + 1
-        return start + step * np.arange(n)
+        if not (math.isfinite(start) and math.isfinite(end) and 0 < step < math.inf):
+            raise ValueError(f"grid needs finite ends and a finite step > 0, got {text!r}")
+        span = (end - start) / step + 0.5  # steps after start, half-step tolerance
+        if not 0.0 <= span < math.inf:
+            raise ValueError(f"grid {text!r} holds {'no' if span < 0 else 'too many'} points")
+        return start + step * np.arange(math.floor(span) + 1)
     return np.array([float(v) for v in text.split(",")])
 
 

@@ -162,9 +162,11 @@ def sweep_kappa(
     optimize: bool = False,
     ref: ReferencePoint | None = None,
 ) -> SweepTable:
-    """One TransferResult per kappa at a fixed corner; optionally also the
-    optimal detuning and optimized metrics per row."""
+    """One TransferResult per distinct kappa at a fixed corner; optionally
+    also the optimal detuning and optimized metrics per row."""
     kappa_grid = np.sort(np.asarray(kappa_grid, dtype=float))
+    if np.unique(kappa_grid).size < kappa_grid.size:
+        raise ValueError(f"repeated kappa in the sweep: {kappa_grid.tolist()}")
     ref = ref or reference(spec)
     optima: dict[float, OptimizationResult] = {}
     if optimize:
@@ -186,9 +188,12 @@ def sweep_alpha(
     optimize: bool = True,
     ref: ReferencePoint | None = None,
 ) -> SweepTable:
-    """Metrics (and optimal detunings) per corner position at fixed kappa."""
+    """Metrics (and optimal detunings) per distinct corner at fixed kappa."""
+    alphas = sorted(int(a) for a in alpha_range)
+    if len(set(alphas)) < len(alphas):
+        raise ValueError(f"repeated corner in the sweep: {alphas}")
     ref = ref or reference(spec)
-    bends = [BendSpec(alpha=alpha, kappa=kappa) for alpha in sorted(int(a) for a in alpha_range)]
+    bends = [BendSpec(alpha=alpha, kappa=kappa) for alpha in alphas]
     rows = [
         SweepRow(
             axis_value=float(bend.alpha),

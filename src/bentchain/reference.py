@@ -26,7 +26,7 @@ from .chain import (
     perfect_transfer_time,
 )
 from .propagate import end_probability_at, first_arrival, first_arrivals
-from .search import brent_max
+from .search import scan_and_refine
 
 DEFAULT_REFERENCE_WINDOW = 40.0  # in units of 1/omega0
 DEFAULT_RATIO_GRID_STEP = 1e-2
@@ -132,9 +132,9 @@ def calibrate_protocol1(
     Scans the grid (default 0.01 resolution on (0, 1]) as a batch: one
     matrix per ratio, differing only in the boundary couplings, handed to
     :func:`first_arrivals` (one stacked ``eigh`` and one scan per block).
-    Then Brent's method refines the ratio within the best grid cell.  Ties
-    break toward the smaller ratio.  Results are cached to ``cache_path``
-    if given.
+    Then Brent's method refines the ratio around the best grid ratio, as
+    the optimizer does (:func:`search.scan_and_refine`).  Ties break toward
+    the smaller ratio.  Results are cached to ``cache_path`` if given.
     """
     if n_sites < 4:
         raise ValueError(f"calibration needs n_sites >= 4, got {n_sites}")
@@ -164,28 +164,15 @@ def calibrate_protocol1(
         h[0, 1] = h[1, 0] = h[-2, -1] = h[-1, -2] = ratio * omega0
         return h
 
-    seen: dict[float, tuple[float, float]] = {}  # ratio -> (p*, t*)
-
-    def p_first_max(ratio: float) -> float:
-        # a Python float, so that brent_max's iterates stay Python floats
-        t_star, p_star = first_arrivals([with_ratio(ratio)], window)
-        seen[ratio] = float(p_star[0]), float(t_star[0])
-        return seen[ratio][0]
-
     grid = np.sort(ratio_grid)
-    _, scores = first_arrivals(map(with_ratio, grid), window)
-    best = int(np.argmax(scores))  # argmax takes the first (smallest) on ties
+    best_ratio, p0, t0, best, _ = scan_and_refine(
+        lambda ratios: first_arrivals(map(with_ratio, ratios), window), grid, RATIO_TOL
+    )
     if grid.size > 1 and best in (0, grid.size - 1):
         warnings.warn(
             f"calibration optimum at ratio grid boundary ({grid[best]:.4g})",
             stacklevel=2,
         )
-    # a one-point grid gives lo = hi, which brent_max evaluates as it is
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid.size - 1)]
-    best_ratio, _, _ = brent_max(p_first_max, float(lo), float(hi), RATIO_TOL)
-
-    p0, t0 = seen[best_ratio]
     point = ReferencePoint(
         protocol=Protocol.PROTOCOL_1,
         n_sites=n_sites,

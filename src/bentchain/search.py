@@ -1,9 +1,11 @@
-"""Deterministic bracketed maximization: Brent's method."""
+"""Deterministic bracketed maximization: a grid scan, then Brent's method."""
 
 from __future__ import annotations
 
 import math
 import sys
+
+import numpy as np
 
 INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2, the golden-section ratio
 SQRT_EPS = math.sqrt(sys.float_info.epsilon)
@@ -72,3 +74,36 @@ def brent_max(f, a: float, b: float, tol: float):
                 v, gv, w, gw = w, gw, u, gu
             elif gu <= gv or v == x or v == w:
                 v, gv = u, gu
+
+
+def scan_and_refine(evaluate, grid: np.ndarray, tol: float, widen=None):
+    """Maximize a first-arrival probability p*(x); returns (x*, p*, t*,
+    best, n_evals).
+
+    ``evaluate(xs)`` returns the (t*, p*) arrays of a sequence of points.
+    The grid is evaluated as one batch and its best sample taken, ties
+    going to the smaller |x|; while ``widen(grid, best)`` returns a new
+    grid, that grid is scanned in turn.  Then :func:`brent_max` refines x
+    to ``tol`` in the two cells around sample ``best`` of the last grid,
+    one point per call.  x*, p* and t* are Python floats of one evaluated
+    point, and ``n_evals`` counts every point evaluated.
+    """
+    n_evals = 0
+    while grid is not None:
+        _, scores = evaluate(grid)
+        n_evals += grid.size
+        ties = np.flatnonzero(scores >= scores.max())
+        best = int(ties[np.argmin(np.abs(grid[ties]))])
+        last, grid = grid, widen(grid, best) if widen else None
+    seen: dict[float, tuple[float, float]] = {}  # x -> (p*, t*)
+
+    def p_first_max(x: float) -> float:
+        # a Python float, so that brent_max's iterates stay Python floats
+        t_star, p_star = evaluate([x])
+        seen[x] = float(p_star[0]), float(t_star[0])
+        return seen[x][0]
+
+    # a one-point grid gives a = b, which brent_max evaluates as it is
+    a, b = float(last[max(best - 1, 0)]), float(last[min(best + 1, last.size - 1)])
+    x_star, _, n_refine = brent_max(p_first_max, a, b, tol)
+    return x_star, *seen[x_star], best, n_evals + n_refine

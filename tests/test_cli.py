@@ -37,6 +37,23 @@ class TestParseGrid:
         with pytest.raises(ValueError):
             parse_grid("0:0:1")
 
+    @pytest.mark.parametrize("text", ["0:0.1:inf", "-inf:0.1:1", "0:nan:1", "nan:0.1:1"])
+    def test_nonfinite_range_rejected(self, text):
+        with pytest.raises(ValueError, match="finite"):
+            parse_grid(text)
+
+    def test_empty_range_rejected(self):
+        with pytest.raises(ValueError, match="holds no points"):
+            parse_grid("1:0.1:0")
+
+    def test_overflowing_point_count_rejected(self):
+        # a subnormal step makes (end - start) / step overflow to inf
+        with pytest.raises(ValueError, match="holds too many points"):
+            parse_grid("0:1e-320:1")
+
+    def test_end_within_half_step(self):
+        assert parse_grid("0:0.1:-0.04").tolist() == [0.0]
+
 
 class TestCommands:
     def test_reference(self, tmp_path, capsys):
@@ -332,6 +349,32 @@ class TestErrors:
         )
         assert code == EXIT_USAGE
         assert "integer corners" in err
+        assert out == "" and not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-kappa", "--protocol", "2", "--n", "9", "--alpha", "5", "--grid", "0:0.1:inf"],
+        ["sweep-kappa", "--protocol", "2", "--n", "9", "--alpha", "5", "--grid", "1:0.1:0"],
+        ["curve", "--protocol", "2", "--n", "9", "--alpha", "5", "--grid", "0:0.1:inf"],
+        ["curve", "--protocol", "2", "--n", "9", "--alpha", "5", "--grid", "1:0.1:0"],
+        ["calibrate", "--n", "6", "--grid", "0.1:0.1:inf"],
+        ["calibrate", "--n", "6", "--grid", "1:0.1:0.5"],
+    ])
+    def test_bad_grid_range_is_usage_error(self, tmp_path, capsys, argv):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert err.startswith("error: grid")
+        assert out == "" and not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-kappa", "--protocol", "2", "--n", "9", "--alpha", "5", "--grid", "0.5,0.5"],
+        ["sweep-kappa", "--protocol", "2", "--n", "9", "--alpha", "5", "--grid", "0.3,0.2,0.3"],
+        ["sweep-alpha", "--protocol", "2", "--n", "9", "--kappa", "0.4", "--alpha-range", "2,2"],
+        ["sweep-alpha", "--protocol", "2", "--n", "9", "--kappa", "0.4", "--alpha-range", "3,2,3"],
+    ])
+    def test_repeated_sweep_value_is_usage_error(self, tmp_path, capsys, argv):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert err.startswith("error: repeated")
         assert out == "" and not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("kind,text,missing", [

@@ -172,6 +172,16 @@ class TestSweeps:
         for alpha in (2, 3, 4):
             assert math.isclose(qs[alpha], qs[10 - alpha], abs_tol=1e-8)
 
+    @pytest.mark.parametrize("kappas", [[0.5, 0.5], [0.3, 0.2, 0.3]])
+    def test_kappa_sweep_rejects_repeats(self, kappas):
+        with pytest.raises(ValueError, match="repeated kappa"):
+            sweep_kappa(_p2(9), 5, kappas)
+
+    @pytest.mark.parametrize("alphas", [[2, 2], [3, 2, 3]])
+    def test_alpha_sweep_rejects_repeats(self, alphas):
+        with pytest.raises(ValueError, match="repeated corner"):
+            sweep_alpha(_p2(9), 0.4, alphas, optimize=False)
+
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_rows_match_transfer_metrics(self, protocol):
         # a sweep evaluates its rows as one batch on a shared grid; each row

@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -15,8 +17,9 @@ from bentchain import (
     reference,
     transfer_metrics,
 )
+from bentchain import propagate
 from bentchain.chain import omega_max
-from bentchain.optimize import DEFAULT_INTERVAL
+from bentchain.optimize import DEFAULT_INTERVAL, EXPANSION_CEIL, EXPANSION_FLOOR
 from bentchain.propagate import first_arrivals
 
 
@@ -193,3 +196,93 @@ class TestDetuningCurve:
             assert math.isclose(
                 res.delta_star, d12[round(kappa, 3)], rel_tol=0.15
             )
+
+
+# Protocol 2, N = 13, alpha = 7: from kappa = 0.8 on, delta* leaves each
+# warm-started interval, and at kappa = 1 it reaches EXPANSION_FLOOR
+EXPANDING_KAPPAS = np.array([0.7, 0.8, 0.9, 1.0])
+# (delta*, q_opt, s_opt, on_boundary) of that curve, recorded when each
+# expansion round was a full optimizer run
+EXPANDING_CURVE = [
+    (-2.7520068925301295, 0.9968459802631868, 0.9579778120739496, False),
+    (-4.632924768889452, 0.9979381375677909, 0.9531964203770459, False),
+    (-10.640741196350374, 0.9992780847563909, 0.9503506036658644, False),
+    (-31.999998704069704, 0.9983155277088257, 0.9473153587325085, True),
+]
+
+
+def _spy_first_arrivals(monkeypatch):
+    """Record the row count of every first_arrivals call, through every
+    module binding of it."""
+    rows = []
+    original = propagate.first_arrivals
+
+    def spy(matrices, window):
+        matrices = list(matrices)
+        rows.append(len(matrices))
+        return original(matrices, window)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bentchain") and getattr(module, "first_arrivals", None) is original:
+            monkeypatch.setattr(module, "first_arrivals", spy)
+    return rows
+
+
+def _on_last_interval(spec, bend, ref, interval):
+    """optimize_detuning on each interval the curve scans for one kappa, in
+    turn: its result on the last one."""
+    lo, hi = interval
+    while True:
+        res = optimize_detuning(spec, bend, ref, interval=(lo, hi))
+        if not res.on_boundary:
+            return res
+        width = hi - lo
+        if res.delta_star - lo < hi - res.delta_star:
+            wider = (max(lo - 2.0 * width, EXPANSION_FLOOR), hi)
+        else:
+            wider = (lo, min(hi + 2.0 * width, EXPANSION_CEIL))
+        if wider == (lo, hi):
+            return res
+        lo, hi = wider
+
+
+class TestCurveExpansion:
+    @pytest.fixture(scope="class")
+    def chain(self):
+        spec = _p2(13)
+        return spec, reference(spec)
+
+    @pytest.fixture
+    def traced_curve(self, chain, monkeypatch):
+        spec, ref = chain
+        rows = _spy_first_arrivals(monkeypatch)
+        return detuning_curve(spec, 7, EXPANDING_KAPPAS, ref), rows
+
+    def test_pinned_results(self, traced_curve):
+        curve, _ = traced_curve
+        assert [kappa for kappa, _ in curve] == EXPANDING_KAPPAS.tolist()
+        assert [(r.delta_star, r.q_opt, r.s_opt, r.on_boundary)
+                for _, r in curve] == EXPANDING_CURVE
+
+    def test_matches_optimizer_on_last_interval(self, chain, traced_curve):
+        spec, ref = chain
+        curve, _ = traced_curve
+        interval = DEFAULT_INTERVAL
+        for i, (kappa, res) in enumerate(curve):
+            last = _on_last_interval(spec, BendSpec(alpha=7, kappa=kappa), ref, interval)
+            assert (res.delta_star, res.q_opt, res.s_opt, res.on_boundary) == (
+                last.delta_star, last.q_opt, last.s_opt, last.on_boundary)
+            gap = EXPANDING_KAPPAS[i + 1] - kappa if i + 1 < len(curve) else 0.0
+            margin = 0.5 + 4.0 * gap
+            interval = (res.delta_star - margin, res.delta_star + margin)
+
+    def test_evaluations_count_every_scan(self, traced_curve):
+        curve, rows = traced_curve
+        assert sum(res.evaluations for _, res in curve) == sum(rows)
+        # 64-row scans, and one-row refine calls only after a point's last scan
+        pattern = "".join("S" if n > 1 else "r" for n in rows)
+        assert set(rows) == {1, 64}
+        assert re.fullmatch(f"(S+r+){{{len(curve)}}}", pattern)
+        # kappa = 0.7 stays inside its interval: one scan
+        assert pattern.startswith("Sr")
+        assert pattern.count("S") > len(curve)

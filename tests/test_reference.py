@@ -83,9 +83,21 @@ class TestCalibration:
         with pytest.raises(ValueError, match="window"):
             calibrate_protocol1(6, window=window)
 
+    # recorded when the calibration carried its own copy of the optimizer's
+    # scan-then-refine search
+    @pytest.mark.parametrize("n,ratio,p0,t0", [
+        (13, 0.697477588225976, 0.9682915947429216, 8.583807797730191),
+        (21, 0.6438796264032591, 0.9455557122850131, 13.038755664374476),
+    ])
+    def test_pinned_default_grid(self, n, ratio, p0, t0):
+        ref = calibrate_protocol1(n)
+        assert (ref.boundary_ratio, ref.p0, ref.t0) == (ratio, p0, t0)
+
     def test_boundary_warning(self):
-        with pytest.warns(UserWarning, match="boundary"):
+        with pytest.warns(UserWarning, match="boundary") as record:
             calibrate_protocol1(6, ratio_grid=np.array([0.9, 0.95, 1.0]))
+        # the warning names the caller's line, not the calibration's
+        assert record[0].filename == __file__
 
     def test_cache_roundtrip(self, tmp_path):
         path = tmp_path / "cache.json"

@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from bentchain.search import brent_max
+from bentchain.search import brent_max, scan_and_refine
 
 
 def recorded(f):
@@ -78,3 +79,55 @@ class TestBrentMax:
     def test_deterministic(self):
         f = lambda x: math.sin(x) * x  # noqa: E731
         assert brent_max(f, 1.0, 3.0, 1e-9) == brent_max(f, 1.0, 3.0, 1e-9)
+
+
+def batch(p):
+    """An evaluate callable on the objective p: (t*, p*) per point with
+    t* = 2 x, and the list of batch sizes it was called with."""
+    sizes = []
+
+    def evaluate(xs):
+        xs = np.asarray(list(xs), dtype=float)
+        sizes.append(xs.size)
+        return 2.0 * xs, np.array([p(x) for x in xs])
+
+    return evaluate, sizes
+
+
+class TestScanAndRefine:
+    def test_refines_inside_the_best_cells(self):
+        evaluate, sizes = batch(lambda x: 1.0 - (x - 0.23) ** 2)
+        x, p, t, best, n = scan_and_refine(evaluate, np.linspace(0.0, 1.0, 11), 1e-8)
+        assert abs(x - 0.23) <= 2e-8 and best == 2
+        # p* and t* are those of the evaluated point x*, as Python floats
+        assert (p, t) == (1.0 - (x - 0.23) ** 2, 2.0 * x)
+        assert all(type(v) is float for v in (x, p, t))
+        assert sizes[0] == 11 and set(sizes[1:]) == {1}
+        assert n == sum(sizes)
+
+    def test_ties_go_to_the_smaller_magnitude(self):
+        evaluate, _ = batch(lambda x: 1.0)
+        grid = np.array([-3.0, -1.0, 0.5, 2.0])
+        assert scan_and_refine(evaluate, grid, 1e-6)[3] == 2
+        assert scan_and_refine(evaluate, grid[::-1].copy(), 1e-6)[3] == 1
+
+    def test_one_point_grid(self):
+        evaluate, sizes = batch(lambda x: -x)
+        assert scan_and_refine(evaluate, np.array([0.4]), 1e-6) == (0.4, -0.4, 0.8, 0, 2)
+        assert sizes == [1, 1]
+
+    def test_widen_rescans_then_refines_once(self):
+        evaluate, sizes = batch(lambda x: -(x + 2.5) ** 2)
+        grids = []
+
+        def widen(grid, best):
+            grids.append((grid[0], grid[-1], best))
+            return np.linspace(grid[0] - 1.0, grid[-1], 5) if best == 0 else None
+
+        x, _, _, best, n = scan_and_refine(evaluate, np.linspace(0.0, 1.0, 5), 1e-8, widen)
+        assert abs(x + 2.5) <= 2e-8
+        assert [g[:2] for g in grids] == [(0.0, 1.0), (-1.0, 1.0), (-2.0, 1.0), (-3.0, 1.0)]
+        assert best == 1
+        # four scans, then every single-point call after them
+        assert sizes[:4] == [5] * 4 and set(sizes[4:]) == {1}
+        assert n == sum(sizes)
