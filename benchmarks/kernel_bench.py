@@ -19,6 +19,11 @@ point, in ms and evaluations per optimized point.
 Protocol 1 calibration: ``calibrate_protocol1`` over the default 100-point
 ratio grid, uncached (N = 13, 21).
 
+CLI: one in-process ``cli.main`` call, parsing plus the command plus its
+files and manifest written to a temporary directory, for
+``reference --protocol 2 --n 13`` and
+``sweep-kappa --protocol 2 --n 13 --alpha 7 --grid 0:0.1:1``.
+
 The chains are Protocol 2, bent at the centre with kappa = 0.5 and detuned by
 -1.5 Omega_max (near the optimum), over the unbent arrival window pi/2; the
 optimizer tunes the detuning of the same bend itself.
@@ -26,8 +31,11 @@ optimizer tunes the detuning of the same bend itself.
 Run:  python3 benchmarks/kernel_bench.py
 """
 
+import contextlib
+import io
 import math
 import statistics
+import tempfile
 import time
 
 import numpy as np
@@ -45,6 +53,7 @@ from bentchain import (
     optimize_detuning,
     reference,
 )
+from bentchain import cli
 
 REPEATS = 7
 WINDOW = math.pi / 2
@@ -114,6 +123,18 @@ def main():
             f"(quartiles {q1:.3f}-{q3:.3f}), {EVOLVE_STEPS} steps, "
             f"p_end[-1]={trace.p_end[-1]:.9f}"
         )
+    commands = (
+        ["reference", "--protocol", "2", "--n", "13"],
+        ["sweep-kappa", "--protocol", "2", "--n", "13", "--alpha", "7", "--grid", "0:0.1:1"],
+    )
+    with tempfile.TemporaryDirectory() as out:
+        for argv in commands:
+            with contextlib.redirect_stdout(io.StringIO()):
+                median, q1, q3, code = time_call(lambda: cli.main([*argv, "--out", out]), 20)
+            print(
+                f"cli {argv[0]:<11}     : {median:.3f} ms per main call "
+                f"(quartiles {q1:.3f}-{q3:.3f}), exit code {code}"
+            )
 
 
 if __name__ == "__main__":

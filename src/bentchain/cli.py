@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Every subcommand is a thin shell over one library operation and writes its
-outputs plus a manifest.json with the fully resolved configuration under
-out/<command>/<label>/.  All runs are deterministic.
+Every subcommand is a thin shell over one library operation.  It returns
+its output files, a manifest with the fully resolved configuration and a
+summary line; only once it has succeeded does ``main`` write them under
+out/<command>/<label>/, so a failed command writes nothing.  All runs are
+deterministic.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +35,7 @@ from .metrics import (
 from .optimize import DEFAULT_INTERVAL, detuning_curve, optimize_detuning
 from .photonic import DeviceParams, design_layout, parasitic_check
 from .reference import ReferencePoint, calibrate_protocol1, reference
-from .spectral import spectrum_report
+from .spectral import SpectrumReport, spectrum_report
 
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
@@ -206,26 +209,52 @@ def _load_config(path: Path) -> dict:
 
 
 def _run_dir(args) -> Path:
-    d = args.out / args.command / (args.label or args.command)
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+    """out/<command>/<label>, the label defaulting to the figure tag or the
+    command name."""
+    return args.out / args.command / (args.label or getattr(args, "tag", args.command))
 
 
-def _write_manifest(run_dir: Path, payload: dict) -> None:
-    payload = {"tool_version": __version__, "delta_units": "omega_max", **payload}
-    with open(run_dir / "manifest.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write(path: Path, content) -> None:
+    """Write one output file.  A ``.csv`` file takes ``(header, rows)``:
+    floats come out by ``repr`` (shortest round trip), ints as they are and
+    None as an empty cell.  Anything else is written as indented JSON, with
+    sorted keys for the manifest only."""
+    with open(path, "w", newline="") as fh:
+        if path.suffix == ".csv":
+            header, rows = content
+            csv.writer(fh).writerows([header, *rows])
+        else:
+            json.dump(content, fh, indent=2, sort_keys=path.name == "manifest.json")
+            fh.write("\n")
 
 
-def _emit(run_dir: Path, name: str, payload: dict, manifest: dict,
-          summary: str) -> None:
-    """Write ``<name>.json`` and the manifest, then print the summary line."""
-    with open(run_dir / f"{name}.json", "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    _write_manifest(run_dir, manifest)
-    print(summary)
+_SWEEP_COLUMNS = ["axis", "p", "t", "q", "s", "delta_opt", "q_opt", "s_opt"]
+
+
+def _table_content(table: SweepTable, fmt: str = "csv"):
+    """A sweep table as CSV ``(header, rows)`` or as its JSON object; a row
+    without an optimum leaves the optimum columns empty (null in JSON)."""
+    rows = []
+    for row in table.rows:
+        opt = row.optimized
+        rows.append([row.axis_value, row.result.p, row.result.t, row.result.q,
+                     row.result.s, *((opt.delta_star, opt.q_opt, opt.s_opt)
+                                     if opt else (None, None, None))])
+    if fmt == "csv":
+        return _SWEEP_COLUMNS, rows
+    keys = ["axis_value", *_SWEEP_COLUMNS[1:]]
+    return {"axis": table.axis, "metadata": table.metadata,
+            "rows": [dict(zip(keys, r)) for r in rows]}
+
+
+def _spectrum_content(report: SpectrumReport):
+    """Gap k (between eigenvalues k and k+1) of each spectrum, and the
+    unperturbed initial-state overlap of level k, as CSV ``(header, rows)``."""
+    gaps = zip(report.gaps["unperturbed"].tolist(), report.gaps["bent"].tolist(),
+               report.gaps["bent_optimized"].tolist(),
+               report.overlaps["unperturbed"].tolist())
+    return (["k", "gap_unperturbed", "gap_bent", "gap_optimized", "overlap_unperturbed"],
+            [[k, *values] for k, values in enumerate(gaps, start=1)])
 
 
 def _protocol_chain(proto: int, n: int) -> tuple[ChainSpec, ReferencePoint]:
@@ -240,70 +269,59 @@ def _protocol_chain(proto: int, n: int) -> tuple[ChainSpec, ReferencePoint]:
     return spec, ref
 
 
-def _write_table(table: SweepTable, run_dir: Path, fmt: str, stem: str) -> Path:
-    path = run_dir / f"{stem}.{fmt}"
-    if fmt == "csv":
-        table.to_csv(path)
-    else:
-        table.to_json(path)
-    return path
+# Each command returns ({file name: content}, manifest, summary line); main
+# writes the files and the manifest under _run_dir, then prints the summary.
 
 
-def cmd_reference(args, config) -> int:
+def cmd_reference(args, config):
     spec, _ = _resolve_chain(args, config)
     ref = reference(spec)
-    _emit(_run_dir(args), "reference", ref.to_dict(),
-          {"command": "reference", "chain": spec_to_dict(spec)},
-          f"reference: protocol={spec.protocol.value} N={spec.n_sites} "
-          f"p0={ref.p0:.8f} t0={ref.t0:.8f}")
-    return 0
+    return ({"reference.json": ref.to_dict()},
+            {"command": "reference", "chain": spec_to_dict(spec)},
+            f"reference: protocol={spec.protocol.value} N={spec.n_sites} "
+            f"p0={ref.p0:.8f} t0={ref.t0:.8f}")
 
 
-def cmd_calibrate(args, config) -> int:
+def cmd_calibrate(args, config):
     grid = parse_grid(args.grid) if args.grid else None
     ref = calibrate_protocol1(
         args.n_sites, ratio_grid=grid, window=args.window,
         omega0=args.omega0, cache_path=args.cache,
     )
-    _emit(_run_dir(args), "calibration", ref.to_dict(),
-          {"command": "calibrate", "n_sites": args.n_sites,
-           "window": args.window, "grid": args.grid},
-          f"calibrate: N={args.n_sites} ratio={ref.boundary_ratio:.6f} "
-          f"p0={ref.p0:.6f} t0={ref.t0:.6f}")
-    return 0
+    return ({"calibration.json": ref.to_dict()},
+            {"command": "calibrate", "n_sites": args.n_sites,
+             "window": args.window, "grid": args.grid},
+            f"calibrate: N={args.n_sites} ratio={ref.boundary_ratio:.6f} "
+            f"p0={ref.p0:.6f} t0={ref.t0:.6f}")
 
 
-def cmd_metrics(args, config) -> int:
+def cmd_metrics(args, config):
     spec, bend = _resolve_chain(args, config)
     if bend is None:
         raise ValueError("metrics needs --alpha and --kappa")
     result = transfer_metrics(spec, bend, reference(spec))
-    _emit(_run_dir(args), "metrics",
-          {"p": result.p, "t": result.t, "q": result.q, "s": result.s},
-          {"command": "metrics", "chain": spec_to_dict(spec, bend)},
-          f"metrics: q={result.q:.6f} s={result.s:.6f} p={result.p:.6f} "
-          f"t={result.t:.6f}")
-    return 0
+    return ({"metrics.json": {"p": result.p, "t": result.t, "q": result.q, "s": result.s}},
+            {"command": "metrics", "chain": spec_to_dict(spec, bend)},
+            f"metrics: q={result.q:.6f} s={result.s:.6f} p={result.p:.6f} "
+            f"t={result.t:.6f}")
 
 
-def cmd_sweep_kappa(args, config) -> int:
+def cmd_sweep_kappa(args, config):
     spec, bend = _resolve_chain(args, config)
     if bend is None:
         raise ValueError("sweep-kappa needs --alpha (kappa comes from --grid)")
     grid = parse_grid(args.grid)
     table = sweep_kappa(spec, bend.alpha, grid, optimize=args.optimize)
-    run_dir = _run_dir(args)
-    path = _write_table(table, run_dir, args.format, "sweep_kappa")
-    _write_manifest(run_dir, {"command": "sweep-kappa", "grid": args.grid,
-                              "optimize": args.optimize,
-                              "chain": table.metadata})
+    name = f"sweep_kappa.{args.format}"
     qs = [r.result.q for r in table.rows]
-    print(f"sweep-kappa: {len(table.rows)} points, q range "
-          f"[{min(qs):.4f}, {max(qs):.4f}] -> {path}")
-    return 0
+    return ({name: _table_content(table, args.format)},
+            {"command": "sweep-kappa", "grid": args.grid,
+             "optimize": args.optimize, "chain": table.metadata},
+            f"sweep-kappa: {len(table.rows)} points, q range "
+            f"[{min(qs):.4f}, {max(qs):.4f}] -> {_run_dir(args) / name}")
 
 
-def cmd_sweep_alpha(args, config) -> int:
+def cmd_sweep_alpha(args, config):
     spec, _ = _resolve_chain(args, config)
     kappa = args.kappa if args.kappa is not None else config.get("kappa")
     if kappa is None:
@@ -318,15 +336,14 @@ def cmd_sweep_alpha(args, config) -> int:
     else:
         alphas = list(range(2, math.ceil(spec.n_sites / 2) + 1))
     table = sweep_alpha(spec, float(kappa), alphas, optimize=not args.no_optimize)
-    run_dir = _run_dir(args)
-    path = _write_table(table, run_dir, args.format, "sweep_alpha")
-    _write_manifest(run_dir, {"command": "sweep-alpha", "alphas": alphas,
-                              "chain": table.metadata})
-    print(f"sweep-alpha: {len(table.rows)} corners at kappa={kappa} -> {path}")
-    return 0
+    name = f"sweep_alpha.{args.format}"
+    return ({name: _table_content(table, args.format)},
+            {"command": "sweep-alpha", "alphas": alphas, "chain": table.metadata},
+            f"sweep-alpha: {len(table.rows)} corners at kappa={kappa} -> "
+            f"{_run_dir(args) / name}")
 
 
-def cmd_optimize(args, config) -> int:
+def cmd_optimize(args, config):
     spec, bend = _resolve_chain(args, config)
     if bend is None:
         raise ValueError("optimize needs --alpha and --kappa")
@@ -341,72 +358,66 @@ def cmd_optimize(args, config) -> int:
         "on_boundary": res.on_boundary,
     }
     flag = " (boundary)" if res.on_boundary else ""
-    _emit(_run_dir(args), "optimize", payload,
-          {"command": "optimize", "interval": [lo, hi],
-           "chain": spec_to_dict(spec, bend)},
-          f"optimize: delta*={res.delta_star:.6f} q_opt={res.q_opt:.6f} "
-          f"s_opt={res.s_opt:.6f}{flag}")
-    return 0
+    return ({"optimize.json": payload},
+            {"command": "optimize", "interval": [lo, hi],
+             "chain": spec_to_dict(spec, bend)},
+            f"optimize: delta*={res.delta_star:.6f} q_opt={res.q_opt:.6f} "
+            f"s_opt={res.s_opt:.6f}{flag}")
 
 
-def cmd_curve(args, config) -> int:
+def cmd_curve(args, config):
     spec, bend = _resolve_chain(args, config)
     if bend is None:
         raise ValueError("curve needs --alpha")
     grid = parse_grid(args.grid)
     curve = detuning_curve(spec, bend.alpha, grid, reference(spec))
-    run_dir = _run_dir(args)
-    path = run_dir / "curve.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kappa", "delta_opt", "q_opt", "s_opt", "on_boundary"])
-        for kappa, res in curve:
-            writer.writerow([repr(kappa), repr(res.delta_star), repr(res.q_opt),
-                             repr(res.s_opt), int(res.on_boundary)])
-    _write_manifest(run_dir, {"command": "curve", "grid": args.grid,
-                              "chain": spec_to_dict(spec, bend)})
+    rows = [[kappa, res.delta_star, res.q_opt, res.s_opt, int(res.on_boundary)]
+            for kappa, res in curve]
     deltas = [res.delta_star for _, res in curve]
-    print(f"curve: {len(curve)} points, delta* range "
-          f"[{min(deltas):.4f}, {max(deltas):.4f}] -> {path}")
-    return 0
+    return ({"curve.csv": (["kappa", "delta_opt", "q_opt", "s_opt", "on_boundary"], rows)},
+            {"command": "curve", "grid": args.grid, "chain": spec_to_dict(spec, bend)},
+            f"curve: {len(curve)} points, delta* range "
+            f"[{min(deltas):.4f}, {max(deltas):.4f}] -> {_run_dir(args) / 'curve.csv'}")
 
 
-def cmd_spectrum(args, config) -> int:
+def cmd_spectrum(args, config):
     spec, bend = _resolve_chain(args, config)
     if bend is None:
         raise ValueError("spectrum needs --alpha and --kappa")
     res = optimize_detuning(spec, bend, reference(spec))
     report = spectrum_report(spec, bend, res.delta_energy)
-    run_dir = _run_dir(args)
-    path = run_dir / "spectrum.csv"
-    report.to_csv(path)
-    _write_manifest(run_dir, {"command": "spectrum", "delta_star": res.delta_star,
-                              "chain": spec_to_dict(spec, bend)})
-    print(f"spectrum: gap distortion bent={report.gap_distortion['bent']:.6f} "
-          f"optimized={report.gap_distortion['bent_optimized']:.6f} -> {path}")
-    return 0
+    return ({"spectrum.csv": _spectrum_content(report)},
+            {"command": "spectrum", "delta_star": res.delta_star,
+             "chain": spec_to_dict(spec, bend)},
+            f"spectrum: gap distortion bent={report.gap_distortion['bent']:.6f} "
+            f"optimized={report.gap_distortion['bent_optimized']:.6f} -> "
+            f"{_run_dir(args) / 'spectrum.csv'}")
 
 
-def cmd_design(args, config) -> int:
+def cmd_design(args, config):
     spec, _ = _resolve_chain(args, config)
     dev = DeviceParams(eta=args.eta, xi=args.xi, length=args.L,
                        wavelength=args.wavelength)
     layout = design_layout(spec, dev)
     parasitic = parasitic_check(layout, dev)
-    run_dir = _run_dir(args)
-    layout.to_csv(run_dir / "layout.csv")
-    layout.to_json(run_dir / "layout.json", dev)
-    _write_manifest(run_dir, {"command": "design", "device": {
-        "eta": args.eta, "xi": args.xi, "length": args.L,
-        "wavelength": args.wavelength}, "chain": spec_to_dict(spec)})
-    d = layout.separations
-    print(f"design: separations {d.min():.2f}..{d.max():.2f} um, "
-          f"omega0={layout.omega0_physical:.5f}/cm, "
-          f"max parasitic ratio {parasitic.max_ratio:.4f}")
-    return 0
+    d = layout.separations.tolist()
+    c = layout.couplings_physical.tolist()
+    files = {
+        "layout.csv": (["j", "d_um", "coupling_per_cm"],
+                       [[j, *dc] for j, dc in enumerate(zip(d, c), start=1)]),
+        "layout.json": {"device": asdict(dev), "omega0_per_cm": layout.omega0_physical,
+                        "separations_um": d, "couplings_per_cm": c},
+    }
+    return (files,
+            {"command": "design", "device": {
+                "eta": args.eta, "xi": args.xi, "length": args.L,
+                "wavelength": args.wavelength}, "chain": spec_to_dict(spec)},
+            f"design: separations {min(d):.2f}..{max(d):.2f} um, "
+            f"omega0={layout.omega0_physical:.5f}/cm, "
+            f"max parasitic ratio {parasitic.max_ratio:.4f}")
 
 
-def cmd_fit(args, config) -> int:
+def cmd_fit(args, config):
     with open(args.input, newline="") as fh:
         reader = csv.DictReader(fh)
         present = reader.fieldnames or []
@@ -443,12 +454,11 @@ def cmd_fit(args, config) -> int:
         report = fit_linear(pairs, kappa_cut=args.kappa_cut)
         summary = (f"fit linear: slope={report.params[0]:.6f} "
                    f"intercept={report.params[1]:.6f} rms={report.residual_rms:.3g}")
-    _emit(_run_dir(args), "fit",
-          {"kind": report.kind, "params": list(report.params),
-           "residual_rms": report.residual_rms, "domain": list(report.domain)},
-          {"command": "fit", "kind": args.kind, "input": str(args.input)},
-          summary)
-    return 0
+    return ({"fit.json": {"kind": report.kind, "params": list(report.params),
+                          "residual_rms": report.residual_rms,
+                          "domain": list(report.domain)}},
+            {"command": "fit", "kind": args.kind, "input": str(args.input)},
+            summary)
 
 
 def _figure_panel(job: tuple) -> tuple[str, SweepTable | list]:
@@ -461,12 +471,10 @@ def _figure_panel(job: tuple) -> tuple[str, SweepTable | list]:
     return f"p{proto}_n{n}_kappa{kappa}_alpha", table
 
 
-def cmd_figure(args, config) -> int:
-    run_dir = args.out / "figure" / (args.label or args.tag)
-    run_dir.mkdir(parents=True, exist_ok=True)
+def cmd_figure(args, config):
     kappa_grid = parse_grid("0:0.1:1")
     jobs: list[tuple] = []
-    files: list[str] = []
+    files: dict[str, tuple] = {}
     if args.tag in ("fig2", "fig3"):
         proto = 1 if args.tag == "fig2" else 2
         for n in FIGURE_DEFAULT_N:
@@ -481,9 +489,7 @@ def cmd_figure(args, config) -> int:
             bend = BendSpec(alpha=12, kappa=kappa)
             res = optimize_detuning(spec, bend, ref)
             report = spectrum_report(spec, bend, res.delta_energy)
-            name = f"p{proto}_n25_alpha12_kappa{kappa}_spectrum.csv"
-            report.to_csv(run_dir / name)
-            files.append(name)
+            files[f"p{proto}_n25_alpha12_kappa{kappa}_spectrum.csv"] = _spectrum_content(report)
 
     if jobs:
         workers = min(args.jobs, len(jobs))
@@ -495,20 +501,15 @@ def cmd_figure(args, config) -> int:
         else:
             panels = [_figure_panel(j) for j in jobs]
         for stem, table in panels:
-            table.to_csv(run_dir / f"{stem}.csv")
-            files.append(f"{stem}.csv")
+            files[f"{stem}.csv"] = _table_content(table)
 
-    _write_manifest(run_dir, {
-        "command": "figure",
-        "tag": args.tag,
-        "files": sorted(files),
-        "axes": {"kappa": "bend strength g/Omega_max",
-                 "alpha": "corner site index",
-                 "q": "P / P0", "s": "T / T0",
-                 "delta_opt": "optimal detuning, units of Omega_max"},
-    })
-    print(f"figure {args.tag}: {len(files)} files -> {run_dir}")
-    return 0
+    return (files,
+            {"command": "figure", "tag": args.tag, "files": sorted(files),
+             "axes": {"kappa": "bend strength g/Omega_max",
+                      "alpha": "corner site index",
+                      "q": "P / P0", "s": "T / T0",
+                      "delta_opt": "optimal detuning, units of Omega_max"}},
+            f"figure {args.tag}: {len(files)} files -> {_run_dir(args)}")
 
 
 COMMANDS = {
@@ -526,12 +527,22 @@ COMMANDS = {
 }
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         config = _load_config(args.config) if getattr(args, "config", None) else {}
-        return COMMANDS[args.command](args, config)
+        files, manifest, summary = COMMANDS[args.command](args, config)
+        run_dir = _run_dir(args)
+        run_dir.mkdir(parents=True, exist_ok=True)
+        for name, content in files.items():
+            _write(run_dir / name, content)
+        _write(run_dir / "manifest.json",
+               {"tool_version": __version__, "delta_units": "omega_max", **manifest})
+        print(summary)
+        return 0
     except (FitDivergedError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

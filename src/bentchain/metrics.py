@@ -7,11 +7,8 @@ within the unbent window [0, t0].
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -54,52 +51,6 @@ class SweepTable:
     axis: str  # "kappa", "alpha" or "n_sites"
     rows: list[SweepRow]
     metadata: dict = field(default_factory=dict)
-
-    CSV_HEADER = ["axis", "p", "t", "q", "s", "delta_opt", "q_opt", "s_opt"]
-
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.CSV_HEADER)
-            for row in self.rows:
-                rec = [
-                    repr(row.axis_value),
-                    repr(row.result.p),
-                    repr(row.result.t),
-                    repr(row.result.q),
-                    repr(row.result.s),
-                ]
-                if row.optimized is not None:
-                    rec += [
-                        repr(row.optimized.delta_star),
-                        repr(row.optimized.q_opt),
-                        repr(row.optimized.s_opt),
-                    ]
-                else:
-                    rec += ["", "", ""]
-                writer.writerow(rec)
-
-    def to_json(self, path: str | Path) -> None:
-        payload = {
-            "axis": self.axis,
-            "metadata": self.metadata,
-            "rows": [
-                {
-                    "axis_value": row.axis_value,
-                    "p": row.result.p,
-                    "t": row.result.t,
-                    "q": row.result.q,
-                    "s": row.result.s,
-                    "delta_opt": row.optimized.delta_star if row.optimized else None,
-                    "q_opt": row.optimized.q_opt if row.optimized else None,
-                    "s_opt": row.optimized.s_opt if row.optimized else None,
-                }
-                for row in self.rows
-            ],
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
 
 
 @dataclass(frozen=True)
@@ -214,9 +165,13 @@ def _require_finite_points(points) -> None:
             raise ValueError(f"fit points must be finite, got ({x!r}, {y!r})")
 
 
-def fit_gaussian(
-    table: SweepTable, max_iter: int = 200, tol: float = 1e-12
-) -> FitReport:
+# the Gaussian fit gives up after FIT_MAX_ITER Gauss-Newton steps and has
+# converged once a step is shorter than FIT_TOL
+FIT_MAX_ITER = 200
+FIT_TOL = 1e-12
+
+
+def fit_gaussian(table: SweepTable) -> FitReport:
     """Gauss-Newton fit of q(kappa) ~ A exp(-kappa^2 / (2 sigma^2)).
 
     Starts from (A, sigma) = (1, 0.5).  Raises ValueError on fewer than 5
@@ -234,7 +189,7 @@ def fit_gaussian(
 
     amp, sigma = 1.0, 0.5
     best = None
-    for _ in range(max_iter):
+    for _ in range(FIT_MAX_ITER):
         shape = np.exp(-(x**2) / (2.0 * sigma**2))
         model = amp * shape
         r = y - model
@@ -253,12 +208,12 @@ def fit_gaussian(
                 "gaussian fit degenerate (sigma escaped); profile may be flat",
                 FitReport("gaussian", (best[1], best[2]), best[0], domain),
             )
-        if float(np.hypot(*step)) < tol:
+        if float(np.hypot(*step)) < FIT_TOL:
             model = amp * np.exp(-(x**2) / (2.0 * sigma**2))
             rms = float(np.sqrt(np.mean((y - model) ** 2)))
             return FitReport("gaussian", (float(amp), float(sigma)), rms, domain)
     raise FitDivergedError(
-        f"gaussian fit did not converge in {max_iter} iterations",
+        f"gaussian fit did not converge in {FIT_MAX_ITER} iterations",
         FitReport("gaussian", (best[1], best[2]), best[0], domain),
     )
 

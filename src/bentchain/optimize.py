@@ -67,10 +67,12 @@ def detuning_curve(
     best coarse detuning lies on an interval edge, that side is widened by
     twice the width, within [EXPANSION_FLOOR, EXPANSION_CEIL], and rescanned;
     the refine runs once, on the last interval.  ``evaluations`` counts
-    every scan."""
+    every scan.  Raises ValueError on a repeated kappa."""
+    grid = np.sort(np.asarray(kappa_grid, dtype=float))
+    if np.unique(grid).size < grid.size:
+        raise ValueError(f"repeated kappa in the curve: {grid.tolist()}")
     results: list[tuple[float, OptimizationResult]] = []
     interval = DEFAULT_INTERVAL
-    grid = np.sort(np.asarray(kappa_grid, dtype=float))
     for i, kappa in enumerate(grid):
         bend = BendSpec(alpha=alpha, kappa=float(kappa))
         res = _optimize(spec, bend, ref, interval, widen=_widened)

@@ -9,11 +9,8 @@ the physical energy scale omega0.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-from dataclasses import dataclass, asdict
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,26 +56,6 @@ class WaveguideLayout:
     omega0_physical: float  # 1/cm
     couplings_physical: np.ndarray  # 1/cm
 
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["j", "d_um", "coupling_per_cm"])
-            for j, (d, c) in enumerate(
-                zip(self.separations, self.couplings_physical), start=1
-            ):
-                writer.writerow([j, repr(float(d)), repr(float(c))])
-
-    def to_json(self, path: str | Path, dev: DeviceParams) -> None:
-        payload = {
-            "device": asdict(dev),
-            "omega0_per_cm": self.omega0_physical,
-            "separations_um": [float(d) for d in self.separations],
-            "couplings_per_cm": [float(c) for c in self.couplings_physical],
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-
 
 @dataclass(frozen=True)
 class ParasiticReport:
@@ -105,28 +82,25 @@ def separation_from_coupling(c_per_cm: float, dev: DeviceParams) -> float:
     return -math.log(c_per_cm / dev.eta) / dev.xi
 
 
-def design_layout(
-    spec: ChainSpec, dev: DeviceParams, t0_dimensionless: float | None = None
-) -> WaveguideLayout:
+def design_layout(spec: ChainSpec, dev: DeviceParams) -> WaveguideLayout:
     """Physical gap distances realizing the chain's coupling distribution.
 
     omega0 is chosen so the transfer completes at the device length:
     omega0 = t0 / L with t0 the dimensionless arrival time (pi/2 for
     Protocol 2; Protocol 1's arrival is computed from its reference).
     """
-    if t0_dimensionless is None:
-        unit_spec = ChainSpec(
-            protocol=spec.protocol,
-            n_sites=spec.n_sites,
-            omega0=1.0,
-            boundary_ratio=spec.boundary_ratio,
-            epsilon=spec.epsilon,
-        )
-        if spec.protocol is Protocol.PROTOCOL_2:
-            t0_dimensionless = perfect_transfer_time(unit_spec)
-        else:
-            t0_dimensionless = reference(unit_spec).t0
-    omega0_physical = t0_dimensionless / dev.length  # 1/cm
+    unit_spec = ChainSpec(
+        protocol=spec.protocol,
+        n_sites=spec.n_sites,
+        omega0=1.0,
+        boundary_ratio=spec.boundary_ratio,
+        epsilon=spec.epsilon,
+    )
+    if spec.protocol is Protocol.PROTOCOL_2:
+        t0 = perfect_transfer_time(unit_spec)
+    else:
+        t0 = reference(unit_spec).t0
+    omega0_physical = t0 / dev.length  # 1/cm
     ratios = build_couplings(spec) / spec.omega0
     couplings = omega0_physical * ratios
     separations = np.array(

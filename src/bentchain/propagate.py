@@ -59,10 +59,6 @@ class AmplitudeTrace:
     amplitudes: np.ndarray  # shape (n_times, N), complex
     p_end: np.ndarray
 
-    @property
-    def n_sites(self) -> int:
-        return self.amplitudes.shape[1]
-
     def norms(self) -> np.ndarray:
         """Total occupation probability per time point (should be 1)."""
         return np.sum(np.abs(self.amplitudes) ** 2, axis=1)

@@ -143,7 +143,7 @@ def calibrate_protocol1(
     ratio_grid = np.asarray(ratio_grid, dtype=float)
     if ratio_grid.size == 0:
         raise ValueError("ratio grid is empty")
-    if np.any(ratio_grid <= 0) or np.any(ratio_grid > 1):
+    if not np.all((ratio_grid > 0) & (ratio_grid <= 1)):  # NaN fails too
         raise ValueError("ratio grid must lie within (0, 1]")
     if window is None:
         window = default_calibration_window(n_sites, omega0)

@@ -10,9 +10,7 @@ little because the initial state barely overlaps those eigenvectors).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -30,27 +28,6 @@ class SpectrumReport:
     overlaps: dict[str, np.ndarray]
     gap_distortion: dict[str, float]
     gap_distortion_weighted: dict[str, float]
-
-    def to_csv(self, path: str | Path) -> None:
-        """Columns k, gap_unperturbed, gap_bent, gap_optimized,
-        overlap_unperturbed (gap k sits between eigenvalues k and k+1)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["k", "gap_unperturbed", "gap_bent", "gap_optimized",
-                 "overlap_unperturbed"]
-            )
-            n_gaps = len(self.gaps["unperturbed"])
-            for k in range(n_gaps):
-                writer.writerow(
-                    [
-                        k + 1,
-                        repr(float(self.gaps["unperturbed"][k])),
-                        repr(float(self.gaps["bent"][k])),
-                        repr(float(self.gaps["bent_optimized"][k])),
-                        repr(float(self.overlaps["unperturbed"][k])),
-                    ]
-                )
 
 
 def overlap_profile(ham: Hamiltonian) -> np.ndarray:

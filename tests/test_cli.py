@@ -1,6 +1,8 @@
 import concurrent.futures
+import csv
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,9 +10,13 @@ import pytest
 from bentchain import (
     BendSpec,
     ChainSpec,
+    DeviceParams,
     Protocol,
+    design_layout,
     optimize_detuning,
     reference,
+    spectrum_report,
+    sweep_kappa,
     transfer_metrics,
 )
 from bentchain import cli
@@ -95,6 +101,40 @@ class TestCommands:
         assert lines[0] == "axis,p,t,q,s,delta_opt,q_opt,s_opt"
         assert len(lines) == 4
 
+    def test_sweep_kappa_csv_roundtrip(self, tmp_path, capsys):
+        code, _, _ = run(
+            capsys, "sweep-kappa", "--protocol", "2", "--n", "9", "--alpha", "5",
+            "--grid", "0,0.4", "--optimize", "--out", str(tmp_path),
+        )
+        assert code == 0
+        path = tmp_path / "sweep-kappa" / "sweep-kappa" / "sweep_kappa.csv"
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        table = sweep_kappa(ChainSpec(Protocol.PROTOCOL_2, 9), 5, [0.0, 0.4], optimize=True)
+        assert rows[0] == ["axis", "p", "t", "q", "s", "delta_opt", "q_opt", "s_opt"]
+        assert len(rows) == 3
+        assert float(rows[1][0]) == 0.0
+        assert math.isclose(float(rows[1][3]), table.rows[0].result.q, rel_tol=1e-12)
+        assert math.isclose(
+            float(rows[2][5]), table.rows[1].optimized.delta_star, rel_tol=1e-12
+        )
+
+    def test_sweep_kappa_json(self, tmp_path, capsys):
+        code, _, _ = run(
+            capsys, "sweep-kappa", "--protocol", "2", "--n", "9", "--alpha", "5",
+            "--grid", "0,0.4", "--format", "json", "--out", str(tmp_path),
+        )
+        assert code == 0
+        path = tmp_path / "sweep-kappa" / "sweep-kappa" / "sweep_kappa.json"
+        payload = json.loads(path.read_text())
+        table = sweep_kappa(ChainSpec(Protocol.PROTOCOL_2, 9), 5, [0.0, 0.4])
+        assert payload["axis"] == "kappa"
+        assert payload["metadata"]["n_sites"] == 9
+        assert len(payload["rows"]) == 2
+        for rec, row in zip(payload["rows"], table.rows):
+            assert math.isclose(rec["q"], row.result.q, rel_tol=1e-12)
+            assert rec["delta_opt"] is None
+
     def test_optimize_and_label(self, tmp_path, capsys):
         code, out, _ = run(
             capsys, "optimize", "--protocol", "2", "--n", "13",
@@ -123,6 +163,34 @@ class TestCommands:
         header = csv_path.read_text().splitlines()[0]
         assert header == "k,gap_unperturbed,gap_bent,gap_optimized,overlap_unperturbed"
 
+    def test_spectrum_csv(self, tmp_path, capsys):
+        code, _, _ = run(
+            capsys, "spectrum", "--protocol", "2", "--n", "9",
+            "--alpha", "5", "--kappa", "0.4", "--out", str(tmp_path),
+        )
+        assert code == 0
+        path = tmp_path / "spectrum" / "spectrum" / "spectrum.csv"
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == [
+            "k",
+            "gap_unperturbed",
+            "gap_bent",
+            "gap_optimized",
+            "overlap_unperturbed",
+        ]
+        assert len(rows) == 9  # header + 8 gaps
+        assert math.isclose(float(rows[1][1]), 2.0, abs_tol=1e-9)
+        spec, bend = ChainSpec(Protocol.PROTOCOL_2, 9), BendSpec(alpha=5, kappa=0.4)
+        res = optimize_detuning(spec, bend, reference(spec))
+        rep = spectrum_report(spec, bend, res.delta_energy)
+        expected = np.column_stack([rep.gaps["unperturbed"], rep.gaps["bent"],
+                                    rep.gaps["bent_optimized"],
+                                    rep.overlaps["unperturbed"][:-1]])
+        got = np.array(rows[1:], dtype=float)
+        assert got[:, 0].tolist() == list(range(1, 9))
+        np.testing.assert_allclose(got[:, 1:], expected, rtol=0, atol=1e-12)
+
     def test_design(self, tmp_path, capsys):
         code, out, _ = run(
             capsys, "design", "--protocol", "2", "--n", "9",
@@ -132,6 +200,21 @@ class TestCommands:
         assert "21.87" in out and "24.88" in out
         layout = (tmp_path / "design" / "design" / "layout.csv").read_text()
         assert layout.splitlines()[0] == "j,d_um,coupling_per_cm"
+
+    def test_design_layout_json_roundtrip(self, tmp_path, capsys):
+        code, _, _ = run(
+            capsys, "design", "--protocol", "2", "--n", "9",
+            "--L", "10", "--out", str(tmp_path),
+        )
+        assert code == 0
+        payload = json.loads((tmp_path / "design" / "design" / "layout.json").read_text())
+        dev = DeviceParams(eta=19.5, xi=0.152, length=10.0)
+        assert payload["device"] == asdict(dev)
+        assert DeviceParams(**payload["device"]) == dev
+        layout = design_layout(ChainSpec(Protocol.PROTOCOL_2, 9), dev)
+        assert payload["separations_um"] == layout.separations.tolist()
+        assert payload["couplings_per_cm"] == layout.couplings_physical.tolist()
+        assert payload["omega0_per_cm"] == layout.omega0_physical
 
     def test_fit_linear_from_curve(self, tmp_path, capsys):
         code, _, _ = run(
@@ -370,11 +453,51 @@ class TestErrors:
         ["sweep-kappa", "--protocol", "2", "--n", "9", "--alpha", "5", "--grid", "0.3,0.2,0.3"],
         ["sweep-alpha", "--protocol", "2", "--n", "9", "--kappa", "0.4", "--alpha-range", "2,2"],
         ["sweep-alpha", "--protocol", "2", "--n", "9", "--kappa", "0.4", "--alpha-range", "3,2,3"],
+        ["curve", "--protocol", "2", "--n", "9", "--alpha", "5", "--grid", "0.5,0.5"],
     ])
     def test_repeated_sweep_value_is_usage_error(self, tmp_path, capsys, argv):
         code, out, err = run(capsys, *argv, "--out", str(tmp_path))
         assert code == EXIT_USAGE
         assert err.startswith("error: repeated")
+        assert out == "" and not any(tmp_path.iterdir())
+
+    def test_nan_calibration_ratio_is_usage_error(self, tmp_path, capsys):
+        code, out, err = run(
+            capsys, "calibrate", "--n", "6", "--grid", "nan,0.5", "--out", str(tmp_path)
+        )
+        assert code == EXIT_USAGE
+        assert "ratio grid must lie within (0, 1]" in err
+        assert out == "" and not any(tmp_path.iterdir())
+
+    def test_figure_failing_spectrum_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # fig5's second spectrum fails after the first one has succeeded
+        calls = []
+
+        def second_call_fails(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise FloatingPointError("gap distortion is not finite")
+            return spectrum_report(*args)
+
+        monkeypatch.setattr(cli, "spectrum_report", second_call_fails)
+        code, out, err = run(capsys, "figure", "fig5", "--out", str(tmp_path))
+        assert code == EXIT_NUMERICAL and len(calls) == 2
+        assert "numerical error" in err
+        assert out == "" and not any(tmp_path.iterdir())
+
+    def test_figure_failing_panel_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # fig2's second panel fails after the first one has succeeded
+        calls = []
+
+        def second_panel_fails(job):
+            calls.append(job)
+            if len(calls) == 2:
+                raise FloatingPointError("p0 is not positive")
+            return "first_panel", SweepTable(axis="kappa", rows=[])
+
+        monkeypatch.setattr(cli, "_figure_panel", second_panel_fails)
+        code, out, err = run(capsys, "figure", "fig2", "--out", str(tmp_path))
+        assert code == EXIT_NUMERICAL and len(calls) == 2
         assert out == "" and not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("kind,text,missing", [

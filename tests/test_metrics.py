@@ -1,5 +1,3 @@
-import csv
-import json
 import math
 
 import numpy as np
@@ -198,31 +196,6 @@ class TestSweeps:
             assert abs(row.result.t - single.t) <= 1e-9 * ref.t0
             assert abs(row.result.p - single.p) <= 1e-12
             assert abs(row.result.q - single.q) <= 1e-12 / ref.p0
-
-    def test_csv_roundtrip(self, tmp_path):
-        spec = _p2(9)
-        table = sweep_kappa(spec, 5, [0.0, 0.4], optimize=True)
-        path = tmp_path / "sweep.csv"
-        table.to_csv(path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["axis", "p", "t", "q", "s", "delta_opt", "q_opt", "s_opt"]
-        assert len(rows) == 3
-        assert float(rows[1][0]) == 0.0
-        assert math.isclose(float(rows[1][3]), table.rows[0].result.q, rel_tol=1e-12)
-        assert math.isclose(
-            float(rows[2][5]), table.rows[1].optimized.delta_star, rel_tol=1e-12
-        )
-
-    def test_json_dump(self, tmp_path):
-        spec = _p2(9)
-        table = sweep_kappa(spec, 5, [0.0, 0.4])
-        path = tmp_path / "sweep.json"
-        table.to_json(path)
-        payload = json.loads(path.read_text())
-        assert payload["axis"] == "kappa"
-        assert payload["metadata"]["n_sites"] == 9
-        assert len(payload["rows"]) == 2
 
 
 def _synthetic_table(x, y):

@@ -185,6 +185,13 @@ class TestDetuningCurve:
             base = transfer_metrics(spec, BendSpec(alpha=6, kappa=kappa), ref)
             assert res.s_opt <= base.s * 1.05
 
+    @pytest.mark.parametrize("kappas", [[0.5, 0.5], [0.3, 0.2, 0.3]])
+    def test_rejects_repeats(self, kappas):
+        # a repeat would warm-start on the first and give a second optimum
+        spec = _p2(9)
+        with pytest.raises(ValueError, match="repeated kappa"):
+            detuning_curve(spec, 5, kappas, reference(spec))
+
     def test_size_collapse(self, curve_n12):
         # delta*(kappa)/Omega_max is nearly chain-length independent
         spec = _p2(21)

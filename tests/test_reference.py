@@ -77,6 +77,11 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_protocol1(6, ratio_grid=np.array([0.0, 0.5]))
 
+    def test_rejects_nan_ratio(self):
+        # both (0, 1] comparisons are False for NaN, so neither may let it by
+        with pytest.raises(ValueError, match=r"within \(0, 1\]"):
+            calibrate_protocol1(6, ratio_grid=np.array([math.nan, 0.5]))
+
     @pytest.mark.parametrize("window", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_window(self, window):
         # an explicit window is used as given, never replaced by the default

@@ -1,4 +1,3 @@
-import csv
 import math
 
 import numpy as np
@@ -82,20 +81,3 @@ class TestSpectrumReport:
             for k in (0.1, 0.4, 0.8)
         ]
         assert d[0] < d[1] < d[2]
-
-    def test_csv(self, tmp_path):
-        spec = ChainSpec(Protocol.PROTOCOL_2, 9)
-        rep = spectrum_report(spec, BendSpec(alpha=5, kappa=0.4), -1.0)
-        path = tmp_path / "spectrum.csv"
-        rep.to_csv(path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == [
-            "k",
-            "gap_unperturbed",
-            "gap_bent",
-            "gap_optimized",
-            "overlap_unperturbed",
-        ]
-        assert len(rows) == 9  # header + 8 gaps
-        assert math.isclose(float(rows[1][1]), 2.0, abs_tol=1e-9)
