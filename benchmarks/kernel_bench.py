@@ -5,11 +5,14 @@ First arrival: what the optimizer, the calibration and the sweeps repeat for
 every Hamiltonian, the bandwidth-scaled scan of |A_N(t)|^2 followed by the
 analytic-slope refine of the first peak (N = 9, 13, 25).
 
+Slope: one one-row ``first_arrivals`` call with and without ``direction``
+(E = dH/ddelta at the corner), the extra cost of dp*/ddelta (N = 13, 25).
+
 Amplitude trace: ``evolve``, every site amplitude on 4096 steps over the
 window (N = 60, 120, 200), as the spectra and trace files use it.
 
 Detuning optimizer: ``optimize_detuning`` on the default interval, the
-64-detuning batched coarse scan plus the Brent refine, with its evaluations
+64-detuning batched coarse scan plus the slope refine, with its evaluations
 per optimized point (N = 9, 13, 25).
 
 Detuning curve: ``detuning_curve`` over kappa = 0, 0.1, ..., 1 (N = 13,
@@ -18,6 +21,10 @@ point, in ms and evaluations per optimized point.
 
 Protocol 1 calibration: ``calibrate_protocol1`` over the default 100-point
 ratio grid, uncached (N = 13, 21).
+
+Refine evaluations: the one-row ``first_arrivals`` calls per optimized
+point of ``figure fig2`` and ``figure fig4``, the refines of their Protocol 1
+calibrations included (a count; run once).
 
 CLI: one in-process ``cli.main`` call, parsing plus the command plus its
 files and manifest written to a temporary directory, for
@@ -32,11 +39,14 @@ Run:  python3 benchmarks/kernel_bench.py
 """
 
 import contextlib
+import csv
 import io
 import math
 import statistics
+import sys
 import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -54,6 +64,7 @@ from bentchain import (
     reference,
 )
 from bentchain import cli
+from bentchain.propagate import first_arrivals
 
 REPEATS = 7
 WINDOW = math.pi / 2
@@ -78,6 +89,35 @@ def time_call(call, per_repeat):
     return median, q1, q3, result
 
 
+def refine_evaluations(figure, out):
+    """One-row first_arrivals calls of ``bentchain figure <figure>`` (one
+    process), and the optimized points in its files."""
+    one_row = 0
+
+    def counting(matrices, window, direction=None):
+        nonlocal one_row
+        matrices = list(matrices)
+        one_row += len(matrices) == 1
+        return first_arrivals(matrices, window, direction)
+
+    bound = [module for name, module in sys.modules.items() if name.startswith("bentchain")
+             and getattr(module, "first_arrivals", None) is first_arrivals]
+    for module in bound:
+        module.first_arrivals = counting
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["figure", figure, "--jobs", "1", "--out", out])
+    finally:
+        for module in bound:
+            module.first_arrivals = first_arrivals
+    assert code == 0
+    points = 0
+    for path in (Path(out) / "figure" / figure).glob("*.csv"):
+        with open(path, newline="") as fh:
+            points += sum(1 for row in csv.DictReader(fh) if row.get("delta_opt"))
+    return one_row, points
+
+
 def main():
     for n in (9, 13, 25):
         ham = bent_chain(n)
@@ -86,6 +126,19 @@ def main():
             f"first_arrival N={n:3d}: {median:.3f} ms per evaluation "
             f"(quartiles {q1:.3f}-{q3:.3f}), t*={fm.t_star:.9f} p*={fm.p_star:.9f}"
         )
+    for n in (13, 25):
+        ham = bent_chain(n)
+        direction = np.zeros_like(ham.matrix)
+        corner = (n + 1) // 2 - 1
+        direction[corner, corner] = omega_max(ChainSpec(Protocol.PROTOCOL_2, n))
+        for label, args in (("plain", ()), ("slope", (direction,))):
+            median, q1, q3, found = time_call(
+                lambda: first_arrivals([ham.matrix], WINDOW, *args), 500)
+            print(
+                f"first_arrivals N={n:3d} {label}: {median:.3f} ms per one-row call "
+                f"(quartiles {q1:.3f}-{q3:.3f}), p*={found[1][0]:.9f}"
+                + (f" dp*/ddelta={found[2][0]:.9f}" if args else "")
+            )
     for n in (9, 13, 25):
         spec = ChainSpec(Protocol.PROTOCOL_2, n)
         ref = reference(spec)
@@ -123,6 +176,13 @@ def main():
             f"(quartiles {q1:.3f}-{q3:.3f}), {EVOLVE_STEPS} steps, "
             f"p_end[-1]={trace.p_end[-1]:.9f}"
         )
+    with tempfile.TemporaryDirectory() as out:
+        for figure in ("fig2", "fig4"):
+            one_row, points = refine_evaluations(figure, out)
+            print(
+                f"refine        {figure}: {one_row / points:.2f} one-row evaluations per "
+                f"optimized point ({one_row} over {points} points)"
+            )
     commands = (
         ["reference", "--protocol", "2", "--n", "13"],
         ["sweep-kappa", "--protocol", "2", "--n", "13", "--alpha", "7", "--grid", "0:0.1:1"],

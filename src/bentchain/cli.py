@@ -228,18 +228,21 @@ def _write(path: Path, content) -> None:
             fh.write("\n")
 
 
-_SWEEP_COLUMNS = ["axis", "p", "t", "q", "s", "delta_opt", "q_opt", "s_opt"]
+_SWEEP_COLUMNS = ["axis", "p", "t", "q", "s", "delta_opt", "q_opt", "s_opt", "on_boundary"]
 
 
 def _table_content(table: SweepTable, fmt: str = "csv"):
     """A sweep table as CSV ``(header, rows)`` or as its JSON object; a row
-    without an optimum leaves the optimum columns empty (null in JSON)."""
+    without an optimum leaves the optimum columns empty (null in JSON).
+    ``on_boundary`` is 1 for an optimum pinned at an end of its detuning
+    interval, else 0."""
     rows = []
     for row in table.rows:
         opt = row.optimized
         rows.append([row.axis_value, row.result.p, row.result.t, row.result.q,
-                     row.result.s, *((opt.delta_star, opt.q_opt, opt.s_opt)
-                                     if opt else (None, None, None))])
+                     row.result.s, *((opt.delta_star, opt.q_opt, opt.s_opt,
+                                      int(opt.on_boundary))
+                                     if opt else (None,) * 4)])
     if fmt == "csv":
         return _SWEEP_COLUMNS, rows
     keys = ["axis_value", *_SWEEP_COLUMNS[1:]]

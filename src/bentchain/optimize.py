@@ -46,10 +46,13 @@ def optimize_detuning(
 
     A coarse scan of ``N_COARSE`` equispaced detunings over ``interval``
     (units of Omega_max), one batch of :func:`first_arrivals` on copies of
-    the bent matrix that differ in the corner diagonal entry, then Brent's
-    refine around the best detuning, ties going to the smaller |delta|
-    (:func:`search.scan_and_refine`).  An optimum pinned at the interval
-    edge is flagged, not raised.  Raises ValueError unless the interval
+    the bent matrix that differ in the corner diagonal entry, ties going to
+    the smaller |delta|.  The slope dp*/ddelta at the best detuning and its
+    neighbours (one call of at most three rows) then brackets the optimum
+    in one cell, refined by secant steps on the slope to ``DELTA_TOL``
+    (:func:`search.scan_and_refine`).  An interval end whose slope points
+    outwards is the optimum as it stands, with no refine; it is flagged as
+    ``on_boundary``, not raised.  Raises ValueError unless the interval
     ends are finite with lo < hi, and FloatingPointError if the reference
     probability is not positive or the optimized metrics are not finite.
     """
@@ -66,8 +69,10 @@ def detuning_curve(
     previous optimum (kappa values processed in ascending order).  While the
     best coarse detuning lies on an interval edge, that side is widened by
     twice the width, within [EXPANSION_FLOOR, EXPANSION_CEIL], and rescanned;
-    the refine runs once, on the last interval.  ``evaluations`` counts
-    every scan.  Raises ValueError on a repeated kappa."""
+    the slope refine of :func:`optimize_detuning` runs once, on the last
+    interval, so an optimum at ``EXPANSION_FLOOR`` is the floor itself.
+    ``evaluations`` counts every scan.  Raises ValueError on a repeated
+    kappa."""
     grid = np.sort(np.asarray(kappa_grid, dtype=float))
     if np.unique(grid).size < grid.size:
         raise ValueError(f"repeated kappa in the curve: {grid.tolist()}")
@@ -118,8 +123,11 @@ def _optimize(spec: ChainSpec, bend: BendSpec, ref: ReferencePoint,
         h[corner, corner] += delta_units * om
         return h
 
+    direction = np.zeros_like(base)  # dH/ddelta, delta in units of Omega_max
+    direction[corner, corner] = om
     delta_star, p_star, t_star, best, evaluations = scan_and_refine(
-        lambda deltas: first_arrivals(map(detuned, deltas), ref.t0),
+        lambda deltas, slopes=False: first_arrivals(
+            map(detuned, deltas), ref.t0, direction if slopes else None),
         np.linspace(lo, hi, N_COARSE), DELTA_TOL, widen,
     )
     q_opt, s_opt = ref.normalise(p_star, t_star)

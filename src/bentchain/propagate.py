@@ -121,8 +121,8 @@ def first_arrival(ham: Hamiltonian, window: float) -> FirstMaximum:
 
 
 def first_arrivals(
-    matrices: Iterable[np.ndarray], window: float
-) -> tuple[np.ndarray, np.ndarray]:
+    matrices: Iterable[np.ndarray], window: float, direction: np.ndarray | None = None
+) -> tuple[np.ndarray, ...]:
     """First arrival (t*, p*) of every Hamiltonian in a sequence of real
     symmetric N x N matrices (an (B, N, N) array, a list or a generator),
     as :func:`first_arrival` finds it.
@@ -131,14 +131,46 @@ def first_arrivals(
     one scan per block, on a grid fine enough for the block's widest
     spectrum, so no more than one block is held at once.  Returns two
     arrays with one entry per matrix.
+
+    Given ``direction``, the N x N matrix E = dH/dx of a parameter x that
+    every matrix depends on, also returns a third array, the slope dp*/dx
+    of each row (see :func:`_arrival_slopes`).
     """
     rows = iter(matrices)
-    found = [np.empty((2, 0))]
+    found = [np.empty((2 if direction is None else 3, 0))]
     while block := list(itertools.islice(rows, BLOCK_ROWS)):
         lam, vec = np.linalg.eigh(np.array(block, dtype=float))
-        found.append(_scan(lam, vec[:, 0, :] * vec[:, -1, :], window))
-    t_star, p_star = np.concatenate(found, axis=1)
-    return t_star, p_star
+        t_star, p_star = _scan(lam, vec[:, 0, :] * vec[:, -1, :], window)
+        if direction is None:
+            found.append((t_star, p_star))
+        else:
+            found.append((t_star, p_star, _arrival_slopes(lam, vec, direction, t_star)))
+    return tuple(np.concatenate(found, axis=1))
+
+
+def _arrival_slopes(eigvals: np.ndarray, vec: np.ndarray, direction: np.ndarray,
+                    t: np.ndarray) -> np.ndarray:
+    """dp*/dx of each row of a block, with (B, N) eigenvalues, (B, N, N)
+    eigenvectors, E = dH/dx and the first arrivals t* of the rows.
+
+    At an interior peak p'(t*) = 0, and at the window end t* is fixed, so by
+    the envelope theorem dp*/dx = dp/dx at t* = 2 Re(conj(A_N) dA_N/dx).
+    The Daleckii-Krein formula gives the derivative of e^{-iHt} exactly:
+    dA_N/dx = sum_kl v_k[N] (V^T E V)_kl v_l[1] D_kl with the divided
+    difference D_kl = (e^{-i lam_k t} - e^{-i lam_l t}) / (lam_k - lam_l),
+    written as -i t e^{-i (lam_k + lam_l) t / 2} sinc((lam_k - lam_l) t / 2)
+    so that equal or nearly equal eigenvalues give the limit -i t e^{-i lam t}
+    and never 0/0.  The spectrum is centred as in the scan (a global phase).
+    """
+    lam = eigvals - 0.5 * (eigvals[:, -1:] + eigvals[:, :1])
+    half_phase = np.exp(-0.5j * lam * t[:, None])  # e^{-i lam t / 2}
+    u, w = vec[:, -1, :] * half_phase, vec[:, 0, :] * half_phase
+    amp = np.sum(u * w, axis=1)
+    x = 0.5 * (lam[:, :, None] - lam[:, None, :]) * t[:, None, None]
+    sinc = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
+    coupling = np.swapaxes(vec, 1, 2) @ direction @ vec  # V^T E V
+    damp = -1j * t * (u[:, None, :] @ (coupling * sinc) @ w[:, :, None])[:, 0, 0]
+    return 2.0 * (amp.conjugate() * damp).real
 
 
 def _spectral_sums(ilam: np.ndarray, moments: np.ndarray, t: np.ndarray) -> np.ndarray:

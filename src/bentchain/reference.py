@@ -132,9 +132,11 @@ def calibrate_protocol1(
     Scans the grid (default 0.01 resolution on (0, 1]) as a batch: one
     matrix per ratio, differing only in the boundary couplings, handed to
     :func:`first_arrivals` (one stacked ``eigh`` and one scan per block).
-    Then Brent's method refines the ratio around the best grid ratio, as
-    the optimizer does (:func:`search.scan_and_refine`).  Ties break toward
-    the smaller ratio.  Results are cached to ``cache_path`` if given.
+    Ties break toward the smaller ratio.  Then the slope dp0/dratio at the
+    best grid ratio and its neighbours brackets the optimum, and secant
+    steps on the slope refine it to ``RATIO_TOL``, as the optimizer does
+    (:func:`search.scan_and_refine`).  Results are cached to ``cache_path``
+    if given, under a key that names the grid, window, omega0 and refine.
     """
     if n_sites < 4:
         raise ValueError(f"calibration needs n_sites >= 4, got {n_sites}")
@@ -164,9 +166,13 @@ def calibrate_protocol1(
         h[0, 1] = h[1, 0] = h[-2, -1] = h[-1, -2] = ratio * omega0
         return h
 
+    direction = np.zeros_like(base)  # dH/dratio
+    direction[0, 1] = direction[1, 0] = direction[-2, -1] = direction[-1, -2] = omega0
     grid = np.sort(ratio_grid)
     best_ratio, p0, t0, best, _ = scan_and_refine(
-        lambda ratios: first_arrivals(map(with_ratio, ratios), window), grid, RATIO_TOL
+        lambda ratios, slopes=False: first_arrivals(
+            map(with_ratio, ratios), window, direction if slopes else None),
+        grid, RATIO_TOL,
     )
     if grid.size > 1 and best in (0, grid.size - 1):
         warnings.warn(
@@ -188,8 +194,11 @@ def calibrate_protocol1(
 
 
 def _cache_key(n_sites: int, grid: np.ndarray, window: float, omega0: float) -> str:
+    # the refine tag makes entries of an earlier refine (Brent's method, with
+    # ratios up to about 4e-7 away) misses, so a result never depends on
+    # whether a cache file exists
     digest = hashlib.sha256(np.ascontiguousarray(grid).tobytes()).hexdigest()[:16]
-    return f"p1:N={n_sites}:w={window:.6g}:o={omega0:.6g}:grid={digest}"
+    return f"p1:N={n_sites}:w={window:.6g}:o={omega0:.6g}:grid={digest}:refine=slope"
 
 
 def load_cache(path: str | Path) -> dict[str, ReferencePoint]:

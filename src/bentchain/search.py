@@ -1,4 +1,13 @@
-"""Deterministic bracketed maximization: a grid scan, then Brent's method."""
+"""Deterministic bracketed maximization of a first-arrival probability p*(x).
+
+:func:`scan_and_refine` scans a grid as one batch and takes its best sample.
+The sign of the analytic slope dp*/dx at that sample and its neighbours then
+either settles x* at once (an end sample whose slope points out of the grid)
+or brackets the maximum in one grid cell, where secant steps on the slope,
+safeguarded by bisection, close in on its root.  Brent's method on p* itself
+(:func:`brent_max`) is the fallback where the slopes bracket nothing or are
+not finite, and the first-arrival refine's fallback on a flat or kinked top.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +18,9 @@ import numpy as np
 
 INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2, the golden-section ratio
 SQRT_EPS = math.sqrt(sys.float_info.epsilon)
+# secant steps of the slope refine; bisection alone shrinks a unit cell to
+# 1e-12 in 40
+MAX_SLOPE_STEPS = 100
 
 
 def brent_max(f, a: float, b: float, tol: float):
@@ -80,13 +92,21 @@ def scan_and_refine(evaluate, grid: np.ndarray, tol: float, widen=None):
     """Maximize a first-arrival probability p*(x); returns (x*, p*, t*,
     best, n_evals).
 
-    ``evaluate(xs)`` returns the (t*, p*) arrays of a sequence of points.
-    The grid is evaluated as one batch and its best sample taken, ties
-    going to the smaller |x|; while ``widen(grid, best)`` returns a new
-    grid, that grid is scanned in turn.  Then :func:`brent_max` refines x
-    to ``tol`` in the two cells around sample ``best`` of the last grid,
-    one point per call.  x*, p* and t* are Python floats of one evaluated
-    point, and ``n_evals`` counts every point evaluated.
+    ``evaluate(xs, slopes=False)`` returns the (t*, p*) arrays of a sequence
+    of points, and with ``slopes=True`` also their dp*/dx.  The grid, and
+    each grid ``widen`` returns, must ascend.  The grid is evaluated as one
+    batch, without slopes, and its best sample taken, ties going to the
+    smaller |x|; while ``widen(grid, best)`` returns a new grid, that grid
+    is scanned in turn.  Then one call evaluates the slopes at sample
+    ``best`` of the last grid and at its neighbours.  An end sample whose
+    slope points out of the grid (or a sample with a zero slope) is x* as
+    it stands.  Otherwise the cell between ``best`` and the neighbour its
+    slope points to must show the opposite slope, and :func:`_slope_root`
+    refines x to ``tol`` inside it, one point per call.  Where no cell
+    brackets a sign change, or a slope is not finite, :func:`brent_max`
+    refines p* over the two cells around ``best`` instead.  x*, p* and t*
+    are Python floats of one evaluated point, and ``n_evals`` counts every
+    point evaluated.
     """
     n_evals = 0
     while grid is not None:
@@ -95,7 +115,22 @@ def scan_and_refine(evaluate, grid: np.ndarray, tol: float, widen=None):
         ties = np.flatnonzero(scores >= scores.max())
         best = int(ties[np.argmin(np.abs(grid[ties]))])
         last, grid = grid, widen(grid, best) if widen else None
-    seen: dict[float, tuple[float, float]] = {}  # x -> (p*, t*)
+    near = last[max(best - 1, 0) : best + 2]
+    t_near, p_near, s_near = evaluate(near, slopes=True)
+    n_evals += near.size
+    seen = {float(x): (float(p), float(t)) for x, p, t in zip(near, p_near, t_near)}
+    i = min(best, 1)  # the index of sample best in near
+    x, slope = float(near[i]), float(s_near[i])
+    if np.isfinite(s_near).all():
+        j = i + (1 if slope > 0.0 else -1)
+        if slope == 0.0 or not 0 <= j < near.size:
+            return x, *seen[x], best, n_evals
+        if slope * s_near[j] < 0.0:
+            x_star, n_refine = _slope_root(
+                evaluate, (float(near[j]), float(s_near[j])), (x, slope), tol, seen)
+            n_evals += n_refine
+            if x_star is not None:
+                return x_star, *seen[x_star], best, n_evals
 
     def p_first_max(x: float) -> float:
         # a Python float, so that brent_max's iterates stay Python floats
@@ -104,6 +139,43 @@ def scan_and_refine(evaluate, grid: np.ndarray, tol: float, widen=None):
         return seen[x][0]
 
     # a one-point grid gives a = b, which brent_max evaluates as it is
-    a, b = float(last[max(best - 1, 0)]), float(last[min(best + 1, last.size - 1)])
-    x_star, _, n_refine = brent_max(p_first_max, a, b, tol)
+    x_star, _, n_refine = brent_max(p_first_max, float(near[0]), float(near[-1]), tol)
     return x_star, *seen[x_star], best, n_evals + n_refine
+
+
+def _slope_root(evaluate, older: tuple[float, float], newer: tuple[float, float],
+                tol: float, seen: dict) -> tuple[float | None, int]:
+    """The maximum of p* in a cell whose end slopes bracket it, one end
+    rising and the other falling; returns (x*, n_evals), with x* None if a
+    slope turns out not finite.
+
+    ``older`` and ``newer`` are the (x, dp*/dx) of the cell ends, ``newer``
+    the better sample.  Secant steps on the slope through the two latest
+    points, bisecting the bracket whenever a step leaves it.  Stops at a
+    zero slope, once the bracket is within 2 ``tol``, or when the next
+    secant step would move x by at most ``tol`` / 10: the secant converges
+    superlinearly, so that step estimates the error of the latest point,
+    which is x*.  (Stopping at a step of ``tol`` saves 0.7 evaluations per
+    optimum but costs p* up to 3e-13.)  ``seen`` maps x to (p*, t*), holds
+    the cell ends and gains every point evaluated.
+    """
+    (x0, f0), (x1, f1) = older, newer
+    (a, _), (b, _) = sorted([older, newer])  # the rising end a, falling end b
+    n_evals = 0
+    while f1 != 0.0 and b - a > 2.0 * tol and n_evals < MAX_SLOPE_STEPS:
+        x = x1 - f1 * (x1 - x0) / (f1 - f0) if f1 != f0 else math.nan
+        if not a < x < b:  # the step leaves the bracket, or there is none
+            x = 0.5 * (a + b)
+        elif abs(x - x1) <= 0.1 * tol:
+            break
+        t_star, p_star, slope = evaluate([x], slopes=True)
+        n_evals += 1
+        seen[x] = float(p_star[0]), float(t_star[0])
+        x0, f0, x1, f1 = x1, f1, x, float(slope[0])
+        if not math.isfinite(f1):
+            return None, n_evals
+        if f1 > 0.0:
+            a = x
+        else:
+            b = x
+    return x1, n_evals

@@ -98,8 +98,10 @@ class TestCommands:
         assert code == 0
         csv_path = tmp_path / "sweep-kappa" / "sweep-kappa" / "sweep_kappa.csv"
         lines = csv_path.read_text().splitlines()
-        assert lines[0] == "axis,p,t,q,s,delta_opt,q_opt,s_opt"
+        assert lines[0] == "axis,p,t,q,s,delta_opt,q_opt,s_opt,on_boundary"
         assert len(lines) == 4
+        # no optimum: the optimum columns and its boundary flag are empty
+        assert all(line.endswith(",,,,") for line in lines[1:])
 
     def test_sweep_kappa_csv_roundtrip(self, tmp_path, capsys):
         code, _, _ = run(
@@ -111,8 +113,11 @@ class TestCommands:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         table = sweep_kappa(ChainSpec(Protocol.PROTOCOL_2, 9), 5, [0.0, 0.4], optimize=True)
-        assert rows[0] == ["axis", "p", "t", "q", "s", "delta_opt", "q_opt", "s_opt"]
+        assert rows[0] == ["axis", "p", "t", "q", "s", "delta_opt", "q_opt", "s_opt",
+                           "on_boundary"]
         assert len(rows) == 3
+        assert [r[8] for r in rows[1:]] == [
+            str(int(r.optimized.on_boundary)) for r in table.rows]
         assert float(rows[1][0]) == 0.0
         assert math.isclose(float(rows[1][3]), table.rows[0].result.q, rel_tol=1e-12)
         assert math.isclose(
@@ -133,7 +138,7 @@ class TestCommands:
         assert len(payload["rows"]) == 2
         for rec, row in zip(payload["rows"], table.rows):
             assert math.isclose(rec["q"], row.result.q, rel_tol=1e-12)
-            assert rec["delta_opt"] is None
+            assert rec["delta_opt"] is None and rec["on_boundary"] is None
 
     def test_optimize_and_label(self, tmp_path, capsys):
         code, out, _ = run(
@@ -215,6 +220,40 @@ class TestCommands:
         assert payload["separations_um"] == layout.separations.tolist()
         assert payload["couplings_per_cm"] == layout.couplings_physical.tolist()
         assert payload["omega0_per_cm"] == layout.omega0_physical
+
+    def test_sweep_alpha_flags_pinned_optima(self, tmp_path, capsys):
+        # corner 2 of this chain at kappa 0.4 is pinned at the -4 end of the
+        # default detuning interval (as in figure fig4)
+        code, _, _ = run(
+            capsys, "sweep-alpha", "--protocol", "2", "--n", "21", "--kappa", "0.4",
+            "--alpha-range", "2,3", "--format", "json", "--out", str(tmp_path),
+        )
+        assert code == 0
+        path = tmp_path / "sweep-alpha" / "sweep-alpha" / "sweep_alpha.json"
+        rows = json.loads(path.read_text())["rows"]
+        assert [(r["delta_opt"], r["on_boundary"]) for r in rows][0] == (-4.0, 1)
+        assert rows[1]["on_boundary"] == 0
+
+    @pytest.mark.parametrize("flags", [True, False], ids=["with", "without"])
+    def test_fit_reads_sweeps_with_or_without_on_boundary(self, tmp_path, capsys, flags):
+        code, _, _ = run(
+            capsys, "sweep-kappa", "--protocol", "2", "--n", "9", "--alpha", "5",
+            "--grid", "0.1:0.1:0.6", "--optimize", "--out", str(tmp_path),
+        )
+        assert code == 0
+        path = tmp_path / "sweep-kappa" / "sweep-kappa" / "sweep_kappa.csv"
+        if not flags:  # as the sweeps were written before the column existed
+            with open(path, newline="") as fh:
+                rows = [r[:8] for r in csv.reader(fh)]
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+        fits = {}
+        for kind in ("gaussian", "linear"):
+            code, _, _ = run(capsys, "fit", "--kind", kind, "--input", str(path),
+                             "--out", str(tmp_path), "--label", kind)
+            assert code == 0
+            fits[kind] = json.loads((tmp_path / "fit" / kind / "fit.json").read_text())
+        assert fits["linear"]["params"][0] < 0
 
     def test_fit_linear_from_curve(self, tmp_path, capsys):
         code, _, _ = run(

@@ -19,7 +19,12 @@ from bentchain import (
 )
 from bentchain import propagate
 from bentchain.chain import omega_max
-from bentchain.optimize import DEFAULT_INTERVAL, EXPANSION_CEIL, EXPANSION_FLOOR
+from bentchain.optimize import (
+    DEFAULT_INTERVAL,
+    DELTA_TOL,
+    EXPANSION_CEIL,
+    EXPANSION_FLOOR,
+)
 from bentchain.propagate import first_arrivals
 
 
@@ -149,7 +154,7 @@ class TestAgainstDenseScan:
     def test_evaluations_on_default_interval(self, case):
         spec, ref, bend = case()
         res = optimize_detuning(spec, bend, ref)
-        # 64 coarse detunings, then Brent's parabolic refine
+        # 64 coarse detunings, the slopes at three of them, then the refine
         assert res.evaluations <= 80
 
 
@@ -209,25 +214,33 @@ class TestDetuningCurve:
 # warm-started interval, and at kappa = 1 it reaches EXPANSION_FLOOR
 EXPANDING_KAPPAS = np.array([0.7, 0.8, 0.9, 1.0])
 # (delta*, q_opt, s_opt, on_boundary) of that curve, recorded when each
-# expansion round was a full optimizer run
+# expansion round was a full optimizer run with Brent's refine
 EXPANDING_CURVE = [
     (-2.7520068925301295, 0.9968459802631868, 0.9579778120739496, False),
     (-4.632924768889452, 0.9979381375677909, 0.9531964203770459, False),
     (-10.640741196350374, 0.9992780847563909, 0.9503506036658644, False),
     (-31.999998704069704, 0.9983155277088257, 0.9473153587325085, True),
 ]
+# the same, refined on the slope dp*/ddelta: the optimum at the floor is
+# the floor itself
+EXPANDING_CURVE_SLOPE = [
+    (-2.752007029543082, 0.9968459802631864, 0.9579778120956259, False),
+    (-4.632924278277013, 0.9979381375677889, 0.9531964200419304, False),
+    (-10.640739080706926, 0.9992780847563907, 0.9503506030344124, False),
+    (EXPANSION_FLOOR, 0.9983155278099589, 0.947315358790208, True),
+]
 
 
 def _spy_first_arrivals(monkeypatch):
     """Record the row count of every first_arrivals call, through every
-    module binding of it."""
+    module binding of it, with whether it asked for slopes."""
     rows = []
     original = propagate.first_arrivals
 
-    def spy(matrices, window):
+    def spy(matrices, window, direction=None):
         matrices = list(matrices)
-        rows.append(len(matrices))
-        return original(matrices, window)
+        rows.append((len(matrices), direction is not None))
+        return original(matrices, window, direction)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("bentchain") and getattr(module, "first_arrivals", None) is original:
@@ -268,8 +281,14 @@ class TestCurveExpansion:
     def test_pinned_results(self, traced_curve):
         curve, _ = traced_curve
         assert [kappa for kappa, _ in curve] == EXPANDING_KAPPAS.tolist()
-        assert [(r.delta_star, r.q_opt, r.s_opt, r.on_boundary)
-                for _, r in curve] == EXPANDING_CURVE
+        got = [(r.delta_star, r.q_opt, r.s_opt, r.on_boundary) for _, r in curve]
+        assert got == EXPANDING_CURVE_SLOPE
+        # Brent stopped within about 2 (DELTA_TOL / 3 + SQRT_EPS |delta|) of
+        # the optimum, 2.1e-6 at kappa = 0.9, where the slope refine lands on
+        # the root of dp*/ddelta
+        for new, old in zip(got, EXPANDING_CURVE):
+            assert abs(new[0] - old[0]) <= 5.0 * DELTA_TOL
+            assert new[1] >= old[1] - 1e-12 and new[3] == old[3]
 
     def test_matches_optimizer_on_last_interval(self, chain, traced_curve):
         spec, ref = chain
@@ -285,11 +304,16 @@ class TestCurveExpansion:
 
     def test_evaluations_count_every_scan(self, traced_curve):
         curve, rows = traced_curve
-        assert sum(res.evaluations for _, res in curve) == sum(rows)
-        # 64-row scans, and one-row refine calls only after a point's last scan
-        pattern = "".join("S" if n > 1 else "r" for n in rows)
-        assert set(rows) == {1, 64}
-        assert re.fullmatch(f"(S+r+){{{len(curve)}}}", pattern)
+        assert sum(res.evaluations for _, res in curve) == sum(n for n, _ in rows)
+        # 64-row scans, one call for the slopes at the best detuning and its
+        # neighbours, then one-row refine calls with slopes
+        pattern = "".join("S" if not slopes else "D" if n > 1 else "r"
+                          for n, slopes in rows)
+        assert set(rows) <= {(64, False), (3, True), (2, True), (1, True)}
+        assert re.fullmatch(f"(S+Dr*){{{len(curve)}}}", pattern)
         # kappa = 0.7 stays inside its interval: one scan
-        assert pattern.startswith("Sr")
+        assert pattern.startswith("SDr")
         assert pattern.count("S") > len(curve)
+        # the optimum at EXPANSION_FLOOR is an end sample: slopes at it and
+        # its one neighbour, and no refine
+        assert pattern.endswith("SD") and rows[-1] == (2, True)

@@ -339,6 +339,83 @@ class TestFirstArrivals:
             first_arrivals(matrices, math.nan)
 
 
+def _corner(spec, alpha, kappa, delta):
+    """A bent matrix detuned by delta Omega_max at the corner, and dH/ddelta."""
+    om = omega_max(spec)
+    h = build_hamiltonian(spec, BendSpec(alpha=alpha, kappa=kappa,
+                                         delta_alpha=delta * om)).matrix
+    e = np.zeros_like(h)
+    e[alpha - 1, alpha - 1] = om
+    return h, e
+
+
+def _boundary(n, ratio):
+    """An unbent Protocol 1 matrix and dH/dratio."""
+    h = build_hamiltonian(ChainSpec(Protocol.PROTOCOL_1, n, boundary_ratio=ratio)).matrix
+    e = np.zeros_like(h)
+    e[0, 1] = e[1, 0] = e[-2, -1] = e[-1, -2] = 1.0
+    return h, e
+
+
+class TestArrivalSlopes:
+    """dp*/dx from the Daleckii-Krein formula against central differences
+    of first_arrivals."""
+
+    @pytest.mark.parametrize("make,window,interior", [
+        # corner detuning with an interior peak, Protocol 2 and Protocol 1
+        (lambda: _corner(p2(13), 7, 0.5, -2.0), math.pi / 2, True),
+        (lambda: _corner(p2(13), 7, 0.5, -0.3), math.pi / 2, True),
+        (lambda: _corner(p2(9), 3, 0.8, -1.0), math.pi / 2, True),
+        (lambda: _corner(ChainSpec(Protocol.PROTOCOL_1, 12, boundary_ratio=0.7),
+                         6, 0.5, -1.0), 8.2, True),
+        # transfer not yet peaked: the arrival is the window end
+        (lambda: _corner(p2(13), 7, 0.5, -0.5), 1.2, False),
+        # the boundary ratio of the calibration
+        (lambda: _boundary(13, 0.7), 10.4, True),
+        (lambda: _boundary(21, 0.6), 16.8, True),
+    ], ids=["p2-n13-d-2", "p2-n13-d-0.3", "p2-n9-a3", "p1-n12", "window-end",
+            "ratio-n13", "ratio-n21"])
+    def test_matches_central_differences(self, make, window, interior):
+        h, e = make()
+        t, p, slope = first_arrivals([h], window, e)
+        assert bool(t[0] < window) == interior
+        eps = 1e-6
+        _, p_hi = first_arrivals([h + eps * e], window)
+        _, p_lo = first_arrivals([h - eps * e], window)
+        fd = (p_hi[0] - p_lo[0]) / (2.0 * eps)
+        assert abs(slope[0] - fd) <= 1e-7
+        assert abs(slope[0]) > 1e-3  # a slope, not a maximum
+
+    def test_batch_rows_match_one_row_calls(self):
+        deltas = np.linspace(-4.0, 0.5, BLOCK_ROWS + 3)  # two blocks
+        pairs = [_corner(p2(13), 7, 0.5, d) for d in deltas]
+        e = pairs[0][1]
+        t, p, slope = first_arrivals([h for h, _ in pairs], math.pi / 2, e)
+        # the same arrivals as without a direction, bit for bit
+        t_plain, p_plain = first_arrivals([h for h, _ in pairs], math.pi / 2)
+        assert np.array_equal(t, t_plain) and np.array_equal(p, p_plain)
+        for i, (h, _) in enumerate(pairs):
+            _, p_one, s_one = first_arrivals([h], math.pi / 2, e)
+            assert abs(p[i] - p_one[0]) <= 1e-12
+            assert abs(slope[i] - s_one[0]) <= 1e-9
+
+    def test_degenerate_spectrum_is_finite(self):
+        # a boundary ratio of 1e-300 cuts the end sites off: eigenvalue 0
+        # appears twice, exactly, where a divided difference would be 0/0
+        h, e_ratio = _boundary(9, 1e-300)
+        lam = np.linalg.eigvalsh(h)
+        assert np.any(lam[1:] == lam[:-1])
+        e_corner = np.zeros_like(h)
+        e_corner[3, 3] = 1.0
+        for e in (e_ratio, e_corner):
+            _, p, slope = first_arrivals([h], 40.0, e)
+            assert np.isfinite(slope).all() and np.isfinite(p).all()
+
+    def test_no_matrices(self):
+        t, p, slope = first_arrivals([], math.pi / 2, np.eye(4))
+        assert t.shape == p.shape == slope.shape == (0,)
+
+
 class TestFlatTopFallback:
     """The branch of the scan where p' does not fall across the bracket
     around the peak (here the last cell, with p' <= 0 at both ends), so

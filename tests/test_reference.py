@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 from bentchain import ChainSpec, Protocol, calibrate_protocol1, reference
 from bentchain.chain import build_hamiltonian
-from bentchain.reference import ReferencePoint, load_cache, save_cache
+from bentchain.reference import RATIO_TOL, ReferencePoint, load_cache, save_cache
 from dense_reference import first_arrival_dense
 
 
@@ -89,14 +90,20 @@ class TestCalibration:
             calibrate_protocol1(6, window=window)
 
     # recorded when the calibration carried its own copy of the optimizer's
-    # scan-then-refine search
+    # scan-then-refine search, with Brent's refine
     @pytest.mark.parametrize("n,ratio,p0,t0", [
         (13, 0.697477588225976, 0.9682915947429216, 8.583807797730191),
         (21, 0.6438796264032591, 0.9455557122850131, 13.038755664374476),
     ])
     def test_pinned_default_grid(self, n, ratio, p0, t0):
         ref = calibrate_protocol1(n)
-        assert (ref.boundary_ratio, ref.p0, ref.t0) == (ratio, p0, t0)
+        # the refine on the slope dp0/dratio
+        assert (ref.boundary_ratio, ref.p0, ref.t0) == {
+            13: (0.6974776943806184, 0.9682915947429627, 8.583807418577722),
+            21: (0.643879628146467, 0.9455557122850129, 13.038755657199555),
+        }[n]
+        assert abs(ref.boundary_ratio - ratio) <= RATIO_TOL
+        assert ref.p0 >= p0 - 1e-12 and math.isclose(ref.t0, t0, rel_tol=1e-6)
 
     def test_boundary_warning(self):
         with pytest.warns(UserWarning, match="boundary") as record:
@@ -114,6 +121,21 @@ class TestCalibration:
         assert len(records) == 1
         save_cache(records, path)
         assert load_cache(path) == records
+
+    def test_entry_of_an_earlier_refine_is_a_miss(self, tmp_path):
+        # the key format before the refine tag: an entry of Brent's refine
+        path = tmp_path / "cache.json"
+        fresh = calibrate_protocol1(6)
+        digest = hashlib.sha256(
+            np.arange(0.01, 1.0 + 1e-12, 0.01).tobytes()).hexdigest()[:16]
+        old_key = f"p1:N=6:w=8:o=1:grid={digest}"
+        stale = ReferencePoint(Protocol.PROTOCOL_1, 6, 0.5, 4.0, boundary_ratio=0.75)
+        save_cache({old_key: stale}, path)
+        assert calibrate_protocol1(6, cache_path=path) == fresh
+        cache = load_cache(path)
+        assert cache[old_key] == stale and len(cache) == 2
+        (new_key,) = set(cache) - {old_key}
+        assert new_key == f"{old_key}:refine=slope" and cache[new_key] == fresh
 
     def test_failed_cache_write_keeps_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.json"
