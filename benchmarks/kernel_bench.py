@@ -20,7 +20,7 @@ alpha = 7), warm-started scans widened at the edge plus one refine per
 point, in ms and evaluations per optimized point.
 
 Protocol 1 calibration: ``calibrate_protocol1`` over the default 100-point
-ratio grid, uncached (N = 13, 21).
+ratio grid (N = 13, 21).
 
 Refine evaluations: the one-row ``first_arrivals`` calls per optimized
 point of ``figure fig2`` and ``figure fig4``, the refines of their Protocol 1

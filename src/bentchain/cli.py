@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -68,6 +69,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a negative number in exponent form
+    (``-1.5e-1``, ``-4e0``) as a value.  Python 3.11's argparse knows only
+    ``-1`` and ``-0.15`` as numbers and takes the rest for option flags.
+    Subparsers are made of the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 def _chain_args(parser: argparse.ArgumentParser, bend: bool = False) -> None:
     parser.add_argument("--config", type=Path,
                         help="JSON file providing chain/bend parameters")
@@ -91,7 +103,7 @@ def _out_args(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bentchain",
         description="State transfer through bent qubit chains: references, "
         "bend sweeps, corner-defect optimization, spectra, and "
@@ -109,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega0", type=float, default=1.0)
     p.add_argument("--grid", default=None, help="ratio grid, start:step:end")
     p.add_argument("--window", type=float, default=None)
-    p.add_argument("--cache", type=Path, default=None)
     _out_args(p)
 
     p = sub.add_parser("metrics", help="bent-chain transfer metrics (q, s)")
@@ -288,8 +299,7 @@ def cmd_reference(args, config):
 def cmd_calibrate(args, config):
     grid = parse_grid(args.grid) if args.grid else None
     ref = calibrate_protocol1(
-        args.n_sites, ratio_grid=grid, window=args.window,
-        omega0=args.omega0, cache_path=args.cache,
+        args.n_sites, ratio_grid=grid, window=args.window, omega0=args.omega0,
     )
     return ({"calibration.json": ref.to_dict()},
             {"command": "calibrate", "n_sites": args.n_sites,

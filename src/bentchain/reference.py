@@ -8,13 +8,9 @@ numerically by maximizing the first-maximum probability over a ratio grid.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import os
 import warnings
 from dataclasses import dataclass, asdict
-from pathlib import Path
 
 import numpy as np
 
@@ -47,8 +43,6 @@ __all__ = [
     "ReferencePoint",
     "reference",
     "calibrate_protocol1",
-    "load_cache",
-    "save_cache",
 ]
 
 
@@ -83,38 +77,31 @@ class ReferencePoint:
         d["protocol"] = self.protocol.value
         return d
 
-    @staticmethod
-    def from_dict(d: dict) -> "ReferencePoint":
-        return ReferencePoint(
-            protocol=Protocol(int(d["protocol"])),
-            n_sites=int(d["n_sites"]),
-            p0=float(d["p0"]),
-            t0=float(d["t0"]),
-            boundary_ratio=(
-                float(d["boundary_ratio"])
-                if d.get("boundary_ratio") is not None
-                else None
-            ),
-        )
-
 
 def reference(spec: ChainSpec) -> ReferencePoint:
     """Unbent-chain reference (p0, t0).
 
     Protocol 2 uses the analytic arrival time and verifies the probability
     there; Protocol 1 searches for the first maximum within
-    ``DEFAULT_REFERENCE_WINDOW`` (40/omega0).
+    ``DEFAULT_REFERENCE_WINDOW`` (40/omega0).  Raises FloatingPointError
+    when p0 or t0 is not finite (a tiny omega0 sends t0 = pi/(2*omega0) to
+    infinity).
     """
     if spec.protocol is Protocol.PROTOCOL_2:
         t0 = perfect_transfer_time(spec)
-        p0 = end_probability_at(build_hamiltonian(spec), t0)
-        return ReferencePoint(protocol=spec.protocol, n_sites=spec.n_sites, p0=p0, t0=t0)
-    fm = first_arrival(build_hamiltonian(spec), DEFAULT_REFERENCE_WINDOW / spec.omega0)
+        p0 = end_probability_at(build_hamiltonian(spec), t0) if math.isfinite(t0) else math.nan
+    else:
+        fm = first_arrival(build_hamiltonian(spec), DEFAULT_REFERENCE_WINDOW / spec.omega0)
+        p0, t0 = fm.p_star, fm.t_star
+    if not (math.isfinite(p0) and math.isfinite(t0)):
+        raise FloatingPointError(
+            f"non-finite reference: p0={p0!r} t0={t0!r} (omega0={spec.omega0!r})"
+        )
     return ReferencePoint(
         protocol=spec.protocol,
         n_sites=spec.n_sites,
-        p0=fm.p_star,
-        t0=fm.t_star,
+        p0=p0,
+        t0=t0,
         boundary_ratio=spec.boundary_ratio,
     )
 
@@ -124,7 +111,6 @@ def calibrate_protocol1(
     ratio_grid: np.ndarray | None = None,
     window: float | None = None,
     omega0: float = 1.0,
-    cache_path: str | Path | None = None,
 ) -> ReferencePoint:
     """Pick the Protocol 1 boundary ratio maximizing the first-maximum
     transfer probability of the unbent chain.
@@ -135,11 +121,13 @@ def calibrate_protocol1(
     Ties break toward the smaller ratio.  Then the slope dp0/dratio at the
     best grid ratio and its neighbours brackets the optimum, and secant
     steps on the slope refine it to ``RATIO_TOL``, as the optimizer does
-    (:func:`search.scan_and_refine`).  Results are cached to ``cache_path``
-    if given, under a key that names the grid, window, omega0 and refine.
+    (:func:`search.scan_and_refine`).
     """
     if n_sites < 4:
         raise ValueError(f"calibration needs n_sites >= 4, got {n_sites}")
+    base = hamiltonian_matrix(  # validates omega0 before the window uses it
+        ChainSpec(Protocol.PROTOCOL_1, n_sites, omega0=omega0, boundary_ratio=1.0)
+    )
     if ratio_grid is None:
         ratio_grid = np.arange(DEFAULT_RATIO_GRID_STEP, 1.0 + 1e-12, DEFAULT_RATIO_GRID_STEP)
     ratio_grid = np.asarray(ratio_grid, dtype=float)
@@ -149,16 +137,6 @@ def calibrate_protocol1(
         raise ValueError("ratio grid must lie within (0, 1]")
     if window is None:
         window = default_calibration_window(n_sites, omega0)
-
-    key = _cache_key(n_sites, ratio_grid, window, omega0)
-    if cache_path is not None:
-        cached = load_cache(cache_path).get(key)
-        if cached is not None:
-            return cached
-
-    base = hamiltonian_matrix(
-        ChainSpec(Protocol.PROTOCOL_1, n_sites, omega0=omega0, boundary_ratio=1.0)
-    )
 
     def with_ratio(ratio: float) -> np.ndarray:
         # the matrices differ only in the two boundary couplings
@@ -179,46 +157,11 @@ def calibrate_protocol1(
             f"calibration optimum at ratio grid boundary ({grid[best]:.4g})",
             stacklevel=2,
         )
-    point = ReferencePoint(
+    return ReferencePoint(
         protocol=Protocol.PROTOCOL_1,
         n_sites=n_sites,
         p0=p0,
         t0=t0,
         boundary_ratio=best_ratio,
     )
-    if cache_path is not None:
-        cache = load_cache(cache_path)
-        cache[key] = point
-        save_cache(cache, cache_path)
-    return point
 
-
-def _cache_key(n_sites: int, grid: np.ndarray, window: float, omega0: float) -> str:
-    # the refine tag makes entries of an earlier refine (Brent's method, with
-    # ratios up to about 4e-7 away) misses, so a result never depends on
-    # whether a cache file exists
-    digest = hashlib.sha256(np.ascontiguousarray(grid).tobytes()).hexdigest()[:16]
-    return f"p1:N={n_sites}:w={window:.6g}:o={omega0:.6g}:grid={digest}:refine=slope"
-
-
-def load_cache(path: str | Path) -> dict[str, ReferencePoint]:
-    path = Path(path)
-    if not path.exists():
-        return {}
-    with open(path) as fh:
-        records = json.load(fh)
-    return {r["key"]: ReferencePoint.from_dict(r) for r in records}
-
-
-def save_cache(cache: dict[str, ReferencePoint], path: str | Path) -> None:
-    """Write the cache atomically: a failed write leaves the old file intact."""
-    path = Path(path)
-    records = [{"key": k, **v.to_dict()} for k, v in sorted(cache.items())]
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w") as fh:
-            json.dump(records, fh, indent=2)
-            fh.write("\n")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)

@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import csv
 import json
@@ -426,6 +427,26 @@ class TestErrors:
         assert "window must be finite and > 0" in err
         assert out == "" and not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("omega0", ["0", "-1", "nan"])
+    def test_calibrate_bad_omega0_is_usage_error(self, tmp_path, capsys, omega0):
+        # rejected before the default window divides by it
+        code, out, err = run(
+            capsys, "calibrate", "--n", "6", "--omega0", omega0, "--out", str(tmp_path)
+        )
+        assert code == EXIT_USAGE
+        assert "omega0" in err
+        assert out == "" and not any(tmp_path.iterdir())
+
+    def test_infinite_reference_time_is_numerical(self, tmp_path, capsys):
+        # t0 = pi/(2*omega0) overflows: no NaN p0 or infinite t0 is written
+        code, out, err = run(
+            capsys, "reference", "--protocol", "2", "--n", "9", "--omega0", "1e-320",
+            "--out", str(tmp_path),
+        )
+        assert code == EXIT_NUMERICAL
+        assert "non-finite reference" in err
+        assert out == "" and not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("interval", [("0", "nan"), ("-1", "inf"), ("nan", "nan")])
     def test_nonfinite_interval_is_usage_error(self, tmp_path, capsys, interval):
         code, out, err = run(
@@ -564,6 +585,7 @@ class TestOptionSurface:
         ["reference", "--protocol", "2", "--n", "9", "--jobs", "2"],
         ["reference", "--protocol", "2", "--n", "9", "--window", "3"],
         ["fit", "--kind", "linear", "--input", "curve.csv", "--config", "x.json"],
+        ["calibrate", "--n", "6", "--cache", "x.json"],
     ])
     def test_unread_option_is_usage_error(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -618,3 +640,59 @@ class TestOptionSurface:
         )
         assert code == 0
         assert (tmp_path / "sweep-kappa" / "sweep-kappa" / "sweep_kappa.json").exists()
+
+
+# the smallest argv each subcommand accepts
+MINIMAL_ARGV = {
+    "reference": ["--protocol", "2", "--n", "9"],
+    "calibrate": ["--n", "6"],
+    "metrics": ["--protocol", "2", "--n", "9", "--alpha", "5", "--kappa", "0.4"],
+    "sweep-kappa": ["--protocol", "2", "--n", "9", "--alpha", "5"],
+    "sweep-alpha": ["--protocol", "2", "--n", "9", "--kappa", "0.4"],
+    "optimize": ["--protocol", "2", "--n", "9", "--alpha", "5", "--kappa", "0.4"],
+    "curve": ["--protocol", "2", "--n", "9", "--alpha", "5"],
+    "spectrum": ["--protocol", "2", "--n", "9", "--alpha", "5", "--kappa", "0.4"],
+    "design": ["--protocol", "2", "--n", "9", "--L", "10"],
+    "fit": ["--kind", "linear", "--input", "curve.csv"],
+    "figure": ["fig5"],
+}
+
+
+def _float_options():
+    (subparsers,) = [a for a in cli.build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    return [(command, action.option_strings[-1], action.nargs or 1)
+            for command, sub in subparsers.choices.items()
+            for action in sub._actions if action.type is float]
+
+
+class TestNegativeExponentForm:
+    """A negative number in exponent form is a value, not an option flag."""
+
+    def test_every_command_is_covered(self):
+        assert set(MINIMAL_ARGV) == set(cli.COMMANDS)
+        assert len(_float_options()) >= 12
+
+    @pytest.mark.parametrize("command,option,nargs", _float_options())
+    def test_float_option_reads_exponent_form(self, command, option, nargs):
+        parser = cli.build_parser()
+        base = [command, *MINIMAL_ARGV[command], option]
+        exponent = parser.parse_args([*base, *["-1.5e-1"] * nargs])
+        decimal = parser.parse_args([*base, *["-0.15"] * nargs])
+        assert exponent == decimal
+
+    @pytest.mark.parametrize("argv,exponent,decimal", [
+        (["metrics", "--protocol", "2", "--n", "13", "--alpha", "7", "--kappa", "0.4",
+          "--delta", "{}"], "-1.5e-1", "-0.15"),
+        (["optimize", "--protocol", "2", "--n", "13", "--alpha", "7", "--kappa", "0.5",
+          "--interval", "{}", "0.5"], "-4e0", "-4"),
+    ], ids=["metrics-delta", "optimize-interval"])
+    def test_same_output_as_decimal_form(self, tmp_path, capsys, argv, exponent, decimal):
+        outputs = []
+        for value in (exponent, decimal):
+            code, out, _ = run(capsys, *(a.replace("{}", value) for a in argv),
+                               "--out", str(tmp_path / value))
+            assert code == 0
+            run_dir = tmp_path / value / argv[0] / argv[0]
+            outputs.append((out, {p.name: p.read_bytes() for p in run_dir.iterdir()}))
+        assert outputs[0] == outputs[1]

@@ -1,6 +1,8 @@
-"""The package's public surface: every exported name resolves, and every
-CLI example in the README parses with the current option set."""
+"""The package's public surface: every exported name resolves, every CLI
+example in the README parses with the current option set, and only the CLI
+touches files."""
 
+import ast
 import importlib
 import pkgutil
 import shlex
@@ -14,6 +16,8 @@ from bentchain import cli
 MODULES = ["bentchain"] + [
     f"bentchain.{m.name}" for m in pkgutil.iter_modules(bentchain.__path__)
 ]
+SOURCES = sorted(Path(bentchain.__file__).parent.glob("*.py"))
+FILE_MODULES = {"json", "csv", "os", "pathlib", "hashlib"}
 
 
 def _readme_cli_lines() -> list[str]:
@@ -39,3 +43,30 @@ def test_readme_cli_example_parses(line):
     argv = shlex.split(line)[1:]
     args = cli.build_parser().parse_args(argv)
     assert args.command in cli.COMMANDS
+
+
+def _file_access(tree: ast.AST) -> list[str]:
+    """The file-handling imports and ``open`` calls in a module's tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            modules = []
+        found += [f"line {node.lineno}: import {m}" for m in modules
+                  if m.split(".")[0] in FILE_MODULES]
+        if isinstance(node, ast.Call) and "open" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.append(f"line {node.lineno}: open()")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_only_cli_touches_files(path):
+    found = _file_access(ast.parse(path.read_text()))
+    if path.stem == "cli":
+        assert found  # the check sees the one module that does write
+    else:
+        assert found == [], f"{path.name} handles files: {found}"

@@ -1,5 +1,3 @@
-import hashlib
-import json
 import math
 
 import numpy as np
@@ -7,7 +5,7 @@ import pytest
 
 from bentchain import ChainSpec, Protocol, calibrate_protocol1, reference
 from bentchain.chain import build_hamiltonian
-from bentchain.reference import RATIO_TOL, ReferencePoint, load_cache, save_cache
+from bentchain.reference import RATIO_TOL
 from dense_reference import first_arrival_dense
 
 
@@ -32,6 +30,12 @@ class TestReference:
         assert math.isclose(ref.p0, p_star, abs_tol=1e-8)
         assert math.isclose(ref.t0, t_star, abs_tol=1e-4)
 
+
+    @pytest.mark.parametrize("omega0", [1e-320, 5e-324])
+    def test_protocol2_infinite_arrival_time_raises(self, omega0):
+        # t0 = pi/(2*omega0) overflows: no finite reference exists
+        with pytest.raises(FloatingPointError, match="non-finite reference"):
+            reference(ChainSpec(Protocol.PROTOCOL_2, 9, omega0=omega0))
 
     def test_fields_are_floats(self):
         p2 = reference(ChainSpec(Protocol.PROTOCOL_2, 9))
@@ -78,6 +82,12 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_protocol1(6, ratio_grid=np.array([0.0, 0.5]))
 
+    @pytest.mark.parametrize("omega0", [0.0, -1.0, math.nan])
+    def test_rejects_bad_omega0(self, omega0):
+        # omega0 is validated before the default window divides by it
+        with pytest.raises(ValueError, match="omega0"):
+            calibrate_protocol1(6, omega0=omega0)
+
     def test_rejects_nan_ratio(self):
         # both (0, 1] comparisons are False for NaN, so neither may let it by
         with pytest.raises(ValueError, match=r"within \(0, 1\]"):
@@ -110,44 +120,3 @@ class TestCalibration:
             calibrate_protocol1(6, ratio_grid=np.array([0.9, 0.95, 1.0]))
         # the warning names the caller's line, not the calibration's
         assert record[0].filename == __file__
-
-    def test_cache_roundtrip(self, tmp_path):
-        path = tmp_path / "cache.json"
-        first = calibrate_protocol1(6, cache_path=path)
-        assert path.exists()
-        cached = calibrate_protocol1(6, cache_path=path)
-        assert first == cached
-        records = load_cache(path)
-        assert len(records) == 1
-        save_cache(records, path)
-        assert load_cache(path) == records
-
-    def test_entry_of_an_earlier_refine_is_a_miss(self, tmp_path):
-        # the key format before the refine tag: an entry of Brent's refine
-        path = tmp_path / "cache.json"
-        fresh = calibrate_protocol1(6)
-        digest = hashlib.sha256(
-            np.arange(0.01, 1.0 + 1e-12, 0.01).tobytes()).hexdigest()[:16]
-        old_key = f"p1:N=6:w=8:o=1:grid={digest}"
-        stale = ReferencePoint(Protocol.PROTOCOL_1, 6, 0.5, 4.0, boundary_ratio=0.75)
-        save_cache({old_key: stale}, path)
-        assert calibrate_protocol1(6, cache_path=path) == fresh
-        cache = load_cache(path)
-        assert cache[old_key] == stale and len(cache) == 2
-        (new_key,) = set(cache) - {old_key}
-        assert new_key == f"{old_key}:refine=slope" and cache[new_key] == fresh
-
-    def test_failed_cache_write_keeps_old_file(self, tmp_path, monkeypatch):
-        path = tmp_path / "cache.json"
-        point = ReferencePoint(Protocol.PROTOCOL_1, 6, 0.9, 3.0, boundary_ratio=0.5)
-        save_cache({"k": point}, path)
-        before = path.read_bytes()
-
-        def fail(*args, **kwargs):
-            raise RuntimeError("disk full")
-
-        monkeypatch.setattr(json, "dump", fail)
-        with pytest.raises(RuntimeError):
-            save_cache({"k": point, "k2": point}, path)
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
