@@ -669,8 +669,8 @@ def _float_options():
 class TestNegativeExponentForm:
     """A negative number in exponent form is a value, not an option flag."""
 
-    def test_every_command_is_covered(self):
-        assert set(MINIMAL_ARGV) == set(cli.COMMANDS)
+    def test_float_options_are_found(self):
+        # an empty list would leave the parametrized test below with no case
         assert len(_float_options()) >= 12
 
     @pytest.mark.parametrize("command,option,nargs", _float_options())
