@@ -175,8 +175,9 @@ def fit_gaussian(table: SweepTable) -> FitReport:
     """Gauss-Newton fit of q(kappa) ~ A exp(-kappa^2 / (2 sigma^2)).
 
     Starts from (A, sigma) = (1, 0.5).  Raises ValueError on fewer than 5
-    rows or a non-finite point, and FitDivergedError (carrying the best
-    iterate) on non-convergence or a degenerate flat profile.
+    rows, fewer than 2 distinct |kappa| (which leave sigma undetermined) or
+    a non-finite point, and FitDivergedError (carrying the best iterate) on
+    non-convergence or a degenerate flat profile.
     """
     if table.axis != "kappa":
         raise ValueError("gaussian fit expects a kappa sweep")
@@ -185,6 +186,8 @@ def fit_gaussian(table: SweepTable) -> FitReport:
     if x.size < 5:
         raise ValueError("gaussian fit needs at least 5 rows")
     _require_finite_points(zip(x.tolist(), y.tolist()))
+    if np.unique(np.abs(x)).size < 2:
+        raise ValueError("gaussian fit needs at least 2 distinct |kappa|")
     domain = (float(x.min()), float(x.max()))
 
     amp, sigma = 1.0, 0.5
@@ -222,7 +225,8 @@ def fit_linear(pairs, kappa_cut: float = 0.7) -> FitReport:
     """Ordinary least squares on (kappa, delta*) pairs with kappa <= cut.
 
     ``delta*`` values are expected in units of Omega_max, matching the
-    optimizer's output.  Raises ValueError on a non-finite pair.
+    optimizer's output.  Raises ValueError on a non-finite pair, or on fewer
+    than 3 points or 2 distinct kappa at or below the cut.
     """
     pts = [(float(k), float(d)) for k, d in pairs]
     _require_finite_points(pts)
@@ -231,6 +235,8 @@ def fit_linear(pairs, kappa_cut: float = 0.7) -> FitReport:
         raise ValueError(f"linear fit needs >= 3 points with kappa <= {kappa_cut}")
     x = np.array([p[0] for p in pts])
     y = np.array([p[1] for p in pts])
+    if np.unique(x).size < 2:
+        raise ValueError(f"linear fit needs >= 2 distinct kappa <= {kappa_cut}")
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     rms = float(np.sqrt(np.mean(resid**2)))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .chain import Hamiltonian
 from .kernels import end_probability_curve, phase_tables
-from .search import brent_max
+from .search import zoom_max
 
 DEFAULT_N_STEPS = 4096
 
@@ -97,7 +97,8 @@ def end_probability_at(ham: Hamiltonian, t: float) -> float:
     """Exact |A_N(t)|^2 at a single time, from the spectral sums of the
     first-arrival refine."""
     _, ilam, moments = _centred_sums(ham.eigenvalues[None, :], _end_coef(ham)[None, :])
-    return _end_probability(ilam, moments, t)
+    amp = _spectral_sums(ilam, moments, np.array([[t]]))[0, 0, 0]
+    return float(amp.real * amp.real + amp.imag * amp.imag)
 
 
 def first_arrival(ham: Hamiltonian, window: float) -> FirstMaximum:
@@ -107,14 +108,14 @@ def first_arrival(ham: Hamiltonian, window: float) -> FirstMaximum:
     half-period of the fastest frequency in |A_N|^2 (the spectral bandwidth)
     for the first point at or above both neighbours and above
     ``NOISE_FLOOR``.  The bracketing cells are refined by a safeguarded
-    Newton iteration on the analytic slope p'(t), or by Brent's method on p
-    where p' does not change sign across them (a flat or kinked top).
-    Without an interior peak, a falling slope at the window end puts the
-    peak in the last cell, which is refined the same way; otherwise the
-    endpoint is reported (transfer not yet peaked).  Raises ValueError if
-    the window is not finite and positive, or if the bandwidth would need
-    more than ``MAX_GRID_POINTS`` points.  This is the one-row case of
-    :func:`first_arrivals`.
+    Newton iteration on the analytic slope p'(t), or by a zoom on p
+    (:func:`search.zoom_max`) where p' does not change sign across them (a
+    flat or kinked top).  Without an interior peak, a falling slope at the
+    window end puts the peak in the last cell, which is refined the same
+    way; otherwise the endpoint is reported (transfer not yet peaked).
+    Raises ValueError if the window is not finite and positive, or if the
+    bandwidth would need more than ``MAX_GRID_POINTS`` points.  This is the
+    one-row case of :func:`first_arrivals`.
     """
     t, p = _scan(ham.eigenvalues[None, :], _end_coef(ham)[None, :], window)
     return FirstMaximum(t_star=float(t[0]), p_star=float(p[0]))
@@ -194,16 +195,13 @@ def _centred_sums(
     return lam, -1j * lam, moments
 
 
-def _end_probability(ilam: np.ndarray, moments: np.ndarray, t: float) -> float:
-    """|A_N(t)|^2 = |S_0|^2 of a one-row spectrum at one time."""
-    amp = _spectral_sums(ilam, moments, np.array([[t]]))[0, 0, 0]
-    return float(amp.real * amp.real + amp.imag * amp.imag)
-
-
 def _scan(eigvals: np.ndarray, coef: np.ndarray, window: float) -> tuple[np.ndarray, np.ndarray]:
     """First arrival of each row of a (B, N) spectrum with its (B, N) end
     weights, on one grid shared by the rows: the code path of
-    :func:`first_arrival` and :func:`first_arrivals`."""
+    :func:`first_arrival` and :func:`first_arrivals`.  Rows whose bracket
+    around the peak shows a rising and a falling slope take the Newton
+    refine of :func:`_slope_root` together; the rest (a flat or kinked top)
+    take one :func:`search.zoom_max` on p = |S_0|^2 together."""
     window = float(window)
     if not math.isfinite(window) or window <= 0:
         raise ValueError(f"window must be finite and > 0, got {window}")
@@ -235,11 +233,13 @@ def _scan(eigvals: np.ndarray, coef: np.ndarray, window: float) -> tuple[np.ndar
         t_star[root], p_star[root] = _slope_root(
             ilam[root], moments[root], cells[root], slopes[root], tol
         )
-    for i in np.flatnonzero(refine & ~root):
-        t_star[i], p_star[i], _ = brent_max(
-            lambda t, i=i: _end_probability(ilam[i : i + 1], moments[i : i + 1], t),
-            cells[i, 0], cells[i, 2], tol,
-        )
+    flat = np.flatnonzero(refine & ~root)
+    if flat.size:
+        def p_at(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            amp = _spectral_sums(ilam[flat[rows]], moments[flat[rows]], t)[..., 0]
+            return amp.real * amp.real + amp.imag * amp.imag
+
+        t_star[flat], p_star[flat] = zoom_max(p_at, cells[flat, 0], cells[flat, 2], tol)
     return t_star, p_star
 
 

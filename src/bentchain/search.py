@@ -4,88 +4,55 @@
 The sign of the analytic slope dp*/dx at that sample and its neighbours then
 either settles x* at once (an end sample whose slope points out of the grid)
 or brackets the maximum in one grid cell, where secant steps on the slope,
-safeguarded by bisection, close in on its root.  Brent's method on p* itself
-(:func:`brent_max`) is the fallback where the slopes bracket nothing or are
+safeguarded by bisection, close in on its root.  A batched zoom on p* itself
+(:func:`zoom_max`) is the fallback where the slopes bracket nothing or are
 not finite, and the first-arrival refine's fallback on a flat or kinked top.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
-INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2, the golden-section ratio
-SQRT_EPS = math.sqrt(sys.float_info.epsilon)
 # secant steps of the slope refine; bisection alone shrinks a unit cell to
 # 1e-12 in 40
 MAX_SLOPE_STEPS = 100
+# interior points per zoom round; odd, so that a round's best point is the
+# centre of the next bracket
+ZOOM_POINTS = 9
 
 
-def brent_max(f, a: float, b: float, tol: float):
-    """Maximize f on [a, b]; returns (x*, f(x*), n_evals).
+def zoom_max(f, a: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize f on each bracket [a, b] of a batch; returns the arrays x*
+    and f(x*), one entry per bracket.
 
-    Brent's method (Brent 1973, ch. 5): a parabola through the three best
-    points when it steps inside the bracket and shrinks fast enough,
-    golden-section steps otherwise.  Stops when x* lies within about ``tol``
-    (plus ``SQRT_EPS`` |x*|) of a local maximum; f is only evaluated inside
-    [a, b], and x* is always one of the evaluated points.  Deterministic
-    for identical inputs.
+    ``f(x, rows)`` returns the values at the (R, K) points ``x`` of the
+    brackets ``rows``, an index array into ``a`` and ``b``.  Each round
+    evaluates ``ZOOM_POINTS`` evenly spaced interior points of every bracket
+    still wider than 2 ``tol`` in one call, and narrows each bracket to the
+    two neighbours of its best point (the first of a tie), a bracket end
+    standing in for a missing neighbour.  That point is the centre of the
+    next bracket and is evaluated again, so f(x*) never falls between
+    rounds.  Every bracket takes at least one round, so x* is always an
+    evaluated point; f is only evaluated inside [a, b].  A bracket freezes
+    once it converges, so its result does not depend on the others.
     """
-    if b < a:
-        a, b = b, a
-    if b - a <= tol:
-        x = 0.5 * (a + b)
-        return x, f(x), 1
-    # minimize g = -f; x is the best point, w the second best, v the previous w
-    x = w = v = a + INVPHI2 * (b - a)
-    gx = gw = gv = -f(x)
-    n_evals = 1
-    d = e = 0.0  # the last step and the one before it
-    while True:
-        mid = 0.5 * (a + b)
-        tol1 = SQRT_EPS * abs(x) + tol / 3.0
-        tol2 = 2.0 * tol1
-        if abs(x - mid) <= tol2 - 0.5 * (b - a):
-            return x, -gx, n_evals
-        golden = True
-        if abs(e) > tol1:
-            r = (x - w) * (gx - gv)
-            q = (x - v) * (gx - gw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            # accept the parabola's vertex if it lies inside the bracket and
-            # the step is under half the step before last
-            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
-                e, d = d, p / q
-                golden = False
-                if (x + d) - a < tol2 or b - (x + d) < tol2:
-                    d = math.copysign(tol1, mid - x)
-        if golden:
-            e = (a - x) if x >= mid else (b - x)
-            d = INVPHI2 * e
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        gu = -f(u)
-        n_evals += 1
-        if gu <= gx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, gv, w, gw, x, gx = w, gw, x, gx, u, gu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if gu <= gw or w == x:
-                v, gv, w, gw = w, gw, u, gu
-            elif gu <= gv or v == x or v == w:
-                v, gv = u, gu
+    x, half = 0.5 * (a + b), 0.5 * (b - a)
+    fx = np.empty_like(x)
+    steps = ZOOM_POINTS // 2 + 1  # the point spacing is half / steps
+    offsets = (np.arange(ZOOM_POINTS) - ZOOM_POINTS // 2) / steps
+    rows = np.arange(x.size)
+    while rows.size:
+        points = np.clip(x[rows, None] + half[rows, None] * offsets,
+                         a[rows, None], b[rows, None])
+        values = f(points, rows)
+        best = np.argmax(values, axis=1)[:, None]
+        x[rows] = np.take_along_axis(points, best, axis=1)[:, 0]
+        fx[rows] = np.take_along_axis(values, best, axis=1)[:, 0]
+        half[rows] /= steps
+        rows = rows[half[rows] > tol]
+    return x, fx
 
 
 def scan_and_refine(evaluate, grid: np.ndarray, tol: float, widen=None):
@@ -103,10 +70,10 @@ def scan_and_refine(evaluate, grid: np.ndarray, tol: float, widen=None):
     it stands.  Otherwise the cell between ``best`` and the neighbour its
     slope points to must show the opposite slope, and :func:`_slope_root`
     refines x to ``tol`` inside it, one point per call.  Where no cell
-    brackets a sign change, or a slope is not finite, :func:`brent_max`
-    refines p* over the two cells around ``best`` instead.  x*, p* and t*
-    are Python floats of one evaluated point, and ``n_evals`` counts every
-    point evaluated.
+    brackets a sign change, or a slope is not finite, :func:`zoom_max`
+    refines p* over the two cells around ``best`` instead, one call per
+    round.  x*, p* and t* are Python floats of one evaluated point, and
+    ``n_evals`` counts every point evaluated.
     """
     n_evals = 0
     while grid is not None:
@@ -132,15 +99,17 @@ def scan_and_refine(evaluate, grid: np.ndarray, tol: float, widen=None):
             if x_star is not None:
                 return x_star, *seen[x_star], best, n_evals
 
-    def p_first_max(x: float) -> float:
-        # a Python float, so that brent_max's iterates stay Python floats
-        t_star, p_star = evaluate([x])
-        seen[x] = float(p_star[0]), float(t_star[0])
-        return seen[x][0]
+    def p_first_max(xs: np.ndarray, _) -> np.ndarray:
+        nonlocal n_evals
+        t_star, p_star = evaluate(xs[0])
+        n_evals += xs.size
+        for x, p, t in zip(xs[0].tolist(), p_star.tolist(), t_star.tolist()):
+            seen[x] = p, t
+        return p_star[None, :]
 
-    # a one-point grid gives a = b, which brent_max evaluates as it is
-    x_star, _, n_refine = brent_max(p_first_max, float(near[0]), float(near[-1]), tol)
-    return x_star, *seen[x_star], best, n_evals + n_refine
+    x_star, _ = zoom_max(p_first_max, near[:1], near[-1:], tol)
+    x_star = float(x_star[0])
+    return x_star, *seen[x_star], best, n_evals
 
 
 def _slope_root(evaluate, older: tuple[float, float], newer: tuple[float, float],

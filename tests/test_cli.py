@@ -473,6 +473,24 @@ class TestErrors:
         assert "fit points must be finite" in err
         assert out == "" and not out_dir.exists()
 
+    @pytest.mark.parametrize("kind,text,reason", [
+        ("linear", "axis,delta_opt\n0.1,-1\n0.1,-2\n0.1,-3\n", "2 distinct kappa"),
+        ("gaussian", "axis,p,t,q,s\n" + "".join(
+            f"{k},1,1,{q},1\n" for k, q in
+            [(0.3, 0.8), (-0.3, 0.8), (0.3, 0.81), (-0.3, 0.79), (0.3, 0.8)]),
+         "2 distinct |kappa|"),
+    ], ids=["linear", "gaussian"])
+    def test_fit_undetermined_is_usage_error(self, tmp_path, capsys, kind, text, reason):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            capsys, "fit", "--kind", kind, "--input", str(path), "--out", str(out_dir)
+        )
+        assert code == EXIT_USAGE
+        assert reason in err
+        assert out == "" and not out_dir.exists()
+
     def test_sweep_alpha_config_kappa_list_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "k.json"
         cfg.write_text(json.dumps({"protocol": 2, "n_sites": 9, "kappa": [1]}))

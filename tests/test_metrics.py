@@ -266,3 +266,16 @@ class TestFits:
     def test_linear_too_few_points(self):
         with pytest.raises(ValueError):
             fit_linear([(0.1, -0.2), (0.8, -1.6)])
+
+    def test_linear_needs_two_distinct_kappa(self):
+        # one distinct kappa at or below the cut, however many rows: no slope
+        pairs = [(0.1, -1.0), (0.1, -2.0), (0.1, -3.0), (0.9, -5.0)]
+        with pytest.raises(ValueError, match="2 distinct kappa"):
+            fit_linear(pairs)
+        assert fit_linear(pairs, kappa_cut=1.0).params[0] < 0.0
+
+    def test_gaussian_needs_two_distinct_magnitudes(self):
+        # q(kappa) = q(-kappa): one |kappa| leaves sigma undetermined
+        x = [0.3, -0.3, 0.3, -0.3, 0.3]
+        with pytest.raises(ValueError, match="2 distinct"):
+            fit_gaussian(_synthetic_table(x, [0.8, 0.8, 0.81, 0.79, 0.8]))

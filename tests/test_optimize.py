@@ -17,7 +17,7 @@ from bentchain import (
     reference,
     transfer_metrics,
 )
-from bentchain import propagate
+from bentchain import propagate, search
 from bentchain.chain import omega_max
 from bentchain.optimize import (
     DEFAULT_INTERVAL,
@@ -283,9 +283,9 @@ class TestCurveExpansion:
         assert [kappa for kappa, _ in curve] == EXPANDING_KAPPAS.tolist()
         got = [(r.delta_star, r.q_opt, r.s_opt, r.on_boundary) for _, r in curve]
         assert got == EXPANDING_CURVE_SLOPE
-        # Brent stopped within about 2 (DELTA_TOL / 3 + SQRT_EPS |delta|) of
-        # the optimum, 2.1e-6 at kappa = 0.9, where the slope refine lands on
-        # the root of dp*/ddelta
+        # Brent's method stopped within about 2 (DELTA_TOL / 3 + 1.5e-8
+        # |delta|) of the optimum, 2.1e-6 at kappa = 0.9, where the slope
+        # refine lands on the root of dp*/ddelta
         for new, old in zip(got, EXPANDING_CURVE):
             assert abs(new[0] - old[0]) <= 5.0 * DELTA_TOL
             assert new[1] >= old[1] - 1e-12 and new[3] == old[3]
@@ -317,3 +317,32 @@ class TestCurveExpansion:
         # the optimum at EXPANSION_FLOOR is an end sample: slopes at it and
         # its one neighbour, and no refine
         assert pattern.endswith("SD") and rows[-1] == (2, True)
+
+
+def test_physical_chains_never_zoom(monkeypatch):
+    """The slope refines settle every optimum and first arrival of the
+    optimizer, the curves and the calibration: the zoom fallbacks of
+    search.scan_and_refine and of the scan's flat tops never run."""
+    calls = []
+    for module in (search, propagate):
+        def spy(*args, original=module.zoom_max):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, "zoom_max", spy)
+    p1_spec, p1_ref = _p1(12)  # calibrate_protocol1
+    p2_spec = _p2(13)
+    for spec, ref, alpha in ((p1_spec, p1_ref, 6), (p2_spec, reference(p2_spec), 7)):
+        optimize_detuning(spec, BendSpec(alpha=alpha, kappa=0.5), ref)
+        detuning_curve(spec, alpha, np.linspace(0.1, 1.0, 10), ref)
+    assert calls == []
+    # the spies see both fallbacks: a constant |A_N|^2 is a flat top, and a
+    # NaN slope brackets nothing
+    def nan_slopes(xs, slopes=False):
+        xs = np.asarray(xs, dtype=float)
+        found = xs, -(xs**2)
+        return (*found, np.full(xs.size, np.nan)) if slopes else found
+
+    propagate._scan(np.array([[-1.0, 1.0]]), np.array([[1.0, 0.0]]), 1.0)
+    search.scan_and_refine(nan_slopes, np.linspace(-1.0, 1.0, 5), 1e-6)
+    assert len(calls) == 2

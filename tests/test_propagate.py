@@ -416,14 +416,28 @@ class TestArrivalSlopes:
         assert t.shape == p.shape == slope.shape == (0,)
 
 
+def _spy_zoom(monkeypatch):
+    """Record the (a, b) bracket arrays of every zoom_max call of the scan."""
+    brackets = []
+    zoom_max = propagate.zoom_max
+
+    def spy(f, a, b, tol):
+        brackets.append((a.copy(), b.copy()))
+        return zoom_max(f, a, b, tol)
+
+    monkeypatch.setattr(propagate, "zoom_max", spy)
+    return brackets
+
+
 class TestFlatTopFallback:
     """The branch of the scan where p' does not fall across the bracket
-    around the peak (here the last cell, with p' <= 0 at both ends), so
-    Brent's method on p refines it.  Physical chains never reach it; small
-    random spectra with random weights do."""
+    around the peak (here the last cell, with p' <= 0 at both ends), so a
+    zoom on p refines it.  Physical chains never reach it; small random
+    spectra with random weights do."""
 
-    # (draw, t*, p*) of the draws that take the branch, as the scalar
-    # cos/sin evaluator the branch once used found them
+    # (draw, t*, p*) of the draws that take the branch, as Brent's method on
+    # p (stopping within about 2 (SQRT_EPS t + tol / 3) of the maximum, with
+    # SQRT_EPS = 1.49e-8) found them with the scalar cos/sin evaluator
     RECORDED = [
         (6, 4.170321559134791, 0.7163565120533719),
         (11, 0.6039924359074884, 2.1491386229525),
@@ -438,16 +452,24 @@ class TestFlatTopFallback:
         (158, 4.339136499205559, 1.0601951956955065),
         (168, 17.43041441042651, 5.085460642455859),
     ]
+    # the same draws refined by the zoom
+    ZOOMED = [
+        (6, 4.1703214753616535, 0.7163565338991682),
+        (11, 0.6039924237745293, 2.149138676082779),
+        (17, 1.9718352944605049, 4.358045685049357),
+        (35, 0.9041933133368614, 0.2701924444451986),
+        (41, 1.5646673300474427, 1.0616837418271525),
+        (45, 2.9264362267062096, 4.23069402818143),
+        (64, 17.608367495143984, 2.3591011298630566),
+        (104, 1.5180375288863721, 0.5359384283116768),
+        (151, 1.2401996895752798, 0.6758134685556352),
+        (156, 1.202190368508637, 0.2802275998076313),
+        (158, 4.339136412041278, 1.0601952121835312),
+        (168, 17.43041406028553, 5.085460648174209),
+    ]
 
     def test_refines_on_p(self, monkeypatch):
-        brackets = []
-        brent_max = propagate.brent_max
-
-        def spy(f, a, b, tol):
-            brackets.append((a, b))
-            return brent_max(f, a, b, tol)
-
-        monkeypatch.setattr(propagate, "brent_max", spy)
+        brackets = _spy_zoom(monkeypatch)
         rng = np.random.default_rng(1)
         found = []
         for draw in range(200):
@@ -459,12 +481,48 @@ class TestFlatTopFallback:
             (t,), (p,) = propagate._scan(lam[None], coef[None], window)
             if len(brackets) == calls:
                 continue
-            a, b = brackets[-1]
+            (a,), (b,) = brackets[-1]
             assert b == window and a < t <= b  # the last cell
             direct = abs(np.sum(coef * np.exp(-1j * lam * t))) ** 2
             assert abs(p - direct) <= 1e-14
-            found.append((draw, t, p))
-        assert [d for d, _, _ in found] == [d for d, _, _ in self.RECORDED]
-        for (_, t, p), (_, t_rec, p_rec) in zip(found, self.RECORDED):
-            assert abs(t - t_rec) <= 1e-12
-            assert abs(p - p_rec) <= 1e-12
+            found.append((draw, t, p, window))
+        assert [d for d, *_ in found] == [d for d, _, _ in self.ZOOMED]
+        for (_, t, p, window), (_, t_new, p_new), (_, t_rec, p_rec) in zip(
+                found, self.ZOOMED, self.RECORDED):
+            assert abs(t - t_new) <= 1e-12
+            assert abs(p - p_new) <= 1e-12
+            # no worse than Brent's method, and within its stopping bound
+            tol = propagate.REL_TOL * window
+            assert p >= p_rec - 1e-12
+            assert abs(t - t_rec) <= 2.0 * (math.sqrt(np.finfo(float).eps) * t_rec + tol / 3.0)
+
+    def test_block_rows_match_one_row_calls(self, monkeypatch):
+        # spectra padded with zero weights to one bandwidth [-3, 3], so that
+        # the block and every one-row call scan the same grid
+        brackets = _spy_zoom(monkeypatch)
+        rng = np.random.default_rng(2)
+        lam, coef = [], []
+        for _ in range(400):
+            n = int(rng.integers(2, 5))
+            lam.append(np.concatenate(
+                [np.full(5 - n, -3.0), np.sort(rng.uniform(-3.0, 3.0, n)), [3.0]]))
+            coef.append(np.concatenate([np.zeros(5 - n), rng.normal(size=n), [0.0]]))
+        lam, coef, window = np.array(lam), np.array(coef), 10.0
+        one, flat = [], []
+        for i in range(len(lam)):
+            calls = len(brackets)
+            one.append(propagate._scan(lam[i : i + 1], coef[i : i + 1], window))
+            if len(brackets) > calls:
+                flat.append(i)
+        brackets.clear()
+        t, p = propagate._scan(lam, coef, window)
+        # every flat top of the block in one zoom
+        assert len(flat) >= 5 and [a.size for a, _ in brackets] == [len(flat)]
+        for i, ((t_one,), (p_one,)) in enumerate(one):
+            if i in flat:
+                assert (t[i], p[i]) == (t_one, p_one)
+            else:
+                # the Newton refine steps every row until all have
+                # converged, which moves a converged row by a few ulp
+                assert abs(t[i] - t_one) <= propagate.REL_TOL * window
+                assert abs(p[i] - p_one) <= 1e-12

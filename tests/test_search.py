@@ -3,82 +3,102 @@ import math
 import numpy as np
 import pytest
 
-from bentchain.search import brent_max, scan_and_refine
+from bentchain.search import ZOOM_POINTS, scan_and_refine, zoom_max
 
 
-def recorded(f):
-    """f, and the list of points it was evaluated at."""
-    points = []
+def recorded(objective):
+    """An f for zoom_max applying ``objective`` to every point, and the list
+    of the (R, K) point arrays of its calls."""
+    calls = []
 
-    def wrapped(x):
-        points.append(x)
-        return f(x)
+    def f(x, rows):
+        assert x.shape == (rows.size, ZOOM_POINTS)
+        calls.append(x.copy())
+        return objective(x)
 
-    return wrapped, points
+    return f, calls
 
 
-class TestBrentMax:
-    def test_quadratic(self):
-        f, points = recorded(lambda x: 2.0 - (x - 0.3) ** 2)
-        x, fx, n = brent_max(f, -1.0, 1.5, 1e-8)
-        # tol plus the relative term SQRT_EPS |x|
-        assert abs(x - 0.3) <= 2e-8
-        assert fx == f(x)
-        # a parabola is fitted exactly: a few steps, where golden section
-        # takes 41 to shrink the bracket to 1e-8
-        assert n == len(points) - 1 <= 8
+def zoom(f, a, b, tol):
+    """zoom_max on one bracket: (x*, f(x*)) as floats."""
+    x, fx = zoom_max(f, np.array([a]), np.array([b]), tol)
+    return float(x[0]), float(fx[0])
 
-    def test_smooth_objective_converges_fast(self):
-        f, points = recorded(lambda x: math.cos(3.0 * x) * math.exp(-0.2 * x))
-        x, _, n = brent_max(f, -0.5, 0.6, 1e-6)
-        x_true = -math.atan(0.2 / 3.0) / 3.0  # root of the derivative
-        assert abs(x - x_true) <= 1e-6
-        assert n == len(points) <= 12
 
-    def test_kinked_objective(self):
-        f, points = recorded(lambda x: -abs(x - 0.7))
-        x, fx, n = brent_max(f, 0.0, 1.0, 1e-7)
-        assert abs(x - 0.7) <= 2e-7
-        assert fx == -abs(x - 0.7)
-        # no worse than golden section, about 34 steps to 1e-7 of a unit
-        # bracket
-        assert n == len(points) <= 34
+OBJECTIVES = {
+    "quadratic": lambda x: -(x - 0.3) ** 2,
+    "kink": lambda x: -np.abs(x - 0.7),
+    "rising": lambda x: x,  # maximum at the right end
+    "falling": lambda x: -x,  # maximum at the left end
+    "flat": lambda x: np.zeros_like(x),
+    "sin": lambda x: np.sin(40.0 * x),  # several local maxima
+}
 
-    def test_flat_objective(self):
-        f, points = recorded(lambda x: 0.25)
-        x, fx, n = brent_max(f, 2.0, 3.0, 1e-6)
-        assert 2.0 <= x <= 3.0 and fx == 0.25
-        assert n == len(points) <= 34
 
-    @pytest.mark.parametrize("objective", [
-        lambda x: -(x - 0.3) ** 2,
-        lambda x: -abs(x - 0.7),
-        lambda x: x,  # maximum at the right end
-        lambda x: -x,  # maximum at the left end
-        lambda x: 0.0,
-        lambda x: math.sin(40.0 * x),  # several local maxima
+class TestZoomMax:
+    @pytest.mark.parametrize("name", OBJECTIVES)
+    @pytest.mark.parametrize("bracket", [(0.0, 1.0), (-3e-4, 2e-4)])
+    def test_stays_inside_bracket(self, name, bracket):
+        objective = OBJECTIVES[name]
+        f, calls = recorded(objective)
+        x, fx = zoom(f, *bracket, 1e-6)
+        points = np.concatenate(calls).ravel()
+        assert np.all((bracket[0] <= points) & (points <= bracket[1]))
+        # x* is an evaluated point, and f(x*) its value
+        assert x in points and fx == objective(np.array(x))
+
+    @pytest.mark.parametrize("name,x_max", [
+        ("quadratic", 0.3), ("kink", 0.7), ("rising", 1.0), ("falling", 0.0),
     ])
-    @pytest.mark.parametrize("bracket", [(0.0, 1.0), (1.0, 0.0), (-3e-4, 2e-4)])
-    def test_stays_inside_bracket(self, objective, bracket):
-        f, points = recorded(objective)
-        x, fx, n = brent_max(f, *bracket, 1e-6)
-        lo, hi = min(bracket), max(bracket)
-        assert all(lo <= t <= hi for t in points)
-        assert x in points and fx == objective(x)
-        assert n == len(points)
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    def test_lands_within_tol(self, name, x_max, tol):
+        f, calls = recorded(OBJECTIVES[name])
+        x, _ = zoom(f, 0.0, 1.0, tol)
+        assert abs(x - x_max) <= tol
+        # each round narrows the bracket to a fifth until it is within 2 tol
+        rounds = math.ceil(math.log(0.5 / tol) / math.log(ZOOM_POINTS // 2 + 1))
+        assert len(calls) == rounds
 
-    def test_monotone_objective_approaches_the_end(self):
-        x, _, _ = brent_max(lambda x: x, 0.0, 1.0, 1e-6)
-        assert 1.0 - x <= 1e-6
+    def test_ties_go_to_the_first_point(self):
+        x, fx = zoom(recorded(OBJECTIVES["flat"])[0], 2.0, 3.0, 1e-6)
+        assert 2.0 < x <= 2.0 + 1e-6 and fx == 0.0
+
+    def test_best_point_is_the_next_centre(self):
+        f, calls = recorded(OBJECTIVES["sin"])
+        x, _ = zoom(f, 0.0, 1.0, 1e-9)
+        for before, after in zip(calls, calls[1:]):
+            values = np.sin(40.0 * before[0])
+            assert after[0, ZOOM_POINTS // 2] == before[0, np.argmax(values)]
+        assert x == calls[-1][0, np.argmax(np.sin(40.0 * calls[-1][0]))]
 
     def test_bracket_within_tolerance(self):
-        f, points = recorded(lambda x: -(x - 1.0) ** 2)
-        x, fx, n = brent_max(f, 1.0, 1.0 + 1e-9, 1e-6)
-        assert n == 1 and points == [x] and x == 1.0 + 0.5e-9
+        # one round, so that x* is an evaluated point
+        f, calls = recorded(lambda x: -(x - 1.0) ** 2)
+        x, _ = zoom(f, 1.0, 1.0 + 1e-9, 1e-6)
+        assert len(calls) == 1 and 1.0 <= x <= 1.0 + 1e-9 and x in calls[0]
 
     def test_deterministic(self):
-        f = lambda x: math.sin(x) * x  # noqa: E731
-        assert brent_max(f, 1.0, 3.0, 1e-9) == brent_max(f, 1.0, 3.0, 1e-9)
+        f = lambda x, rows: np.sin(x) * x  # noqa: E731
+        assert zoom(f, 1.0, 3.0, 1e-9) == zoom(f, 1.0, 3.0, 1e-9)
+
+    def test_rows_match_one_row_calls(self):
+        # brackets of different widths converge after different rounds
+        a = np.array([0.0, -3e-4, 2.0, 0.25, -1.0])
+        b = np.array([1.0, 2e-4, 3.0, 0.25 + 1e-3, 5.0])
+        peak = np.array([0.3, -1e-4, 2.0, 0.2505, 1.7])
+        calls = []
+
+        def f(x, rows):
+            calls.append(rows.copy())
+            return np.sin(40.0 * x) - (x - peak[rows, None]) ** 2
+
+        x, fx = zoom_max(f, a, b, 1e-9)
+        assert len({rows.size for rows in calls}) > 1  # rows froze on the way
+        for i in range(a.size):
+            x_one, fx_one = zoom_max(
+                lambda t, rows, i=i: f(t, np.full(rows.size, i)), a[i : i + 1], b[i : i + 1],
+                1e-9)
+            assert (x[i], fx[i]) == (x_one[0], fx_one[0])
 
 
 def batch(p, dp):
@@ -153,9 +173,14 @@ class TestScanAndRefine:
         # p* rises on both sides of a drop at x = 0.45: no slope changes
         # sign, and the supremum is the left limit of the drop
         evaluate, calls = batch(lambda x: x if x < 0.45 else x - 1.0, lambda x: 1.0)
-        x, _, _, best, _ = scan_and_refine(evaluate, np.linspace(0.0, 1.0, 11), 1e-8)
+        x, p, t, best, n = scan_and_refine(evaluate, np.linspace(0.0, 1.0, 11), 1e-8)
         assert best == 4 and 0.45 - 1e-7 <= x < 0.45
-        assert calls[:2] == [(11, False), (3, True)] and set(calls[2:]) == {(1, False)}
+        # p* and t* are those of the evaluated point x*, as Python floats
+        assert (p, t) == (x, 2.0 * x) and all(type(v) is float for v in (x, p, t))
+        assert n == sum(size for size, _ in calls)
+        # the zoom evaluates ZOOM_POINTS points per call
+        assert calls[:2] == [(11, False), (3, True)]
+        assert set(calls[2:]) == {(ZOOM_POINTS, False)}
 
     @pytest.mark.parametrize("p,x_max", [
         (lambda x: 1.0 - (x - 0.23) ** 2, 0.23),
@@ -165,7 +190,7 @@ class TestScanAndRefine:
         evaluate, calls = batch(p, lambda x: math.nan)
         x, _, _, _, n = scan_and_refine(evaluate, np.linspace(0.0, 1.0, 11), 1e-8)
         assert abs(x - x_max) <= 2e-8
-        assert calls[1][1] and set(calls[2:]) == {(1, False)}
+        assert calls[1][1] and set(calls[2:]) == {(ZOOM_POINTS, False)}
         assert n == sum(size for size, _ in calls)
 
     def test_nan_slope_in_the_refine_falls_back_to_brent(self):
@@ -177,7 +202,7 @@ class TestScanAndRefine:
         x, _, _, _, n = scan_and_refine(evaluate, np.linspace(0.0, 1.0, 11), 1e-8)
         assert abs(x - 0.23) <= 2e-8
         assert calls[:3] == [(11, False), (3, True), (1, True)]
-        assert set(calls[3:]) == {(1, False)}
+        assert set(calls[3:]) == {(ZOOM_POINTS, False)}
         assert n == sum(size for size, _ in calls)
 
     def test_widen_rescans_then_refines_once(self):
