@@ -9,7 +9,10 @@ Slope: one one-row ``first_arrivals`` call with and without ``direction``
 (E = dH/ddelta at the corner), the extra cost of dp*/ddelta (N = 13, 25).
 
 Amplitude trace: ``evolve``, every site amplitude on 4096 steps over the
-window (N = 60, 120, 200), as the spectra and trace files use it.
+window (N = 60, 120, 200), as the spectra and trace files use it, and its
+layers: the ``eigh`` that builds the Hamiltonian before it, the phase
+tables with their site-major broadcast, and the real GEMM of the
+eigenvectors with the phases.
 
 Detuning optimizer: ``optimize_detuning`` on the default interval, the
 64-detuning batched coarse scan plus the slope refine, with its evaluations
@@ -35,13 +38,21 @@ The chains are Protocol 2, bent at the centre with kappa = 0.5 and detuned by
 -1.5 Omega_max (near the optimum), over the unbent arrival window pi/2; the
 optimizer tunes the detuning of the same bend itself.
 
-Run:  python3 benchmarks/kernel_bench.py
+Run:  python3 benchmarks/kernel_bench.py [--json PATH]
+
+With ``--json PATH`` it also writes every row (median, quartiles and the
+repeat count; counts as a single value) with the python and numpy versions
+and the BLAS thread count to PATH.
 """
 
+import argparse
 import contextlib
 import csv
+import ctypes
 import io
+import json
 import math
+import platform
 import statistics
 import sys
 import tempfile
@@ -64,6 +75,7 @@ from bentchain import (
     reference,
 )
 from bentchain import cli
+from bentchain.kernels import phase_tables
 from bentchain.propagate import first_arrivals
 
 REPEATS = 7
@@ -77,16 +89,62 @@ def bent_chain(n):
     return build_hamiltonian(spec, bend)
 
 
-def time_call(call, per_repeat):
-    """Median and quartiles of the time per call, in ms, and the last result."""
+def record(rows, row, unit, median, q1, q3, repeats):
+    rows.append({"row": row, "unit": unit, "median": median, "q1": q1, "q3": q3,
+                 "repeats": repeats})
+
+
+def time_call(rows, row, call, per_repeat, points=1):
+    """Median and quartiles of the time per call, in ms (per point, for a
+    call that yields ``points`` results), and the last result; appends the
+    row to ``rows``."""
     samples = []
     for _ in range(REPEATS):
         start = time.perf_counter()
         for _ in range(per_repeat):
             result = call()
-        samples.append((time.perf_counter() - start) / per_repeat * 1e3)
+        samples.append((time.perf_counter() - start) / per_repeat / points * 1e3)
     q1, median, q3 = statistics.quantiles(samples, n=4)
+    record(rows, row, "ms", median, q1, q3, REPEATS)
     return median, q1, q3, result
+
+
+def evolve_layers(ham, times):
+    """The layers of ``evolve`` as callables: the ``eigh`` of the
+    Hamiltonian, the phase tables with their site-major broadcast, and the
+    real GEMM of the eigenvectors with a float view of those phases."""
+    vec = ham.eigenvectors
+
+    def phases():
+        outer, inner = phase_tables(ham.eigenvalues, times)
+        return np.multiply((outer * vec[0]).T[:, :, None], inner.T[:, None, :], order="C")
+
+    flat = phases().reshape(vec.shape[0], -1).view(float)
+    return {
+        "eigh": lambda: np.linalg.eigh(ham.matrix),
+        "phases": phases,
+        "gemm": lambda: vec @ flat,
+    }
+
+
+def blas_threads():
+    """Threads of the OpenBLAS that numpy loaded, or None for another BLAS
+    or a platform without /proc/self/maps."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh
+                           if "blas" in line.lower() and "/" in line})
+    except OSError:
+        return None
+    for lib in libs:
+        dll = ctypes.CDLL(lib)
+        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                    "openblas_get_num_threads"):
+            if hasattr(dll, sym):
+                get = getattr(dll, sym)
+                get.argtypes, get.restype = [], ctypes.c_int
+                return get()
+    return None
 
 
 def refine_evaluations(figure, out):
@@ -118,10 +176,17 @@ def refine_evaluations(figure, out):
     return one_row, points
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Time the propagator layers and "
+                                     "the optimizer, calibration and CLI built on them.")
+    parser.add_argument("--json", type=Path, metavar="PATH",
+                        help="also write the rows and the environment as JSON")
+    opts = parser.parse_args(argv)
+    rows = []
     for n in (9, 13, 25):
         ham = bent_chain(n)
-        median, q1, q3, fm = time_call(lambda: first_arrival(ham, WINDOW), 500)
+        median, q1, q3, fm = time_call(
+            rows, f"first_arrival N={n}", lambda: first_arrival(ham, WINDOW), 500)
         print(
             f"first_arrival N={n:3d}: {median:.3f} ms per evaluation "
             f"(quartiles {q1:.3f}-{q3:.3f}), t*={fm.t_star:.9f} p*={fm.p_star:.9f}"
@@ -133,6 +198,7 @@ def main():
         direction[corner, corner] = omega_max(ChainSpec(Protocol.PROTOCOL_2, n))
         for label, args in (("plain", ()), ("slope", (direction,))):
             median, q1, q3, found = time_call(
+                rows, f"first_arrivals N={n} {label}",
                 lambda: first_arrivals([ham.matrix], WINDOW, *args), 500)
             print(
                 f"first_arrivals N={n:3d} {label}: {median:.3f} ms per one-row call "
@@ -143,7 +209,8 @@ def main():
         spec = ChainSpec(Protocol.PROTOCOL_2, n)
         ref = reference(spec)
         bend = BendSpec(alpha=(n + 1) // 2, kappa=0.5)
-        median, q1, q3, res = time_call(lambda: optimize_detuning(spec, bend, ref), 5)
+        median, q1, q3, res = time_call(
+            rows, f"optimize N={n}", lambda: optimize_detuning(spec, bend, ref), 5)
         print(
             f"optimize      N={n:3d}: {median:.3f} ms per optimized point "
             f"(quartiles {q1:.3f}-{q3:.3f}), {res.evaluations} evaluations, "
@@ -152,17 +219,19 @@ def main():
     spec = ChainSpec(Protocol.PROTOCOL_2, 13)
     ref = reference(spec)
     kappas = np.linspace(0.0, 1.0, 11)
-    median, q1, q3, curve = time_call(lambda: detuning_curve(spec, 7, kappas, ref), 3)
+    median, q1, q3, curve = time_call(
+        rows, "curve N=13", lambda: detuning_curve(spec, 7, kappas, ref), 3, points=kappas.size)
     points = len(curve)
     evaluations = sum(res.evaluations for _, res in curve)
     print(
-        f"curve         N= 13: {median / points:.3f} ms per optimized point "
-        f"(quartiles {q1 / points:.3f}-{q3 / points:.3f}), "
+        f"curve         N= 13: {median:.3f} ms per optimized point "
+        f"(quartiles {q1:.3f}-{q3:.3f}), "
         f"{evaluations / points:.1f} evaluations per point over {points} kappas, "
         f"delta*(1)={curve[-1][1].delta_star:.9f}"
     )
     for n in (13, 21):
-        median, q1, q3, ref = time_call(lambda: calibrate_protocol1(n), 3)
+        median, q1, q3, ref = time_call(
+            rows, f"calibrate N={n}", lambda: calibrate_protocol1(n), 3)
         print(
             f"calibrate     N={n:3d}: {median:.3f} ms per calibration "
             f"(quartiles {q1:.3f}-{q3:.3f}), ratio={ref.boundary_ratio:.9f} "
@@ -170,17 +239,24 @@ def main():
         )
     for n in (60, 120, 200):
         ham = bent_chain(n)
-        median, q1, q3, trace = time_call(lambda: evolve(ham, WINDOW, EVOLVE_STEPS), 10)
+        median, q1, q3, trace = time_call(
+            rows, f"evolve N={n}", lambda: evolve(ham, WINDOW, EVOLVE_STEPS), 10)
         print(
             f"evolve        N={n:3d}: {median:.3f} ms per trace "
             f"(quartiles {q1:.3f}-{q3:.3f}), {EVOLVE_STEPS} steps, "
             f"p_end[-1]={trace.p_end[-1]:.9f}"
         )
+        for layer, call in evolve_layers(ham, trace.times).items():
+            median, q1, q3, _ = time_call(rows, f"evolve N={n} {layer}", call, 10)
+            print(f"  {layer:<6}      N={n:3d}: {median:.3f} ms (quartiles {q1:.3f}-{q3:.3f})")
     with tempfile.TemporaryDirectory() as out:
         for figure in ("fig2", "fig4"):
             one_row, points = refine_evaluations(figure, out)
+            per_point = one_row / points
+            record(rows, f"refine {figure}", "one-row evaluations per optimized point",
+                   per_point, per_point, per_point, 1)
             print(
-                f"refine        {figure}: {one_row / points:.2f} one-row evaluations per "
+                f"refine        {figure}: {per_point:.2f} one-row evaluations per "
                 f"optimized point ({one_row} over {points} points)"
             )
     commands = (
@@ -190,11 +266,17 @@ def main():
     with tempfile.TemporaryDirectory() as out:
         for argv in commands:
             with contextlib.redirect_stdout(io.StringIO()):
-                median, q1, q3, code = time_call(lambda: cli.main([*argv, "--out", out]), 20)
+                median, q1, q3, code = time_call(
+                    rows, f"cli {argv[0]}", lambda: cli.main([*argv, "--out", out]), 20)
             print(
                 f"cli {argv[0]:<11}     : {median:.3f} ms per main call "
                 f"(quartiles {q1:.3f}-{q3:.3f}), exit code {code}"
             )
+    if opts.json:
+        environment = {"python": platform.python_version(), "numpy": np.__version__,
+                       "blas_threads": blas_threads()}
+        opts.json.write_text(json.dumps({"environment": environment, "rows": rows},
+                                        indent=1) + "\n")
 
 
 if __name__ == "__main__":

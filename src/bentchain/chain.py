@@ -191,10 +191,19 @@ def spec_to_dict(spec: ChainSpec, bend: BendSpec | None = None) -> dict:
     return d
 
 
+def _integer(key: str, value) -> int:
+    """An integer config value.  int() would truncate a float with a
+    fractional part (or read a bool as 0 or 1) into a different chain than
+    the config names, so those raise ValueError; 9 and 9.0 both give 9."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def spec_from_dict(d: dict) -> tuple[ChainSpec, BendSpec | None]:
     spec = ChainSpec(
-        protocol=Protocol(int(d["protocol"])),
-        n_sites=int(d["n_sites"]),
+        protocol=Protocol(_integer("protocol", d["protocol"])),
+        n_sites=_integer("n_sites", d["n_sites"]),
         omega0=float(d.get("omega0", 1.0)),
         boundary_ratio=(
             float(d["boundary_ratio"]) if d.get("boundary_ratio") is not None else None
@@ -204,7 +213,7 @@ def spec_from_dict(d: dict) -> tuple[ChainSpec, BendSpec | None]:
     bend = None
     if "alpha" in d:
         bend = BendSpec(
-            alpha=int(d["alpha"]),
+            alpha=_integer("alpha", d["alpha"]),
             kappa=float(d.get("kappa", 0.0)),
             delta_alpha=float(d.get("delta_alpha", 0.0)),
         )

@@ -9,13 +9,15 @@ the phases factorise by angle addition,
 with k = j1 m2 + j2, m2 = isqrt(T) and m1 = ceil(T / m2).  So two tables of
 about sqrt(T) rows each (:func:`phase_tables`) replace the T x N table of
 transcendental functions: the end-site amplitude on the whole grid is one
-complex matrix product, and the full phase array of ``propagate.evolve`` is
-one broadcast product.  The grid must be uniform; a grid that is not raises
-ValueError rather than giving a wrong curve.  The eigenvalues may carry a
-leading batch axis, one row per Hamiltonian sharing the grid: the batched
-first-arrival scans evaluate a whole block of Hamiltonians in one stacked
-product.  The first-arrival scan and ``evolve`` go through here; sums at
-scattered times (the peak refine and single-time probabilities) are
+complex matrix product.  ``propagate.evolve`` broadcasts the transposed
+tables into a site-major phase array, one row per eigenvalue, so that the
+real eigenvectors multiply a float view of it in one real matrix product.
+The grid must be uniform; a grid that is not raises ValueError rather than
+giving a wrong curve.  The eigenvalues may carry a leading batch axis, one
+row per Hamiltonian sharing the grid: the batched first-arrival scans
+evaluate a whole block of Hamiltonians in one stacked product.  The
+first-arrival scan and ``evolve`` go through here; sums at scattered times
+(the peak refine and single-time probabilities) are
 ``propagate._spectral_sums``.
 """
 

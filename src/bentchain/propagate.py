@@ -56,7 +56,7 @@ class AmplitudeTrace:
     at t=0.  ``p_end[i]`` is |A_N(times[i])|^2."""
 
     times: np.ndarray
-    amplitudes: np.ndarray  # shape (n_times, N), complex
+    amplitudes: np.ndarray  # shape (n_times, N), complex; a site-major view
     p_end: np.ndarray
 
     def norms(self) -> np.ndarray:
@@ -79,16 +79,26 @@ def _end_coef(ham: Hamiltonian) -> np.ndarray:
 
 def evolve(ham: Hamiltonian, t_end: float, n_steps: int = DEFAULT_N_STEPS) -> AmplitudeTrace:
     """Propagate A(0) = e_1 on a uniform grid of ``n_steps`` points in
-    [0, t_end] (endpoints included)."""
+    [0, t_end] (endpoints included).
+
+    The phases <v_k, e_1> e^{-i lam_k t} are built site-major, one row per
+    eigenvalue, from the tables of :func:`kernels.phase_tables`, so the
+    product with the real eigenvectors is one real GEMM on their float view
+    (2 T N^2 multiply-adds, half those of a complex GEMM).  ``amplitudes``
+    is the (n_steps, N) transpose of that site-major (N, >= n_steps) array:
+    a view, not a C-ordered copy.
+    """
     if not math.isfinite(t_end) or t_end <= 0:
         raise ValueError(f"t_end must be finite and > 0, got {t_end}")
     if n_steps < 100:
         raise ValueError(f"n_steps must be >= 100, got {n_steps}")
     times = np.linspace(0.0, t_end, n_steps)
-    weights = ham.eigenvectors[0, :]  # <v_k, e_1>
+    vec = ham.eigenvectors
     outer, inner = phase_tables(ham.eigenvalues, times)
-    phases = (outer * weights)[:, None, :] * inner[None, :, :]
-    amplitudes = phases.reshape(-1, weights.size)[:n_steps] @ ham.eigenvectors.T
+    # phases[k, j1, j2] = <v_k, e_1> e^{-i lam_k t_{j1 m2 + j2}}
+    phases = np.multiply((outer * vec[0]).T[:, :, None], inner.T[:, None, :], order="C")
+    sites = (vec @ phases.reshape(vec.shape[0], -1).view(float)).view(complex)
+    amplitudes = sites[:, :n_steps].T
     p_end = np.abs(amplitudes[:, -1]) ** 2
     return AmplitudeTrace(times=times, amplitudes=amplitudes, p_end=p_end)
 

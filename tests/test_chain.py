@@ -163,6 +163,22 @@ class TestConfigRoundtrip:
         spec, bend = spec_from_dict({"protocol": 2, "n_sites": 4})
         assert spec.omega0 == 1.0 and spec.epsilon == 0.0 and bend is None
 
+    @pytest.mark.parametrize("key,value", [
+        ("n_sites", 9.7), ("n_sites", True), ("n_sites", math.inf),
+        ("protocol", 2.9), ("protocol", True), ("alpha", 5.5), ("alpha", False),
+    ])
+    def test_non_integral_integer_field_rejected(self, key, value):
+        # int() would truncate these to a chain the config does not name
+        d = {"protocol": 2, "n_sites": 9, "alpha": 5, "kappa": 0.4, key: value}
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            spec_from_dict(d)
+
+    def test_integral_float_fields_accepted(self):
+        d = {"protocol": 2.0, "n_sites": 9.0, "alpha": 5.0, "kappa": 0.4}
+        spec, bend = spec_from_dict(d)
+        assert spec == p2(9) and bend == BendSpec(alpha=5, kappa=0.4)
+        assert type(spec.n_sites) is int and type(bend.alpha) is int
+
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
         n=st.integers(3, 200),

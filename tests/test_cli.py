@@ -394,6 +394,24 @@ class TestErrors:
         assert code == EXIT_USAGE
         assert err.startswith("error: ")
 
+    # Infinity (which json reads) used to escape as an OverflowError
+    @pytest.mark.parametrize("key,value", [
+        ("protocol", 2.9), ("n_sites", 9.7), ("n_sites", True), ("n_sites", math.inf),
+        ("alpha", 5.5),
+    ])
+    def test_config_non_integral_integer_is_usage_error(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "chain.json"
+        cfg.write_text(json.dumps(
+            {"protocol": 2, "n_sites": 9, "alpha": 5, "kappa": 0.4, key: value}
+        ))
+        out_dir = tmp_path / "out"
+        code, _, err = run(
+            capsys, "metrics", "--config", str(cfg), "--out", str(out_dir)
+        )
+        assert code == EXIT_USAGE
+        assert f"{key} must be an integer" in err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("device,name", [
         (["--L", "nan"], "length"),
         (["--L", "10", "--xi", "nan"], "xi"),

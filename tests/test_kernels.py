@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bentchain import BendSpec, ChainSpec, Protocol, evolve, omega_max
-from bentchain.chain import build_hamiltonian
+from bentchain.chain import Hamiltonian, build_hamiltonian
 from bentchain.kernels import end_probability_curve, phase_tables
 from bentchain.propagate import _end_coef, end_probability_at
 
@@ -110,14 +111,69 @@ class TestPhaseTables:
         with pytest.raises(ValueError, match="uniform"):
             end_probability_curve(ham.eigenvalues, _end_coef(ham), times)
 
-    def test_evolve_matches_direct(self):
-        spec = ChainSpec(Protocol.PROTOCOL_2, 200)
-        ham = build_hamiltonian(
-            spec, BendSpec(alpha=100, kappa=0.5, delta_alpha=-1.5 * omega_max(spec))
-        )
-        trace = evolve(ham, math.pi / 2, 4096)
-        assert np.array_equal(trace.times, np.linspace(0.0, math.pi / 2, 4096))
+    # the tables cover more than T rows in every case but (200, 4096)
+    @pytest.mark.parametrize("build,t_end,n_steps", [
+        pytest.param(lambda: _bent_p2(2), math.pi / 2, 113, id="p2-2-113"),
+        pytest.param(lambda: _bent_p1(12), 15.0, 257, id="p1-12-257"),
+        pytest.param(lambda: _bent_p2(200), math.pi / 2, 4096, id="p2-200-4096"),
+        pytest.param(lambda: _bent_p2(200), math.pi / 2, 4097, id="p2-200-4097"),
+    ])
+    def test_evolve_matches_direct(self, build, t_end, n_steps):
+        ham = build()
+        trace = evolve(ham, t_end, n_steps)
+        assert np.array_equal(trace.times, np.linspace(0.0, t_end, n_steps))
+        assert trace.amplitudes.shape == (n_steps, ham.eigenvalues.size)
         phases = np.exp(-1j * np.outer(trace.times, ham.eigenvalues))
         direct = (phases * ham.eigenvectors[0, :]) @ ham.eigenvectors.T
         np.testing.assert_allclose(trace.amplitudes, direct, rtol=0, atol=1e-12)
         np.testing.assert_allclose(trace.norms(), 1.0, rtol=0, atol=1e-12)
+        assert np.array_equal(trace.p_end, np.abs(trace.amplitudes[:, -1]) ** 2)
+
+
+def _bent_p2(n):
+    """A Protocol 2 chain bent at its centre and detuned near the optimum;
+    N = 2 has no interior corner and stays straight."""
+    spec = ChainSpec(Protocol.PROTOCOL_2, n)
+    if n < 3:
+        return build_hamiltonian(spec)
+    bend = BendSpec(alpha=n // 2, kappa=0.5, delta_alpha=-1.5 * omega_max(spec))
+    return build_hamiltonian(spec, bend)
+
+
+def _bent_p1(n):
+    return build_hamiltonian(
+        ChainSpec(Protocol.PROTOCOL_1, n, boundary_ratio=0.7),
+        BendSpec(alpha=5, kappa=0.6, delta_alpha=-1.3),
+    )
+
+
+class TestEvolveLayout:
+    """``evolve`` multiplies the real eigenvectors into a site-major phase
+    array; its amplitudes are a transposed view of the product."""
+
+    @pytest.mark.parametrize("n,n_steps", [(2, 113), (200, 4097)])
+    def test_eigenvector_order_does_not_change_bits(self, n, n_steps):
+        ham = _bent_p2(n)
+        assert ham.eigenvectors.flags.c_contiguous
+        fortran = Hamiltonian(ham.matrix, ham.eigenvalues, np.asfortranarray(ham.eigenvectors))
+        assert fortran.eigenvectors.flags.f_contiguous
+        a = evolve(ham, math.pi / 2, n_steps)
+        b = evolve(fortran, math.pi / 2, n_steps)
+        assert np.array_equal(a.amplitudes, b.amplitudes)
+        assert np.array_equal(a.p_end, b.p_end)
+
+    @pytest.mark.parametrize("n_steps", [4096, 4097])
+    def test_peak_allocation(self, n_steps):
+        # the phase array and the product, each (N, m1 m2) complex, plus
+        # small tables; a C-order copy of the result or a second full
+        # phase array would take about 3 T N 16 bytes
+        ham = _bent_p2(200)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            trace = evolve(ham, math.pi / 2, n_steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.amplitudes.shape == (n_steps, 200)
+        assert peak <= 2.25 * n_steps * 200 * 16
