@@ -75,8 +75,7 @@ from bentchain import (
     reference,
 )
 from bentchain import cli
-from bentchain.kernels import phase_tables
-from bentchain.propagate import first_arrivals
+from bentchain.propagate import _phase_tables, first_arrivals
 
 REPEATS = 7
 WINDOW = math.pi / 2
@@ -109,14 +108,15 @@ def time_call(rows, row, call, per_repeat, points=1):
     return median, q1, q3, result
 
 
-def evolve_layers(ham, times):
-    """The layers of ``evolve`` as callables: the ``eigh`` of the
-    Hamiltonian, the phase tables with their site-major broadcast, and the
-    real GEMM of the eigenvectors with a float view of those phases."""
+def evolve_layers(ham, t_end, n_steps):
+    """The layers of ``evolve`` on ``n_steps`` points of [0, t_end] as
+    callables: the ``eigh`` of the Hamiltonian, the phase tables with their
+    site-major broadcast, and the real GEMM of the eigenvectors with a float
+    view of those phases."""
     vec = ham.eigenvectors
 
     def phases():
-        outer, inner = phase_tables(ham.eigenvalues, times)
+        _, outer, inner = _phase_tables(ham.eigenvalues, t_end, n_steps)
         return np.multiply((outer * vec[0]).T[:, :, None], inner.T[:, None, :], order="C")
 
     flat = phases().reshape(vec.shape[0], -1).view(float)
@@ -246,7 +246,7 @@ def main(argv=None):
             f"(quartiles {q1:.3f}-{q3:.3f}), {EVOLVE_STEPS} steps, "
             f"p_end[-1]={trace.p_end[-1]:.9f}"
         )
-        for layer, call in evolve_layers(ham, trace.times).items():
+        for layer, call in evolve_layers(ham, WINDOW, EVOLVE_STEPS).items():
             median, q1, q3, _ = time_call(rows, f"evolve N={n} {layer}", call, 10)
             print(f"  {layer:<6}      N={n:3d}: {median:.3f} ms (quartiles {q1:.3f}-{q3:.3f})")
     with tempfile.TemporaryDirectory() as out:

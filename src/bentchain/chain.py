@@ -200,22 +200,31 @@ def _integer(key: str, value) -> int:
     return int(value)
 
 
+def _float(key: str, value) -> float:
+    """A float config value.  float() would read a bool as 0.0 or 1.0, so a
+    bool raises ValueError; numbers and numeric strings pass."""
+    if isinstance(value, bool):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def spec_from_dict(d: dict) -> tuple[ChainSpec, BendSpec | None]:
     spec = ChainSpec(
         protocol=Protocol(_integer("protocol", d["protocol"])),
         n_sites=_integer("n_sites", d["n_sites"]),
-        omega0=float(d.get("omega0", 1.0)),
+        omega0=_float("omega0", d.get("omega0", 1.0)),
         boundary_ratio=(
-            float(d["boundary_ratio"]) if d.get("boundary_ratio") is not None else None
+            _float("boundary_ratio", d["boundary_ratio"])
+            if d.get("boundary_ratio") is not None else None
         ),
-        epsilon=float(d.get("epsilon", 0.0)),
+        epsilon=_float("epsilon", d.get("epsilon", 0.0)),
     )
     bend = None
     if "alpha" in d:
         bend = BendSpec(
             alpha=_integer("alpha", d["alpha"]),
-            kappa=float(d.get("kappa", 0.0)),
-            delta_alpha=float(d.get("delta_alpha", 0.0)),
+            kappa=_float("kappa", d.get("kappa", 0.0)),
+            delta_alpha=_float("delta_alpha", d.get("delta_alpha", 0.0)),
         )
     return spec, bend
 

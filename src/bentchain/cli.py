@@ -339,7 +339,8 @@ def cmd_sweep_alpha(args, config):
     kappa = args.kappa if args.kappa is not None else config.get("kappa")
     if kappa is None:
         raise ValueError("sweep-alpha needs --kappa")
-    if not isinstance(kappa, (int, float, str)):  # a config list or object
+    # a bool, or a config list or object
+    if isinstance(kappa, bool) or not isinstance(kappa, (int, float, str)):
         raise ValueError(f"bad chain parameter: kappa = {kappa!r}")
     if args.alpha_range:
         corners = parse_grid(args.alpha_range)

@@ -88,8 +88,7 @@ def _transfer_rows(
 ) -> list[TransferResult]:
     """:func:`transfer_metrics` of each bend of one chain, with the first
     arrivals evaluated as one batch (see :func:`first_arrivals`)."""
-    if ref.protocol is not spec.protocol or ref.n_sites != spec.n_sites:
-        raise ValueError("reference point does not match the chain spec")
+    ref.check_chain(spec)
     t_star, p_star = first_arrivals((hamiltonian_matrix(spec, b) for b in bends), ref.t0)
     results = []
     for p, t in zip(p_star.tolist(), t_star.tolist()):

@@ -52,9 +52,11 @@ def optimize_detuning(
     in one cell, refined by secant steps on the slope to ``DELTA_TOL``
     (:func:`search.scan_and_refine`).  An interval end whose slope points
     outwards is the optimum as it stands, with no refine; it is flagged as
-    ``on_boundary``, not raised.  Raises ValueError unless the interval
-    ends are finite with lo < hi, and FloatingPointError if the reference
-    probability is not positive or the optimized metrics are not finite.
+    ``on_boundary``, not raised.  Raises ValueError if the interval ends
+    are not finite with lo < hi or ``ref`` is not the reference of ``spec``
+    (:meth:`ReferencePoint.check_chain`), and FloatingPointError if the
+    reference probability is not positive or the optimized metrics are not
+    finite.
     """
     return _optimize(spec, bend, ref, interval)
 
@@ -114,6 +116,7 @@ def _optimize(spec: ChainSpec, bend: BendSpec, ref: ReferencePoint,
     lo, hi = interval
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid interval: [{lo}, {hi}]")
+    ref.check_chain(spec)
     om = omega_max(spec)
     base = hamiltonian_matrix(spec, replace(bend, delta_alpha=0.0))
     corner = bend.alpha - 1
@@ -125,11 +128,11 @@ def _optimize(spec: ChainSpec, bend: BendSpec, ref: ReferencePoint,
 
     direction = np.zeros_like(base)  # dH/ddelta, delta in units of Omega_max
     direction[corner, corner] = om
-    delta_star, p_star, t_star, best, evaluations = scan_and_refine(
+    delta_star, p_star, t_star, on_boundary, evaluations = scan_and_refine(
         lambda deltas, slopes=False: first_arrivals(
             map(detuned, deltas), ref.t0, direction if slopes else None),
         np.linspace(lo, hi, N_COARSE), DELTA_TOL, widen,
     )
     q_opt, s_opt = ref.normalise(p_star, t_star)
     return OptimizationResult(delta_star, delta_star * om, q_opt, s_opt, evaluations,
-                              on_boundary=best in (0, N_COARSE - 1))
+                              on_boundary)

@@ -3,6 +3,19 @@
 The Hamiltonian is time independent, so propagation is spectral:
 A(t) = sum_k exp(-i lam_k t) v_k <v_k, A(0)> with A(0) = e_1.  There is no
 step-size error; accuracy is set by the eigensolver residual alone.
+
+:func:`evolve` and the first-arrival scan sample A(t) on a uniform grid of
+[0, t_end], which :func:`_phase_tables` builds.  On a grid t_k = k dt of T
+points the phases factorise by angle addition,
+
+    e^{-i lam (j1 m2 + j2) dt} = e^{-i lam j1 m2 dt} e^{-i lam j2 dt},
+
+with k = j1 m2 + j2, m2 = isqrt(T) and m1 = ceil(T / m2).  So two tables of
+about sqrt(T) rows each replace the T x N table of transcendental functions,
+and the end-site amplitude on the whole grid, for a whole block of
+Hamiltonians, is one stacked matrix product (:func:`_end_curve`).  Sums at
+scattered times (the peak refine and single-time probabilities) are
+:func:`_spectral_sums`.
 """
 
 from __future__ import annotations
@@ -15,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import Hamiltonian
-from .kernels import end_probability_curve, phase_tables
 from .search import zoom_max
 
 DEFAULT_N_STEPS = 4096
@@ -72,6 +84,46 @@ class FirstMaximum:
     p_star: float
 
 
+def _cis(phase: np.ndarray) -> np.ndarray:
+    """e^{i phase}; cos and sin write straight into the complex result,
+    with no complex temporary as in np.exp(1j * phase)."""
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
+def _phase_tables(
+    eigvals: np.ndarray, t_end: float, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The uniform grid of ``n`` points on [0, t_end] (endpoints included),
+    the (m1, N) outer table e^{-i lam j1 m2 dt} and the (m2, N) inner table
+    e^{-i lam j2 dt}.  Row k of the full table is
+    ``outer[k // m2] * inner[k % m2]``; the m1 m2 - n rows past the grid's
+    end are surplus.  Eigenvalues of shape (B, N) give (B, m1, N) and
+    (B, m2, N) tables.
+    """
+    times = np.linspace(0.0, t_end, n)
+    m2 = math.isqrt(n)
+    dt = (times[-1] - times[0]) / (n - 1)
+    starts = times[::m2]
+    steps = dt * np.arange(m2)
+    minus_lam = -eigvals[..., None, :]
+    return times, _cis(starts[:, None] * minus_lam), _cis(steps[:, None] * minus_lam)
+
+
+def _end_curve(
+    eigvals: np.ndarray, coef: np.ndarray, t_end: float, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The grid of :func:`_phase_tables` and |A_N|^2 on it, for the end
+    weights ``coef``.  ``eigvals`` and ``coef`` of shape (B, N) give B
+    curves, shape (B, n)."""
+    times, outer, inner = _phase_tables(eigvals, t_end, n)
+    amp = (outer * coef[..., None, :]) @ np.swapaxes(inner, -1, -2)
+    amp = amp.reshape(*amp.shape[:-2], -1)[..., :n]
+    return times, amp.real * amp.real + amp.imag * amp.imag
+
+
 def _end_coef(ham: Hamiltonian) -> np.ndarray:
     # spectral weights of the 1 -> N transfer amplitude
     return np.ascontiguousarray(ham.eigenvectors[0, :] * ham.eigenvectors[-1, :])
@@ -82,7 +134,7 @@ def evolve(ham: Hamiltonian, t_end: float, n_steps: int = DEFAULT_N_STEPS) -> Am
     [0, t_end] (endpoints included).
 
     The phases <v_k, e_1> e^{-i lam_k t} are built site-major, one row per
-    eigenvalue, from the tables of :func:`kernels.phase_tables`, so the
+    eigenvalue, from the tables of :func:`_phase_tables`, so the
     product with the real eigenvectors is one real GEMM on their float view
     (2 T N^2 multiply-adds, half those of a complex GEMM).  ``amplitudes``
     is the (n_steps, N) transpose of that site-major (N, >= n_steps) array:
@@ -92,9 +144,8 @@ def evolve(ham: Hamiltonian, t_end: float, n_steps: int = DEFAULT_N_STEPS) -> Am
         raise ValueError(f"t_end must be finite and > 0, got {t_end}")
     if n_steps < 100:
         raise ValueError(f"n_steps must be >= 100, got {n_steps}")
-    times = np.linspace(0.0, t_end, n_steps)
+    times, outer, inner = _phase_tables(ham.eigenvalues, t_end, n_steps)
     vec = ham.eigenvectors
-    outer, inner = phase_tables(ham.eigenvalues, times)
     # phases[k, j1, j2] = <v_k, e_1> e^{-i lam_k t_{j1 m2 + j2}}
     phases = np.multiply((outer * vec[0]).T[:, :, None], inner.T[:, None, :], order="C")
     sites = (vec @ phases.reshape(vec.shape[0], -1).view(float)).view(complex)
@@ -224,8 +275,7 @@ def _scan(eigvals: np.ndarray, coef: np.ndarray, window: float) -> tuple[np.ndar
             f"is {MAX_GRID_POINTS}"
         )
     lam, ilam, moments = _centred_sums(eigvals, coef)
-    times = np.linspace(0.0, window, max(MIN_GRID_POINTS, math.ceil(needed)) + 1)
-    p = end_probability_curve(lam, coef, times)
+    times, p = _end_curve(lam, coef, window, max(MIN_GRID_POINTS, math.ceil(needed)) + 1)
     mid = p[:, 1:-1]
     peaks = (mid >= p[:, :-2]) & (mid >= p[:, 2:]) & (mid > NOISE_FLOOR)
     # the first peak sample and its neighbours, or else (index T) the last

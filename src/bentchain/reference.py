@@ -54,6 +54,15 @@ class ReferencePoint:
     t0: float
     boundary_ratio: float | None = None
 
+    def check_chain(self, spec: ChainSpec) -> None:
+        """Raise ValueError unless this is the reference of ``spec``'s
+        unbent chain: the same protocol, size and boundary ratio."""
+        mine = (self.protocol.value, self.n_sites, self.boundary_ratio)
+        chain = (spec.protocol.value, spec.n_sites, spec.boundary_ratio)
+        if mine != chain:
+            raise ValueError(f"reference point (protocol, N, ratio) = {mine} does not "
+                             f"match the chain spec's {chain}")
+
     def normalise(self, p: float, t: float) -> tuple[float, float]:
         """(q, s) = (p / p0, t / t0) of a first maximum (p, t).
 
@@ -147,14 +156,14 @@ def calibrate_protocol1(
     direction = np.zeros_like(base)  # dH/dratio
     direction[0, 1] = direction[1, 0] = direction[-2, -1] = direction[-1, -2] = omega0
     grid = np.sort(ratio_grid)
-    best_ratio, p0, t0, best, _ = scan_and_refine(
+    best_ratio, p0, t0, on_boundary, _ = scan_and_refine(
         lambda ratios, slopes=False: first_arrivals(
             map(with_ratio, ratios), window, direction if slopes else None),
         grid, RATIO_TOL,
     )
-    if grid.size > 1 and best in (0, grid.size - 1):
+    if grid.size > 1 and on_boundary:
         warnings.warn(
-            f"calibration optimum at ratio grid boundary ({grid[best]:.4g})",
+            f"calibration optimum at ratio grid boundary ({best_ratio:.4g})",
             stacklevel=2,
         )
     return ReferencePoint(

@@ -57,7 +57,7 @@ def zoom_max(f, a: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray, n
 
 def scan_and_refine(evaluate, grid: np.ndarray, tol: float, widen=None):
     """Maximize a first-arrival probability p*(x); returns (x*, p*, t*,
-    best, n_evals).
+    on_boundary, n_evals).
 
     ``evaluate(xs, slopes=False)`` returns the (t*, p*) arrays of a sequence
     of points, and with ``slopes=True`` also their dp*/dx.  The grid, and
@@ -72,8 +72,9 @@ def scan_and_refine(evaluate, grid: np.ndarray, tol: float, widen=None):
     refines x to ``tol`` inside it, one point per call.  Where no cell
     brackets a sign change, or a slope is not finite, :func:`zoom_max`
     refines p* over the two cells around ``best`` instead, one call per
-    round.  x*, p* and t* are Python floats of one evaluated point, and
-    ``n_evals`` counts every point evaluated.
+    round.  x*, p* and t* are Python floats of one evaluated point,
+    ``on_boundary`` says whether x* is the first or last point of the last
+    grid, and ``n_evals`` counts every point evaluated.
     """
     n_evals = 0
     while grid is not None:
@@ -82,6 +83,7 @@ def scan_and_refine(evaluate, grid: np.ndarray, tol: float, widen=None):
         ties = np.flatnonzero(scores >= scores.max())
         best = int(ties[np.argmin(np.abs(grid[ties]))])
         last, grid = grid, widen(grid, best) if widen else None
+    ends = (float(last[0]), float(last[-1]))
     near = last[max(best - 1, 0) : best + 2]
     t_near, p_near, s_near = evaluate(near, slopes=True)
     n_evals += near.size
@@ -91,13 +93,13 @@ def scan_and_refine(evaluate, grid: np.ndarray, tol: float, widen=None):
     if np.isfinite(s_near).all():
         j = i + (1 if slope > 0.0 else -1)
         if slope == 0.0 or not 0 <= j < near.size:
-            return x, *seen[x], best, n_evals
+            return x, *seen[x], x in ends, n_evals
         if slope * s_near[j] < 0.0:
             x_star, n_refine = _slope_root(
                 evaluate, (float(near[j]), float(s_near[j])), (x, slope), tol, seen)
             n_evals += n_refine
             if x_star is not None:
-                return x_star, *seen[x_star], best, n_evals
+                return x_star, *seen[x_star], x_star in ends, n_evals
 
     def p_first_max(xs: np.ndarray, _) -> np.ndarray:
         nonlocal n_evals
@@ -109,7 +111,7 @@ def scan_and_refine(evaluate, grid: np.ndarray, tol: float, widen=None):
 
     x_star, _ = zoom_max(p_first_max, near[:1], near[-1:], tol)
     x_star = float(x_star[0])
-    return x_star, *seen[x_star], best, n_evals
+    return x_star, *seen[x_star], x_star in ends, n_evals
 
 
 def _slope_root(evaluate, older: tuple[float, float], newer: tuple[float, float],

@@ -4,7 +4,7 @@ Diagonalizes the Hamiltonian matrix itself, samples |A_N(t)|^2 on a dense
 uniform grid, takes the first local maximum above the noise floor (or, with
 none, a peak in the last cell when the slope falls at the window end), and
 bisects the analytic slope p'(t) = 2 Re(conj(A) A') to machine precision.
-It shares no code with ``bentchain.propagate``, ``kernels`` or ``search``.
+It shares no code with ``bentchain.propagate`` or ``search``.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from bentchain import (
     transfer_metrics,
 )
 from bentchain.chain import build_hamiltonian, omega_max
-from bentchain.kernels import end_probability_curve
+from bentchain.propagate import _end_curve
 
 SIZES = (12, 13, 21, 25)
 KAPPA_GRID = np.round(np.arange(0.1, 1.001, 0.1), 10)
@@ -99,9 +99,9 @@ class TestCriterion1:
             worst_p0 = min(worst_p0, ref.p0)
             if n <= 12:
                 ham = build_hamiltonian(spec)
-                times = np.linspace(0.0, math.pi / 2, 1000)
-                p = end_probability_curve(
-                    ham.eigenvalues, ham.eigenvectors[0] * ham.eigenvectors[-1], times
+                times, p = _end_curve(
+                    ham.eigenvalues, ham.eigenvectors[0] * ham.eigenvectors[-1],
+                    math.pi / 2, 1000,
                 )
                 resid = float(
                     np.abs(p - np.sin(times) ** (2 * (n - 1))).max()

@@ -173,6 +173,26 @@ class TestConfigRoundtrip:
         with pytest.raises(ValueError, match=f"{key} must be an integer"):
             spec_from_dict(d)
 
+    @pytest.mark.parametrize("key", [
+        "omega0", "boundary_ratio", "epsilon", "kappa", "delta_alpha",
+    ])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_float_field_rejected(self, key, value):
+        # float() would read true as 1.0 and false as 0.0
+        d = {"protocol": 1, "n_sites": 9, "boundary_ratio": 0.7, "alpha": 5,
+             "kappa": 0.4, key: value}
+        with pytest.raises(ValueError, match=f"{key} must be a number"):
+            spec_from_dict(d)
+
+    def test_numeric_float_fields_accepted(self):
+        d = {"protocol": 1, "n_sites": 9, "omega0": 2, "boundary_ratio": "0.7",
+             "epsilon": 0, "alpha": 5, "kappa": 1, "delta_alpha": "-1.5"}
+        spec, bend = spec_from_dict(d)
+        assert spec == ChainSpec(Protocol.PROTOCOL_1, 9, omega0=2.0, boundary_ratio=0.7)
+        assert bend == BendSpec(alpha=5, kappa=1.0, delta_alpha=-1.5)
+        assert all(type(v) is float for v in (spec.omega0, spec.boundary_ratio,
+                                              spec.epsilon, bend.kappa, bend.delta_alpha))
+
     def test_integral_float_fields_accepted(self):
         d = {"protocol": 2.0, "n_sites": 9.0, "alpha": 5.0, "kappa": 0.4}
         spec, bend = spec_from_dict(d)

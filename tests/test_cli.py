@@ -3,6 +3,7 @@ import concurrent.futures
 import csv
 import json
 import math
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -158,6 +159,32 @@ class TestCommands:
         assert math.isclose(payload["delta_star"], expected.delta_star,
                             rel_tol=1e-9)
         assert payload["q_opt"] >= 0.99
+
+    def test_optimize_interior_optimum_not_flagged(self, tmp_path, capsys):
+        # the best coarse detuning is the -4 end of the default interval,
+        # but the refined optimum lies inside it
+        code, out, _ = run(
+            capsys, "optimize", "--protocol", "2", "--n", "12", "--alpha", "5",
+            "--kappa", "0.75", "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert "delta*=-3.996232" in out and "(boundary)" not in out
+        payload = json.loads(
+            (tmp_path / "optimize" / "optimize" / "optimize.json").read_text()
+        )
+        assert payload["on_boundary"] is False
+
+    def test_calibrate_interior_optimum_does_not_warn(self, tmp_path, capsys):
+        # the best grid ratio is the last one, 0.4, but the refined ratio
+        # lies inside the grid
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = run(
+                capsys, "calibrate", "--n", "5", "--grid", "0.05:0.05:0.4",
+                "--out", str(tmp_path),
+            )
+        assert code == 0 and "ratio=0.392759" in out
+        assert [str(w.message) for w in caught] == []
 
     def test_spectrum(self, tmp_path, capsys):
         code, out, _ = run(
@@ -412,6 +439,23 @@ class TestErrors:
         assert f"{key} must be an integer" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("key", [
+        "omega0", "boundary_ratio", "epsilon", "kappa", "delta_alpha",
+    ])
+    def test_config_bool_float_field_is_usage_error(self, tmp_path, capsys, key):
+        # float() read true as 1.0: kappa true ran a kappa = 1 bend
+        cfg = tmp_path / "chain.json"
+        cfg.write_text(json.dumps(
+            {"protocol": 2, "n_sites": 9, "alpha": 5, "kappa": 0.4, key: True}
+        ))
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            capsys, "metrics", "--config", str(cfg), "--out", str(out_dir)
+        )
+        assert code == EXIT_USAGE
+        assert f"{key} must be a number" in err
+        assert out == "" and not out_dir.exists()
+
     @pytest.mark.parametrize("device,name", [
         (["--L", "nan"], "length"),
         (["--L", "10", "--xi", "nan"], "xi"),
@@ -512,6 +556,18 @@ class TestErrors:
     def test_sweep_alpha_config_kappa_list_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "k.json"
         cfg.write_text(json.dumps({"protocol": 2, "n_sites": 9, "kappa": [1]}))
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            capsys, "sweep-alpha", "--config", str(cfg), "--out", str(out_dir)
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith("error: bad chain parameter: kappa")
+        assert out == "" and not out_dir.exists()
+
+    def test_sweep_alpha_config_kappa_bool_is_usage_error(self, tmp_path, capsys):
+        # float(True) ran every corner at kappa = 1
+        cfg = tmp_path / "k.json"
+        cfg.write_text(json.dumps({"protocol": 2, "n_sites": 9, "kappa": True}))
         out_dir = tmp_path / "out"
         code, out, err = run(
             capsys, "sweep-alpha", "--config", str(cfg), "--out", str(out_dir)

@@ -6,8 +6,7 @@ import pytest
 
 from bentchain import BendSpec, ChainSpec, Protocol, evolve, omega_max
 from bentchain.chain import Hamiltonian, build_hamiltonian
-from bentchain.kernels import end_probability_curve, phase_tables
-from bentchain.propagate import _end_coef, end_probability_at
+from bentchain.propagate import _end_coef, _end_curve, _phase_tables, end_probability_at
 
 
 class TestKernelConsistency:
@@ -29,14 +28,14 @@ class TestKernelConsistency:
         )
         coef = _end_coef(ham)
         trace = evolve(ham, t_end=15.0, n_steps=2048)
-        p = end_probability_curve(ham.eigenvalues, coef, trace.times)
+        times, p = _end_curve(ham.eigenvalues, coef, 15.0, 2048)
+        assert np.array_equal(times, trace.times)
         np.testing.assert_allclose(p, np.abs(trace.amplitudes[:, -1]) ** 2, atol=1e-13)
 
     def test_probability_bounds(self):
         ham = build_hamiltonian(ChainSpec(Protocol.PROTOCOL_2, 9))
         coef = _end_coef(ham)
-        times = np.linspace(0.0, 10.0, 4096)
-        p = end_probability_curve(ham.eigenvalues, coef, times)
+        _, p = _end_curve(ham.eigenvalues, coef, 10.0, 4096)
         assert np.all(p >= -1e-14)
         assert np.all(p <= 1 + 1e-12)
 
@@ -58,8 +57,7 @@ class TestPhaseTables:
     @pytest.mark.parametrize("n", [5, 25, 100])
     def test_curve_matches_direct(self, n, size):
         spec = ChainSpec(Protocol.PROTOCOL_2, n)
-        # a start below zero puts t = 0 inside the grid
-        times = np.linspace(-0.5, math.pi / 2, size)
+        times = np.linspace(0.0, math.pi / 2, size)
         for delta in (0.0, -1.5, -32.0):
             bend = BendSpec(alpha=(n + 1) // 2, kappa=0.5,
                             delta_alpha=delta * omega_max(spec))
@@ -69,17 +67,18 @@ class TestPhaseTables:
             # raw and centred spectra (first_arrival passes the centred
             # one); a shift of lam is a global phase
             for shift in (0.0, 0.5 * (lam[0] + lam[-1])):
-                p = end_probability_curve(lam - shift, coef, times)
+                grid, p = _end_curve(lam - shift, coef, math.pi / 2, size)
+                assert np.array_equal(grid, times)
                 assert p.shape == times.shape
                 np.testing.assert_allclose(p, direct, rtol=0, atol=1e-13)
 
     def test_table_shapes(self):
         lam = np.arange(4.0)
         for size, m1, m2 in ((3, 3, 1), (64, 8, 8), (65, 9, 8), (4097, 65, 64)):
-            outer, inner = phase_tables(lam, np.linspace(0.0, 1.0, size))
+            times, outer, inner = _phase_tables(lam, 1.0, size)
+            assert np.array_equal(times, np.linspace(0.0, 1.0, size))
             assert outer.shape == (m1, 4) and inner.shape == (m2, 4)
-            outer, inner = phase_tables(np.stack([lam, lam + 1.0, -lam]),
-                                        np.linspace(0.0, 1.0, size))
+            _, outer, inner = _phase_tables(np.stack([lam, lam + 1.0, -lam]), 1.0, size)
             assert outer.shape == (3, m1, 4) and inner.shape == (3, m2, 4)
 
     @pytest.mark.parametrize("size", [3, 65, 4097])
@@ -94,22 +93,11 @@ class TestPhaseTables:
         ]
         lam = np.stack([h.eigenvalues for h in hams])
         coef = np.stack([_end_coef(h) for h in hams])
-        p = end_probability_curve(lam, coef, times)
+        _, p = _end_curve(lam, coef, math.pi / 2, size)
         assert p.shape == (len(hams), size)
         for row, ham in zip(p, hams):
             direct = _direct_curve(ham.eigenvalues, _end_coef(ham), times)
             np.testing.assert_allclose(row, direct, rtol=0, atol=1e-13)
-
-    @pytest.mark.parametrize("times", [
-        np.geomspace(1e-3, 1.0, 50),
-        np.concatenate([np.linspace(0.0, 1.0, 30), np.linspace(1.1, 3.0, 20)]),
-        np.linspace(0.0, 1.0, 50) + np.where(np.arange(50) == 37, 1e-9, 0.0),
-        np.array([0.0, 0.5, np.nan, 1.5]),
-    ])
-    def test_non_uniform_grid_rejected(self, times):
-        ham = build_hamiltonian(ChainSpec(Protocol.PROTOCOL_2, 9))
-        with pytest.raises(ValueError, match="uniform"):
-            end_probability_curve(ham.eigenvalues, _end_coef(ham), times)
 
     # the tables cover more than T rows in every case but (200, 4096)
     @pytest.mark.parametrize("build,t_end,n_steps", [

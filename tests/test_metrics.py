@@ -59,6 +59,12 @@ class TestTransferMetrics:
         with pytest.raises(ValueError):
             transfer_metrics(_p2(11), BendSpec(alpha=5, kappa=0.3), ref)
 
+    def test_reference_of_another_boundary_ratio_rejected(self):
+        spec = ChainSpec(Protocol.PROTOCOL_1, 9, boundary_ratio=0.7)
+        ref = reference(ChainSpec(Protocol.PROTOCOL_1, 9, boundary_ratio=0.6))
+        with pytest.raises(ValueError, match="does not match the chain spec"):
+            transfer_metrics(spec, BendSpec(alpha=5, kappa=0.3), ref)
+
     def test_mirror_symmetry(self):
         # a corner at alpha and its mirror N+1-alpha are physically equivalent
         spec = _p2(12)

@@ -101,6 +101,28 @@ class TestOptimizeDetuning:
         )
         assert res.on_boundary
 
+    def test_interior_optimum_from_an_end_sample_not_flagged(self):
+        # the best coarse detuning is the -4 end, but the slope there points
+        # inwards and the refined optimum lies inside the interval
+        spec = _p2(12)
+        res = optimize_detuning(spec, BendSpec(alpha=5, kappa=0.75), reference(spec))
+        assert DEFAULT_INTERVAL[0] < res.delta_star < -3.99
+        assert abs(res.delta_star + 3.996232) <= 1e-6
+        assert res.on_boundary is False
+
+    @pytest.mark.parametrize("spec,other", [
+        (_p2(13), _p2(9)),
+        (_p2(13), ChainSpec(Protocol.PROTOCOL_1, 13, boundary_ratio=0.6)),
+        (ChainSpec(Protocol.PROTOCOL_1, 13, boundary_ratio=0.7),
+         ChainSpec(Protocol.PROTOCOL_1, 13, boundary_ratio=0.6)),
+    ], ids=["n_sites", "protocol", "boundary_ratio"])
+    def test_reference_of_another_chain_rejected(self, spec, other):
+        ref = reference(other)
+        with pytest.raises(ValueError, match="does not match the chain spec"):
+            optimize_detuning(spec, BendSpec(alpha=7, kappa=0.5), ref)
+        with pytest.raises(ValueError, match="does not match the chain spec"):
+            detuning_curve(spec, 7, [0.1, 0.2], ref)
+
     def test_deterministic(self):
         spec = _p2(11)
         ref = reference(spec)

@@ -16,7 +16,6 @@ from bentchain import (
     omega_max,
 )
 from bentchain import propagate
-from bentchain.kernels import end_probability_curve
 from bentchain.propagate import BLOCK_ROWS, end_probability_at, first_arrivals
 from dense_reference import first_arrival_dense
 
@@ -27,9 +26,8 @@ def p2(n):
 
 def end_curve(ham, t_end, n_steps):
     """(times, |A_N|^2) on a uniform grid of [0, t_end]."""
-    times = np.linspace(0.0, t_end, n_steps)
     coef = ham.eigenvectors[0] * ham.eigenvectors[-1]
-    return times, end_probability_curve(ham.eigenvalues, coef, times)
+    return propagate._end_curve(ham.eigenvalues, coef, t_end, n_steps)
 
 
 def rk4_site_probs(ham, t_end, dt):
@@ -311,13 +309,13 @@ class TestFirstArrivals:
         # the block's grid has the point count of its widest spectrum, so
         # no row is sampled more coarsely than it would be alone
         sizes = []
-        curve = propagate.end_probability_curve
+        curve = propagate._end_curve
 
-        def recording(lam, coef, times):
-            sizes.append(times.size)
-            return curve(lam, coef, times)
+        def recording(lam, coef, t_end, n):
+            sizes.append(n)
+            return curve(lam, coef, t_end, n)
 
-        monkeypatch.setattr(propagate, "end_probability_curve", recording)
+        monkeypatch.setattr(propagate, "_end_curve", recording)
         spec = p2(13)
         narrow, wide = (
             build_hamiltonian(spec, BendSpec(alpha=7, kappa=0.5,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,15 @@ class TestCalibration:
         }[n]
         assert abs(ref.boundary_ratio - ratio) <= RATIO_TOL
         assert ref.p0 >= p0 - 1e-12 and math.isclose(ref.t0, t0, rel_tol=1e-6)
+
+    def test_interior_optimum_from_an_end_sample_does_not_warn(self):
+        # the best grid ratio is the last one, 0.4, but the refined optimum
+        # lies inside the grid
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ref = calibrate_protocol1(5, ratio_grid=np.arange(1, 9) * 0.05)
+        assert 0.35 < ref.boundary_ratio < 0.4
+        assert abs(ref.boundary_ratio - 0.392759) <= 1e-6
 
     def test_boundary_warning(self):
         with pytest.warns(UserWarning, match="boundary") as record:

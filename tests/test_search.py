@@ -119,8 +119,8 @@ def batch(p, dp):
 class TestScanAndRefine:
     def test_refines_inside_the_best_cells(self):
         evaluate, calls = batch(lambda x: 1.0 - (x - 0.23) ** 2, lambda x: -2.0 * (x - 0.23))
-        x, p, t, best, n = scan_and_refine(evaluate, np.linspace(0.0, 1.0, 11), 1e-8)
-        assert abs(x - 0.23) <= 2e-8 and best == 2
+        x, p, t, on_boundary, n = scan_and_refine(evaluate, np.linspace(0.0, 1.0, 11), 1e-8)
+        assert abs(x - 0.23) <= 2e-8 and on_boundary is False
         # p* and t* are those of the evaluated point x*, as Python floats
         assert (p, t) == (1.0 - (x - 0.23) ** 2, 2.0 * x)
         assert all(type(v) is float for v in (x, p, t))
@@ -132,13 +132,19 @@ class TestScanAndRefine:
 
     def test_ties_go_to_the_smaller_magnitude(self):
         evaluate, _ = batch(lambda x: 1.0, lambda x: 0.0)
+        # a zero slope keeps the best sample as x*
         grid = np.array([-3.0, -1.0, 0.5, 2.0])
-        assert scan_and_refine(evaluate, grid, 1e-6)[3] == 2
-        assert scan_and_refine(evaluate, grid[::-1].copy(), 1e-6)[3] == 1
+        assert scan_and_refine(evaluate, grid, 1e-6)[::3] == (0.5, False)
+        assert scan_and_refine(evaluate, grid[::-1].copy(), 1e-6)[::3] == (0.5, False)
+        # the smallest |x| at an end of the grid is an end optimum
+        grid = np.array([0.0, 1.0, 2.0])
+        assert scan_and_refine(evaluate, grid, 1e-6)[::3] == (0.0, True)
 
     def test_one_point_grid(self):
         evaluate, calls = batch(lambda x: -x, lambda x: -1.0)
-        assert scan_and_refine(evaluate, np.array([0.4]), 1e-6) == (0.4, -0.4, 0.8, 0, 2)
+        found = scan_and_refine(evaluate, np.array([0.4]), 1e-6)
+        # the one point is the first and the last point of its grid
+        assert found == (0.4, -0.4, 0.8, True, 2) and found[3] is True
         # the point's slope points out of its one-point grid: no refine
         assert calls == [(1, False), (1, True)]
 
@@ -148,10 +154,20 @@ class TestScanAndRefine:
     ])
     def test_end_sample_sloping_out_is_the_optimum(self, p, dp, end):
         evaluate, calls = batch(p, dp)
-        x, px, t, best, n = scan_and_refine(evaluate, np.linspace(-0.5, 1.0, 16), 1e-8)
+        x, px, t, on_boundary, n = scan_and_refine(evaluate, np.linspace(-0.5, 1.0, 16), 1e-8)
         # exactly the end sample, with no refine evaluation
-        assert (x, px, t) == (end, p(end), 2.0 * end)
+        assert (x, px, t) == (end, p(end), 2.0 * end) and on_boundary is True
         assert calls == [(16, False), (2, True)] and n == 18
+
+    @pytest.mark.parametrize("x_max", [0.03, 0.97])
+    def test_refine_from_an_end_sample_is_interior(self, x_max):
+        # the best sample is an end of the grid, but its slope points
+        # inwards: the optimum is refined inside the first or last cell and
+        # is not on the boundary
+        evaluate, calls = batch(lambda x: 1.0 - (x - x_max) ** 2, lambda x: -2.0 * (x - x_max))
+        x, _, _, on_boundary, _ = scan_and_refine(evaluate, np.linspace(0.0, 1.0, 11), 1e-8)
+        assert calls[1] == (2, True)  # the end sample and its one neighbour
+        assert abs(x - x_max) <= 2e-8 and on_boundary is False
 
     def test_converges_to_tol_on_a_smooth_objective(self):
         def p(x):
@@ -173,8 +189,9 @@ class TestScanAndRefine:
         # p* rises on both sides of a drop at x = 0.45: no slope changes
         # sign, and the supremum is the left limit of the drop
         evaluate, calls = batch(lambda x: x if x < 0.45 else x - 1.0, lambda x: 1.0)
-        x, p, t, best, n = scan_and_refine(evaluate, np.linspace(0.0, 1.0, 11), 1e-8)
-        assert best == 4 and 0.45 - 1e-7 <= x < 0.45
+        x, p, t, on_boundary, n = scan_and_refine(evaluate, np.linspace(0.0, 1.0, 11), 1e-8)
+        # the zoom runs over the cells around the best sample 0.4
+        assert on_boundary is False and 0.45 - 1e-7 <= x < 0.45
         # p* and t* are those of the evaluated point x*, as Python floats
         assert (p, t) == (x, 2.0 * x) and all(type(v) is float for v in (x, p, t))
         assert n == sum(size for size, _ in calls)
@@ -213,10 +230,12 @@ class TestScanAndRefine:
             grids.append((grid[0], grid[-1], best))
             return np.linspace(grid[0] - 1.0, grid[-1], 5) if best == 0 else None
 
-        x, _, _, best, n = scan_and_refine(evaluate, np.linspace(0.0, 1.0, 5), 1e-8, widen)
-        assert abs(x + 2.5) <= 2e-8
+        x, _, _, on_boundary, n = scan_and_refine(
+            evaluate, np.linspace(0.0, 1.0, 5), 1e-8, widen)
+        assert abs(x + 2.5) <= 2e-8 and on_boundary is False
         assert [g[:2] for g in grids] == [(0.0, 1.0), (-1.0, 1.0), (-2.0, 1.0), (-3.0, 1.0)]
-        assert best == 1
+        # the last grid's best sample -2 is interior
+        assert grids[-1][2] == 1
         # four scans, then the slopes and every refine step after them
         assert calls[:5] == [(5, False)] * 4 + [(3, True)]
         assert set(calls[5:]) == {(1, True)}
