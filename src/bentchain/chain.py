@@ -47,24 +47,22 @@ def _require_finite(**values: float) -> None:
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """An unbent N-site chain: protocol, size, energy scale, site energy.
+    """An unbent N-site chain: protocol, size and energy scale.
 
     ``boundary_ratio`` is the end-coupling ratio Omega/omega0 and is required
     for (and only allowed with) Protocol 1.  All couplings and energies are
-    expressed in units where ``omega0`` sets the scale; ``epsilon`` is the
-    uniform on-site energy (a global phase, kept for completeness).
+    expressed in units where ``omega0`` sets the scale.
     """
 
     protocol: Protocol
     n_sites: int
     omega0: float = 1.0
     boundary_ratio: float | None = None
-    epsilon: float = 0.0
 
     def __post_init__(self):
         if self.n_sites < 2:
             raise ValueError(f"n_sites must be >= 2, got {self.n_sites}")
-        _require_finite(omega0=self.omega0, epsilon=self.epsilon)
+        _require_finite(omega0=self.omega0)
         if self.boundary_ratio is not None:
             _require_finite(boundary_ratio=self.boundary_ratio)
         if self.omega0 <= 0:
@@ -138,15 +136,14 @@ def omega_max(spec: ChainSpec) -> float:
 def hamiltonian_matrix(spec: ChainSpec, bend: BendSpec | None = None) -> np.ndarray:
     """The one-excitation matrix of a chain, bent or not.
 
-    Without a bend the matrix is tridiagonal: ``epsilon`` on the diagonal
-    and the protocol couplings on the off-diagonals.  A bend adds
+    Without a bend the matrix is tridiagonal: a zero diagonal and the
+    protocol couplings on the off-diagonals.  A bend adds
     g = kappa * Omega_max at the (alpha-1, alpha+1) site pair and the
     detuning delta_alpha on the corner diagonal entry.
     """
     n = spec.n_sites
     couplings = build_couplings(spec)
     h = np.zeros((n, n))
-    np.fill_diagonal(h, spec.epsilon)
     idx = np.arange(n - 1)
     h[idx, idx + 1] = couplings
     h[idx + 1, idx] = couplings
@@ -171,8 +168,8 @@ def build_hamiltonian(spec: ChainSpec, bend: BendSpec | None = None) -> Hamilton
     return Hamiltonian(matrix=h, eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
-# --- JSON config (keys: protocol, n_sites, omega0, boundary_ratio, epsilon,
-#     alpha, kappa, delta_alpha) ---
+# --- JSON config (keys: protocol, n_sites, omega0, boundary_ratio, alpha,
+#     kappa, delta_alpha) ---
 
 
 def spec_to_dict(spec: ChainSpec, bend: BendSpec | None = None) -> dict:
@@ -180,7 +177,6 @@ def spec_to_dict(spec: ChainSpec, bend: BendSpec | None = None) -> dict:
         "protocol": spec.protocol.value,
         "n_sites": spec.n_sites,
         "omega0": spec.omega0,
-        "epsilon": spec.epsilon,
     }
     if spec.boundary_ratio is not None:
         d["boundary_ratio"] = spec.boundary_ratio
@@ -194,16 +190,19 @@ def spec_to_dict(spec: ChainSpec, bend: BendSpec | None = None) -> dict:
 def _integer(key: str, value) -> int:
     """An integer config value.  int() would truncate a float with a
     fractional part (or read a bool as 0 or 1) into a different chain than
-    the config names, so those raise ValueError; 9 and 9.0 both give 9."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    the config names, so those raise ValueError, as do null, lists and
+    objects; 9 and 9.0 both give 9."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, str))
+            or (isinstance(value, float) and not value.is_integer())):
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
 
 def _float(key: str, value) -> float:
-    """A float config value.  float() would read a bool as 0.0 or 1.0, so a
-    bool raises ValueError; numbers and numeric strings pass."""
-    if isinstance(value, bool):
+    """A float config value: a number or a numeric string.  float() would
+    read a bool as 0.0 or 1.0, so a bool raises ValueError, as do null,
+    lists and objects."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ValueError(f"{key} must be a number, got {value!r}")
     return float(value)
 
@@ -217,7 +216,6 @@ def spec_from_dict(d: dict) -> tuple[ChainSpec, BendSpec | None]:
             _float("boundary_ratio", d["boundary_ratio"])
             if d.get("boundary_ratio") is not None else None
         ),
-        epsilon=_float("epsilon", d.get("epsilon", 0.0)),
     )
     bend = None
     if "alpha" in d:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chain import BendSpec, ChainSpec, Protocol, spec_from_dict, spec_to_dict
+from .chain import BendSpec, ChainSpec, Protocol, _float, _integer, spec_from_dict, spec_to_dict
 from .metrics import (
     FitDivergedError,
     SweepTable,
@@ -73,26 +73,31 @@ class _Parser(argparse.ArgumentParser):
     """An argument parser that reads a negative number in exponent form
     (``-1.5e-1``, ``-4e0``) as a value.  Python 3.11's argparse knows only
     ``-1`` and ``-0.15`` as numbers and takes the rest for option flags.
+    No option abbreviates (``--alpha`` is not ``--alpha-range``).
     Subparsers are made of the same class."""
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
-def _chain_args(parser: argparse.ArgumentParser, bend: bool = False) -> None:
+def _chain_args(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """--config, --protocol, --n and --ratio, and those of --omega0, --alpha,
+    --kappa and --delta named in ``flags``; each dest is its config key."""
     parser.add_argument("--config", type=Path,
                         help="JSON file providing chain/bend parameters")
     parser.add_argument("--protocol", type=int, choices=(1, 2), help="1 or 2")
     parser.add_argument("--n", type=int, dest="n_sites", help="number of sites")
-    parser.add_argument("--omega0", type=float, default=None)
+    if "omega0" in flags:
+        parser.add_argument("--omega0", type=float)
     parser.add_argument("--ratio", type=float, dest="boundary_ratio",
                         help="boundary coupling ratio (Protocol 1)")
-    parser.add_argument("--epsilon", type=float, default=None)
-    if bend:
+    if "alpha" in flags:
         parser.add_argument("--alpha", type=int, help="corner site index")
+    if "kappa" in flags:
         parser.add_argument("--kappa", type=float, help="bend strength g/Omega_max")
-        parser.add_argument("--delta", type=float, default=None,
+    if "delta" in flags:
+        parser.add_argument("--delta", type=float, dest="delta_alpha", metavar="DELTA",
                             help="corner detuning (units of omega0)")
 
 
@@ -113,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("reference", help="unbent-chain reference (p0, t0)")
-    _chain_args(p)
+    _chain_args(p, "omega0")
     _out_args(p)
 
     p = sub.add_parser("calibrate", help="calibrate Protocol 1 boundary ratio")
@@ -124,11 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
     _out_args(p)
 
     p = sub.add_parser("metrics", help="bent-chain transfer metrics (q, s)")
-    _chain_args(p, bend=True)
+    _chain_args(p, "omega0", "alpha", "kappa", "delta")
     _out_args(p)
 
     p = sub.add_parser("sweep-kappa", help="sweep bend strength at fixed corner")
-    _chain_args(p, bend=True)
+    _chain_args(p, "omega0", "alpha")
     p.add_argument("--grid", default="0:0.1:1", help="kappa grid")
     p.add_argument("--optimize", action="store_true",
                    help="also optimize the corner detuning per point")
@@ -136,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     _out_args(p)
 
     p = sub.add_parser("sweep-alpha", help="sweep corner position at fixed kappa")
-    _chain_args(p, bend=True)
+    _chain_args(p, "omega0", "kappa")
     p.add_argument("--alpha-range", default=None,
                    help="alpha grid (default 2:1:ceil(N/2))")
     p.add_argument("--no-optimize", action="store_true")
@@ -144,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     _out_args(p)
 
     p = sub.add_parser("optimize", help="optimal corner detuning for one bend")
-    _chain_args(p, bend=True)
+    _chain_args(p, "omega0", "alpha", "kappa")
     p.add_argument("--interval", nargs=2, type=float, default=DEFAULT_INTERVAL,
                    metavar=("LO", "HI"),
                    help="detuning search interval, units of Omega_max "
@@ -152,16 +157,16 @@ def build_parser() -> argparse.ArgumentParser:
     _out_args(p)
 
     p = sub.add_parser("curve", help="optimal detuning vs kappa")
-    _chain_args(p, bend=True)
+    _chain_args(p, "omega0", "alpha")
     p.add_argument("--grid", default="0:0.1:1", help="kappa grid")
     _out_args(p)
 
     p = sub.add_parser("spectrum", help="eigenvalue gaps and overlaps")
-    _chain_args(p, bend=True)
+    _chain_args(p, "omega0", "alpha", "kappa")
     _out_args(p)
 
     p = sub.add_parser("design", help="waveguide separations for the chain")
-    _chain_args(p)
+    _chain_args(p)  # design_layout sets omega0 from t0 / L
     p.add_argument("--L", type=float, required=True, help="device length, cm")
     p.add_argument("--eta", type=float, default=19.5, help="coupling prefactor, 1/cm")
     p.add_argument("--xi", type=float, default=0.152, help="decay rate, 1/um")
@@ -185,26 +190,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_chain(args, config: dict) -> tuple[ChainSpec, BendSpec | None]:
-    merged = dict(config)
-    for key, attr in (
-        ("protocol", "protocol"),
-        ("n_sites", "n_sites"),
-        ("omega0", "omega0"),
-        ("boundary_ratio", "boundary_ratio"),
-        ("epsilon", "epsilon"),
-        ("alpha", "alpha"),
-        ("kappa", "kappa"),
-        ("delta_alpha", "delta"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            merged[key] = value
+_BEND_READERS = {"alpha": _integer, "kappa": _float, "delta_alpha": _float}
+
+
+def _resolve_chain(args, config: dict) -> tuple[ChainSpec, dict]:
+    """The chain, and the bend values by config key, of the flags the
+    command takes: each from its flag, else from its --config key.  Config
+    keys of other flags are ignored.  A command taking --alpha or --kappa
+    needs it."""
+    keys = [key for key in ("protocol", "n_sites", "omega0", "boundary_ratio", *_BEND_READERS)
+            if hasattr(args, key)]
+    merged = {key: config[key] for key in keys if key in config}
+    merged.update((key, getattr(args, key)) for key in keys if getattr(args, key) is not None)
     if "protocol" not in merged or "n_sites" not in merged:
         raise ValueError("missing --protocol/--n (or a --config providing them)")
+    missing = [f"--{key}" for key in ("alpha", "kappa") if key in keys and key not in merged]
+    if missing:
+        raise ValueError(f"{args.command} needs {' and '.join(missing)}")
+    bend = {key: merged.pop(key) for key in _BEND_READERS if key in merged}
     try:
-        return spec_from_dict(merged)
-    except TypeError as exc:  # a config value of the wrong JSON type, e.g. null
+        spec, _ = spec_from_dict(merged)
+        return spec, {key: _BEND_READERS[key](key, value) for key, value in bend.items()}
+    except ValueError as exc:
         raise ValueError(f"bad chain parameter: {exc}") from None
 
 
@@ -309,9 +316,8 @@ def cmd_calibrate(args, config):
 
 
 def cmd_metrics(args, config):
-    spec, bend = _resolve_chain(args, config)
-    if bend is None:
-        raise ValueError("metrics needs --alpha and --kappa")
+    spec, values = _resolve_chain(args, config)
+    bend = BendSpec(**values)
     result = transfer_metrics(spec, bend, reference(spec))
     return ({"metrics.json": {"p": result.p, "t": result.t, "q": result.q, "s": result.s}},
             {"command": "metrics", "chain": spec_to_dict(spec, bend)},
@@ -321,10 +327,8 @@ def cmd_metrics(args, config):
 
 def cmd_sweep_kappa(args, config):
     spec, bend = _resolve_chain(args, config)
-    if bend is None:
-        raise ValueError("sweep-kappa needs --alpha (kappa comes from --grid)")
     grid = parse_grid(args.grid)
-    table = sweep_kappa(spec, bend.alpha, grid, optimize=args.optimize)
+    table = sweep_kappa(spec, bend["alpha"], grid, optimize=args.optimize)
     name = f"sweep_kappa.{args.format}"
     qs = [r.result.q for r in table.rows]
     return ({name: _table_content(table, args.format)},
@@ -335,13 +339,7 @@ def cmd_sweep_kappa(args, config):
 
 
 def cmd_sweep_alpha(args, config):
-    spec, _ = _resolve_chain(args, config)
-    kappa = args.kappa if args.kappa is not None else config.get("kappa")
-    if kappa is None:
-        raise ValueError("sweep-alpha needs --kappa")
-    # a bool, or a config list or object
-    if isinstance(kappa, bool) or not isinstance(kappa, (int, float, str)):
-        raise ValueError(f"bad chain parameter: kappa = {kappa!r}")
+    spec, bend = _resolve_chain(args, config)
     if args.alpha_range:
         corners = parse_grid(args.alpha_range)
         if not all(float(a).is_integer() for a in corners):
@@ -349,18 +347,17 @@ def cmd_sweep_alpha(args, config):
         alphas = [int(a) for a in corners]
     else:
         alphas = list(range(2, math.ceil(spec.n_sites / 2) + 1))
-    table = sweep_alpha(spec, float(kappa), alphas, optimize=not args.no_optimize)
+    table = sweep_alpha(spec, bend["kappa"], alphas, optimize=not args.no_optimize)
     name = f"sweep_alpha.{args.format}"
     return ({name: _table_content(table, args.format)},
             {"command": "sweep-alpha", "alphas": alphas, "chain": table.metadata},
-            f"sweep-alpha: {len(table.rows)} corners at kappa={kappa} -> "
+            f"sweep-alpha: {len(table.rows)} corners at kappa={bend['kappa']} -> "
             f"{_run_dir(args) / name}")
 
 
 def cmd_optimize(args, config):
-    spec, bend = _resolve_chain(args, config)
-    if bend is None:
-        raise ValueError("optimize needs --alpha and --kappa")
+    spec, values = _resolve_chain(args, config)
+    bend = BendSpec(**values)
     lo, hi = args.interval
     res = optimize_detuning(spec, bend, reference(spec), interval=(lo, hi))
     payload = {
@@ -381,23 +378,21 @@ def cmd_optimize(args, config):
 
 def cmd_curve(args, config):
     spec, bend = _resolve_chain(args, config)
-    if bend is None:
-        raise ValueError("curve needs --alpha")
     grid = parse_grid(args.grid)
-    curve = detuning_curve(spec, bend.alpha, grid, reference(spec))
+    curve = detuning_curve(spec, bend["alpha"], grid, reference(spec))
     rows = [[kappa, res.delta_star, res.q_opt, res.s_opt, int(res.on_boundary)]
             for kappa, res in curve]
     deltas = [res.delta_star for _, res in curve]
     return ({"curve.csv": (["kappa", "delta_opt", "q_opt", "s_opt", "on_boundary"], rows)},
-            {"command": "curve", "grid": args.grid, "chain": spec_to_dict(spec, bend)},
+            {"command": "curve", "grid": args.grid,  # the corner as an unbent bend
+             "chain": spec_to_dict(spec, BendSpec(alpha=bend["alpha"], kappa=0.0))},
             f"curve: {len(curve)} points, delta* range "
             f"[{min(deltas):.4f}, {max(deltas):.4f}] -> {_run_dir(args) / 'curve.csv'}")
 
 
 def cmd_spectrum(args, config):
-    spec, bend = _resolve_chain(args, config)
-    if bend is None:
-        raise ValueError("spectrum needs --alpha and --kappa")
+    spec, values = _resolve_chain(args, config)
+    bend = BendSpec(**values)
     res = optimize_detuning(spec, bend, reference(spec))
     report = spectrum_report(spec, bend, res.delta_energy)
     return ({"spectrum.csv": _spectrum_content(report)},

@@ -94,7 +94,6 @@ def design_layout(spec: ChainSpec, dev: DeviceParams) -> WaveguideLayout:
         n_sites=spec.n_sites,
         omega0=1.0,
         boundary_ratio=spec.boundary_ratio,
-        epsilon=spec.epsilon,
     )
     if spec.protocol is Protocol.PROTOCOL_2:
         t0 = perfect_transfer_time(unit_spec)

@@ -53,15 +53,16 @@ class ReferencePoint:
     p0: float
     t0: float
     boundary_ratio: float | None = None
+    omega0: float = 1.0
 
     def check_chain(self, spec: ChainSpec) -> None:
         """Raise ValueError unless this is the reference of ``spec``'s
-        unbent chain: the same protocol, size and boundary ratio."""
-        mine = (self.protocol.value, self.n_sites, self.boundary_ratio)
-        chain = (spec.protocol.value, spec.n_sites, spec.boundary_ratio)
+        unbent chain: the same protocol, size, omega0 and boundary ratio."""
+        mine = (self.protocol.value, self.n_sites, self.omega0, self.boundary_ratio)
+        chain = (spec.protocol.value, spec.n_sites, spec.omega0, spec.boundary_ratio)
         if mine != chain:
-            raise ValueError(f"reference point (protocol, N, ratio) = {mine} does not "
-                             f"match the chain spec's {chain}")
+            raise ValueError(f"reference point (protocol, N, omega0, ratio) = {mine} does "
+                             f"not match the chain spec's {chain}")
 
     def normalise(self, p: float, t: float) -> tuple[float, float]:
         """(q, s) = (p / p0, t / t0) of a first maximum (p, t).
@@ -92,15 +93,18 @@ def reference(spec: ChainSpec) -> ReferencePoint:
 
     Protocol 2 uses the analytic arrival time and verifies the probability
     there; Protocol 1 searches for the first maximum within
-    ``DEFAULT_REFERENCE_WINDOW`` (40/omega0).  Raises FloatingPointError
-    when p0 or t0 is not finite (a tiny omega0 sends t0 = pi/(2*omega0) to
-    infinity).
+    ``DEFAULT_REFERENCE_WINDOW`` (40/omega0), or the longer calibration
+    window past N = 50: a long chain arrives after 40/omega0.  Raises
+    FloatingPointError when p0 or t0 is not finite (a tiny omega0 sends
+    t0 = pi/(2*omega0) to infinity).
     """
     if spec.protocol is Protocol.PROTOCOL_2:
         t0 = perfect_transfer_time(spec)
         p0 = end_probability_at(build_hamiltonian(spec), t0) if math.isfinite(t0) else math.nan
     else:
-        fm = first_arrival(build_hamiltonian(spec), DEFAULT_REFERENCE_WINDOW / spec.omega0)
+        window = max(DEFAULT_REFERENCE_WINDOW / spec.omega0,
+                     default_calibration_window(spec.n_sites, spec.omega0))
+        fm = first_arrival(build_hamiltonian(spec), window)
         p0, t0 = fm.p_star, fm.t_star
     if not (math.isfinite(p0) and math.isfinite(t0)):
         raise FloatingPointError(
@@ -112,6 +116,7 @@ def reference(spec: ChainSpec) -> ReferencePoint:
         p0=p0,
         t0=t0,
         boundary_ratio=spec.boundary_ratio,
+        omega0=spec.omega0,
     )
 
 
@@ -172,5 +177,6 @@ def calibrate_protocol1(
         p0=p0,
         t0=t0,
         boundary_ratio=best_ratio,
+        omega0=omega0,
     )
 

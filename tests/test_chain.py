@@ -16,8 +16,8 @@ from bentchain import (
 from bentchain.chain import spec_from_dict, spec_to_dict
 
 
-def p2(n, omega0=1.0, epsilon=0.0):
-    return ChainSpec(Protocol.PROTOCOL_2, n, omega0=omega0, epsilon=epsilon)
+def p2(n, omega0=1.0):
+    return ChainSpec(Protocol.PROTOCOL_2, n, omega0=omega0)
 
 
 def p1(n, ratio, omega0=1.0):
@@ -154,14 +154,13 @@ class TestConfigRoundtrip:
     def test_keys(self):
         d = spec_to_dict(p2(5), BendSpec(alpha=3, kappa=0.5))
         assert set(d) == {
-            "protocol", "n_sites", "omega0", "epsilon", "alpha", "kappa",
-            "delta_alpha",
+            "protocol", "n_sites", "omega0", "alpha", "kappa", "delta_alpha",
         }
         assert json.loads(json.dumps(d)) == d
 
     def test_defaults_applied(self):
         spec, bend = spec_from_dict({"protocol": 2, "n_sites": 4})
-        assert spec.omega0 == 1.0 and spec.epsilon == 0.0 and bend is None
+        assert spec.omega0 == 1.0 and bend is None
 
     @pytest.mark.parametrize("key,value", [
         ("n_sites", 9.7), ("n_sites", True), ("n_sites", math.inf),
@@ -174,7 +173,7 @@ class TestConfigRoundtrip:
             spec_from_dict(d)
 
     @pytest.mark.parametrize("key", [
-        "omega0", "boundary_ratio", "epsilon", "kappa", "delta_alpha",
+        "omega0", "boundary_ratio", "kappa", "delta_alpha",
     ])
     @pytest.mark.parametrize("value", [True, False])
     def test_bool_float_field_rejected(self, key, value):
@@ -186,12 +185,12 @@ class TestConfigRoundtrip:
 
     def test_numeric_float_fields_accepted(self):
         d = {"protocol": 1, "n_sites": 9, "omega0": 2, "boundary_ratio": "0.7",
-             "epsilon": 0, "alpha": 5, "kappa": 1, "delta_alpha": "-1.5"}
+             "alpha": 5, "kappa": 1, "delta_alpha": "-1.5"}
         spec, bend = spec_from_dict(d)
         assert spec == ChainSpec(Protocol.PROTOCOL_1, 9, omega0=2.0, boundary_ratio=0.7)
         assert bend == BendSpec(alpha=5, kappa=1.0, delta_alpha=-1.5)
         assert all(type(v) is float for v in (spec.omega0, spec.boundary_ratio,
-                                              spec.epsilon, bend.kappa, bend.delta_alpha))
+                                              bend.kappa, bend.delta_alpha))
 
     def test_integral_float_fields_accepted(self):
         d = {"protocol": 2.0, "n_sites": 9.0, "alpha": 5.0, "kappa": 0.4}
@@ -205,17 +204,16 @@ class TestConfigRoundtrip:
         protocol=st.sampled_from(Protocol),
         omega0=st.floats(1e-6, 1e6),
         ratio=st.floats(1e-6, 1e6),
-        epsilon=st.floats(-1e6, 1e6),
         bent=st.booleans(),
         corner=st.floats(0.0, 1.0),
         kappa=st.floats(0.0, 1.0),
         delta=st.floats(-1e6, 1e6),
     )
     def test_dict_roundtrip_property(
-        self, n, protocol, omega0, ratio, epsilon, bent, corner, kappa, delta
+        self, n, protocol, omega0, ratio, bent, corner, kappa, delta
     ):
         spec = ChainSpec(
-            protocol, n, omega0=omega0, epsilon=epsilon,
+            protocol, n, omega0=omega0,
             boundary_ratio=ratio if protocol is Protocol.PROTOCOL_1 else None,
         )
         bend = None

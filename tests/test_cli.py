@@ -77,6 +77,19 @@ class TestCommands:
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["delta_units"] == "omega_max"
 
+    def test_metrics_long_protocol1_chain(self, tmp_path, capsys):
+        # the reference used to stop at 40/omega0, before this chain's
+        # arrival: q=1.176933 s=1.000000 p=0.000000 t=40.000000
+        code, out, _ = run(
+            capsys, "metrics", "--protocol", "1", "--n", "100",
+            "--ratio", "0.49391866199349327", "--alpha", "50", "--kappa", "0.3",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        payload = json.loads((tmp_path / "metrics" / "metrics" / "metrics.json").read_text())
+        assert 0.5 < payload["q"] < 1 and 0.5 < payload["p"] < 1
+        assert payload["t"] > 40 and payload["t"] / payload["s"] > 40  # t0 > 40
+
     def test_metrics_matches_library(self, tmp_path, capsys):
         code, out, _ = run(
             capsys, "metrics", "--protocol", "2", "--n", "13",
@@ -440,7 +453,7 @@ class TestErrors:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("key", [
-        "omega0", "boundary_ratio", "epsilon", "kappa", "delta_alpha",
+        "omega0", "boundary_ratio", "kappa", "delta_alpha",
     ])
     def test_config_bool_float_field_is_usage_error(self, tmp_path, capsys, key):
         # float() read true as 1.0: kappa true ran a kappa = 1 bend
@@ -668,8 +681,66 @@ class TestErrors:
         assert f"needs a {missing} column" in err
 
 
+# the smallest argv each subcommand accepts
+MINIMAL_ARGV = {
+    "reference": ["--protocol", "2", "--n", "9"],
+    "calibrate": ["--n", "6"],
+    "metrics": ["--protocol", "2", "--n", "9", "--alpha", "5", "--kappa", "0.4"],
+    "sweep-kappa": ["--protocol", "2", "--n", "9", "--alpha", "5"],
+    "sweep-alpha": ["--protocol", "2", "--n", "9", "--kappa", "0.4"],
+    "optimize": ["--protocol", "2", "--n", "9", "--alpha", "5", "--kappa", "0.4"],
+    "curve": ["--protocol", "2", "--n", "9", "--alpha", "5"],
+    "spectrum": ["--protocol", "2", "--n", "9", "--alpha", "5", "--kappa", "0.4"],
+    "design": ["--protocol", "2", "--n", "9", "--L", "10"],
+    "fit": ["--kind", "linear", "--input", "curve.csv"],
+    "figure": ["fig5"],
+}
+
+
+def _minimal(command: str) -> list[str]:
+    return [command, *MINIMAL_ARGV[command]]
+
+
+# every option of every subcommand, --help aside
+OPTION_SURFACE = {
+    "reference": ["--config", "--label", "--n", "--omega0", "--out", "--protocol", "--ratio"],
+    "calibrate": ["--grid", "--label", "--n", "--omega0", "--out", "--window"],
+    "metrics": ["--alpha", "--config", "--delta", "--kappa", "--label", "--n", "--omega0",
+                "--out", "--protocol", "--ratio"],
+    "sweep-kappa": ["--alpha", "--config", "--format", "--grid", "--label", "--n", "--omega0",
+                    "--optimize", "--out", "--protocol", "--ratio"],
+    "sweep-alpha": ["--alpha-range", "--config", "--format", "--kappa", "--label", "--n",
+                    "--no-optimize", "--omega0", "--out", "--protocol", "--ratio"],
+    "optimize": ["--alpha", "--config", "--interval", "--kappa", "--label", "--n", "--omega0",
+                 "--out", "--protocol", "--ratio"],
+    "curve": ["--alpha", "--config", "--grid", "--label", "--n", "--omega0", "--out",
+              "--protocol", "--ratio"],
+    "spectrum": ["--alpha", "--config", "--kappa", "--label", "--n", "--omega0", "--out",
+                 "--protocol", "--ratio"],
+    "design": ["--L", "--config", "--eta", "--label", "--n", "--out", "--protocol", "--ratio",
+               "--wavelength", "--xi"],
+    "fit": ["--input", "--kappa-cut", "--kind", "--label", "--out"],
+    "figure": ["--jobs", "--label", "--out"],
+}
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    (subparsers,) = [a for a in cli.build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    return subparsers.choices
+
+
 class TestOptionSurface:
     """Each subcommand accepts only the options it reads."""
+
+    def test_option_surface_pinned(self):
+        # a flag added, or left on a command that does not read it, must
+        # change this table on purpose
+        surface = {command: sorted(option for action in sub._actions
+                                   if not isinstance(action, argparse._HelpAction)
+                                   for option in action.option_strings)
+                   for command, sub in _subparsers().items()}
+        assert surface == OPTION_SURFACE
 
     @pytest.mark.parametrize("argv", [
         ["metrics", "--protocol", "2", "--n", "9", "--alpha", "5", "--kappa", "0.4",
@@ -678,12 +749,60 @@ class TestOptionSurface:
         ["reference", "--protocol", "2", "--n", "9", "--window", "3"],
         ["fit", "--kind", "linear", "--input", "curve.csv", "--config", "x.json"],
         ["calibrate", "--n", "6", "--cache", "x.json"],
+        # bend flags and omega0 of commands that do not read them; sweep-alpha's
+        # --alpha is no abbreviation of --alpha-range
+        [*_minimal("sweep-alpha"), "--alpha", "3"],
+        [*_minimal("sweep-alpha"), "--delta", "-1"],
+        [*_minimal("sweep-kappa"), "--kappa", "0.4"],
+        [*_minimal("sweep-kappa"), "--delta", "-1"],
+        [*_minimal("curve"), "--kappa", "0.4"],
+        [*_minimal("curve"), "--delta", "-1"],
+        [*_minimal("optimize"), "--delta", "-1"],
+        [*_minimal("spectrum"), "--delta", "-1"],
+        [*_minimal("design"), "--omega0", "2.5"],
+        *([*_minimal(command), "--epsilon", "0.37"] for command in MINIMAL_ARGV),
     ])
     def test_unread_option_is_usage_error(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(tmp_path)])
         assert exc.value.code == EXIT_USAGE
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command,flag", [
+        *((command, "--alpha")
+          for command in ("metrics", "sweep-kappa", "optimize", "curve", "spectrum")),
+        *((command, "--kappa") for command in ("metrics", "sweep-alpha", "optimize", "spectrum")),
+    ])
+    def test_missing_bend_flag_is_usage_error(self, tmp_path, capsys, command, flag):
+        # metrics, optimize and spectrum used to run a kappa = 0 bend
+        argv = _minimal(command)
+        i = argv.index(flag)
+        code, out, err = run(capsys, *argv[:i], *argv[i + 2:], "--out", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert err == f"error: {command} needs {flag}\n"
+        assert out == "" and not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["reference", "sweep-alpha", "design"])
+    def test_config_keys_not_read_are_ignored(self, tmp_path, capsys, command):
+        # keys of flags the command does not take, even invalid ones
+        argv = MINIMAL_ARGV[command][4:]  # all but --protocol 2 --n 9
+        cfg = tmp_path / "chain.json"
+        cfg.write_text(json.dumps({"protocol": 2, "n_sites": 9}))
+        unread = tmp_path / "unread.json"
+        unread.write_text(json.dumps({
+            "protocol": 2, "n_sites": 9, "epsilon": 0.37, "delta_alpha": True,
+            **({"omega0": 2.5} if command == "design" else {}),
+            **({"alpha": 1} if command == "sweep-alpha" else {"alpha": 5, "kappa": True}),
+        }))
+        outputs = []
+        for config in (cfg, unread):
+            out_dir = tmp_path / config.stem
+            code, out, _ = run(capsys, command, *argv, "--config", str(config),
+                               "--out", str(out_dir))
+            assert code == 0
+            run_dir = out_dir / command / command
+            outputs.append({p.name: p.read_bytes() for p in run_dir.iterdir()})
+        assert outputs[0] == outputs[1]
 
     def test_figure_takes_jobs(self, tmp_path, capsys):
         code, _, _ = run(capsys, "figure", "fig5", "--jobs", "1", "--out", str(tmp_path))
@@ -734,27 +853,9 @@ class TestOptionSurface:
         assert (tmp_path / "sweep-kappa" / "sweep-kappa" / "sweep_kappa.json").exists()
 
 
-# the smallest argv each subcommand accepts
-MINIMAL_ARGV = {
-    "reference": ["--protocol", "2", "--n", "9"],
-    "calibrate": ["--n", "6"],
-    "metrics": ["--protocol", "2", "--n", "9", "--alpha", "5", "--kappa", "0.4"],
-    "sweep-kappa": ["--protocol", "2", "--n", "9", "--alpha", "5"],
-    "sweep-alpha": ["--protocol", "2", "--n", "9", "--kappa", "0.4"],
-    "optimize": ["--protocol", "2", "--n", "9", "--alpha", "5", "--kappa", "0.4"],
-    "curve": ["--protocol", "2", "--n", "9", "--alpha", "5"],
-    "spectrum": ["--protocol", "2", "--n", "9", "--alpha", "5", "--kappa", "0.4"],
-    "design": ["--protocol", "2", "--n", "9", "--L", "10"],
-    "fit": ["--kind", "linear", "--input", "curve.csv"],
-    "figure": ["fig5"],
-}
-
-
 def _float_options():
-    (subparsers,) = [a for a in cli.build_parser()._actions
-                     if isinstance(a, argparse._SubParsersAction)]
     return [(command, action.option_strings[-1], action.nargs or 1)
-            for command, sub in subparsers.choices.items()
+            for command, sub in _subparsers().items()
             for action in sub._actions if action.type is float]
 
 

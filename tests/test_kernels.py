@@ -13,7 +13,7 @@ class TestKernelConsistency:
     """The end-probability evaluators must reproduce the |A_N|^2 column
     of the full amplitude trace, which propagates every site amplitude."""
 
-    def test_scalar_agreement(self):
+    def test_end_probability_at_agreement(self):
         ham = build_hamiltonian(ChainSpec(Protocol.PROTOCOL_2, 17))
         trace = evolve(ham, t_end=3.0, n_steps=113)
         for t, amp in zip(trace.times[::2], trace.amplitudes[::2, -1]):

@@ -65,6 +65,12 @@ class TestTransferMetrics:
         with pytest.raises(ValueError, match="does not match the chain spec"):
             transfer_metrics(spec, BendSpec(alpha=5, kappa=0.3), ref)
 
+    def test_reference_of_another_omega0_rejected(self):
+        # the omega0 = 2 reference used to give this chain q = 0.00031
+        ref = reference(ChainSpec(Protocol.PROTOCOL_2, 13, omega0=2.0))
+        with pytest.raises(ValueError, match="does not match the chain spec"):
+            transfer_metrics(_p2(13), BendSpec(alpha=7, kappa=0.5), ref)
+
     def test_mirror_symmetry(self):
         # a corner at alpha and its mirror N+1-alpha are physically equivalent
         spec = _p2(12)

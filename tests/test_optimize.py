@@ -115,7 +115,10 @@ class TestOptimizeDetuning:
         (_p2(13), ChainSpec(Protocol.PROTOCOL_1, 13, boundary_ratio=0.6)),
         (ChainSpec(Protocol.PROTOCOL_1, 13, boundary_ratio=0.7),
          ChainSpec(Protocol.PROTOCOL_1, 13, boundary_ratio=0.6)),
-    ], ids=["n_sites", "protocol", "boundary_ratio"])
+        (_p2(13), ChainSpec(Protocol.PROTOCOL_2, 13, omega0=2.0)),
+        (ChainSpec(Protocol.PROTOCOL_1, 13, boundary_ratio=0.7),
+         ChainSpec(Protocol.PROTOCOL_1, 13, omega0=2.0, boundary_ratio=0.7)),
+    ], ids=["n_sites", "protocol", "boundary_ratio", "omega0", "protocol1_omega0"])
     def test_reference_of_another_chain_rejected(self, spec, other):
         ref = reference(other)
         with pytest.raises(ValueError, match="does not match the chain spec"):

@@ -6,7 +6,8 @@ import pytest
 
 from bentchain import ChainSpec, Protocol, calibrate_protocol1, reference
 from bentchain.chain import build_hamiltonian
-from bentchain.reference import RATIO_TOL
+from bentchain.propagate import REL_TOL, first_arrival
+from bentchain.reference import DEFAULT_REFERENCE_WINDOW, RATIO_TOL
 from dense_reference import first_arrival_dense
 
 
@@ -31,6 +32,30 @@ class TestReference:
         assert math.isclose(ref.p0, p_star, abs_tol=1e-8)
         assert math.isclose(ref.t0, t_star, abs_tol=1e-4)
 
+
+    # calibrated ratios; from N ~ 72 on the arrival comes after 40/omega0,
+    # where a fixed 40/omega0 window reported the window end as the arrival
+    @pytest.mark.parametrize("n,ratio,omega0", [
+        (80, 0.5131882440240542, 1.0),
+        (80, 0.5131882440240542, 2.0),
+        (100, 0.49391866199349327, 1.0),
+    ])
+    def test_protocol1_long_chain_arrival(self, n, ratio, omega0):
+        spec = ChainSpec(Protocol.PROTOCOL_1, n, omega0=omega0, boundary_ratio=ratio)
+        window = 2.0 * n / omega0
+        fm = first_arrival(build_hamiltonian(spec), window)
+        ref = reference(spec)
+        assert ref.t0 > DEFAULT_REFERENCE_WINDOW / omega0
+        assert abs(ref.p0 - fm.p_star) <= 1e-12
+        assert abs(ref.t0 - fm.t_star) <= REL_TOL * window
+
+    def test_reference_records_omega0(self):
+        p2 = ChainSpec(Protocol.PROTOCOL_2, 9, omega0=2.0)
+        cal = calibrate_protocol1(9, omega0=2.0)
+        p1 = ChainSpec(Protocol.PROTOCOL_1, 9, omega0=2.0, boundary_ratio=cal.boundary_ratio)
+        for spec, ref in ((p2, reference(p2)), (p1, reference(p1)), (p1, cal)):
+            assert ref.omega0 == 2.0 and ref.to_dict()["omega0"] == 2.0
+            ref.check_chain(spec)
 
     @pytest.mark.parametrize("omega0", [1e-320, 5e-324])
     def test_protocol2_infinite_arrival_time_raises(self, omega0):

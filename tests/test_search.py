@@ -185,7 +185,7 @@ class TestScanAndRefine:
             assert set(refine) == {(1, True)} and len(refine) <= 5
             assert n == 9 + 3 + len(refine)
 
-    def test_jump_falls_back_to_brent(self):
+    def test_jump_falls_back_to_zoom(self):
         # p* rises on both sides of a drop at x = 0.45: no slope changes
         # sign, and the supremum is the left limit of the drop
         evaluate, calls = batch(lambda x: x if x < 0.45 else x - 1.0, lambda x: 1.0)
@@ -203,14 +203,14 @@ class TestScanAndRefine:
         (lambda x: 1.0 - (x - 0.23) ** 2, 0.23),
         (lambda x: -x, 0.0),  # an end sample: a NaN slope points nowhere
     ])
-    def test_nan_slope_falls_back_to_brent(self, p, x_max):
+    def test_nan_slope_falls_back_to_zoom(self, p, x_max):
         evaluate, calls = batch(p, lambda x: math.nan)
         x, _, _, _, n = scan_and_refine(evaluate, np.linspace(0.0, 1.0, 11), 1e-8)
         assert abs(x - x_max) <= 2e-8
         assert calls[1][1] and set(calls[2:]) == {(ZOOM_POINTS, False)}
         assert n == sum(size for size, _ in calls)
 
-    def test_nan_slope_in_the_refine_falls_back_to_brent(self):
+    def test_nan_slope_in_the_refine_falls_back_to_zoom(self):
         # finite slopes at the samples, NaN inside the bracket
         def dp(x):
             return -2.0 * (x - 0.23) if round(10.0 * x, 9).is_integer() else math.nan
