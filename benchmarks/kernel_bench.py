@@ -8,6 +8,11 @@ analytic-slope refine of the first peak (N = 9, 13, 25).
 Slope: one one-row ``first_arrivals`` call with and without ``direction``
 (E = dH/ddelta at the corner), the extra cost of dp*/ddelta (N = 13, 25).
 
+End weights: the spectrum and end weights c_k = v_k[1] v_k[N] of one block
+of B copies of a bent chain (B = 1, 32; N = 9, 13, 25, 100), from a stacked
+``eigh`` against ``eigvalsh`` plus the weights from the eigenvalues alone,
+as ``first_arrivals`` takes them.
+
 Amplitude trace: ``evolve``, every site amplitude on 4096 steps over the
 window (N = 60, 120, 200), as the spectra and trace files use it, and its
 layers: the ``eigh`` that builds the Hamiltonian before it, the phase
@@ -75,7 +80,7 @@ from bentchain import (
     reference,
 )
 from bentchain import cli
-from bentchain.propagate import _phase_tables, first_arrivals
+from bentchain.propagate import _end_weights, _phase_tables, first_arrivals
 
 REPEATS = 7
 WINDOW = math.pi / 2
@@ -204,6 +209,18 @@ def main(argv=None):
                 f"first_arrivals N={n:3d} {label}: {median:.3f} ms per one-row call "
                 f"(quartiles {q1:.3f}-{q3:.3f}), p*={found[1][0]:.9f}"
                 + (f" dp*/ddelta={found[2][0]:.9f}" if args else "")
+            )
+    for n in (9, 13, 25, 100):
+        for rows_per_block in (1, 32):
+            block = np.repeat(bent_chain(n).matrix[None], rows_per_block, axis=0)
+            timed = {}
+            for label, call in (("eigh", lambda: np.linalg.eigh(block)),
+                                ("eigvalsh+weights", lambda: _end_weights(block))):
+                timed[label] = time_call(
+                    rows, f"end weights N={n} B={rows_per_block} {label}", call, 20)[0]
+            print(
+                f"end weights   N={n:3d} B={rows_per_block:2d}: eigh {timed['eigh']:.3f} ms, "
+                f"eigvalsh+weights {timed['eigvalsh+weights']:.3f} ms per block"
             )
     for n in (9, 13, 25):
         spec = ChainSpec(Protocol.PROTOCOL_2, n)

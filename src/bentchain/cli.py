@@ -320,7 +320,9 @@ def cmd_metrics(args, config):
     bend = BendSpec(**values)
     result = transfer_metrics(spec, bend, reference(spec))
     return ({"metrics.json": {"p": result.p, "t": result.t, "q": result.q, "s": result.s}},
-            {"command": "metrics", "chain": spec_to_dict(spec, bend)},
+            # the chain's delta_alpha is BendSpec's, an energy in omega0 units
+            {"command": "metrics", "delta_units": "omega0",
+             "chain": spec_to_dict(spec, bend)},
             f"metrics: q={result.q:.6f} s={result.s:.6f} p={result.p:.6f} "
             f"t={result.t:.6f}")
 

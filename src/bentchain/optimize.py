@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chain import BendSpec, ChainSpec, hamiltonian_matrix, omega_max
-from .propagate import first_arrivals
+from .propagate import _objective
 from .reference import ReferencePoint
 from .search import scan_and_refine
 
@@ -47,16 +47,17 @@ def optimize_detuning(
     A coarse scan of ``N_COARSE`` equispaced detunings over ``interval``
     (units of Omega_max), one batch of :func:`first_arrivals` on copies of
     the bent matrix that differ in the corner diagonal entry, ties going to
-    the smaller |delta|.  The slope dp*/ddelta at the best detuning and its
-    neighbours (one call of at most three rows) then brackets the optimum
-    in one cell, refined by secant steps on the slope to ``DELTA_TOL``
-    (:func:`search.scan_and_refine`).  An interval end whose slope points
-    outwards is the optimum as it stands, with no refine; it is flagged as
-    ``on_boundary``, not raised.  Raises ValueError if the interval ends
-    are not finite with lo < hi or ``ref`` is not the reference of ``spec``
-    (:meth:`ReferencePoint.check_chain`), and FloatingPointError if the
-    reference probability is not positive or the optimized metrics are not
-    finite.
+    the smaller |delta|; its rows need eigenvalues only.  The slope
+    dp*/ddelta at the best detuning and its neighbours, at the arrival
+    times the scan found (one ``eigh`` of at most three rows, and no
+    scan), then brackets the optimum in one cell, refined by secant steps
+    on the slope to ``DELTA_TOL`` (:func:`search.scan_and_refine`).  An
+    interval end whose slope points outwards is the optimum as it stands,
+    with no refine; it is flagged as ``on_boundary``, not raised.  Raises
+    ValueError if the interval ends are not finite with lo < hi or ``ref``
+    is not the reference of ``spec`` (:meth:`ReferencePoint.check_chain`),
+    and FloatingPointError if the reference probability is not positive or
+    the optimized metrics are not finite.
     """
     return _optimize(spec, bend, ref, interval)
 
@@ -129,9 +130,8 @@ def _optimize(spec: ChainSpec, bend: BendSpec, ref: ReferencePoint,
     direction = np.zeros_like(base)  # dH/ddelta, delta in units of Omega_max
     direction[corner, corner] = om
     delta_star, p_star, t_star, on_boundary, evaluations = scan_and_refine(
-        lambda deltas, slopes=False: first_arrivals(
-            map(detuned, deltas), ref.t0, direction if slopes else None),
-        np.linspace(lo, hi, N_COARSE), DELTA_TOL, widen,
+        _objective(detuned, ref.t0, direction), np.linspace(lo, hi, N_COARSE),
+        DELTA_TOL, widen,
     )
     q_opt, s_opt = ref.normalise(p_star, t_star)
     return OptimizationResult(delta_star, delta_star * om, q_opt, s_opt, evaluations,

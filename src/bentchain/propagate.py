@@ -20,6 +20,7 @@ scattered times (the peak refine and single-time probabilities) are
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterable
@@ -189,34 +190,115 @@ def first_arrivals(
     symmetric N x N matrices (an (B, N, N) array, a list or a generator),
     as :func:`first_arrival` finds it.
 
-    Takes the matrices ``BLOCK_ROWS`` at a time: one stacked ``eigh`` and
-    one scan per block, on a grid fine enough for the block's widest
-    spectrum, so no more than one block is held at once.  Returns two
-    arrays with one entry per matrix.
+    Takes the matrices ``BLOCK_ROWS`` at a time: one stacked ``eigvalsh``
+    and one scan per block, on a grid fine enough for the block's widest
+    spectrum, so no more than one block is held at once.  The end weights
+    come from the eigenvalues alone (:func:`_end_weights`); only a row
+    that is not tridiagonal plus at most one chord, or whose weights are
+    not finite, takes ``eigh``.  Returns two arrays with one entry per
+    matrix.
 
     Given ``direction``, the N x N matrix E = dH/dx of a parameter x that
     every matrix depends on, also returns a third array, the slope dp*/dx
-    of each row (see :func:`_arrival_slopes`).
+    of each row (see :func:`_arrival_slopes`).  Those rows scan the same
+    eigenvalues and weights, so their (t*, p*) are those of a call without
+    ``direction``, and take a stacked ``eigh`` for V^T E V alone.
     """
     rows = iter(matrices)
     found = [np.empty((2 if direction is None else 3, 0))]
     while block := list(itertools.islice(rows, BLOCK_ROWS)):
-        lam, vec = np.linalg.eigh(np.array(block, dtype=float))
-        t_star, p_star = _scan(lam, vec[:, 0, :] * vec[:, -1, :], window)
+        block = np.array(block, dtype=float)
+        lam, coef = _end_weights(block)
+        t_star, p_star = _scan(lam, coef, window)
         if direction is None:
             found.append((t_star, p_star))
         else:
-            found.append((t_star, p_star, _arrival_slopes(lam, vec, direction, t_star)))
+            vec = np.linalg.eigh(block)[1]
+            found.append((t_star, p_star, _arrival_slopes(lam, coef, vec, direction, t_star)))
     return tuple(np.concatenate(found, axis=1))
 
 
-def _arrival_slopes(eigvals: np.ndarray, vec: np.ndarray, direction: np.ndarray,
-                    t: np.ndarray) -> np.ndarray:
-    """dp*/dx of each row of a block, with (B, N) eigenvalues, (B, N, N)
-    eigenvectors, E = dH/dx and the first arrivals t* of the rows.
+def _objective(build, window: float, direction: np.ndarray):
+    """The ``evaluate`` callable of :func:`search.scan_and_refine` for the
+    matrices ``build(x)`` and E = dH/dx = ``direction``: ``evaluate(xs)``
+    gives the first arrivals (t*, p*) of the points ``xs`` over [0,
+    window], ``evaluate(xs, slopes=True)`` also their dp*/dx, and
+    ``evaluate(xs, at=t)`` only dp*/dx at the arrivals t found before: one
+    stacked ``eigh`` and no scan."""
+    def evaluate(xs, slopes=False, at=None):
+        matrices = map(build, xs)
+        if at is None:
+            return first_arrivals(matrices, window, direction if slopes else None)
+        lam, vec = np.linalg.eigh(np.array(list(matrices), dtype=float))
+        return _arrival_slopes(lam, vec[:, 0, :] * vec[:, -1, :], vec, direction, at)
+
+    return evaluate
+
+
+@functools.lru_cache(maxsize=4)
+def _band_weights(n: int) -> np.ndarray:
+    """A weight per entry of a flattened n x n matrix: 1 on the second
+    subdiagonal, 2 further down the lower triangle, 0 elsewhere.  The
+    weighted count of a matrix's nonzero entries is at most 1 exactly when
+    its lower triangle is tridiagonal plus at most one chord (j, j + 2)."""
+    below = np.subtract.outer(np.arange(n), np.arange(n)).ravel()  # i - j
+    return np.clip(below - 1, 0, 2).astype(float)
+
+
+def _end_weights(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues lam_k and end weights c_k = v_k[1] v_k[N] of a
+    (B, N, N) stack of real symmetric matrices, read from the lower
+    triangle as ``eigh`` reads it.
+
+    For a matrix that is tridiagonal, with couplings b_j between sites j
+    and j + 1, plus at most one chord g between the neighbours of a corner
+    a, c_k is the residue at lam_k of G_1N(z) = adj(z - H)_1N / det(z - H):
+
+        c_k = P(lam_k) / prod_{j != k} (lam_k - lam_j),
+        P(z) = prod_j b_j * (1 + g (z - H_aa) / (b_{a-1} b_a)),
+
+    since the only paths from site 1 to site N are the chain itself and
+    the detour over the chord, which skips the corner (the path-sum
+    expansion of Giscard, Thwaite and Jaksch, SIAM J. Matrix Anal. Appl. 34,
+    2013).  So those rows need only ``eigvalsh``.  Each coupling is divided
+    by one eigenvalue difference before the product is taken, so that
+    neither product overflows on its own (P2 chains from N = 140 on would).
+    Rows of another shape, and rows whose weights come out non-finite (an
+    exactly degenerate spectrum), take ``eigh``.
+    """
+    lam = np.linalg.eigvalsh(matrices)
+    rows, n = lam.shape
+    b = np.diagonal(matrices, -1, 1, 2)
+    with np.errstate(all="ignore"):
+        # w = g / (b_{a-1} b_a) at the chord around corner a and 0 on the
+        # rest of the second subdiagonal, so that summing w (lam_k - H_aa)
+        # over the interior sites a gives P(lam_k) / prod b - 1
+        w = np.diagonal(matrices, -2, 1, 2) / (b[:, :-1] * b[:, 1:])
+        corners = np.diagonal(matrices, 0, 1, 2)[:, None, 1:-1]
+        ratio = 1.0 + ((lam[:, :, None] - corners) @ w[:, :, None])[:, :, 0]
+        # row k pairs b_j with lam_k - lam_j (with 1 for j = k), and the
+        # last difference is left over
+        diff = lam[:, :, None] - lam[:, None, :]
+        diff.reshape(rows, -1)[:, :: n + 1] = 1.0
+        coef = np.multiply.reduce(b[:, None, :] / diff[:, :, :-1], axis=2) * ratio
+        coef /= diff[:, :, -1]
+        bad = ~np.isfinite(coef.sum(axis=1))
+    bad |= (matrices.reshape(rows, -1) != 0.0) @ _band_weights(n) > 1.0
+    if bad.any():
+        lam[bad], vec = np.linalg.eigh(matrices[bad])
+        coef[bad] = vec[:, 0, :] * vec[:, -1, :]
+    return lam, coef
+
+
+def _arrival_slopes(eigvals: np.ndarray, coef: np.ndarray, vec: np.ndarray,
+                    direction: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """dp*/dx of each row of a block, with (B, N) eigenvalues and end
+    weights, (B, N, N) eigenvectors, E = dH/dx and the first arrivals t* of
+    the rows.
 
     At an interior peak p'(t*) = 0, and at the window end t* is fixed, so by
-    the envelope theorem dp*/dx = dp/dx at t* = 2 Re(conj(A_N) dA_N/dx).
+    the envelope theorem dp*/dx = dp/dx at t* = 2 Re(conj(A_N) dA_N/dx),
+    with A_N = sum_k c_k e^{-i lam_k t}.
     The Daleckii-Krein formula gives the derivative of e^{-iHt} exactly:
     dA_N/dx = sum_kl v_k[N] (V^T E V)_kl v_l[1] D_kl with the divided
     difference D_kl = (e^{-i lam_k t} - e^{-i lam_l t}) / (lam_k - lam_l),
@@ -227,7 +309,7 @@ def _arrival_slopes(eigvals: np.ndarray, vec: np.ndarray, direction: np.ndarray,
     lam = eigvals - 0.5 * (eigvals[:, -1:] + eigvals[:, :1])
     half_phase = np.exp(-0.5j * lam * t[:, None])  # e^{-i lam t / 2}
     u, w = vec[:, -1, :] * half_phase, vec[:, 0, :] * half_phase
-    amp = np.sum(u * w, axis=1)
+    amp = np.sum(coef * half_phase * half_phase, axis=1)
     x = 0.5 * (lam[:, :, None] - lam[:, None, :]) * t[:, None, None]
     sinc = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
     coupling = np.swapaxes(vec, 1, 2) @ direction @ vec  # V^T E V
@@ -311,7 +393,8 @@ def _slope_root(ilam, moments, cells, slopes, tol) -> tuple[np.ndarray, np.ndarr
     Starts from inverse quadratic interpolation of p' through the three
     points, then takes Newton steps on p' with p'' from the same spectral
     sums, and bisects whenever a step leaves the bracket (safeguarded
-    Newton).
+    Newton).  A row stops once its step is within ``tol``, or once it
+    bisects a bracket within 2 ``tol``.
     """
     (t0, t1, t2), (f0, f1, f2) = cells.T, slopes.T
     a, b = np.where(f1 > 0.0, t1, t0), np.where(f1 > 0.0, t2, t1)
@@ -320,23 +403,31 @@ def _slope_root(ilam, moments, cells, slopes, tol) -> tuple[np.ndarray, np.ndarr
              + t1 * f0 * f2 / ((f1 - f0) * (f1 - f2))
              + t2 * f0 * f1 / ((f2 - f0) * (f2 - f1)))
         x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
+        # the rows still refining, with their x, a, b and spectra
+        rows, xr, ar, br, il, mo = np.arange(x.size), x, a, b, ilam, moments
         for _ in range(MAX_REFINE_STEPS):
-            s0, s1, s2 = _spectral_sums(ilam, moments, x[:, None])[:, 0, :].T
+            s0, s1, s2 = _spectral_sums(il, mo, xr[:, None])[:, 0, :].T
             c0 = s0.conjugate()
             f = (c0 * s1).imag  # p' / 2
             newton = f / (s1.real * s1.real + s1.imag * s1.imag - (c0 * s2).real)
-            a, b = np.where(f > 0.0, x, a), np.where(f > 0.0, b, x)
-            x = x - newton
+            ar, br = np.where(f > 0.0, xr, ar), np.where(f > 0.0, br, xr)
+            xr = xr - newton
             # convergence first: a converged step from a bracket end may
-            # round to just outside the bracket; a converged row stays
-            # converged, as a Newton step from a root is within tol
+            # round to just outside the bracket
             converged = np.abs(newton) <= tol
-            if converged.all():
+            bisect = ~(converged | ((ar < xr) & (xr < br)))
+            xr[bisect] = 0.5 * (ar[bisect] + br[bisect])
+            # a row that is done freezes, so that its result does not
+            # depend on the other rows of the block
+            done = converged | (bisect & (br - ar <= 2.0 * tol))
+            if done.all():
                 break
-            bisect = ~(converged | ((a < x) & (x < b)))
-            x[bisect] = 0.5 * (a[bisect] + b[bisect])
-            if (converged | (bisect & (b - a <= 2.0 * tol))).all():
-                break
+            if done.any():
+                x[rows], a[rows], b[rows] = xr, ar, br
+                keep = ~done
+                rows, xr, ar, br = rows[keep], xr[keep], ar[keep], br[keep]
+                il, mo = il[keep], mo[keep]
+        x[rows], a[rows], b[rows] = xr, ar, br
     x = np.clip(x, a, b)
     amp = _spectral_sums(ilam, moments, x[:, None])[:, 0, 0]
     return x, amp.real * amp.real + amp.imag * amp.imag

@@ -21,7 +21,7 @@ from .chain import (
     hamiltonian_matrix,
     perfect_transfer_time,
 )
-from .propagate import end_probability_at, first_arrival, first_arrivals
+from .propagate import _objective, end_probability_at, first_arrival
 from .search import scan_and_refine
 
 DEFAULT_REFERENCE_WINDOW = 40.0  # in units of 1/omega0
@@ -131,10 +131,12 @@ def calibrate_protocol1(
 
     Scans the grid (default 0.01 resolution on (0, 1]) as a batch: one
     matrix per ratio, differing only in the boundary couplings, handed to
-    :func:`first_arrivals` (one stacked ``eigh`` and one scan per block).
-    Ties break toward the smaller ratio.  Then the slope dp0/dratio at the
-    best grid ratio and its neighbours brackets the optimum, and secant
-    steps on the slope refine it to ``RATIO_TOL``, as the optimizer does
+    :func:`first_arrivals` (one stacked ``eigvalsh`` and one scan per
+    block; the end weights need no eigenvectors).  Ties break toward the
+    smaller ratio.  Then the slope dp0/dratio at the best grid ratio and
+    its neighbours, at the arrival times of the scan (one ``eigh`` of at
+    most three rows), brackets the optimum, and secant steps on the slope
+    refine it to ``RATIO_TOL``, as the optimizer does
     (:func:`search.scan_and_refine`).
     """
     if n_sites < 4:
@@ -162,10 +164,7 @@ def calibrate_protocol1(
     direction[0, 1] = direction[1, 0] = direction[-2, -1] = direction[-1, -2] = omega0
     grid = np.sort(ratio_grid)
     best_ratio, p0, t0, on_boundary, _ = scan_and_refine(
-        lambda ratios, slopes=False: first_arrivals(
-            map(with_ratio, ratios), window, direction if slopes else None),
-        grid, RATIO_TOL,
-    )
+        _objective(with_ratio, window, direction), grid, RATIO_TOL)
     if grid.size > 1 and on_boundary:
         warnings.warn(
             f"calibration optimum at ratio grid boundary ({best_ratio:.4g})",

@@ -1,10 +1,11 @@
 """Deterministic bracketed maximization of a first-arrival probability p*(x).
 
 :func:`scan_and_refine` scans a grid as one batch and takes its best sample.
-The sign of the analytic slope dp*/dx at that sample and its neighbours then
-either settles x* at once (an end sample whose slope points out of the grid)
-or brackets the maximum in one grid cell, where secant steps on the slope,
-safeguarded by bisection, close in on its root.  A batched zoom on p* itself
+The sign of the analytic slope dp*/dx at that sample and its neighbours,
+taken at the first arrivals the scan found for them, then either settles x*
+at once (an end sample whose slope points out of the grid) or brackets the
+maximum in one grid cell, where secant steps on the slope, safeguarded by
+bisection, close in on its root.  A batched zoom on p* itself
 (:func:`zoom_max`) is the fallback where the slopes bracket nothing or are
 not finite, and the first-arrival refine's fallback on a flat or kinked top.
 """
@@ -59,34 +60,37 @@ def scan_and_refine(evaluate, grid: np.ndarray, tol: float, widen=None):
     """Maximize a first-arrival probability p*(x); returns (x*, p*, t*,
     on_boundary, n_evals).
 
-    ``evaluate(xs, slopes=False)`` returns the (t*, p*) arrays of a sequence
-    of points, and with ``slopes=True`` also their dp*/dx.  The grid, and
-    each grid ``widen`` returns, must ascend.  The grid is evaluated as one
-    batch, without slopes, and its best sample taken, ties going to the
-    smaller |x|; while ``widen(grid, best)`` returns a new grid, that grid
-    is scanned in turn.  Then one call evaluates the slopes at sample
-    ``best`` of the last grid and at its neighbours.  An end sample whose
-    slope points out of the grid (or a sample with a zero slope) is x* as
-    it stands.  Otherwise the cell between ``best`` and the neighbour its
-    slope points to must show the opposite slope, and :func:`_slope_root`
-    refines x to ``tol`` inside it, one point per call.  Where no cell
-    brackets a sign change, or a slope is not finite, :func:`zoom_max`
-    refines p* over the two cells around ``best`` instead, one call per
-    round.  x*, p* and t* are Python floats of one evaluated point,
-    ``on_boundary`` says whether x* is the first or last point of the last
-    grid, and ``n_evals`` counts every point evaluated.
+    ``evaluate(xs)`` returns the (t*, p*) arrays of a sequence of points,
+    ``evaluate(xs, slopes=True)`` also their dp*/dx, and
+    ``evaluate(xs, at=t)`` only dp*/dx at the first arrivals ``t`` that an
+    earlier call found for them.  The grid, and each grid ``widen``
+    returns, must ascend.  The grid is evaluated as one batch, without
+    slopes, and its best sample taken, ties going to the smaller |x|; while
+    ``widen(grid, best)`` returns a new grid, that grid is scanned in turn.
+    Then the slopes at sample ``best`` of the last grid and at its
+    neighbours are taken at the t* of that scan, with no second scan.  An
+    end sample whose slope points out of the grid (or a sample with a zero
+    slope) is x* as it stands.  Otherwise the cell between ``best`` and the
+    neighbour its slope points to must show the opposite slope, and
+    :func:`_slope_root` refines x to ``tol`` inside it, one point per call.
+    Where no cell brackets a sign change, or a slope is not finite,
+    :func:`zoom_max` refines p* over the two cells around ``best`` instead,
+    one call per round.  x*, p* and t* are Python floats of one evaluated
+    point, ``on_boundary`` says whether x* is the first or last point of
+    the last grid, and ``n_evals`` counts every point whose first arrival
+    was evaluated.
     """
     n_evals = 0
     while grid is not None:
-        _, scores = evaluate(grid)
+        t_grid, scores = evaluate(grid)
         n_evals += grid.size
         ties = np.flatnonzero(scores >= scores.max())
         best = int(ties[np.argmin(np.abs(grid[ties]))])
         last, grid = grid, widen(grid, best) if widen else None
     ends = (float(last[0]), float(last[-1]))
-    near = last[max(best - 1, 0) : best + 2]
-    t_near, p_near, s_near = evaluate(near, slopes=True)
-    n_evals += near.size
+    pick = slice(max(best - 1, 0), best + 2)
+    near, t_near, p_near = last[pick], t_grid[pick], scores[pick]
+    s_near = evaluate(near, at=t_near)
     seen = {float(x): (float(p), float(t)) for x, p, t in zip(near, p_near, t_near)}
     i = min(best, 1)  # the index of sample best in near
     x, slope = float(near[i]), float(s_near[i])

@@ -105,6 +105,27 @@ class TestCommands:
         assert math.isclose(payload["q"], expected.q, rel_tol=1e-12)
         assert math.isclose(payload["s"], expected.s, rel_tol=1e-12)
 
+    def test_metrics_delta_units(self, tmp_path, capsys):
+        # metrics reads --delta as an energy in omega0 units, as BendSpec
+        # does; the optimizer's detunings are in units of Omega_max
+        code, _, _ = run(
+            capsys, "metrics", "--protocol", "2", "--n", "13", "--alpha", "7",
+            "--kappa", "0.4", "--delta", "-1", "--out", str(tmp_path),
+        )
+        assert code == 0
+        manifest = json.loads(
+            (tmp_path / "metrics" / "metrics" / "manifest.json").read_text())
+        assert manifest["chain"]["delta_alpha"] == -1.0
+        assert manifest["delta_units"] == "omega0"
+        code, _, _ = run(
+            capsys, "optimize", "--protocol", "2", "--n", "13", "--alpha", "7",
+            "--kappa", "0.4", "--out", str(tmp_path),
+        )
+        assert code == 0
+        manifest = json.loads(
+            (tmp_path / "optimize" / "optimize" / "manifest.json").read_text())
+        assert manifest["delta_units"] == "omega_max"
+
     def test_sweep_kappa_csv(self, tmp_path, capsys):
         code, out, _ = run(
             capsys, "sweep-kappa", "--protocol", "2", "--n", "9",

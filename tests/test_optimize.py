@@ -246,13 +246,13 @@ EXPANDING_CURVE = [
     (-10.640741196350374, 0.9992780847563909, 0.9503506036658644, False),
     (-31.999998704069704, 0.9983155277088257, 0.9473153587325085, True),
 ]
-# the same, refined on the slope dp*/ddelta: the optimum at the floor is
-# the floor itself
+# the same, refined on the slope dp*/ddelta, with end weights from the
+# eigenvalues alone: the optimum at the floor is the floor itself
 EXPANDING_CURVE_SLOPE = [
-    (-2.752007029543082, 0.9968459802631864, 0.9579778120956259, False),
-    (-4.632924278277013, 0.9979381375677889, 0.9531964200419304, False),
-    (-10.640739080706926, 0.9992780847563907, 0.9503506030344124, False),
-    (EXPANSION_FLOOR, 0.9983155278099589, 0.947315358790208, True),
+    (-2.752007029543084, 0.9968459802631847, 0.9579778120956258, False),
+    (-4.632924278276989, 0.9979381375677887, 0.9531964200419296, False),
+    (-10.64073908070703, 0.9992780847563781, 0.9503506030344125, False),
+    (EXPANSION_FLOOR, 0.9983155278099504, 0.9473153587902079, True),
 ]
 
 
@@ -330,18 +330,52 @@ class TestCurveExpansion:
     def test_evaluations_count_every_scan(self, traced_curve):
         curve, rows = traced_curve
         assert sum(res.evaluations for _, res in curve) == sum(n for n, _ in rows)
-        # 64-row scans, one call for the slopes at the best detuning and its
-        # neighbours, then one-row refine calls with slopes
-        pattern = "".join("S" if not slopes else "D" if n > 1 else "r"
-                          for n, slopes in rows)
-        assert set(rows) <= {(64, False), (3, True), (2, True), (1, True)}
-        assert re.fullmatch(f"(S+Dr*){{{len(curve)}}}", pattern)
+        # 64-row scans, then one-row refine calls with slopes; the slopes at
+        # the best detuning and its neighbours come without a scan
+        pattern = "".join("r" if slopes else "S" for _, slopes in rows)
+        assert set(rows) <= {(64, False), (1, True)}
+        assert re.fullmatch(f"(S+r*){{{len(curve)}}}", pattern)
         # kappa = 0.7 stays inside its interval: one scan
-        assert pattern.startswith("SDr")
+        assert pattern.startswith("Sr")
         assert pattern.count("S") > len(curve)
-        # the optimum at EXPANSION_FLOOR is an end sample: slopes at it and
-        # its one neighbour, and no refine
-        assert pattern.endswith("SD") and rows[-1] == (2, True)
+        # the optimum at EXPANSION_FLOOR is an end sample: no refine
+        assert pattern.endswith("S") and rows[-1] == (64, False)
+
+
+def _spy_eigh_and_scan(monkeypatch):
+    """Record, in call order, the row count of every stacked np.linalg.eigh
+    ("E") and of every first-arrival scan ("S"), as "E3 S1 ..."."""
+    events = []
+    eigh, scan = np.linalg.eigh, propagate._scan
+
+    def eigh_spy(a, *args, **kwargs):
+        events.append(f"E{len(a)}")
+        return eigh(a, *args, **kwargs)
+
+    def scan_spy(eigvals, coef, window):
+        events.append(f"S{len(eigvals)}")
+        return scan(eigvals, coef, window)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
+    monkeypatch.setattr(propagate, "_scan", scan_spy)
+    return events
+
+
+def test_coarse_rows_skip_eigh(monkeypatch):
+    """The coarse scans take eigenvalues and end weights only: eigh sees
+    the three rows of the slope step, which runs no scan, and then each
+    one-row refine call, after its scan."""
+    spec = _p2(13)
+    ref = reference(spec)  # build_hamiltonian runs eigh
+    events = _spy_eigh_and_scan(monkeypatch)
+    res = optimize_detuning(spec, BendSpec(alpha=7, kappa=0.5), ref)
+    # the 64 coarse detunings are two 32-row blocks
+    assert re.fullmatch(r"S32 S32 E3( S1 E1)+", " ".join(events))
+    assert res.evaluations == 64 + events.count("S1")
+    events.clear()
+    calibrate_protocol1(13)
+    # the 100 default ratios are four blocks
+    assert re.fullmatch(r"S32 S32 S32 S4 E3( S1 E1)+", " ".join(events))
 
 
 def test_physical_chains_never_zoom(monkeypatch):
@@ -363,8 +397,10 @@ def test_physical_chains_never_zoom(monkeypatch):
     assert calls == []
     # the spies see both fallbacks: a constant |A_N|^2 is a flat top, and a
     # NaN slope brackets nothing
-    def nan_slopes(xs, slopes=False):
+    def nan_slopes(xs, slopes=False, at=None):
         xs = np.asarray(xs, dtype=float)
+        if at is not None:
+            return np.full(xs.size, np.nan)
         found = xs, -(xs**2)
         return (*found, np.full(xs.size, np.nan)) if slopes else found
 

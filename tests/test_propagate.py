@@ -16,6 +16,7 @@ from bentchain import (
     omega_max,
 )
 from bentchain import propagate
+from bentchain.chain import hamiltonian_matrix
 from bentchain.propagate import BLOCK_ROWS, end_probability_at, first_arrivals
 from dense_reference import first_arrival_dense
 
@@ -414,6 +415,142 @@ class TestArrivalSlopes:
         assert t.shape == p.shape == slope.shape == (0,)
 
 
+def _eigh_weights(matrices):
+    """Eigenvalues and end weights v_k[1] v_k[N] of a stack, from eigh."""
+    lam, vec = np.linalg.eigh(matrices)
+    return lam, vec[:, 0, :] * vec[:, -1, :]
+
+
+def _random_bent_chains(count, seed):
+    """(matrix, bent) of random bent chains: N = 5-29, either protocol,
+    any corner, kappa in [0, 1] and a corner detuning in [-32, 1]
+    Omega_max."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(5, 30))
+        if rng.random() < 0.5:
+            spec = ChainSpec(Protocol.PROTOCOL_1, n, boundary_ratio=float(rng.uniform(0.3, 1.0)))
+        else:
+            spec = p2(n)
+        kappa = float(rng.uniform(0.0, 1.0))
+        bend = BendSpec(alpha=int(rng.integers(2, n)), kappa=kappa,
+                        delta_alpha=float(rng.uniform(-32.0, 1.0)) * omega_max(spec))
+        yield hamiltonian_matrix(spec, bend), kappa > 0.0
+
+
+def _spy_eigh(monkeypatch):
+    """Record the stacks that np.linalg.eigh receives."""
+    stacks = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        stacks.append(np.array(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return stacks
+
+
+class TestEndWeights:
+    """End weights c_k = v_k[1] v_k[N] from the eigenvalues alone, for
+    tridiagonal matrices plus at most one chord, against eigh."""
+
+    def test_random_bent_chains(self, monkeypatch):
+        stacks = _spy_eigh(monkeypatch)
+        for h, _ in _random_bent_chains(320, seed=7):
+            lam, coef = propagate._end_weights(h[None])
+            lam_ref, coef_ref = _eigh_weights(h[None])
+            assert np.abs(lam - lam_ref).max() <= 1e-14 * np.abs(lam_ref).max()
+            assert np.abs(coef - coef_ref).max() <= 2e-14
+        # the only eigh calls are the reference ones
+        assert len(stacks) == 320
+
+    def test_moments_vanish_below_the_graph_distance(self):
+        # sum_k lam_k^j c_k = (H^j)_1N, which is 0 while j is below the
+        # graph distance from site 1 to site N: N - 1, or N - 2 over a chord
+        for h, bent in _random_bent_chains(100, seed=8):
+            lam, coef = propagate._end_weights(h[None])
+            terms = coef[0, :, None] * lam[0, :, None] ** np.arange(len(h) - 1 - bent)
+            assert (np.abs(terms.sum(axis=0)) <= 1e-14 * np.abs(terms).sum(axis=0)).all()
+
+    def test_calibration_grid(self):
+        ratios = np.arange(1, 101) * 0.01
+        for n in range(4, 61):
+            matrices = np.array([
+                hamiltonian_matrix(ChainSpec(Protocol.PROTOCOL_1, n, boundary_ratio=r))
+                for r in ratios])
+            lam, coef = propagate._end_weights(matrices)
+            assert np.abs(coef - _eigh_weights(matrices)[1]).max() <= 3e-14
+
+    @pytest.mark.parametrize("n", [200, 300])
+    @pytest.mark.parametrize("bent", [False, True])
+    def test_long_protocol2_chains(self, n, bent, monkeypatch):
+        # the products of the couplings and of the eigenvalue differences
+        # each overflow from about N = 140
+        spec = p2(n)
+        bend = BendSpec(alpha=n // 2, kappa=0.5, delta_alpha=-1.5 * omega_max(spec))
+        h = hamiltonian_matrix(spec, bend if bent else None)
+        stacks = _spy_eigh(monkeypatch)
+        lam, coef = propagate._end_weights(h[None])
+        assert stacks == [] and np.isfinite(coef).all()
+        assert np.abs(coef - _eigh_weights(h[None])[1]).max() <= 1e-14
+
+    def test_mixed_corner_block(self):
+        # sweep_alpha hands every corner of a chain to one block
+        spec = p2(13)
+        om = omega_max(spec)
+        matrices = np.array([hamiltonian_matrix(spec)] + [
+            hamiltonian_matrix(spec, BendSpec(alpha=a, kappa=0.08 * (a - 1), delta_alpha=-om))
+            for a in range(2, 13)])
+        lam, coef = propagate._end_weights(matrices)
+        assert np.abs(coef - _eigh_weights(matrices)[1]).max() <= 2e-14
+        for i, h in enumerate(matrices):
+            lam_one, coef_one = propagate._end_weights(h[None])
+            assert np.array_equal(lam[i], lam_one[0]) and np.array_equal(coef[i], coef_one[0])
+
+    def test_other_shapes_take_eigh(self, monkeypatch):
+        spec = p2(9)
+        h = hamiltonian_matrix(spec, BendSpec(alpha=4, kappa=0.5, delta_alpha=-2.0))
+        two_chords = h.copy()
+        two_chords[7, 5] = two_chords[5, 7] = 0.3
+        far = h.copy()
+        far[6, 3] = far[3, 6] = 0.3  # a (j, j + 3) entry
+        upper = h.copy()
+        upper[0, 5] = 0.3  # eigh reads the lower triangle only
+        matrices = np.array([h, two_chords, far, upper])
+        stacks = _spy_eigh(monkeypatch)
+        lam, coef = propagate._end_weights(matrices)
+        assert len(stacks) == 1 and np.array_equal(stacks[0], matrices[1:3])
+        lam_ref, coef_ref = _eigh_weights(matrices[1:3])
+        assert np.array_equal(lam[1:3], lam_ref) and np.array_equal(coef[1:3], coef_ref)
+        assert np.abs(coef - _eigh_weights(matrices)[1]).max() <= 2e-14
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.5])
+    def test_degenerate_spectrum_takes_eigh(self, kappa, monkeypatch):
+        # a boundary ratio of 1e-300 cuts the end sites off: eigenvalue 0
+        # appears twice, exactly, and the formula would give 0/0
+        spec = ChainSpec(Protocol.PROTOCOL_1, 9, boundary_ratio=1e-300)
+        h = hamiltonian_matrix(spec, BendSpec(alpha=5, kappa=kappa, delta_alpha=-1.0))
+        stacks = _spy_eigh(monkeypatch)
+        lam, coef = propagate._end_weights(h[None])
+        assert len(stacks) == 1
+        assert np.isfinite(lam).all() and np.isfinite(coef).all()
+        t, p = first_arrivals([h], 40.0)
+        assert np.isfinite(t).all() and np.isfinite(p).all()
+
+    def test_near_degenerate_spectrum(self):
+        # at ratio 1e-8 the two end states are 2.4e-16 apart: single c_k
+        # differ from eigh's by up to 1e-3, but |A_N(t)|^2 agrees at the
+        # roundoff level
+        spec = ChainSpec(Protocol.PROTOCOL_1, 9, boundary_ratio=1e-8)
+        h = hamiltonian_matrix(spec, BendSpec(alpha=5, kappa=0.5, delta_alpha=-1.0))
+        times = np.linspace(0.0, 40.0, 2001)
+        curves = []
+        for lam, coef in (propagate._end_weights(h[None]), _eigh_weights(h[None])):
+            curves.append(np.abs(np.exp(-1j * np.outer(times, lam[0])) @ coef[0]) ** 2)
+        assert np.abs(curves[0] - curves[1]).max() <= 1e-27
+
+
 def _spy_zoom(monkeypatch):
     """Record the (a, b) bracket arrays of every zoom_max call of the scan."""
     brackets = []
@@ -516,11 +653,7 @@ class TestFlatTopFallback:
         t, p = propagate._scan(lam, coef, window)
         # every flat top of the block in one zoom
         assert len(flat) >= 5 and [a.size for a, _ in brackets] == [len(flat)]
+        # the Newton refine and the zoom both freeze a converged row, so
+        # every row of the block is its one-row call, bit for bit
         for i, ((t_one,), (p_one,)) in enumerate(one):
-            if i in flat:
-                assert (t[i], p[i]) == (t_one, p_one)
-            else:
-                # the Newton refine steps every row until all have
-                # converged, which moves a converged row by a few ulp
-                assert abs(t[i] - t_one) <= propagate.REL_TOL * window
-                assert abs(p[i] - p_one) <= 1e-12
+            assert (t[i], p[i]) == (t_one, p_one)

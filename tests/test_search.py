@@ -103,17 +103,29 @@ class TestZoomMax:
 
 def batch(p, dp):
     """An evaluate callable on the objective p with slope dp: (t*, p*) per
-    point with t* = 2 x, and (t*, p*, dp) when asked for slopes; and the
-    list of (batch size, slopes asked) of its calls."""
+    point with t* = 2 x, (t*, p*, dp) when asked for slopes, and dp alone
+    when given the points' t* (``at``); and the list of (batch size, slopes
+    asked) of its calls, "at" for the last kind."""
     calls = []
 
-    def evaluate(xs, slopes=False):
+    def evaluate(xs, slopes=False, at=None):
         xs = np.asarray(list(xs), dtype=float)
+        if at is not None:
+            # the slopes are taken at the t* an earlier call found
+            assert np.array_equal(at, 2.0 * xs)
+            calls.append((xs.size, "at"))
+            return np.array([dp(x) for x in xs])
         calls.append((xs.size, slopes))
         found = 2.0 * xs, np.array([p(x) for x in xs])
         return (*found, np.array([dp(x) for x in xs])) if slopes else found
 
     return evaluate, calls
+
+
+def evaluated(calls):
+    """The points whose first arrival a list of calls evaluated: every
+    call but the slopes at known arrivals."""
+    return sum(size for size, slopes in calls if slopes != "at")
 
 
 class TestScanAndRefine:
@@ -124,11 +136,12 @@ class TestScanAndRefine:
         # p* and t* are those of the evaluated point x*, as Python floats
         assert (p, t) == (1.0 - (x - 0.23) ** 2, 2.0 * x)
         assert all(type(v) is float for v in (x, p, t))
-        # the scan, the slopes at the best sample and its neighbours, then
-        # one point per refine step: a secant step on a linear slope is exact
-        assert calls[:2] == [(11, False), (3, True)] and set(calls[2:]) == {(1, True)}
+        # the scan, the slopes at the best sample and its neighbours at
+        # their scanned t*, then one point per refine step: a secant step on
+        # a linear slope is exact
+        assert calls[:2] == [(11, False), (3, "at")] and set(calls[2:]) == {(1, True)}
         assert len(calls) <= 4
-        assert n == sum(size for size, _ in calls)
+        assert n == evaluated(calls)
 
     def test_ties_go_to_the_smaller_magnitude(self):
         evaluate, _ = batch(lambda x: 1.0, lambda x: 0.0)
@@ -144,9 +157,9 @@ class TestScanAndRefine:
         evaluate, calls = batch(lambda x: -x, lambda x: -1.0)
         found = scan_and_refine(evaluate, np.array([0.4]), 1e-6)
         # the one point is the first and the last point of its grid
-        assert found == (0.4, -0.4, 0.8, True, 2) and found[3] is True
+        assert found == (0.4, -0.4, 0.8, True, 1) and found[3] is True
         # the point's slope points out of its one-point grid: no refine
-        assert calls == [(1, False), (1, True)]
+        assert calls == [(1, False), (1, "at")]
 
     @pytest.mark.parametrize("p,dp,end", [
         (lambda x: x, lambda x: 1.0, 1.0),
@@ -157,7 +170,7 @@ class TestScanAndRefine:
         x, px, t, on_boundary, n = scan_and_refine(evaluate, np.linspace(-0.5, 1.0, 16), 1e-8)
         # exactly the end sample, with no refine evaluation
         assert (x, px, t) == (end, p(end), 2.0 * end) and on_boundary is True
-        assert calls == [(16, False), (2, True)] and n == 18
+        assert calls == [(16, False), (2, "at")] and n == 16
 
     @pytest.mark.parametrize("x_max", [0.03, 0.97])
     def test_refine_from_an_end_sample_is_interior(self, x_max):
@@ -166,7 +179,7 @@ class TestScanAndRefine:
         # is not on the boundary
         evaluate, calls = batch(lambda x: 1.0 - (x - x_max) ** 2, lambda x: -2.0 * (x - x_max))
         x, _, _, on_boundary, _ = scan_and_refine(evaluate, np.linspace(0.0, 1.0, 11), 1e-8)
-        assert calls[1] == (2, True)  # the end sample and its one neighbour
+        assert calls[1] == (2, "at")  # the end sample and its one neighbour
         assert abs(x - x_max) <= 2e-8 and on_boundary is False
 
     def test_converges_to_tol_on_a_smooth_objective(self):
@@ -183,7 +196,7 @@ class TestScanAndRefine:
             assert abs(x - x_true) <= tol
             refine = calls[2:]
             assert set(refine) == {(1, True)} and len(refine) <= 5
-            assert n == 9 + 3 + len(refine)
+            assert n == 9 + len(refine)
 
     def test_jump_falls_back_to_zoom(self):
         # p* rises on both sides of a drop at x = 0.45: no slope changes
@@ -194,9 +207,9 @@ class TestScanAndRefine:
         assert on_boundary is False and 0.45 - 1e-7 <= x < 0.45
         # p* and t* are those of the evaluated point x*, as Python floats
         assert (p, t) == (x, 2.0 * x) and all(type(v) is float for v in (x, p, t))
-        assert n == sum(size for size, _ in calls)
+        assert n == evaluated(calls)
         # the zoom evaluates ZOOM_POINTS points per call
-        assert calls[:2] == [(11, False), (3, True)]
+        assert calls[:2] == [(11, False), (3, "at")]
         assert set(calls[2:]) == {(ZOOM_POINTS, False)}
 
     @pytest.mark.parametrize("p,x_max", [
@@ -207,8 +220,8 @@ class TestScanAndRefine:
         evaluate, calls = batch(p, lambda x: math.nan)
         x, _, _, _, n = scan_and_refine(evaluate, np.linspace(0.0, 1.0, 11), 1e-8)
         assert abs(x - x_max) <= 2e-8
-        assert calls[1][1] and set(calls[2:]) == {(ZOOM_POINTS, False)}
-        assert n == sum(size for size, _ in calls)
+        assert calls[1][1] == "at" and set(calls[2:]) == {(ZOOM_POINTS, False)}
+        assert n == evaluated(calls)
 
     def test_nan_slope_in_the_refine_falls_back_to_zoom(self):
         # finite slopes at the samples, NaN inside the bracket
@@ -218,9 +231,9 @@ class TestScanAndRefine:
         evaluate, calls = batch(lambda x: 1.0 - (x - 0.23) ** 2, dp)
         x, _, _, _, n = scan_and_refine(evaluate, np.linspace(0.0, 1.0, 11), 1e-8)
         assert abs(x - 0.23) <= 2e-8
-        assert calls[:3] == [(11, False), (3, True), (1, True)]
+        assert calls[:3] == [(11, False), (3, "at"), (1, True)]
         assert set(calls[3:]) == {(ZOOM_POINTS, False)}
-        assert n == sum(size for size, _ in calls)
+        assert n == evaluated(calls)
 
     def test_widen_rescans_then_refines_once(self):
         evaluate, calls = batch(lambda x: -(x + 2.5) ** 2, lambda x: -2.0 * (x + 2.5))
@@ -237,6 +250,6 @@ class TestScanAndRefine:
         # the last grid's best sample -2 is interior
         assert grids[-1][2] == 1
         # four scans, then the slopes and every refine step after them
-        assert calls[:5] == [(5, False)] * 4 + [(3, True)]
+        assert calls[:5] == [(5, False)] * 4 + [(3, "at")]
         assert set(calls[5:]) == {(1, True)}
-        assert n == sum(size for size, _ in calls)
+        assert n == evaluated(calls)
