@@ -5,8 +5,10 @@ First arrival: what the optimizer, the calibration and the sweeps repeat for
 every Hamiltonian, the bandwidth-scaled scan of |A_N(t)|^2 followed by the
 analytic-slope refine of the first peak (N = 9, 13, 25).
 
-Slope: one one-row ``first_arrivals`` call with and without ``direction``
-(E = dH/ddelta at the corner), the extra cost of dp*/ddelta (N = 13, 25).
+Refine step: the two calls a slope-refine step makes on the optimizer's
+objective H0 + delta E (E = dH/ddelta at the corner), the first arrival
+``evaluate([delta])``, and then the slope ``evaluate([delta], at=t)`` at
+that arrival, one ``eigh`` and no scan (N = 13, 25).
 
 End weights: the spectrum and end weights c_k = v_k[1] v_k[N] of one block
 of B copies of a bent chain (B = 1, 32; N = 9, 13, 25, 100), from a stacked
@@ -14,10 +16,11 @@ of B copies of a bent chain (B = 1, 32; N = 9, 13, 25, 100), from a stacked
 as ``first_arrivals`` takes them.
 
 Amplitude trace: ``evolve``, every site amplitude on 4096 steps over the
-window (N = 60, 120, 200), as the spectra and trace files use it, and its
-layers: the ``eigh`` that builds the Hamiltonian before it, the phase
-tables with their site-major broadcast, and the real GEMM of the
-eigenvectors with the phases.
+window (N = 60, 120, 200), the full propagator of the unitarity and RK4
+acceptance checks (no CLI command calls it), and its layers: the ``eigh``
+that builds the Hamiltonian before it, the phase tables with their
+site-major broadcast, and the real GEMM of the eigenvectors with the
+phases.
 
 Detuning optimizer: ``optimize_detuning`` on the default interval, the
 64-detuning batched coarse scan plus the slope refine, with its evaluations
@@ -31,8 +34,8 @@ Protocol 1 calibration: ``calibrate_protocol1`` over the default 100-point
 ratio grid (N = 13, 21).
 
 Refine evaluations: the one-row ``first_arrivals`` calls per optimized
-point of ``figure fig2`` and ``figure fig4``, the refines of their Protocol 1
-calibrations included (a count; run once).
+point of ``figure fig2`` and ``figure fig4``, one per refine step, the
+refines of their Protocol 1 calibrations included (a count; run once).
 
 CLI: one in-process ``cli.main`` call, parsing plus the command plus its
 files and manifest written to a temporary directory, for
@@ -80,7 +83,7 @@ from bentchain import (
     reference,
 )
 from bentchain import cli
-from bentchain.propagate import _end_weights, _phase_tables, first_arrivals
+from bentchain.propagate import _end_weights, _objective, _phase_tables, first_arrivals
 
 REPEATS = 7
 WINDOW = math.pi / 2
@@ -157,11 +160,11 @@ def refine_evaluations(figure, out):
     process), and the optimized points in its files."""
     one_row = 0
 
-    def counting(matrices, window, direction=None):
+    def counting(matrices, window):
         nonlocal one_row
         matrices = list(matrices)
         one_row += len(matrices) == 1
-        return first_arrivals(matrices, window, direction)
+        return first_arrivals(matrices, window)
 
     bound = [module for name, module in sys.modules.items() if name.startswith("bentchain")
              and getattr(module, "first_arrivals", None) is first_arrivals]
@@ -169,7 +172,7 @@ def refine_evaluations(figure, out):
         module.first_arrivals = counting
     try:
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["figure", figure, "--jobs", "1", "--out", out])
+            code = cli.main(["figure", figure, "--jobs", "1", "--out", str(out)])
     finally:
         for module in bound:
             module.first_arrivals = first_arrivals
@@ -201,14 +204,17 @@ def main(argv=None):
         direction = np.zeros_like(ham.matrix)
         corner = (n + 1) // 2 - 1
         direction[corner, corner] = omega_max(ChainSpec(Protocol.PROTOCOL_2, n))
-        for label, args in (("plain", ()), ("slope", (direction,))):
+        evaluate = _objective(ham.matrix, direction, WINDOW)
+        t_star, _ = evaluate([0.0])
+        for label, call in (("arrival", lambda: evaluate([0.0])),
+                            ("slope", lambda: evaluate([0.0], at=t_star))):
             median, q1, q3, found = time_call(
-                rows, f"first_arrivals N={n} {label}",
-                lambda: first_arrivals([ham.matrix], WINDOW, *args), 500)
+                rows, f"refine step N={n} {label}", call, 500)
             print(
-                f"first_arrivals N={n:3d} {label}: {median:.3f} ms per one-row call "
-                f"(quartiles {q1:.3f}-{q3:.3f}), p*={found[1][0]:.9f}"
-                + (f" dp*/ddelta={found[2][0]:.9f}" if args else "")
+                f"refine step N={n:3d} {label:<7}: {median:.3f} ms per one-point call "
+                f"(quartiles {q1:.3f}-{q3:.3f}), "
+                + (f"p*={found[1][0]:.9f}" if label == "arrival"
+                   else f"dp*/ddelta={found[0]:.9f}")
             )
     for n in (9, 13, 25, 100):
         for rows_per_block in (1, 32):

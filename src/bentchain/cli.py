@@ -386,8 +386,8 @@ def cmd_curve(args, config):
             for kappa, res in curve]
     deltas = [res.delta_star for _, res in curve]
     return ({"curve.csv": (["kappa", "delta_opt", "q_opt", "s_opt", "on_boundary"], rows)},
-            {"command": "curve", "grid": args.grid,  # the corner as an unbent bend
-             "chain": spec_to_dict(spec, BendSpec(alpha=bend["alpha"], kappa=0.0))},
+            {"command": "curve", "grid": args.grid,
+             "chain": {**spec_to_dict(spec), "alpha": bend["alpha"]}},
             f"curve: {len(curve)} points, delta* range "
             f"[{min(deltas):.4f}, {max(deltas):.4f}] -> {_run_dir(args) / 'curve.csv'}")
 

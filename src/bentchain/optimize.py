@@ -44,14 +44,16 @@ def optimize_detuning(
     """Maximize the first-maximum transfer probability over the corner
     detuning.
 
-    A coarse scan of ``N_COARSE`` equispaced detunings over ``interval``
-    (units of Omega_max), one batch of :func:`first_arrivals` on copies of
-    the bent matrix that differ in the corner diagonal entry, ties going to
-    the smaller |delta|; its rows need eigenvalues only.  The slope
-    dp*/ddelta at the best detuning and its neighbours, at the arrival
-    times the scan found (one ``eigh`` of at most three rows, and no
-    scan), then brackets the optimum in one cell, refined by secant steps
-    on the slope to ``DELTA_TOL`` (:func:`search.scan_and_refine`).  An
+    The objective is p*(delta) of H0 + delta E, with H0 the bent matrix and
+    E = dH/ddelta = Omega_max on the corner diagonal entry
+    (:func:`propagate._objective`).  A coarse scan of ``N_COARSE``
+    equispaced detunings over ``interval`` (units of Omega_max) is one batch
+    of :func:`first_arrivals`, ties going to the smaller |delta|; its rows
+    need eigenvalues only.  The slope dp*/ddelta at the best detuning and
+    its neighbours, at the arrival times the scan found (one ``eigh`` of at
+    most three rows, and no scan), then brackets the optimum in one cell,
+    refined by secant steps on the slope to ``DELTA_TOL``, each step one
+    first arrival and then its slope (:func:`search.scan_and_refine`).  An
     interval end whose slope points outwards is the optimum as it stands,
     with no refine; it is flagged as ``on_boundary``, not raised.  Raises
     ValueError if the interval ends are not finite with lo < hi or ``ref``
@@ -120,17 +122,10 @@ def _optimize(spec: ChainSpec, bend: BendSpec, ref: ReferencePoint,
     ref.check_chain(spec)
     om = omega_max(spec)
     base = hamiltonian_matrix(spec, replace(bend, delta_alpha=0.0))
-    corner = bend.alpha - 1
-
-    def detuned(delta_units: float) -> np.ndarray:
-        h = base.copy()
-        h[corner, corner] += delta_units * om
-        return h
-
     direction = np.zeros_like(base)  # dH/ddelta, delta in units of Omega_max
-    direction[corner, corner] = om
+    direction[bend.alpha - 1, bend.alpha - 1] = om
     delta_star, p_star, t_star, on_boundary, evaluations = scan_and_refine(
-        _objective(detuned, ref.t0, direction), np.linspace(lo, hi, N_COARSE),
+        _objective(base, direction, ref.t0), np.linspace(lo, hi, N_COARSE),
         DELTA_TOL, widen,
     )
     q_opt, s_opt = ref.normalise(p_star, t_star)

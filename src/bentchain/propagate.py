@@ -164,7 +164,8 @@ def end_probability_at(ham: Hamiltonian, t: float) -> float:
 
 
 def first_arrival(ham: Hamiltonian, window: float) -> FirstMaximum:
-    """Locate the first local maximum of |A_N(t)|^2 in [0, window].
+    """Locate the first local maximum of |A_N|^2 in [0, window]: the
+    one-row case of :func:`first_arrivals`.
 
     Scans a uniform grid with ``SAMPLES_PER_HALF_PERIOD`` points per
     half-period of the fastest frequency in |A_N|^2 (the spectral bandwidth)
@@ -176,61 +177,46 @@ def first_arrival(ham: Hamiltonian, window: float) -> FirstMaximum:
     window end puts the peak in the last cell, which is refined the same
     way; otherwise the endpoint is reported (transfer not yet peaked).
     Raises ValueError if the window is not finite and positive, or if the
-    bandwidth would need more than ``MAX_GRID_POINTS`` points.  This is the
-    one-row case of :func:`first_arrivals`.
+    bandwidth would need more than ``MAX_GRID_POINTS`` points.
     """
-    t, p = _scan(ham.eigenvalues[None, :], _end_coef(ham)[None, :], window)
+    t, p = first_arrivals([ham.matrix], window)
     return FirstMaximum(t_star=float(t[0]), p_star=float(p[0]))
 
 
 def first_arrivals(
-    matrices: Iterable[np.ndarray], window: float, direction: np.ndarray | None = None
-) -> tuple[np.ndarray, ...]:
+    matrices: Iterable[np.ndarray], window: float
+) -> tuple[np.ndarray, np.ndarray]:
     """First arrival (t*, p*) of every Hamiltonian in a sequence of real
     symmetric N x N matrices (an (B, N, N) array, a list or a generator),
-    as :func:`first_arrival` finds it.
+    as :func:`first_arrival` describes it; returns two arrays with one
+    entry per matrix.
 
     Takes the matrices ``BLOCK_ROWS`` at a time: one stacked ``eigvalsh``
     and one scan per block, on a grid fine enough for the block's widest
     spectrum, so no more than one block is held at once.  The end weights
     come from the eigenvalues alone (:func:`_end_weights`); only a row
     that is not tridiagonal plus at most one chord, or whose weights are
-    not finite, takes ``eigh``.  Returns two arrays with one entry per
-    matrix.
-
-    Given ``direction``, the N x N matrix E = dH/dx of a parameter x that
-    every matrix depends on, also returns a third array, the slope dp*/dx
-    of each row (see :func:`_arrival_slopes`).  Those rows scan the same
-    eigenvalues and weights, so their (t*, p*) are those of a call without
-    ``direction``, and take a stacked ``eigh`` for V^T E V alone.
+    not finite, takes ``eigh``.
     """
     rows = iter(matrices)
-    found = [np.empty((2 if direction is None else 3, 0))]
+    found = [np.empty((2, 0))]
     while block := list(itertools.islice(rows, BLOCK_ROWS)):
-        block = np.array(block, dtype=float)
-        lam, coef = _end_weights(block)
-        t_star, p_star = _scan(lam, coef, window)
-        if direction is None:
-            found.append((t_star, p_star))
-        else:
-            vec = np.linalg.eigh(block)[1]
-            found.append((t_star, p_star, _arrival_slopes(lam, coef, vec, direction, t_star)))
+        found.append(_scan(*_end_weights(np.array(block, dtype=float)), window))
     return tuple(np.concatenate(found, axis=1))
 
 
-def _objective(build, window: float, direction: np.ndarray):
+def _objective(base: np.ndarray, direction: np.ndarray, window: float):
     """The ``evaluate`` callable of :func:`search.scan_and_refine` for the
-    matrices ``build(x)`` and E = dH/dx = ``direction``: ``evaluate(xs)``
-    gives the first arrivals (t*, p*) of the points ``xs`` over [0,
-    window], ``evaluate(xs, slopes=True)`` also their dp*/dx, and
-    ``evaluate(xs, at=t)`` only dp*/dx at the arrivals t found before: one
-    stacked ``eigh`` and no scan."""
-    def evaluate(xs, slopes=False, at=None):
-        matrices = map(build, xs)
+    matrices H(x) = ``base`` + x ``direction``, built lazily, one block at a
+    time: ``evaluate(xs)`` gives the first arrivals (t*, p*) of the points
+    ``xs`` over [0, window] (:func:`first_arrivals`), and
+    ``evaluate(xs, at=t)`` their slopes dp*/dx at the arrivals t found
+    before (:func:`_arrival_slopes`): one stacked ``eigh`` and no scan."""
+    def evaluate(xs, at=None):
         if at is None:
-            return first_arrivals(matrices, window, direction if slopes else None)
-        lam, vec = np.linalg.eigh(np.array(list(matrices), dtype=float))
-        return _arrival_slopes(lam, vec[:, 0, :] * vec[:, -1, :], vec, direction, at)
+            return first_arrivals((base + x * direction for x in xs), window)
+        lam, vec = np.linalg.eigh(base + np.multiply.outer(xs, direction))
+        return _arrival_slopes(lam, vec, direction, at)
 
     return evaluate
 
@@ -290,15 +276,14 @@ def _end_weights(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, coef
 
 
-def _arrival_slopes(eigvals: np.ndarray, coef: np.ndarray, vec: np.ndarray,
-                    direction: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """dp*/dx of each row of a block, with (B, N) eigenvalues and end
-    weights, (B, N, N) eigenvectors, E = dH/dx and the first arrivals t* of
-    the rows.
+def _arrival_slopes(eigvals: np.ndarray, vec: np.ndarray, direction: np.ndarray,
+                    t: np.ndarray) -> np.ndarray:
+    """dp*/dx of each row of a block, with (B, N) eigenvalues, (B, N, N)
+    eigenvectors, E = dH/dx and the first arrivals t* of the rows.
 
     At an interior peak p'(t*) = 0, and at the window end t* is fixed, so by
     the envelope theorem dp*/dx = dp/dx at t* = 2 Re(conj(A_N) dA_N/dx),
-    with A_N = sum_k c_k e^{-i lam_k t}.
+    with A_N = sum_k c_k e^{-i lam_k t} and c_k = v_k[1] v_k[N].
     The Daleckii-Krein formula gives the derivative of e^{-iHt} exactly:
     dA_N/dx = sum_kl v_k[N] (V^T E V)_kl v_l[1] D_kl with the divided
     difference D_kl = (e^{-i lam_k t} - e^{-i lam_l t}) / (lam_k - lam_l),
@@ -309,6 +294,7 @@ def _arrival_slopes(eigvals: np.ndarray, coef: np.ndarray, vec: np.ndarray,
     lam = eigvals - 0.5 * (eigvals[:, -1:] + eigvals[:, :1])
     half_phase = np.exp(-0.5j * lam * t[:, None])  # e^{-i lam t / 2}
     u, w = vec[:, -1, :] * half_phase, vec[:, 0, :] * half_phase
+    coef = vec[:, 0, :] * vec[:, -1, :]
     amp = np.sum(coef * half_phase * half_phase, axis=1)
     x = 0.5 * (lam[:, :, None] - lam[:, None, :]) * t[:, None, None]
     sinc = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
@@ -340,8 +326,8 @@ def _centred_sums(
 
 def _scan(eigvals: np.ndarray, coef: np.ndarray, window: float) -> tuple[np.ndarray, np.ndarray]:
     """First arrival of each row of a (B, N) spectrum with its (B, N) end
-    weights, on one grid shared by the rows: the code path of
-    :func:`first_arrival` and :func:`first_arrivals`.  Rows whose bracket
+    weights, on one grid shared by the rows: the scan of
+    :func:`first_arrivals`, block by block.  Rows whose bracket
     around the peak shows a rising and a falling slope take the Newton
     refine of :func:`_slope_root` together; the rest (a flat or kinked top)
     take one :func:`search.zoom_max` on p = |S_0|^2 together."""

@@ -129,15 +129,16 @@ def calibrate_protocol1(
     """Pick the Protocol 1 boundary ratio maximizing the first-maximum
     transfer probability of the unbent chain.
 
-    Scans the grid (default 0.01 resolution on (0, 1]) as a batch: one
-    matrix per ratio, differing only in the boundary couplings, handed to
-    :func:`first_arrivals` (one stacked ``eigvalsh`` and one scan per
-    block; the end weights need no eigenvectors).  Ties break toward the
-    smaller ratio.  Then the slope dp0/dratio at the best grid ratio and
-    its neighbours, at the arrival times of the scan (one ``eigh`` of at
-    most three rows), brackets the optimum, and secant steps on the slope
-    refine it to ``RATIO_TOL``, as the optimizer does
-    (:func:`search.scan_and_refine`).
+    The objective is p0(ratio) of H1 + ratio E, with E = dH/dratio =
+    omega0 on the four boundary-coupling entries and H1 the uniform chain
+    without them (:func:`propagate._objective`).  Scans the grid (default
+    0.01 resolution on (0, 1]) as one batch of :func:`first_arrivals` (one
+    stacked ``eigvalsh`` and one scan per block; the end weights need no
+    eigenvectors).  Ties break toward the smaller ratio.  Then the slope
+    dp0/dratio at the best grid ratio and its neighbours, at the arrival
+    times of the scan (one ``eigh`` of at most three rows), brackets the
+    optimum, and secant steps on the slope refine it to ``RATIO_TOL``, as
+    the optimizer does (:func:`search.scan_and_refine`).
     """
     if n_sites < 4:
         raise ValueError(f"calibration needs n_sites >= 4, got {n_sites}")
@@ -154,17 +155,11 @@ def calibrate_protocol1(
     if window is None:
         window = default_calibration_window(n_sites, omega0)
 
-    def with_ratio(ratio: float) -> np.ndarray:
-        # the matrices differ only in the two boundary couplings
-        h = base.copy()
-        h[0, 1] = h[1, 0] = h[-2, -1] = h[-1, -2] = ratio * omega0
-        return h
-
     direction = np.zeros_like(base)  # dH/dratio
     direction[0, 1] = direction[1, 0] = direction[-2, -1] = direction[-1, -2] = omega0
     grid = np.sort(ratio_grid)
     best_ratio, p0, t0, on_boundary, _ = scan_and_refine(
-        _objective(with_ratio, window, direction), grid, RATIO_TOL)
+        _objective(base - direction, direction, window), grid, RATIO_TOL)
     if grid.size > 1 and on_boundary:
         warnings.warn(
             f"calibration optimum at ratio grid boundary ({best_ratio:.4g})",

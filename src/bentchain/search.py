@@ -61,18 +61,17 @@ def scan_and_refine(evaluate, grid: np.ndarray, tol: float, widen=None):
     on_boundary, n_evals).
 
     ``evaluate(xs)`` returns the (t*, p*) arrays of a sequence of points,
-    ``evaluate(xs, slopes=True)`` also their dp*/dx, and
-    ``evaluate(xs, at=t)`` only dp*/dx at the first arrivals ``t`` that an
-    earlier call found for them.  The grid, and each grid ``widen``
-    returns, must ascend.  The grid is evaluated as one batch, without
-    slopes, and its best sample taken, ties going to the smaller |x|; while
+    and ``evaluate(xs, at=t)`` their slopes dp*/dx at the first arrivals
+    ``t`` that an earlier call found for them.  The grid, and each grid
+    ``widen`` returns, must ascend.  The grid is evaluated as one batch and
+    its best sample taken, ties going to the smaller |x|; while
     ``widen(grid, best)`` returns a new grid, that grid is scanned in turn.
     Then the slopes at sample ``best`` of the last grid and at its
-    neighbours are taken at the t* of that scan, with no second scan.  An
-    end sample whose slope points out of the grid (or a sample with a zero
-    slope) is x* as it stands.  Otherwise the cell between ``best`` and the
-    neighbour its slope points to must show the opposite slope, and
-    :func:`_slope_root` refines x to ``tol`` inside it, one point per call.
+    neighbours are taken at the t* of that scan.  An end sample whose slope
+    points out of the grid (or a sample with a zero slope) is x* as it
+    stands.  Otherwise the cell between ``best`` and the neighbour its
+    slope points to must show the opposite slope, and
+    :func:`_slope_root` refines x to ``tol`` inside it, one point per step.
     Where no cell brackets a sign change, or a slope is not finite,
     :func:`zoom_max` refines p* over the two cells around ``best`` instead,
     one call per round.  x*, p* and t* are Python floats of one evaluated
@@ -126,7 +125,9 @@ def _slope_root(evaluate, older: tuple[float, float], newer: tuple[float, float]
 
     ``older`` and ``newer`` are the (x, dp*/dx) of the cell ends, ``newer``
     the better sample.  Secant steps on the slope through the two latest
-    points, bisecting the bracket whenever a step leaves it.  Stops at a
+    points, bisecting the bracket whenever a step leaves it; each point
+    takes ``evaluate([x])`` for its first arrival and then
+    ``evaluate([x], at=t)`` for its slope there.  Stops at a
     zero slope, once the bracket is within 2 ``tol``, or when the next
     secant step would move x by at most ``tol`` / 10: the secant converges
     superlinearly, so that step estimates the error of the latest point,
@@ -143,7 +144,8 @@ def _slope_root(evaluate, older: tuple[float, float], newer: tuple[float, float]
             x = 0.5 * (a + b)
         elif abs(x - x1) <= 0.1 * tol:
             break
-        t_star, p_star, slope = evaluate([x], slopes=True)
+        t_star, p_star = evaluate([x])
+        slope = evaluate([x], at=t_star)
         n_evals += 1
         seen[x] = float(p_star[0]), float(t_star[0])
         x0, f0, x1, f1 = x1, f1, x, float(slope[0])

@@ -126,6 +126,17 @@ class TestCommands:
             (tmp_path / "optimize" / "optimize" / "manifest.json").read_text())
         assert manifest["delta_units"] == "omega_max"
 
+    def test_curve_manifest_records_only_the_corner(self, tmp_path, capsys):
+        # curve optimizes each kappa of its grid: the chain it records has
+        # the corner but no kappa or delta_alpha of a bend
+        code, _, _ = run(
+            capsys, "curve", "--protocol", "2", "--n", "9", "--alpha", "5",
+            "--grid", "0.2,0.4", "--out", str(tmp_path),
+        )
+        assert code == 0
+        manifest = json.loads((tmp_path / "curve" / "curve" / "manifest.json").read_text())
+        assert manifest["chain"] == {"protocol": 2, "n_sites": 9, "omega0": 1.0, "alpha": 5}
+
     def test_sweep_kappa_csv(self, tmp_path, capsys):
         code, out, _ = run(
             capsys, "sweep-kappa", "--protocol", "2", "--n", "9",

@@ -75,9 +75,9 @@ def test_only_cli_touches_files(path):
         assert found == [], f"{path.name} handles files: {found}"
 
 
-def test_kernel_bench_imports():
+def test_kernel_bench_imports(tmp_path):
     # the script imports library internals; load it without running main,
-    # and call its evolve layers once on a small chain
+    # and call its evolve layers and its refine count once on small inputs
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "kernel_bench.py"
     spec = importlib.util.spec_from_file_location("kernel_bench", path)
     bench = importlib.util.module_from_spec(spec)
@@ -91,3 +91,7 @@ def test_kernel_bench_imports():
     trace = bentchain.evolve(ham, bench.WINDOW, 128)
     product = layers["gemm"]().view(complex)[:, :128].T
     np.testing.assert_allclose(product, trace.amplitudes, rtol=0, atol=1e-12)
+    # the count's spy stands in for first_arrivals, so it must take the
+    # same arguments
+    one_row, points = bench.refine_evaluations("fig5", tmp_path)
+    assert one_row > 0 and points == 0  # fig5 writes spectra, not optima

@@ -16,7 +16,7 @@ from bentchain import (
     omega_max,
 )
 from bentchain import propagate
-from bentchain.chain import hamiltonian_matrix
+from bentchain.chain import Hamiltonian, hamiltonian_matrix
 from bentchain.propagate import BLOCK_ROWS, end_probability_at, first_arrivals
 from dense_reference import first_arrival_dense
 
@@ -332,6 +332,15 @@ class TestFirstArrivals:
         t, p = first_arrivals([], math.pi / 2)
         assert t.shape == p.shape == (0,)
 
+    def test_first_arrival_is_the_one_row_case(self):
+        # bit for bit, over a P2 window and a P1-sized one
+        for h, _ in _random_bent_chains(40, seed=11):
+            ham = Hamiltonian(h, *np.linalg.eigh(h))
+            for window in (math.pi / 2, 0.8 * h.shape[0]):
+                fm = first_arrival(ham, window)
+                t, p = first_arrivals([h], window)
+                assert (fm.t_star, fm.p_star) == (t[0], p[0])
+
     def test_rejects_bad_window(self):
         matrices = build_hamiltonian(p2(4)).matrix[None]
         with pytest.raises(ValueError):
@@ -357,8 +366,9 @@ def _boundary(n, ratio):
 
 
 class TestArrivalSlopes:
-    """dp*/dx from the Daleckii-Krein formula against central differences
-    of first_arrivals."""
+    """dp*/dx of the objective H(x) = H + x E, from the Daleckii-Krein
+    formula at the first arrivals found before, against central
+    differences of its first arrivals."""
 
     @pytest.mark.parametrize("make,window,interior", [
         # corner detuning with an interior peak, Protocol 2 and Protocol 1
@@ -375,26 +385,25 @@ class TestArrivalSlopes:
     ], ids=["p2-n13-d-2", "p2-n13-d-0.3", "p2-n9-a3", "p1-n12", "window-end",
             "ratio-n13", "ratio-n21"])
     def test_matches_central_differences(self, make, window, interior):
-        h, e = make()
-        t, p, slope = first_arrivals([h], window, e)
+        evaluate = propagate._objective(*make(), window)
+        t, p = evaluate([0.0])
+        slope = evaluate([0.0], at=t)
         assert bool(t[0] < window) == interior
         eps = 1e-6
-        _, p_hi = first_arrivals([h + eps * e], window)
-        _, p_lo = first_arrivals([h - eps * e], window)
+        _, p_hi = evaluate([eps])
+        _, p_lo = evaluate([-eps])
         fd = (p_hi[0] - p_lo[0]) / (2.0 * eps)
         assert abs(slope[0] - fd) <= 1e-7
         assert abs(slope[0]) > 1e-3  # a slope, not a maximum
 
     def test_batch_rows_match_one_row_calls(self):
         deltas = np.linspace(-4.0, 0.5, BLOCK_ROWS + 3)  # two blocks
-        pairs = [_corner(p2(13), 7, 0.5, d) for d in deltas]
-        e = pairs[0][1]
-        t, p, slope = first_arrivals([h for h, _ in pairs], math.pi / 2, e)
-        # the same arrivals as without a direction, bit for bit
-        t_plain, p_plain = first_arrivals([h for h, _ in pairs], math.pi / 2)
-        assert np.array_equal(t, t_plain) and np.array_equal(p, p_plain)
-        for i, (h, _) in enumerate(pairs):
-            _, p_one, s_one = first_arrivals([h], math.pi / 2, e)
+        evaluate = propagate._objective(*_corner(p2(13), 7, 0.5, 0.0), math.pi / 2)
+        t, p = evaluate(deltas)
+        slope = evaluate(deltas, at=t)
+        for i, delta in enumerate(deltas):
+            t_one, p_one = evaluate([delta])
+            s_one = evaluate([delta], at=t_one)
             assert abs(p[i] - p_one[0]) <= 1e-12
             assert abs(slope[i] - s_one[0]) <= 1e-9
 
@@ -407,12 +416,30 @@ class TestArrivalSlopes:
         e_corner = np.zeros_like(h)
         e_corner[3, 3] = 1.0
         for e in (e_ratio, e_corner):
-            _, p, slope = first_arrivals([h], 40.0, e)
+            evaluate = propagate._objective(h, e, 40.0)
+            t, p = evaluate([0.0])
+            slope = evaluate([0.0], at=t)
             assert np.isfinite(slope).all() and np.isfinite(p).all()
 
     def test_no_matrices(self):
-        t, p, slope = first_arrivals([], math.pi / 2, np.eye(4))
+        evaluate = propagate._objective(np.zeros((4, 4)), np.eye(4), math.pi / 2)
+        t, p = evaluate([])
+        slope = evaluate([], at=t)
         assert t.shape == p.shape == slope.shape == (0,)
+
+    def test_matrices_are_base_plus_x_direction(self, monkeypatch):
+        # H(x) is built as base + x E, one block at a time
+        seen = []
+        monkeypatch.setattr(propagate, "first_arrivals",
+                            lambda matrices, window: seen.append(matrices))
+        h, e = _corner(p2(9), 5, 0.4, 0.0)
+        propagate._objective(h, e, math.pi / 2)(np.array([-1.5, 0.25]))
+        (matrices,) = seen
+        assert not isinstance(matrices, (list, np.ndarray))
+        expected = [h.copy(), h.copy()]
+        expected[0][4, 4] += -1.5 * e[4, 4]
+        expected[1][4, 4] += 0.25 * e[4, 4]
+        assert all(np.array_equal(m, x) for m, x in zip(matrices, expected, strict=True))
 
 
 def _eigh_weights(matrices):
