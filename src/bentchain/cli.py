@@ -35,7 +35,7 @@ from .metrics import (
 )
 from .optimize import DEFAULT_INTERVAL, detuning_curve, optimize_detuning
 from .photonic import DeviceParams, design_layout, parasitic_check
-from .reference import ReferencePoint, calibrate_protocol1, reference
+from .reference import ReferencePoint, calibrate_protocol1, default_calibration_window, reference
 from .spectral import SpectrumReport, spectrum_report
 
 EXIT_USAGE = 2
@@ -43,11 +43,15 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 FIGURE_DEFAULT_N = (12, 13, 21, 25)
+# every grid point costs at least one first arrival, so a larger grid is a
+# typo, and a far larger one would not fit in memory
+MAX_GRID_POINTS = 2**20
 
 
 def parse_grid(text: str) -> np.ndarray:
     """Inclusive `start:step:end` grid (both ends, half-step tolerance; at
-    least one point, all finite), or a comma-separated list of values."""
+    least one and at most ``MAX_GRID_POINTS`` points, all finite), or a
+    comma-separated list of values."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -56,7 +60,7 @@ def parse_grid(text: str) -> np.ndarray:
         if not (math.isfinite(start) and math.isfinite(end) and 0 < step < math.inf):
             raise ValueError(f"grid needs finite ends and a finite step > 0, got {text!r}")
         span = (end - start) / step + 0.5  # steps after start, half-step tolerance
-        if not 0.0 <= span < math.inf:
+        if not 0.0 <= span < MAX_GRID_POINTS:
             raise ValueError(f"grid {text!r} holds {'no' if span < 0 else 'too many'} points")
         return start + step * np.arange(math.floor(span) + 1)
     return np.array([float(v) for v in text.split(",")])
@@ -124,8 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="calibrate Protocol 1 boundary ratio")
     p.add_argument("--n", type=int, dest="n_sites", required=True)
     p.add_argument("--omega0", type=float, default=1.0)
-    p.add_argument("--grid", default=None, help="ratio grid, start:step:end")
-    p.add_argument("--window", type=float, default=None)
+    p.add_argument("--grid", default="0.01:0.01:1", help="ratio grid, start:step:end")
+    p.add_argument("--window", type=float, default=None,
+                   help="arrival window (default: max(0.8 N, 8) / omega0)")
     _out_args(p)
 
     p = sub.add_parser("metrics", help="bent-chain transfer metrics (q, s)")
@@ -304,13 +309,14 @@ def cmd_reference(args, config):
 
 
 def cmd_calibrate(args, config):
-    grid = parse_grid(args.grid) if args.grid else None
-    ref = calibrate_protocol1(
-        args.n_sites, ratio_grid=grid, window=args.window, omega0=args.omega0,
-    )
+    ref = calibrate_protocol1(args.n_sites, ratio_grid=parse_grid(args.grid),
+                              window=args.window, omega0=args.omega0)
+    window = args.window
+    if window is None:
+        window = default_calibration_window(args.n_sites, args.omega0)
     return ({"calibration.json": ref.to_dict()},
-            {"command": "calibrate", "n_sites": args.n_sites,
-             "window": args.window, "grid": args.grid},
+            {"command": "calibrate", "n_sites": args.n_sites, "omega0": args.omega0,
+             "window": window, "grid": args.grid},
             f"calibrate: N={args.n_sites} ratio={ref.boundary_ratio:.6f} "
             f"p0={ref.p0:.6f} t0={ref.t0:.6f}")
 
@@ -465,11 +471,13 @@ def cmd_fit(args, config):
         report = fit_linear(pairs, kappa_cut=args.kappa_cut)
         summary = (f"fit linear: slope={report.params[0]:.6f} "
                    f"intercept={report.params[1]:.6f} rms={report.residual_rms:.3g}")
+    manifest = {"command": "fit", "kind": args.kind, "input": str(args.input)}
+    if args.kind == "linear":  # the gaussian fit has no cut
+        manifest["kappa_cut"] = args.kappa_cut
     return ({"fit.json": {"kind": report.kind, "params": list(report.params),
                           "residual_rms": report.residual_rms,
                           "domain": list(report.domain)}},
-            {"command": "fit", "kind": args.kind, "input": str(args.input)},
-            summary)
+            manifest, summary)
 
 
 def _figure_panel(job: tuple) -> tuple[str, SweepTable | list]:

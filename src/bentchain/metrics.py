@@ -113,8 +113,11 @@ def sweep_kappa(
     ref: ReferencePoint | None = None,
 ) -> SweepTable:
     """One TransferResult per distinct kappa at a fixed corner; optionally
-    also the optimal detuning and optimized metrics per row."""
+    also the optimal detuning and optimized metrics per row.  Raises
+    ValueError on an empty grid or a repeated kappa."""
     kappa_grid = np.sort(np.asarray(kappa_grid, dtype=float))
+    if kappa_grid.size == 0:
+        raise ValueError("kappa grid is empty")
     if np.unique(kappa_grid).size < kappa_grid.size:
         raise ValueError(f"repeated kappa in the sweep: {kappa_grid.tolist()}")
     ref = ref or reference(spec)
@@ -138,8 +141,11 @@ def sweep_alpha(
     optimize: bool = True,
     ref: ReferencePoint | None = None,
 ) -> SweepTable:
-    """Metrics (and optimal detunings) per distinct corner at fixed kappa."""
+    """Metrics (and optimal detunings) per distinct corner at fixed kappa.
+    Raises ValueError on an empty range or a repeated corner."""
     alphas = sorted(int(a) for a in alpha_range)
+    if not alphas:
+        raise ValueError("corner range is empty")
     if len(set(alphas)) < len(alphas):
         raise ValueError(f"repeated corner in the sweep: {alphas}")
     ref = ref or reference(spec)

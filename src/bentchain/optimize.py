@@ -76,9 +76,11 @@ def detuning_curve(
     twice the width, within [EXPANSION_FLOOR, EXPANSION_CEIL], and rescanned;
     the slope refine of :func:`optimize_detuning` runs once, on the last
     interval, so an optimum at ``EXPANSION_FLOOR`` is the floor itself.
-    ``evaluations`` counts every scan.  Raises ValueError on a repeated
-    kappa."""
+    ``evaluations`` counts every scan.  Raises ValueError on an empty grid
+    or a repeated kappa."""
     grid = np.sort(np.asarray(kappa_grid, dtype=float))
+    if grid.size == 0:
+        raise ValueError("kappa grid is empty")
     if np.unique(grid).size < grid.size:
         raise ValueError(f"repeated kappa in the curve: {grid.tolist()}")
     results: list[tuple[float, OptimizationResult]] = []

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import (
-    ChainSpec,
-    Protocol,
-    _require_finite,
-    build_couplings,
-    perfect_transfer_time,
-)
+from .chain import ChainSpec, _require_finite, build_couplings
 from .reference import reference
 
 __all__ = [
@@ -86,8 +80,8 @@ def design_layout(spec: ChainSpec, dev: DeviceParams) -> WaveguideLayout:
     """Physical gap distances realizing the chain's coupling distribution.
 
     omega0 is chosen so the transfer completes at the device length:
-    omega0 = t0 / L with t0 the dimensionless arrival time (pi/2 for
-    Protocol 2; Protocol 1's arrival is computed from its reference).
+    omega0 = t0 / L with t0 the dimensionless arrival time of the chain's
+    reference at omega0 = 1 (:func:`reference`).
     """
     unit_spec = ChainSpec(
         protocol=spec.protocol,
@@ -95,11 +89,7 @@ def design_layout(spec: ChainSpec, dev: DeviceParams) -> WaveguideLayout:
         omega0=1.0,
         boundary_ratio=spec.boundary_ratio,
     )
-    if spec.protocol is Protocol.PROTOCOL_2:
-        t0 = perfect_transfer_time(unit_spec)
-    else:
-        t0 = reference(unit_spec).t0
-    omega0_physical = t0 / dev.length  # 1/cm
+    omega0_physical = reference(unit_spec).t0 / dev.length  # 1/cm
     ratios = build_couplings(spec) / spec.omega0
     couplings = omega0_physical * ratios
     separations = np.array(

@@ -14,8 +14,7 @@ with k = j1 m2 + j2, m2 = isqrt(T) and m1 = ceil(T / m2).  So two tables of
 about sqrt(T) rows each replace the T x N table of transcendental functions,
 and the end-site amplitude on the whole grid, for a whole block of
 Hamiltonians, is one stacked matrix product (:func:`_end_curve`).  Sums at
-scattered times (the peak refine and single-time probabilities) are
-:func:`_spectral_sums`.
+scattered times (the peak refine) are :func:`_spectral_sums`.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ __all__ = [
     "AmplitudeTrace",
     "FirstMaximum",
     "evolve",
-    "end_probability_at",
     "first_arrival",
     "first_arrivals",
 ]
@@ -125,11 +123,6 @@ def _end_curve(
     return times, amp.real * amp.real + amp.imag * amp.imag
 
 
-def _end_coef(ham: Hamiltonian) -> np.ndarray:
-    # spectral weights of the 1 -> N transfer amplitude
-    return np.ascontiguousarray(ham.eigenvectors[0, :] * ham.eigenvectors[-1, :])
-
-
 def evolve(ham: Hamiltonian, t_end: float, n_steps: int = DEFAULT_N_STEPS) -> AmplitudeTrace:
     """Propagate A(0) = e_1 on a uniform grid of ``n_steps`` points in
     [0, t_end] (endpoints included).
@@ -153,14 +146,6 @@ def evolve(ham: Hamiltonian, t_end: float, n_steps: int = DEFAULT_N_STEPS) -> Am
     amplitudes = sites[:, :n_steps].T
     p_end = np.abs(amplitudes[:, -1]) ** 2
     return AmplitudeTrace(times=times, amplitudes=amplitudes, p_end=p_end)
-
-
-def end_probability_at(ham: Hamiltonian, t: float) -> float:
-    """Exact |A_N(t)|^2 at a single time, from the spectral sums of the
-    first-arrival refine."""
-    _, ilam, moments = _centred_sums(ham.eigenvalues[None, :], _end_coef(ham)[None, :])
-    amp = _spectral_sums(ilam, moments, np.array([[t]]))[0, 0, 0]
-    return float(amp.real * amp.real + amp.imag * amp.imag)
 
 
 def first_arrival(ham: Hamiltonian, window: float) -> FirstMaximum:

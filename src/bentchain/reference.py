@@ -2,8 +2,9 @@
 
 The bent-chain metrics are normalized by the unbent first-maximum
 probability p0 and arrival time t0.  Protocol 2 has analytic references
-(p0 = 1 at t0 = pi/(2*omega0)); Protocol 1's boundary ratio is calibrated
-numerically by maximizing the first-maximum probability over a ratio grid.
+(p0 = 1 at t0 = pi/(2*omega0)); Protocol 1's are the first arrival of its
+unbent matrix, and its boundary ratio is calibrated numerically by
+maximizing the first-maximum probability over a ratio grid.
 """
 
 from __future__ import annotations
@@ -14,14 +15,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .chain import (
-    ChainSpec,
-    Protocol,
-    build_hamiltonian,
-    hamiltonian_matrix,
-    perfect_transfer_time,
-)
-from .propagate import _objective, end_probability_at, first_arrival
+from .chain import ChainSpec, Protocol, hamiltonian_matrix, perfect_transfer_time
+from .propagate import _objective, first_arrivals
 from .search import scan_and_refine
 
 DEFAULT_REFERENCE_WINDOW = 40.0  # in units of 1/omega0
@@ -91,21 +86,20 @@ class ReferencePoint:
 def reference(spec: ChainSpec) -> ReferencePoint:
     """Unbent-chain reference (p0, t0).
 
-    Protocol 2 uses the analytic arrival time and verifies the probability
-    there; Protocol 1 searches for the first maximum within
-    ``DEFAULT_REFERENCE_WINDOW`` (40/omega0), or the longer calibration
-    window past N = 50: a long chain arrives after 40/omega0.  Raises
-    FloatingPointError when p0 or t0 is not finite (a tiny omega0 sends
-    t0 = pi/(2*omega0) to infinity).
+    Protocol 2 takes its closed form, p0 = 1 at t0 = pi/(2*omega0);
+    Protocol 1 takes the first arrival of its unbent matrix
+    (:func:`first_arrivals`) within ``DEFAULT_REFERENCE_WINDOW``
+    (40/omega0), or the longer calibration window past N = 50: a long chain
+    arrives after 40/omega0.  Raises FloatingPointError when p0 or t0 is not
+    finite (a tiny omega0 sends t0 = pi/(2*omega0) to infinity).
     """
     if spec.protocol is Protocol.PROTOCOL_2:
-        t0 = perfect_transfer_time(spec)
-        p0 = end_probability_at(build_hamiltonian(spec), t0) if math.isfinite(t0) else math.nan
+        p0, t0 = 1.0, perfect_transfer_time(spec)
     else:
         window = max(DEFAULT_REFERENCE_WINDOW / spec.omega0,
                      default_calibration_window(spec.n_sites, spec.omega0))
-        fm = first_arrival(build_hamiltonian(spec), window)
-        p0, t0 = fm.p_star, fm.t_star
+        t, p = first_arrivals([hamiltonian_matrix(spec)], window)
+        p0, t0 = float(p[0]), float(t[0])
     if not (math.isfinite(p0) and math.isfinite(t0)):
         raise FloatingPointError(
             f"non-finite reference: p0={p0!r} t0={t0!r} (omega0={spec.omega0!r})"

@@ -62,6 +62,12 @@ class TestParseGrid:
     def test_end_within_half_step(self):
         assert parse_grid("0:0.1:-0.04").tolist() == [0.0]
 
+    def test_point_count_beyond_limit_rejected(self):
+        # 1e12 points would ask numpy for terabytes; refused before allocating
+        with pytest.raises(ValueError, match="holds too many points"):
+            parse_grid("0:1e-12:1")
+        assert parse_grid(f"1:1:{cli.MAX_GRID_POINTS}").size == cli.MAX_GRID_POINTS
+
 
 class TestCommands:
     def test_reference(self, tmp_path, capsys):
@@ -327,6 +333,32 @@ class TestCommands:
             assert code == 0
             fits[kind] = json.loads((tmp_path / "fit" / kind / "fit.json").read_text())
         assert fits["linear"]["params"][0] < 0
+
+    def test_manifests_record_resolved_configuration(self, tmp_path, capsys):
+        # calibrate records omega0 and the window and grid it ran with,
+        # defaults included; fit records the cut of a linear fit only
+        for flags, resolved in (
+            (("--omega0", "2"), (2.0, 4.0, "0.01:0.01:1")),  # window max(0.8 N, 8) / omega0
+            (("--window", "6.5", "--grid", "0.1:0.1:1"), (1.0, 6.5, "0.1:0.1:1")),
+        ):
+            code, _, _ = run(capsys, "calibrate", "--n", "9", *flags, "--out", str(tmp_path))
+            assert code == 0
+            manifest = json.loads(
+                (tmp_path / "calibrate" / "calibrate" / "manifest.json").read_text())
+            assert (manifest["omega0"], manifest["window"], manifest["grid"]) == resolved
+        path = tmp_path / "sweep.csv"
+        kappas = np.linspace(0.0, 0.8, 9)
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([["axis", "p", "t", "q", "s", "delta_opt"],
+                                      *([k, 1.0, 1.0, math.exp(-2 * k * k), 1.0, -2 * k]
+                                        for k in kappas)])
+        for kind, flags, cut in (("linear", ("--kappa-cut", "0.5"), 0.5),
+                                 ("linear", (), 0.7), ("gaussian", (), None)):
+            code, _, _ = run(capsys, "fit", "--kind", kind, "--input", str(path), *flags,
+                             "--out", str(tmp_path))
+            assert code == 0
+            manifest = json.loads((tmp_path / "fit" / "fit" / "manifest.json").read_text())
+            assert manifest.get("kappa_cut") == cut
 
     def test_fit_linear_from_curve(self, tmp_path, capsys):
         code, _, _ = run(
@@ -638,6 +670,7 @@ class TestErrors:
         ["curve", "--protocol", "2", "--n", "9", "--alpha", "5", "--grid", "1:0.1:0"],
         ["calibrate", "--n", "6", "--grid", "0.1:0.1:inf"],
         ["calibrate", "--n", "6", "--grid", "1:0.1:0.5"],
+        ["sweep-kappa", "--protocol", "2", "--n", "9", "--alpha", "5", "--grid", "0:1e-12:1"],
     ])
     def test_bad_grid_range_is_usage_error(self, tmp_path, capsys, argv):
         code, out, err = run(capsys, *argv, "--out", str(tmp_path))
@@ -656,6 +689,14 @@ class TestErrors:
         code, out, err = run(capsys, *argv, "--out", str(tmp_path))
         assert code == EXIT_USAGE
         assert err.startswith("error: repeated")
+        assert out == "" and not any(tmp_path.iterdir())
+
+    def test_empty_corner_range_is_usage_error(self, tmp_path, capsys):
+        # N = 2 has no interior corner, so the default range 2..ceil(N/2) is empty
+        code, out, err = run(capsys, "sweep-alpha", "--protocol", "2", "--n", "2",
+                             "--kappa", "0.4", "--out", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert "corner range is empty" in err
         assert out == "" and not any(tmp_path.iterdir())
 
     def test_nan_calibration_ratio_is_usage_error(self, tmp_path, capsys):

@@ -187,6 +187,12 @@ class TestSweeps:
         with pytest.raises(ValueError, match="repeated kappa"):
             sweep_kappa(_p2(9), 5, kappas)
 
+    def test_sweeps_reject_empty_grids(self):
+        with pytest.raises(ValueError, match="kappa grid is empty"):
+            sweep_kappa(_p2(9), 5, [])
+        with pytest.raises(ValueError, match="corner range is empty"):
+            sweep_alpha(_p2(9), 0.4, [], optimize=False)
+
     @pytest.mark.parametrize("alphas", [[2, 2], [3, 2, 3]])
     def test_alpha_sweep_rejects_repeats(self, alphas):
         with pytest.raises(ValueError, match="repeated corner"):

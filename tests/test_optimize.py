@@ -24,8 +24,10 @@ from bentchain.optimize import (
     DELTA_TOL,
     EXPANSION_CEIL,
     EXPANSION_FLOOR,
+    N_COARSE,
 )
-from bentchain.propagate import first_arrivals
+from bentchain.propagate import BLOCK_ROWS, first_arrivals
+from bentchain.reference import DEFAULT_RATIO_GRID_STEP
 
 
 def _p2(n):
@@ -219,6 +221,11 @@ class TestDetuningCurve:
             base = transfer_metrics(spec, BendSpec(alpha=6, kappa=kappa), ref)
             assert res.s_opt <= base.s * 1.05
 
+    def test_rejects_empty_grid(self):
+        spec = _p2(9)
+        with pytest.raises(ValueError, match="kappa grid is empty"):
+            detuning_curve(spec, 5, [], reference(spec))
+
     @pytest.mark.parametrize("kappas", [[0.5, 0.5], [0.3, 0.2, 0.3]])
     def test_rejects_repeats(self, kappas):
         # a repeat would warm-start on the first and give a second optimum
@@ -252,12 +259,12 @@ EXPANDING_CURVE = [
 ]
 # the same, refined on the slope dp*/ddelta, with end weights from the
 # eigenvalues alone and each refine slope from its own eigh: the optimum at
-# the floor is the floor itself
+# the floor is the floor itself.  q_opt is p* over the closed-form p0 = 1.
 EXPANDING_CURVE_SLOPE = [
-    (-2.7520070295430843, 0.9968459802631852, 0.9579778120956259, False),
-    (-4.632924278276946, 0.9979381375677899, 0.9531964200419295, False),
-    (-10.640739080707162, 0.9992780847563887, 0.9503506030344123, False),
-    (EXPANSION_FLOOR, 0.9983155278099504, 0.9473153587902079, True),
+    (-2.7520070295430843, 0.9968459802631856, 0.9579778120956259, False),
+    (-4.632924278276946, 0.9979381375677904, 0.9531964200419295, False),
+    (-10.640739080707162, 0.9992780847563891, 0.9503506030344123, False),
+    (EXPANSION_FLOOR, 0.9983155278099508, 0.9473153587902079, True),
 ]
 
 
@@ -335,11 +342,11 @@ class TestCurveExpansion:
     def test_evaluations_count_every_scan(self, traced_curve):
         curve, rows = traced_curve
         assert sum(res.evaluations for _, res in curve) == sum(rows)
-        # 64-row scans, then one-row refine calls; the slopes at the best
-        # detuning and its neighbours, and at each refine point, come
+        # N_COARSE-row scans, then one-row refine calls; the slopes at the
+        # best detuning and its neighbours, and at each refine point, come
         # without a scan
-        pattern = "".join("S" if n == 64 else "r" for n in rows)
-        assert set(rows) <= {64, 1}
+        pattern = "".join("S" if n == N_COARSE else "r" for n in rows)
+        assert set(rows) <= {N_COARSE, 1}
         assert re.fullmatch(f"(S+r*){{{len(curve)}}}", pattern)
         # kappa = 0.7 stays inside its interval: one scan
         assert pattern.startswith("Sr")
@@ -367,21 +374,28 @@ def _spy_eigh_and_scan(monkeypatch):
     return events
 
 
+def _scan_blocks(rows: int) -> str:
+    """The scans of one first_arrivals call on ``rows`` matrices, as
+    _spy_eigh_and_scan records them: full blocks, then the rest."""
+    blocks = [BLOCK_ROWS] * (rows // BLOCK_ROWS) + [rows % BLOCK_ROWS] * (rows % BLOCK_ROWS > 0)
+    return " ".join(f"S{n}" for n in blocks)
+
+
 def test_coarse_rows_skip_eigh(monkeypatch):
     """The coarse scans take eigenvalues and end weights only: eigh sees
     the three rows of the slope step, which runs no scan, and then each
     one-row refine call, after its scan."""
     spec = _p2(13)
-    ref = reference(spec)  # build_hamiltonian runs eigh
+    ref = reference(spec)
     events = _spy_eigh_and_scan(monkeypatch)
     res = optimize_detuning(spec, BendSpec(alpha=7, kappa=0.5), ref)
-    # the 64 coarse detunings are two 32-row blocks
-    assert re.fullmatch(r"S32 S32 E3( S1 E1)+", " ".join(events))
-    assert res.evaluations == 64 + events.count("S1")
+    # the coarse detunings in blocks of BLOCK_ROWS
+    assert re.fullmatch(rf"{_scan_blocks(N_COARSE)} E3( S1 E1)+", " ".join(events))
+    assert res.evaluations == N_COARSE + events.count("S1")
     events.clear()
     calibrate_protocol1(13)
-    # the 100 default ratios are four blocks
-    assert re.fullmatch(r"S32 S32 S32 S4 E3( S1 E1)+", " ".join(events))
+    ratios = round(1.0 / DEFAULT_RATIO_GRID_STEP)  # (0, 1] in steps of the default
+    assert re.fullmatch(rf"{_scan_blocks(ratios)} E3( S1 E1)+", " ".join(events))
 
 
 def test_physical_chains_never_zoom(monkeypatch):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bentchain import ChainSpec, Protocol, calibrate_protocol1, reference
+from bentchain import ChainSpec, Protocol, calibrate_protocol1, propagate, reference
 from bentchain.chain import build_hamiltonian
 from bentchain.propagate import REL_TOL, first_arrival
 from bentchain.reference import DEFAULT_REFERENCE_WINDOW, RATIO_TOL
@@ -16,7 +16,30 @@ class TestReference:
     def test_protocol2_analytic(self, n):
         ref = reference(ChainSpec(Protocol.PROTOCOL_2, n))
         assert math.isclose(ref.t0, math.pi / 2, rel_tol=1e-12)
-        assert ref.p0 >= 1 - 1e-8
+        assert ref.p0 == 1.0
+
+    @pytest.mark.parametrize("spec", [
+        ChainSpec(Protocol.PROTOCOL_2, 13),
+        ChainSpec(Protocol.PROTOCOL_1, 13, boundary_ratio=0.6),
+    ], ids=["p2", "p1"])
+    def test_no_eigensystem(self, spec, monkeypatch):
+        # Protocol 2's reference is its closed form, Protocol 1's one scan
+        # of the unbent matrix's eigenvalues and end weights
+        calls = []
+        eigh, scan = np.linalg.eigh, propagate._scan
+
+        def eigh_spy(a, *args, **kwargs):
+            calls.append("eigh")
+            return eigh(a, *args, **kwargs)
+
+        def scan_spy(*args):
+            calls.append("scan")
+            return scan(*args)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
+        monkeypatch.setattr(propagate, "_scan", scan_spy)
+        reference(spec)
+        assert calls == ([] if spec.protocol is Protocol.PROTOCOL_2 else ["scan"])
 
     def test_protocol2_omega0_scaling(self):
         ref = reference(ChainSpec(Protocol.PROTOCOL_2, 5, omega0=4.0))
