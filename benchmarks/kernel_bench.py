@@ -3,7 +3,8 @@ them, per chain size.
 
 First arrival: what the optimizer, the calibration and the sweeps repeat for
 every Hamiltonian, the bandwidth-scaled scan of |A_N(t)|^2 followed by the
-analytic-slope refine of the first peak (N = 9, 13, 25).
+analytic-slope refine of the first peak, as one one-row ``first_arrivals``
+call on the raw matrix (N = 9, 13, 25).
 
 Refine step: the two calls a slope-refine step makes on the optimizer's
 objective H0 + delta E (E = dH/ddelta at the corner), the first arrival
@@ -36,6 +37,10 @@ ratio grid (N = 13, 21).
 Refine evaluations: the one-row ``first_arrivals`` calls per optimized
 point of ``figure fig2`` and ``figure fig4``, one per refine step, the
 refines of their Protocol 1 calibrations included (a count; run once).
+
+Figures: one in-process ``cli.main(["figure", tag, "--jobs", "1"])`` call
+for fig2 to fig5, its files and manifest written to a temporary directory,
+in s per figure.
 
 CLI: one in-process ``cli.main`` call, parsing plus the command plus its
 files and manifest written to a temporary directory, for
@@ -72,28 +77,35 @@ import numpy as np
 from bentchain import (
     BendSpec,
     ChainSpec,
+    Hamiltonian,
     Protocol,
-    build_hamiltonian,
     calibrate_protocol1,
     detuning_curve,
     evolve,
-    first_arrival,
+    first_arrivals,
     omega_max,
     optimize_detuning,
     reference,
 )
 from bentchain import cli
-from bentchain.propagate import _end_weights, _objective, _phase_tables, first_arrivals
+from bentchain.chain import hamiltonian_matrix
+from bentchain.propagate import _end_weights, _objective, _phase_tables
 
 REPEATS = 7
 WINDOW = math.pi / 2
 EVOLVE_STEPS = 4096
 
 
-def bent_chain(n):
+def bent_matrix(n):
     spec = ChainSpec(Protocol.PROTOCOL_2, n)
     bend = BendSpec(alpha=(n + 1) // 2, kappa=0.5, delta_alpha=-1.5 * omega_max(spec))
-    return build_hamiltonian(spec, bend)
+    return hamiltonian_matrix(spec, bend)
+
+
+def bent_chain(n):
+    """The bent chain with its eigensystem, which only ``evolve`` reads."""
+    h = bent_matrix(n)
+    return Hamiltonian(h, *np.linalg.eigh(h))
 
 
 def record(rows, row, unit, median, q1, q3, repeats):
@@ -101,18 +113,19 @@ def record(rows, row, unit, median, q1, q3, repeats):
                  "repeats": repeats})
 
 
-def time_call(rows, row, call, per_repeat, points=1):
-    """Median and quartiles of the time per call, in ms (per point, for a
-    call that yields ``points`` results), and the last result; appends the
-    row to ``rows``."""
+def time_call(rows, row, call, per_repeat, points=1, unit="ms"):
+    """Median and quartiles of the time per call, in ``unit`` (ms or s;
+    per point, for a call that yields ``points`` results), and the last
+    result; appends the row to ``rows``."""
+    scale = {"ms": 1e3, "s": 1.0}[unit]
     samples = []
     for _ in range(REPEATS):
         start = time.perf_counter()
         for _ in range(per_repeat):
             result = call()
-        samples.append((time.perf_counter() - start) / per_repeat / points * 1e3)
+        samples.append((time.perf_counter() - start) / per_repeat / points * scale)
     q1, median, q3 = statistics.quantiles(samples, n=4)
-    record(rows, row, "ms", median, q1, q3, REPEATS)
+    record(rows, row, unit, median, q1, q3, REPEATS)
     return median, q1, q3, result
 
 
@@ -192,19 +205,19 @@ def main(argv=None):
     opts = parser.parse_args(argv)
     rows = []
     for n in (9, 13, 25):
-        ham = bent_chain(n)
-        median, q1, q3, fm = time_call(
-            rows, f"first_arrival N={n}", lambda: first_arrival(ham, WINDOW), 500)
+        matrix = bent_matrix(n)
+        median, q1, q3, (t, p) = time_call(
+            rows, f"first_arrivals N={n} B=1", lambda: first_arrivals([matrix], WINDOW), 500)
         print(
-            f"first_arrival N={n:3d}: {median:.3f} ms per evaluation "
-            f"(quartiles {q1:.3f}-{q3:.3f}), t*={fm.t_star:.9f} p*={fm.p_star:.9f}"
+            f"first_arrivals N={n:3d} B=1: {median:.3f} ms per evaluation "
+            f"(quartiles {q1:.3f}-{q3:.3f}), t*={t[0]:.9f} p*={p[0]:.9f}"
         )
     for n in (13, 25):
-        ham = bent_chain(n)
-        direction = np.zeros_like(ham.matrix)
+        matrix = bent_matrix(n)
+        direction = np.zeros_like(matrix)
         corner = (n + 1) // 2 - 1
         direction[corner, corner] = omega_max(ChainSpec(Protocol.PROTOCOL_2, n))
-        evaluate = _objective(ham.matrix, direction, WINDOW)
+        evaluate = _objective(matrix, direction, WINDOW)
         t_star, _ = evaluate([0.0])
         for label, call in (("arrival", lambda: evaluate([0.0])),
                             ("slope", lambda: evaluate([0.0], at=t_star))):
@@ -218,7 +231,7 @@ def main(argv=None):
             )
     for n in (9, 13, 25, 100):
         for rows_per_block in (1, 32):
-            block = np.repeat(bent_chain(n).matrix[None], rows_per_block, axis=0)
+            block = np.repeat(bent_matrix(n)[None], rows_per_block, axis=0)
             timed = {}
             for label, call in (("eigh", lambda: np.linalg.eigh(block)),
                                 ("eigvalsh+weights", lambda: _end_weights(block))):
@@ -281,6 +294,15 @@ def main(argv=None):
             print(
                 f"refine        {figure}: {per_point:.2f} one-row evaluations per "
                 f"optimized point ({one_row} over {points} points)"
+            )
+        for figure in ("fig2", "fig3", "fig4", "fig5"):
+            argv = ["figure", figure, "--jobs", "1", "--out", out]
+            with contextlib.redirect_stdout(io.StringIO()):
+                median, q1, q3, code = time_call(
+                    rows, f"figure {figure}", lambda: cli.main(argv), 1, unit="s")
+            print(
+                f"figure        {figure}: {median:.3f} s per figure "
+                f"(quartiles {q1:.3f}-{q3:.3f}), exit code {code}"
             )
     commands = (
         ["reference", "--protocol", "2", "--n", "13"],

@@ -31,7 +31,7 @@ from .photonic import (
     parasitic_check,
     separation_from_coupling,
 )
-from .propagate import AmplitudeTrace, FirstMaximum, evolve, first_arrival
+from .propagate import AmplitudeTrace, evolve, first_arrivals
 from .reference import ReferencePoint, calibrate_protocol1, reference
 from .spectral import SpectrumReport, overlap_profile, spectrum_report
 
@@ -42,7 +42,6 @@ __all__ = [
     "BendSpec",
     "ChainSpec",
     "DeviceParams",
-    "FirstMaximum",
     "FitDivergedError",
     "FitReport",
     "Hamiltonian",
@@ -61,7 +60,7 @@ __all__ = [
     "design_layout",
     "detuning_curve",
     "evolve",
-    "first_arrival",
+    "first_arrivals",
     "fit_gaussian",
     "fit_linear",
     "omega_max",

@@ -15,6 +15,7 @@ between the corner's two neighbours, and optionally an energy defect
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -89,6 +90,8 @@ class BendSpec:
     delta_alpha: float = 0.0
 
     def __post_init__(self):
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Integral):
+            raise ValueError(f"alpha must be an integer, got {self.alpha!r}")
         if self.alpha < 2:
             raise ValueError(f"alpha must be >= 2, got {self.alpha}")
         if not 0.0 <= self.kappa <= 1.0:

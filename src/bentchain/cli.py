@@ -35,7 +35,13 @@ from .metrics import (
 )
 from .optimize import DEFAULT_INTERVAL, detuning_curve, optimize_detuning
 from .photonic import DeviceParams, design_layout, parasitic_check
-from .reference import ReferencePoint, calibrate_protocol1, default_calibration_window, reference
+from .reference import (
+    DEFAULT_RATIO_GRID_STEP,
+    ReferencePoint,
+    calibrate_protocol1,
+    default_calibration_window,
+    reference,
+)
 from .spectral import SpectrumReport, spectrum_report
 
 EXIT_USAGE = 2
@@ -128,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="calibrate Protocol 1 boundary ratio")
     p.add_argument("--n", type=int, dest="n_sites", required=True)
     p.add_argument("--omega0", type=float, default=1.0)
-    p.add_argument("--grid", default="0.01:0.01:1", help="ratio grid, start:step:end")
+    p.add_argument("--grid", default=f"{DEFAULT_RATIO_GRID_STEP}:{DEFAULT_RATIO_GRID_STEP}:1",
+                   help="ratio grid, start:step:end")
     p.add_argument("--window", type=float, default=None,
                    help="arrival window (default: max(0.8 N, 8) / omega0)")
     _out_args(p)
@@ -349,16 +356,14 @@ def cmd_sweep_kappa(args, config):
 def cmd_sweep_alpha(args, config):
     spec, bend = _resolve_chain(args, config)
     if args.alpha_range:
-        corners = parse_grid(args.alpha_range)
-        if not all(float(a).is_integer() for a in corners):
-            raise ValueError(f"--alpha-range must hold integer corners, got {args.alpha_range!r}")
-        alphas = [int(a) for a in corners]
+        alphas = parse_grid(args.alpha_range)
     else:
-        alphas = list(range(2, math.ceil(spec.n_sites / 2) + 1))
+        alphas = range(2, math.ceil(spec.n_sites / 2) + 1)
     table = sweep_alpha(spec, bend["kappa"], alphas, optimize=not args.no_optimize)
     name = f"sweep_alpha.{args.format}"
     return ({name: _table_content(table, args.format)},
-            {"command": "sweep-alpha", "alphas": alphas, "chain": table.metadata},
+            {"command": "sweep-alpha", "alphas": [int(a) for a in alphas],
+             "chain": table.metadata},
             f"sweep-alpha: {len(table.rows)} corners at kappa={bend['kappa']} -> "
             f"{_run_dir(args) / name}")
 

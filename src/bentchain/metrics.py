@@ -48,7 +48,7 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepTable:
-    axis: str  # "kappa", "alpha" or "n_sites"
+    axis: str  # "kappa" or "alpha"
     rows: list[SweepRow]
     metadata: dict = field(default_factory=dict)
 
@@ -142,8 +142,12 @@ def sweep_alpha(
     ref: ReferencePoint | None = None,
 ) -> SweepTable:
     """Metrics (and optimal detunings) per distinct corner at fixed kappa.
-    Raises ValueError on an empty range or a repeated corner."""
-    alphas = sorted(int(a) for a in alpha_range)
+    Raises ValueError on an empty range, a corner with a fractional part
+    (3.0 is corner 3) or a repeated corner."""
+    corners = [float(a) for a in alpha_range]
+    if not all(a.is_integer() for a in corners):
+        raise ValueError(f"corner range needs integer corners, got {corners}")
+    alphas = sorted(int(a) for a in corners)
     if not alphas:
         raise ValueError("corner range is empty")
     if len(set(alphas)) < len(alphas):
@@ -180,9 +184,10 @@ def fit_gaussian(table: SweepTable) -> FitReport:
     """Gauss-Newton fit of q(kappa) ~ A exp(-kappa^2 / (2 sigma^2)).
 
     Starts from (A, sigma) = (1, 0.5).  Raises ValueError on fewer than 5
-    rows, fewer than 2 distinct |kappa| (which leave sigma undetermined) or
-    a non-finite point, and FitDivergedError (carrying the best iterate) on
-    non-convergence or a degenerate flat profile.
+    rows, a non-finite point, fewer than 2 distinct |kappa| (which leave
+    sigma undetermined) or a |kappa| above 1, which no bend has, and
+    FitDivergedError (carrying the best iterate) on non-convergence or a
+    degenerate flat profile.
     """
     if table.axis != "kappa":
         raise ValueError("gaussian fit expects a kappa sweep")
@@ -193,6 +198,8 @@ def fit_gaussian(table: SweepTable) -> FitReport:
     _require_finite_points(zip(x.tolist(), y.tolist()))
     if np.unique(np.abs(x)).size < 2:
         raise ValueError("gaussian fit needs at least 2 distinct |kappa|")
+    if np.any(np.abs(x) > 1.0):
+        raise ValueError("gaussian fit expects kappa within [-1, 1]")
     domain = (float(x.min()), float(x.max()))
 
     amp, sigma = 1.0, 0.5

@@ -54,9 +54,7 @@ BLOCK_ROWS = 32
 
 __all__ = [
     "AmplitudeTrace",
-    "FirstMaximum",
     "evolve",
-    "first_arrival",
     "first_arrivals",
 ]
 
@@ -73,14 +71,6 @@ class AmplitudeTrace:
     def norms(self) -> np.ndarray:
         """Total occupation probability per time point (should be 1)."""
         return np.sum(np.abs(self.amplitudes) ** 2, axis=1)
-
-
-@dataclass(frozen=True)
-class FirstMaximum:
-    """First local maximum of the end-site occupation within the window."""
-
-    t_star: float
-    p_star: float
 
 
 def _cis(phase: np.ndarray) -> np.ndarray:
@@ -148,9 +138,13 @@ def evolve(ham: Hamiltonian, t_end: float, n_steps: int = DEFAULT_N_STEPS) -> Am
     return AmplitudeTrace(times=times, amplitudes=amplitudes, p_end=p_end)
 
 
-def first_arrival(ham: Hamiltonian, window: float) -> FirstMaximum:
-    """Locate the first local maximum of |A_N|^2 in [0, window]: the
-    one-row case of :func:`first_arrivals`.
+def first_arrivals(
+    matrices: Iterable[np.ndarray], window: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """First arrival (t*, p*), the first local maximum of |A_N|^2 in
+    [0, window], of every Hamiltonian in a sequence of real symmetric
+    N x N matrices (an (B, N, N) array, a list or a generator); returns two
+    arrays with one entry per matrix.
 
     Scans a uniform grid with ``SAMPLES_PER_HALF_PERIOD`` points per
     half-period of the fastest frequency in |A_N|^2 (the spectral bandwidth)
@@ -163,18 +157,6 @@ def first_arrival(ham: Hamiltonian, window: float) -> FirstMaximum:
     way; otherwise the endpoint is reported (transfer not yet peaked).
     Raises ValueError if the window is not finite and positive, or if the
     bandwidth would need more than ``MAX_GRID_POINTS`` points.
-    """
-    t, p = first_arrivals([ham.matrix], window)
-    return FirstMaximum(t_star=float(t[0]), p_star=float(p[0]))
-
-
-def first_arrivals(
-    matrices: Iterable[np.ndarray], window: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """First arrival (t*, p*) of every Hamiltonian in a sequence of real
-    symmetric N x N matrices (an (B, N, N) array, a list or a generator),
-    as :func:`first_arrival` describes it; returns two arrays with one
-    entry per matrix.
 
     Takes the matrices ``BLOCK_ROWS`` at a time: one stacked ``eigvalsh``
     and one scan per block, on a grid fine enough for the block's widest

@@ -43,6 +43,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             build_hamiltonian(p2(5), BendSpec(alpha=5, kappa=0.5))
 
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, True, "3", None])
+    def test_bend_alpha_must_be_integer(self, alpha):
+        # 2.5 used to pass here and fail later in hamiltonian_matrix with
+        # an IndexError
+        with pytest.raises(ValueError, match="alpha must be an integer"):
+            BendSpec(alpha=alpha, kappa=0.5)
+        assert BendSpec(alpha=np.int64(3), kappa=0.5).alpha == 3
+
     def test_kappa_range(self):
         with pytest.raises(ValueError):
             BendSpec(alpha=3, kappa=-0.1)

@@ -630,6 +630,23 @@ class TestErrors:
         assert reason in err
         assert out == "" and not out_dir.exists()
 
+    def test_fit_gaussian_on_alpha_sweep_is_usage_error(self, tmp_path, capsys):
+        # the CLI reads every input as a kappa sweep; the corners 2..11 of
+        # an alpha sweep used to be fitted as kappas and exit 3
+        code, _, _ = run(
+            capsys, "sweep-alpha", "--protocol", "1", "--ratio", "0.6", "--n", "21",
+            "--kappa", "0.9", "--no-optimize", "--out", str(tmp_path),
+        )
+        assert code == 0
+        path = tmp_path / "sweep-alpha" / "sweep-alpha" / "sweep_alpha.csv"
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            capsys, "fit", "--kind", "gaussian", "--input", str(path), "--out", str(out_dir)
+        )
+        assert code == EXIT_USAGE
+        assert "gaussian fit expects kappa within [-1, 1]" in err
+        assert out == "" and not out_dir.exists()
+
     def test_sweep_alpha_config_kappa_list_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "k.json"
         cfg.write_text(json.dumps({"protocol": 2, "n_sites": 9, "kappa": [1]}))

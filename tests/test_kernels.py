@@ -56,8 +56,8 @@ class TestPhaseTables:
             ham = build_hamiltonian(spec, bend)
             lam, coef = ham.eigenvalues, ham.eigenvectors[0] * ham.eigenvectors[-1]
             direct = _direct_curve(lam, coef, times)
-            # raw and centred spectra (first_arrival passes the centred
-            # one); a shift of lam is a global phase
+            # raw and centred spectra (the first-arrival scan passes the
+            # centred one); a shift of lam is a global phase
             for shift in (0.0, 0.5 * (lam[0] + lam[-1])):
                 grid, p = _end_curve(lam - shift, coef, math.pi / 2, size)
                 assert np.array_equal(grid, times)

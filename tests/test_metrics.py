@@ -198,6 +198,18 @@ class TestSweeps:
         with pytest.raises(ValueError, match="repeated corner"):
             sweep_alpha(_p2(9), 0.4, alphas, optimize=False)
 
+    @pytest.mark.parametrize("alphas", [[2.5, 3.9], [2, 3, 4.5], [math.nan]])
+    def test_alpha_sweep_rejects_fractional_corners(self, alphas):
+        # int() used to run corners 2 and 3 for [2.5, 3.9]
+        with pytest.raises(ValueError, match="integer corners"):
+            sweep_alpha(_p2(9), 0.4, alphas, optimize=False)
+
+    def test_alpha_sweep_takes_integral_floats(self):
+        spec = _p2(9)
+        floats = sweep_alpha(spec, 0.4, [3.0, 2.0], optimize=False)
+        ints = sweep_alpha(spec, 0.4, [2, 3], optimize=False)
+        assert floats.rows == ints.rows
+
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_rows_match_transfer_metrics(self, protocol):
         # a sweep evaluates its rows as one batch on a shared grid; each row
@@ -291,6 +303,12 @@ class TestFits:
         with pytest.raises(ValueError, match="2 distinct kappa"):
             fit_linear(pairs)
         assert fit_linear(pairs, kappa_cut=1.0).params[0] < 0.0
+
+    @pytest.mark.parametrize("x", [[2, 3, 4, 5, 6], [-1.5, -0.5, 0.0, 0.5, 1.0]])
+    def test_gaussian_rejects_kappa_beyond_one(self, x):
+        # corners read as kappas: no bend has |kappa| > 1
+        with pytest.raises(ValueError, match=r"kappa within \[-1, 1\]"):
+            fit_gaussian(_synthetic_table(x, [0.9, 0.8, 0.7, 0.6, 0.5]))
 
     def test_gaussian_needs_two_distinct_magnitudes(self):
         # q(kappa) = q(-kappa): one |kappa| leaves sigma undetermined

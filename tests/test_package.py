@@ -36,6 +36,22 @@ def test_all_names_resolve(name):
         assert hasattr(module, attr), f"{name}.__all__ lists missing {attr!r}"
 
 
+def test_package_exports():
+    # one first-arrival entry point, first_arrivals, on raw matrices
+    assert set(bentchain.__all__) == {
+        "AmplitudeTrace", "BendSpec", "ChainSpec", "DeviceParams", "FitDivergedError",
+        "FitReport", "Hamiltonian", "OptimizationResult", "ParasiticReport", "Protocol",
+        "ReferencePoint", "SpectrumReport", "SweepTable", "TransferResult",
+        "WaveguideLayout", "build_couplings", "build_hamiltonian", "calibrate_protocol1",
+        "coupling_from_separation", "design_layout", "detuning_curve", "evolve",
+        "first_arrivals", "fit_gaussian", "fit_linear", "omega_max", "optimize_detuning",
+        "overlap_profile", "parasitic_check", "perfect_transfer_time", "reference",
+        "separation_from_coupling", "spectrum_report", "sweep_alpha", "sweep_kappa",
+        "transfer_metrics",
+    }
+    assert len(bentchain.__all__) == len(set(bentchain.__all__))
+
+
 def test_readme_has_cli_examples():
     assert len(_readme_cli_lines()) >= 11
 

@@ -12,12 +12,12 @@ from bentchain import (
     Protocol,
     build_hamiltonian,
     evolve,
-    first_arrival,
+    first_arrivals,
     omega_max,
 )
 from bentchain import propagate
-from bentchain.chain import Hamiltonian, hamiltonian_matrix
-from bentchain.propagate import BLOCK_ROWS, first_arrivals
+from bentchain.chain import hamiltonian_matrix
+from bentchain.propagate import BLOCK_ROWS
 from dense_reference import first_arrival_dense
 
 
@@ -139,24 +139,24 @@ class TestEvolve:
 
 class TestFirstMaximum:
     def test_perfect_transfer_window_end(self):
-        fm = first_arrival(build_hamiltonian(p2(5)), math.pi / 2)
-        assert math.isclose(fm.t_star, math.pi / 2, rel_tol=1e-8)
-        assert fm.p_star >= 1 - 1e-8
+        t, p = first_arrivals([hamiltonian_matrix(p2(5))], math.pi / 2)
+        assert math.isclose(t[0], math.pi / 2, rel_tol=1e-8)
+        assert p[0] >= 1 - 1e-8
 
     def test_two_site(self):
-        fm = first_arrival(build_hamiltonian(p2(2)), 2.0)
-        assert math.isclose(fm.t_star, math.pi / 2, rel_tol=1e-8)
-        assert math.isclose(fm.p_star, 1.0, abs_tol=1e-12)
+        t, p = first_arrivals([hamiltonian_matrix(p2(2))], 2.0)
+        assert math.isclose(t[0], math.pi / 2, rel_tol=1e-8)
+        assert math.isclose(p[0], 1.0, abs_tol=1e-12)
 
     def test_bend_accelerates(self):
         # dense-grid scan as oracle for the refined answer
         ham = build_hamiltonian(p2(9), BendSpec(alpha=5, kappa=0.4))
-        fm = first_arrival(ham, math.pi / 2)
-        assert fm.t_star < math.pi / 2
-        times, p = end_curve(ham, math.pi / 2, 100_000)
-        i = int(np.argmax(p))
-        assert math.isclose(fm.t_star, times[i], abs_tol=1e-3)
-        assert fm.p_star >= p[i] - 1e-12
+        t, p = first_arrivals([ham.matrix], math.pi / 2)
+        assert t[0] < math.pi / 2
+        times, curve = end_curve(ham, math.pi / 2, 100_000)
+        i = int(np.argmax(curve))
+        assert math.isclose(t[0], times[i], abs_tol=1e-3)
+        assert p[0] >= curve[i] - 1e-12
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
@@ -172,19 +172,19 @@ class TestFirstMaximum:
         # probability beyond the refine's tolerance
         if protocol is Protocol.PROTOCOL_1:
             spec = ChainSpec(protocol, n, boundary_ratio=ratio)
-            window = first_arrival(build_hamiltonian(spec), 40.0).t_star
+            window = first_arrivals([hamiltonian_matrix(spec)], 40.0)[0][0]
         else:
             spec = p2(n)
             window = math.pi / 2
         alpha = 2 + min(int(corner * (n - 2)), n - 3)
         bend = BendSpec(alpha=alpha, kappa=kappa, delta_alpha=delta * omega_max(spec))
-        ham = build_hamiltonian(spec, bend)
-        coarse = first_arrival(ham, window)
+        h = hamiltonian_matrix(spec, bend)
+        t_coarse, p_coarse = first_arrivals([h], window)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(propagate, "SAMPLES_PER_HALF_PERIOD", 64)
-            fine = first_arrival(ham, window)
-        assert abs(coarse.t_star - fine.t_star) <= 1e-9 * window
-        assert abs(coarse.p_star - fine.p_star) <= 1e-12
+            t_fine, p_fine = first_arrivals([h], window)
+        assert abs(t_coarse[0] - t_fine[0]) <= 1e-9 * window
+        assert abs(p_coarse[0] - p_fine[0]) <= 1e-12
 
 
 class TestFirstArrival:
@@ -203,48 +203,48 @@ class TestFirstArrival:
     def test_matches_dense_reference(self, n, protocol, ratio, corner, kappa, delta):
         if protocol is Protocol.PROTOCOL_1:
             spec = ChainSpec(protocol, n, boundary_ratio=ratio)
-            window, _ = first_arrival_dense(build_hamiltonian(spec).matrix, 40.0)
+            window, _ = first_arrival_dense(hamiltonian_matrix(spec), 40.0)
         else:
             spec = ChainSpec(protocol, n)
             window = math.pi / 2
         alpha = 2 + min(int(corner * (n - 2)), n - 3)
         bend = BendSpec(alpha=alpha, kappa=kappa, delta_alpha=delta * omega_max(spec))
-        ham = build_hamiltonian(spec, bend)
-        fm = first_arrival(ham, window)
-        t_ref, p_ref = first_arrival_dense(ham.matrix, window)
-        assert abs(fm.t_star - t_ref) <= 1e-9 * window
-        assert abs(fm.p_star - p_ref) <= 1e-12
+        h = hamiltonian_matrix(spec, bend)
+        t, p = first_arrivals([h], window)
+        t_ref, p_ref = first_arrival_dense(h, window)
+        assert abs(t[0] - t_ref) <= 1e-9 * window
+        assert abs(p[0] - p_ref) <= 1e-12
 
     def test_peak_in_last_cell(self):
         # the window ends just past the first peak, inside the last cell of
         # any scan grid: the peak must be refined, not reported as the end
-        ham = build_hamiltonian(p2(9), BendSpec(alpha=5, kappa=0.4))
-        t_peak, _ = first_arrival_dense(ham.matrix, math.pi / 2)
+        h = hamiltonian_matrix(p2(9), BendSpec(alpha=5, kappa=0.4))
+        t_peak, _ = first_arrival_dense(h, math.pi / 2)
         assert t_peak < math.pi / 2 * (1 - 1e-3)
         window = t_peak * (1 + 1e-5)
-        t_ref, p_ref = first_arrival_dense(ham.matrix, window)
-        fm = first_arrival(ham, window)
-        assert abs(fm.t_star - t_ref) <= 1e-9 * window
-        assert abs(fm.p_star - p_ref) <= 1e-12
+        t_ref, p_ref = first_arrival_dense(h, window)
+        t, p = first_arrivals([h], window)
+        assert abs(t[0] - t_ref) <= 1e-9 * window
+        assert abs(p[0] - p_ref) <= 1e-12
 
     def test_huge_detuning_rejected_fast(self):
         spec = p2(9)
-        ham = build_hamiltonian(spec, BendSpec(alpha=5, kappa=0.4, delta_alpha=1e9 * omega_max(spec)))
+        h = hamiltonian_matrix(spec, BendSpec(alpha=5, kappa=0.4, delta_alpha=1e9 * omega_max(spec)))
         start = time.perf_counter()
         with pytest.raises(ValueError, match="grid points"):
-            first_arrival(ham, math.pi / 2)
+            first_arrivals([h], math.pi / 2)
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("window", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_window(self, window):
         with pytest.raises(ValueError):
-            first_arrival(build_hamiltonian(p2(4)), window)
+            first_arrivals([hamiltonian_matrix(p2(4))], window)
 
 
 class TestFirstArrivals:
-    """The batched scan: every row of a stack agrees with its own
-    first_arrival call and with the dense reference, although the rows
-    share one grid sized for the widest spectrum among them."""
+    """The batched scan: every row of a stack agrees with its own one-row
+    call and with the dense reference, although the rows share one grid
+    sized for the widest spectrum among them."""
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(
@@ -265,29 +265,29 @@ class TestFirstArrivals:
         for protocol, corner, kappa, delta in rows:
             spec = specs[protocol]
             alpha = 2 + min(int(corner * (n - 2)), n - 3)
-            hams.append(build_hamiltonian(spec, BendSpec(
+            hams.append(hamiltonian_matrix(spec, BendSpec(
                 alpha=alpha, kappa=kappa, delta_alpha=delta * omega_max(spec))))
         if p1_window:
-            unbent = build_hamiltonian(specs[Protocol.PROTOCOL_1]).matrix
+            unbent = hamiltonian_matrix(specs[Protocol.PROTOCOL_1])
             window, _ = first_arrival_dense(unbent, 40.0)
         else:
             window = math.pi / 2
         if last_cell:
             # end the window just past row 0's first peak, inside the last
             # cell of the shared grid
-            t_peak, _ = first_arrival_dense(hams[0].matrix, window)
+            t_peak, _ = first_arrival_dense(hams[0], window)
             if t_peak < window:
                 window = t_peak * (1 + 1e-5)
-        t, p = first_arrivals(np.stack([h.matrix for h in hams]), window)
+        t, p = first_arrivals(np.stack(hams), window)
         assert t.shape == p.shape == (len(hams),)
-        for i, ham in enumerate(hams):
-            fm = first_arrival(ham, window)
-            assert abs(t[i] - fm.t_star) <= 1e-9 * window
-            assert abs(p[i] - fm.p_star) <= 1e-12
+        for i, h in enumerate(hams):
+            t_one, p_one = first_arrivals([h], window)
+            assert abs(t[i] - t_one[0]) <= 1e-9 * window
+            assert abs(p[i] - p_one[0]) <= 1e-12
         # the dense reference (slow) for the first row, whose window may end
         # in the last cell, and the last
         for i in {0, len(hams) - 1}:
-            t_ref, p_ref = first_arrival_dense(hams[i].matrix, window)
+            t_ref, p_ref = first_arrival_dense(hams[i], window)
             assert abs(t[i] - t_ref) <= 1e-9 * window
             assert abs(p[i] - p_ref) <= 1e-12
 
@@ -296,16 +296,16 @@ class TestFirstArrivals:
         # two blocks
         spec = p2(13)
         deltas = np.linspace(-32.0, 1.0, 2 * BLOCK_ROWS + 5)
-        hams = [build_hamiltonian(spec, BendSpec(alpha=7, kappa=0.5,
-                                                 delta_alpha=d * omega_max(spec)))
+        hams = [hamiltonian_matrix(spec, BendSpec(alpha=7, kappa=0.5,
+                                                  delta_alpha=d * omega_max(spec)))
                 for d in deltas]
         # any iterable of matrices, taken a block at a time
-        t, p = first_arrivals((h.matrix for h in hams), math.pi / 2)
+        t, p = first_arrivals((h for h in hams), math.pi / 2)
         assert t.shape == p.shape == (len(hams),)
-        for ham, t_row, p_row in zip(hams, t, p):
-            fm = first_arrival(ham, math.pi / 2)
-            assert abs(t_row - fm.t_star) <= 1e-9 * math.pi / 2
-            assert abs(p_row - fm.p_star) <= 1e-12
+        for h, t_row, p_row in zip(hams, t, p):
+            t_one, p_one = first_arrivals([h], math.pi / 2)
+            assert abs(t_row - t_one[0]) <= 1e-9 * math.pi / 2
+            assert abs(p_row - p_one[0]) <= 1e-12
 
     def test_grid_fits_widest_row(self, monkeypatch):
         # the block's grid has the point count of its widest spectrum, so
@@ -320,30 +320,21 @@ class TestFirstArrivals:
         monkeypatch.setattr(propagate, "_end_curve", recording)
         spec = p2(13)
         narrow, wide = (
-            build_hamiltonian(spec, BendSpec(alpha=7, kappa=0.5,
-                                             delta_alpha=d * omega_max(spec)))
+            hamiltonian_matrix(spec, BendSpec(alpha=7, kappa=0.5,
+                                              delta_alpha=d * omega_max(spec)))
             for d in (0.0, -32.0)
         )
-        first_arrival(narrow, math.pi / 2)
-        first_arrival(wide, math.pi / 2)
-        first_arrivals([narrow.matrix, wide.matrix, narrow.matrix], math.pi / 2)
+        first_arrivals([narrow], math.pi / 2)
+        first_arrivals([wide], math.pi / 2)
+        first_arrivals([narrow, wide, narrow], math.pi / 2)
         assert sizes[0] < sizes[1] == sizes[2]
 
     def test_no_matrices(self):
         t, p = first_arrivals([], math.pi / 2)
         assert t.shape == p.shape == (0,)
 
-    def test_first_arrival_is_the_one_row_case(self):
-        # bit for bit, over a P2 window and a P1-sized one
-        for h, _ in _random_bent_chains(40, seed=11):
-            ham = Hamiltonian(h, *np.linalg.eigh(h))
-            for window in (math.pi / 2, 0.8 * h.shape[0]):
-                fm = first_arrival(ham, window)
-                t, p = first_arrivals([h], window)
-                assert (fm.t_star, fm.p_star) == (t[0], p[0])
-
     def test_rejects_bad_window(self):
-        matrices = build_hamiltonian(p2(4)).matrix[None]
+        matrices = hamiltonian_matrix(p2(4))[None]
         with pytest.raises(ValueError):
             first_arrivals(matrices, math.nan)
 
@@ -351,8 +342,8 @@ class TestFirstArrivals:
 def _corner(spec, alpha, kappa, delta):
     """A bent matrix detuned by delta Omega_max at the corner, and dH/ddelta."""
     om = omega_max(spec)
-    h = build_hamiltonian(spec, BendSpec(alpha=alpha, kappa=kappa,
-                                         delta_alpha=delta * om)).matrix
+    h = hamiltonian_matrix(spec, BendSpec(alpha=alpha, kappa=kappa,
+                                          delta_alpha=delta * om))
     e = np.zeros_like(h)
     e[alpha - 1, alpha - 1] = om
     return h, e
@@ -360,7 +351,7 @@ def _corner(spec, alpha, kappa, delta):
 
 def _boundary(n, ratio):
     """An unbent Protocol 1 matrix and dH/dratio."""
-    h = build_hamiltonian(ChainSpec(Protocol.PROTOCOL_1, n, boundary_ratio=ratio)).matrix
+    h = hamiltonian_matrix(ChainSpec(Protocol.PROTOCOL_1, n, boundary_ratio=ratio))
     e = np.zeros_like(h)
     e[0, 1] = e[1, 0] = e[-2, -1] = e[-1, -2] = 1.0
     return h, e

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from bentchain import ChainSpec, Protocol, calibrate_protocol1, propagate, reference
-from bentchain.chain import build_hamiltonian
-from bentchain.propagate import REL_TOL, first_arrival
+from bentchain.chain import hamiltonian_matrix
+from bentchain.cli import build_parser, parse_grid
+from bentchain.propagate import REL_TOL, first_arrivals
 from bentchain.reference import DEFAULT_REFERENCE_WINDOW, RATIO_TOL
 from dense_reference import first_arrival_dense
 
@@ -50,8 +51,8 @@ class TestReference:
         ref = reference(ChainSpec(Protocol.PROTOCOL_1, 4, boundary_ratio=1.0))
         assert ref.p0 < 1.0
         # dense-grid oracle over the same window
-        ham = build_hamiltonian(ChainSpec(Protocol.PROTOCOL_1, 4, boundary_ratio=1.0))
-        t_star, p_star = first_arrival_dense(ham.matrix, 40.0)
+        h = hamiltonian_matrix(ChainSpec(Protocol.PROTOCOL_1, 4, boundary_ratio=1.0))
+        t_star, p_star = first_arrival_dense(h, 40.0)
         assert math.isclose(ref.p0, p_star, abs_tol=1e-8)
         assert math.isclose(ref.t0, t_star, abs_tol=1e-4)
 
@@ -66,11 +67,11 @@ class TestReference:
     def test_protocol1_long_chain_arrival(self, n, ratio, omega0):
         spec = ChainSpec(Protocol.PROTOCOL_1, n, omega0=omega0, boundary_ratio=ratio)
         window = 2.0 * n / omega0
-        fm = first_arrival(build_hamiltonian(spec), window)
+        t, p = first_arrivals([hamiltonian_matrix(spec)], window)
         ref = reference(spec)
         assert ref.t0 > DEFAULT_REFERENCE_WINDOW / omega0
-        assert abs(ref.p0 - fm.p_star) <= 1e-12
-        assert abs(ref.t0 - fm.t_star) <= REL_TOL * window
+        assert abs(ref.p0 - p[0]) <= 1e-12
+        assert abs(ref.t0 - t[0]) <= REL_TOL * window
 
     def test_reference_records_omega0(self):
         p2 = ChainSpec(Protocol.PROTOCOL_2, 9, omega0=2.0)
@@ -115,6 +116,12 @@ class TestCalibration:
         a = calibrate_protocol1(8)
         b = calibrate_protocol1(8)
         assert a == b
+
+    def test_cli_default_grid_is_the_library_default(self):
+        # the CLI default is built from DEFAULT_RATIO_GRID_STEP, and
+        # parse_grid reproduces the library's grid
+        grid = build_parser().parse_args(["calibrate", "--n", "9"]).grid
+        assert calibrate_protocol1(9) == calibrate_protocol1(9, ratio_grid=parse_grid(grid))
 
     def test_grid_refinement_never_hurts(self):
         coarse = np.arange(0.1, 1.01, 0.1)
