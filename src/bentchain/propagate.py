@@ -155,20 +155,38 @@ def first_arrivals(
     flat or kinked top).  Without an interior peak, a falling slope at the
     window end puts the peak in the last cell, which is refined the same
     way; otherwise the endpoint is reported (transfer not yet peaked).
-    Raises ValueError if the window is not finite and positive, or if the
-    bandwidth would need more than ``MAX_GRID_POINTS`` points.
+    Raises ValueError if the window is not finite and positive (checked
+    once per call, also for an empty sequence), or if the bandwidth would
+    need more than ``MAX_GRID_POINTS`` points.
 
     Takes the matrices ``BLOCK_ROWS`` at a time: one stacked ``eigvalsh``
     and one scan per block, on a grid fine enough for the block's widest
     spectrum, so no more than one block is held at once.  The end weights
     come from the eigenvalues alone (:func:`_end_weights`); only a row
     that is not tridiagonal plus at most one chord, or whose weights are
-    not finite, takes ``eigh``.
+    not finite, takes ``eigh``.  Each block is first divided by a power of
+    two that brings its largest |entry| into [1, 2), and the window
+    multiplied by it, as far as the scaled window stays a finite normal
+    number; t* is divided by it at the end.  A power of two rescales
+    exactly, and it keeps the products of couplings in the weights and the
+    moments lam^2 c of the refine from overflowing or going subnormal,
+    whatever the overall size of the matrices (omega0).
     """
+    window = float(window)
+    if not math.isfinite(window) or window <= 0:
+        raise ValueError(f"window must be finite and > 0, got {window}")
+    _, e_window = math.frexp(window)  # 2^(e_window - 1) <= window < 2^e_window
     rows = iter(matrices)
     found = [np.empty((2, 0))]
     while block := list(itertools.islice(rows, BLOCK_ROWS)):
-        found.append(_scan(*_end_weights(np.array(block, dtype=float)), window))
+        block = np.array(block, dtype=float)
+        # 2^exponent <= the largest |entry| < 2^(exponent + 1), clipped so
+        # that the scaled window stays a finite normal number
+        exponent = math.frexp(float(np.abs(block).max(initial=0.0)))[1] - 1
+        scale = math.ldexp(1.0, min(max(exponent, -1021 - e_window), 1023 - e_window))
+        block /= scale
+        t_star, p_star = _scan(*_end_weights(block), window * scale)
+        found.append((t_star / scale, p_star))
     return tuple(np.concatenate(found, axis=1))
 
 
@@ -294,20 +312,18 @@ def _centred_sums(
 def _scan(eigvals: np.ndarray, coef: np.ndarray, window: float) -> tuple[np.ndarray, np.ndarray]:
     """First arrival of each row of a (B, N) spectrum with its (B, N) end
     weights, on one grid shared by the rows: the scan of
-    :func:`first_arrivals`, block by block.  Rows whose bracket
+    :func:`first_arrivals`, block by block, on the block and window it has
+    scaled and checked.  Rows whose bracket
     around the peak shows a rising and a falling slope take the Newton
     refine of :func:`_slope_root` together; the rest (a flat or kinked top)
     take one :func:`search.zoom_max` on p = |S_0|^2 together."""
-    window = float(window)
-    if not math.isfinite(window) or window <= 0:
-        raise ValueError(f"window must be finite and > 0, got {window}")
     bandwidth = float(np.max(eigvals[:, -1] - eigvals[:, 0]))
     needed = SAMPLES_PER_HALF_PERIOD * window * bandwidth / math.pi
     if not needed < MAX_GRID_POINTS:
         raise ValueError(
             f"first-arrival scan needs {needed:.3g} grid points (spectral "
-            f"bandwidth {bandwidth:.6g} over window {window:.6g}); the limit "
-            f"is {MAX_GRID_POINTS}"
+            f"bandwidth times window {bandwidth * window:.6g}); the limit is "
+            f"{MAX_GRID_POINTS}"
         )
     lam, ilam, moments = _centred_sums(eigvals, coef)
     times, p = _end_curve(lam, coef, window, max(MIN_GRID_POINTS, math.ceil(needed)) + 1)

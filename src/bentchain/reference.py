@@ -32,7 +32,17 @@ def default_calibration_window(n_sites: int, omega0: float = 1.0) -> float:
     under a bend; capping near the ballistic time scale keeps the selected
     ratio in the fast-transfer regime for every N.
     """
-    return max(0.8 * n_sites, 8.0) / omega0
+    return _window(max(0.8 * n_sites, 8.0), omega0)
+
+
+def _window(length: float, omega0: float) -> float:
+    """A window of ``length`` / omega0; raises FloatingPointError when a
+    tiny omega0 sends it to infinity."""
+    window = length / omega0
+    if not math.isfinite(window):
+        raise FloatingPointError(
+            f"non-finite window {length!r}/omega0 (omega0={omega0!r})")
+    return window
 
 __all__ = [
     "ReferencePoint",
@@ -88,16 +98,16 @@ def reference(spec: ChainSpec) -> ReferencePoint:
 
     Protocol 2 takes its closed form, p0 = 1 at t0 = pi/(2*omega0);
     Protocol 1 takes the first arrival of its unbent matrix
-    (:func:`first_arrivals`) within ``DEFAULT_REFERENCE_WINDOW``
-    (40/omega0), or the longer calibration window past N = 50: a long chain
-    arrives after 40/omega0.  Raises FloatingPointError when p0 or t0 is not
-    finite (a tiny omega0 sends t0 = pi/(2*omega0) to infinity).
+    (:func:`first_arrivals`) within max(``DEFAULT_REFERENCE_WINDOW``,
+    0.8 N)/omega0: 40/omega0, or the longer calibration window past N = 50,
+    since a long chain arrives after 40/omega0.  Raises FloatingPointError
+    when p0, t0 or that window is not finite (a tiny omega0 sends
+    t0 = pi/(2*omega0) and the window to infinity).
     """
     if spec.protocol is Protocol.PROTOCOL_2:
         p0, t0 = 1.0, perfect_transfer_time(spec)
     else:
-        window = max(DEFAULT_REFERENCE_WINDOW / spec.omega0,
-                     default_calibration_window(spec.n_sites, spec.omega0))
+        window = _window(max(DEFAULT_REFERENCE_WINDOW, 0.8 * spec.n_sites), spec.omega0)
         t, p = first_arrivals([hamiltonian_matrix(spec)], window)
         p0, t0 = float(p[0]), float(t[0])
     if not (math.isfinite(p0) and math.isfinite(t0)):
@@ -132,7 +142,10 @@ def calibrate_protocol1(
     dp0/dratio at the best grid ratio and its neighbours, at the arrival
     times of the scan (one ``eigh`` of at most three rows), brackets the
     optimum, and secant steps on the slope refine it to ``RATIO_TOL``, as
-    the optimizer does (:func:`search.scan_and_refine`).
+    the optimizer does (:func:`search.scan_and_refine`).  The default
+    window (:func:`default_calibration_window`) raises FloatingPointError
+    when a tiny omega0 sends it to infinity; a given window that is not
+    finite and positive raises ValueError.
     """
     if n_sites < 4:
         raise ValueError(f"calibration needs n_sites >= 4, got {n_sites}")

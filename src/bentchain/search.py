@@ -67,92 +67,87 @@ def scan_and_refine(evaluate, grid: np.ndarray, tol: float, widen=None):
     its best sample taken, ties going to the smaller |x|; while
     ``widen(grid, best)`` returns a new grid, that grid is scanned in turn.
     Then the slopes at sample ``best`` of the last grid and at its
-    neighbours are taken at the t* of that scan.  An end sample whose slope
-    points out of the grid (or a sample with a zero slope) is x* as it
-    stands.  Otherwise the cell between ``best`` and the neighbour its
-    slope points to must show the opposite slope, and
-    :func:`_slope_root` refines x to ``tol`` inside it, one point per step.
-    Where no cell brackets a sign change, or a slope is not finite,
-    :func:`zoom_max` refines p* over the two cells around ``best`` instead,
-    one call per round.  x*, p* and t* are Python floats of one evaluated
-    point, ``on_boundary`` says whether x* is the first or last point of
-    the last grid, and ``n_evals`` counts every point whose first arrival
-    was evaluated.
+    neighbours, taken at the t* of that scan, go to :func:`_slope_root`,
+    which settles x* or refines it to ``tol``, one point per step.  Where
+    it finds no maximum, :func:`zoom_max` refines p* over the two cells
+    around ``best`` instead, one call per round.
+
+    Every first arrival goes through one local recorder, the only caller of
+    ``evaluate(xs)``: it counts the points and maps each x to its (p*, t*),
+    a later evaluation of the same x overwriting the earlier one.  x*, p*
+    and t* are Python floats of one evaluated point, ``on_boundary`` says
+    whether x* is the first or last point of the last grid, and
+    ``n_evals`` counts every point whose first arrival was evaluated.
     """
+    seen = {}
     n_evals = 0
+
+    def arrivals(xs):
+        nonlocal n_evals
+        t_star, p_star = evaluate(xs)
+        n_evals += len(xs)
+        seen.update(zip(np.asarray(xs).tolist(), zip(p_star.tolist(), t_star.tolist())))
+        return t_star, p_star
+
     while grid is not None:
-        t_grid, scores = evaluate(grid)
-        n_evals += grid.size
+        t_grid, scores = arrivals(grid)
         ties = np.flatnonzero(scores >= scores.max())
         best = int(ties[np.argmin(np.abs(grid[ties]))])
         last, grid = grid, widen(grid, best) if widen else None
-    ends = (float(last[0]), float(last[-1]))
     pick = slice(max(best - 1, 0), best + 2)
-    near, t_near, p_near = last[pick], t_grid[pick], scores[pick]
-    s_near = evaluate(near, at=t_near)
-    seen = {float(x): (float(p), float(t)) for x, p, t in zip(near, p_near, t_near)}
-    i = min(best, 1)  # the index of sample best in near
-    x, slope = float(near[i]), float(s_near[i])
-    if np.isfinite(s_near).all():
-        j = i + (1 if slope > 0.0 else -1)
-        if slope == 0.0 or not 0 <= j < near.size:
-            return x, *seen[x], x in ends, n_evals
-        if slope * s_near[j] < 0.0:
-            x_star, n_refine = _slope_root(
-                evaluate, (float(near[j]), float(s_near[j])), (x, slope), tol, seen)
-            n_evals += n_refine
-            if x_star is not None:
-                return x_star, *seen[x_star], x_star in ends, n_evals
-
-    def p_first_max(xs: np.ndarray, _) -> np.ndarray:
-        nonlocal n_evals
-        t_star, p_star = evaluate(xs[0])
-        n_evals += xs.size
-        for x, p, t in zip(xs[0].tolist(), p_star.tolist(), t_star.tolist()):
-            seen[x] = p, t
-        return p_star[None, :]
-
-    x_star, _ = zoom_max(p_first_max, near[:1], near[-1:], tol)
-    x_star = float(x_star[0])
-    return x_star, *seen[x_star], x_star in ends, n_evals
+    near = last[pick]
+    slopes = evaluate(near, at=t_grid[pick])
+    x_star = _slope_root(arrivals, evaluate, near, slopes, min(best, 1), tol)
+    if x_star is None:
+        zoomed, _ = zoom_max(lambda xs, _: arrivals(xs[0])[1][None, :], near[:1], near[-1:], tol)
+        x_star = float(zoomed[0])
+    return x_star, *seen[x_star], x_star in (last[0], last[-1]), n_evals
 
 
-def _slope_root(evaluate, older: tuple[float, float], newer: tuple[float, float],
-                tol: float, seen: dict) -> tuple[float | None, int]:
-    """The maximum of p* in a cell whose end slopes bracket it, one end
-    rising and the other falling; returns (x*, n_evals), with x* None if a
-    slope turns out not finite.
+def _slope_root(arrivals, evaluate, near: np.ndarray, slopes: np.ndarray, i: int,
+                tol: float) -> float | None:
+    """The maximum x* of p* next to sample ``near[i]``, the best of a grid,
+    from the slopes dp*/dx at the samples ``near`` (it and its grid
+    neighbours); None where the slopes find none.
 
-    ``older`` and ``newer`` are the (x, dp*/dx) of the cell ends, ``newer``
-    the better sample.  Secant steps on the slope through the two latest
-    points, bisecting the bracket whenever a step leaves it; each point
-    takes ``evaluate([x])`` for its first arrival and then
-    ``evaluate([x], at=t)`` for its slope there.  Stops at a
-    zero slope, once the bracket is within 2 ``tol``, or when the next
-    secant step would move x by at most ``tol`` / 10: the secant converges
-    superlinearly, so that step estimates the error of the latest point,
-    which is x*.  (Stopping at a step of ``tol`` saves 0.7 evaluations per
-    optimum but costs p* up to 3e-13.)  ``seen`` maps x to (p*, t*), holds
-    the cell ends and gains every point evaluated.
+    None if a slope is not finite.  ``near[i]`` itself if its slope is zero
+    or points out of ``near`` (an end sample sloping outwards).  Otherwise
+    the cell between ``near[i]`` and the neighbour its slope points to must
+    show the opposite slope (None if not), and secant steps on the slope
+    through the two latest points, bisecting the bracket whenever a step
+    leaves it, refine x* inside it; each point takes ``arrivals([x])`` for
+    its first arrival and then ``evaluate([x], at=t)`` for its slope there.
+    Stops at a zero slope, once the bracket is within 2 ``tol``, or when
+    the next secant step would move x by at most ``tol`` / 10: the secant
+    converges superlinearly, so that step estimates the error of the latest
+    point, which is x*.  (Stopping at a step of ``tol`` saves 0.7
+    evaluations per optimum but costs p* up to 3e-13.)  None if a slope
+    inside the cell turns out not finite.
     """
-    (x0, f0), (x1, f1) = older, newer
-    (a, _), (b, _) = sorted([older, newer])  # the rising end a, falling end b
-    n_evals = 0
-    while f1 != 0.0 and b - a > 2.0 * tol and n_evals < MAX_SLOPE_STEPS:
+    if not np.isfinite(slopes).all():
+        return None
+    x1, f1 = float(near[i]), float(slopes[i])
+    j = i + (1 if f1 > 0.0 else -1)
+    if f1 == 0.0 or not 0 <= j < near.size:
+        return x1
+    x0, f0 = float(near[j]), float(slopes[j])
+    if f0 * f1 >= 0.0:
+        return None
+    a, b = sorted((x0, x1))  # the rising end a, falling end b
+    for _ in range(MAX_SLOPE_STEPS):
+        if f1 == 0.0 or b - a <= 2.0 * tol:
+            break
         x = x1 - f1 * (x1 - x0) / (f1 - f0) if f1 != f0 else math.nan
         if not a < x < b:  # the step leaves the bracket, or there is none
             x = 0.5 * (a + b)
         elif abs(x - x1) <= 0.1 * tol:
             break
-        t_star, p_star = evaluate([x])
-        slope = evaluate([x], at=t_star)
-        n_evals += 1
-        seen[x] = float(p_star[0]), float(t_star[0])
-        x0, f0, x1, f1 = x1, f1, x, float(slope[0])
+        t_star, _ = arrivals([x])
+        x0, f0, x1, f1 = x1, f1, x, float(evaluate([x], at=t_star)[0])
         if not math.isfinite(f1):
-            return None, n_evals
+            return None
         if f1 > 0.0:
             a = x
         else:
             b = x
-    return x1, n_evals
+    return x1

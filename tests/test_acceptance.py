@@ -31,6 +31,7 @@ from bentchain import (
 )
 from bentchain.chain import build_hamiltonian, hamiltonian_matrix, omega_max
 from bentchain.propagate import _end_curve, first_arrivals
+from dense_reference import rk4_site_probs
 
 SIZES = (12, 13, 21, 25)
 KAPPA_GRID = np.round(np.arange(0.1, 1.001, 0.1), 10)
@@ -140,27 +141,6 @@ class TestCriterion2:
         assert ok
 
 
-def _rk4_site_probs(ham, t_end: float, dt: float) -> np.ndarray:
-    h = ham.matrix
-    psi = np.zeros(h.shape[0], dtype=complex)
-    psi[0] = 1.0
-    n_full = int(t_end / dt)
-
-    def deriv(v):
-        return -1j * (h @ v)
-
-    steps = [dt] * n_full + [t_end - n_full * dt]
-    for step in steps:
-        if step <= 0:
-            continue
-        k1 = deriv(psi)
-        k2 = deriv(psi + 0.5 * step * k1)
-        k3 = deriv(psi + 0.5 * step * k2)
-        k4 = deriv(psi + step * k3)
-        psi = psi + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return np.abs(psi) ** 2
-
-
 class TestCriterion3:
     def test_spectral_vs_rk4(self):
         rng = np.random.default_rng(7)
@@ -174,7 +154,7 @@ class TestCriterion3:
             t_end = float(rng.uniform(0.5, 2.0))
             trace = evolve(ham, t_end, 200)
             spectral = np.abs(trace.amplitudes[-1]) ** 2
-            rk4 = _rk4_site_probs(ham, t_end, 1e-3 / omega_max(spec))
+            rk4 = rk4_site_probs(ham.matrix, t_end, 1e-3 / omega_max(spec))
             worst = max(worst, float(np.abs(spectral - rk4).max()))
         ok = worst <= 1e-6
         _report(3, ok, f"max site-probability gap = {worst:.3e} (10 cases)")

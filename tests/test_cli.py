@@ -586,6 +586,18 @@ class TestErrors:
         assert "non-finite reference" in err
         assert out == "" and not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ("reference", "--protocol", "1", "--n", "9", "--ratio", "0.7", "--omega0", "1e-308"),
+        ("calibrate", "--n", "9", "--omega0", "1e-308"),
+    ], ids=["reference", "calibrate"])
+    def test_infinite_derived_window_is_numerical(self, tmp_path, capsys, argv):
+        # the window max(40, 0.8 N)/omega0 or max(0.8 N, 8)/omega0 overflows:
+        # a numerical failure, unlike an infinite --window (a usage error)
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == EXIT_NUMERICAL
+        assert "non-finite window" in err
+        assert out == "" and not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("interval", [("0", "nan"), ("-1", "inf"), ("nan", "nan")])
     def test_nonfinite_interval_is_usage_error(self, tmp_path, capsys, interval):
         code, out, err = run(

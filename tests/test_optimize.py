@@ -128,6 +128,22 @@ class TestOptimizeDetuning:
         with pytest.raises(ValueError, match="does not match the chain spec"):
             detuning_curve(spec, 7, [0.1, 0.2], ref)
 
+    @pytest.mark.parametrize("omega0", [1e200, 1e-160])
+    def test_results_do_not_depend_on_the_size_of_omega0(self, omega0):
+        # products of two couplings overflow past omega0 ~ 1e154 and go
+        # subnormal below ~1e-154 unless the scan rescales its matrices
+        def results(omega0):
+            small, large = (ChainSpec(Protocol.PROTOCOL_2, n, omega0=omega0) for n in (9, 13))
+            bent = transfer_metrics(small, BendSpec(alpha=5, kappa=0.4), reference(small))
+            opt = optimize_detuning(large, BendSpec(alpha=7, kappa=0.5), reference(large))
+            return bent, opt
+
+        (bent, opt), (bent_1, opt_1) = results(omega0), results(1.0)
+        assert abs(opt.delta_star - opt_1.delta_star) <= DELTA_TOL
+        for value, value_1 in ((bent.q, bent_1.q), (bent.s, bent_1.s),
+                               (opt.q_opt, opt_1.q_opt), (opt.s_opt, opt_1.s_opt)):
+            assert math.isclose(value, value_1, rel_tol=1e-12)
+
     def test_deterministic(self):
         spec = _p2(11)
         ref = reference(spec)

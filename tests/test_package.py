@@ -1,7 +1,7 @@
 """The package's public surface: every exported name resolves, every CLI
-example in the README parses with the current option set, only the CLI
-touches files, and the benchmark script still finds the internals it
-times."""
+example in the README parses with the current option set, the README's
+library example runs, only the CLI touches files, and the benchmark script
+still finds the internals it times."""
 
 import ast
 import importlib
@@ -23,9 +23,13 @@ SOURCES = sorted(Path(bentchain.__file__).parent.glob("*.py"))
 FILE_MODULES = {"json", "csv", "os", "pathlib", "hashlib"}
 
 
-def _readme_cli_lines() -> list[str]:
+def _readme_section(title: str) -> str:
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _readme_cli_lines() -> list[str]:
+    section = _readme_section("CLI")
     return [line for line in section.splitlines() if line.startswith("bentchain ")]
 
 
@@ -62,6 +66,14 @@ def test_readme_cli_example_parses(line):
     argv = shlex.split(line)[1:]
     args = cli.build_parser().parse_args(argv)
     assert args.command in cli.COMMANDS
+
+
+def test_readme_library_example_runs(capsys):
+    code = _readme_section("Library example").split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split("(", 1)[0] for line in printed] == [
+        "TransferResult", "OptimizationResult"]
 
 
 def _file_access(tree: ast.AST) -> list[str]:

@@ -18,7 +18,7 @@ from bentchain import (
 from bentchain import propagate
 from bentchain.chain import hamiltonian_matrix
 from bentchain.propagate import BLOCK_ROWS
-from dense_reference import first_arrival_dense
+from dense_reference import first_arrival_dense, rk4_site_probs
 
 
 def p2(n):
@@ -29,27 +29,6 @@ def end_curve(ham, t_end, n_steps):
     """(times, |A_N|^2) on a uniform grid of [0, t_end]."""
     coef = ham.eigenvectors[0] * ham.eigenvectors[-1]
     return propagate._end_curve(ham.eigenvalues, coef, t_end, n_steps)
-
-
-def rk4_site_probs(ham, t_end, dt):
-    """Independent oracle: classic fixed-step RK4 on the amplitude ODE
-    i dA/dt = H A."""
-    h = ham.matrix
-    n_steps = int(math.ceil(t_end / dt))
-    dt = t_end / n_steps
-    a = np.zeros(h.shape[0], dtype=complex)
-    a[0] = 1.0
-
-    def f(y):
-        return -1j * (h @ y)
-
-    for _ in range(n_steps):
-        k1 = f(a)
-        k2 = f(a + 0.5 * dt * k1)
-        k3 = f(a + 0.5 * dt * k2)
-        k4 = f(a + dt * k3)
-        a = a + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return np.abs(a) ** 2
 
 
 class TestEvolve:
@@ -130,7 +109,7 @@ class TestEvolve:
         ham = build_hamiltonian(p2(7), BendSpec(alpha=4, kappa=0.5))
         om = np.abs(ham.matrix).max()
         t_end = math.pi / 2
-        oracle = rk4_site_probs(ham, t_end, dt=1e-3 / om)
+        oracle = rk4_site_probs(ham.matrix, t_end, dt=1e-3 / om)
         trace = evolve(ham, t_end, n_steps=128)
         np.testing.assert_allclose(
             np.abs(trace.amplitudes[-1]) ** 2, oracle, atol=1e-6
@@ -239,6 +218,26 @@ class TestFirstArrival:
     def test_rejects_bad_window(self, window):
         with pytest.raises(ValueError):
             first_arrivals([hamiltonian_matrix(p2(4))], window)
+
+    @pytest.mark.parametrize("matrices,window", [
+        ([], -1.0), (np.zeros((0, 5, 5)), math.nan),
+    ], ids=["empty_list", "empty_stack"])
+    def test_rejects_bad_window_of_an_empty_batch(self, matrices, window):
+        with pytest.raises(ValueError, match="window must be finite"):
+            first_arrivals(matrices, window)
+
+    @pytest.mark.parametrize("k", [520, -520, -540])
+    def test_matrix_scale_is_exact(self, k):
+        # H and its window rescaled by 2^k: without the scan's own
+        # power-of-two scale, the coupling products of the end weights
+        # overflow (k = 520), and the refine's moments lam^2 c lose digits
+        # to underflow (k = -540)
+        h = hamiltonian_matrix(p2(9), BendSpec(alpha=5, kappa=0.4, delta_alpha=-1.0))
+        window = math.pi / 2
+        (t,), (p,) = first_arrivals([h], window)
+        (t_k,), (p_k,) = first_arrivals([2.0**k * h], window / 2.0**k)
+        assert math.isclose(t_k, t / 2.0**k, rel_tol=1e-12)
+        assert math.isclose(p_k, p, rel_tol=1e-12)
 
 
 class TestFirstArrivals:

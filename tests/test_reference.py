@@ -87,6 +87,14 @@ class TestReference:
         with pytest.raises(FloatingPointError, match="non-finite reference"):
             reference(ChainSpec(Protocol.PROTOCOL_2, 9, omega0=omega0))
 
+    @pytest.mark.parametrize("omega0", [1e-308, 2e-307])
+    def test_protocol1_infinite_window_raises(self, omega0):
+        # max(40, 0.8 N)/omega0 overflows, a numerical failure of the
+        # derived window, not a bad window given by the caller
+        spec = ChainSpec(Protocol.PROTOCOL_1, 9, omega0=omega0, boundary_ratio=0.7)
+        with pytest.raises(FloatingPointError, match="non-finite window"):
+            reference(spec)
+
     def test_fields_are_floats(self):
         p2 = reference(ChainSpec(Protocol.PROTOCOL_2, 9))
         p1 = reference(ChainSpec(Protocol.PROTOCOL_1, 9, boundary_ratio=0.6))
@@ -143,6 +151,11 @@ class TestCalibration:
         # omega0 is validated before the default window divides by it
         with pytest.raises(ValueError, match="omega0"):
             calibrate_protocol1(6, omega0=omega0)
+
+    def test_infinite_default_window_raises(self):
+        # max(0.8 N, 8)/omega0 overflows
+        with pytest.raises(FloatingPointError, match="non-finite window"):
+            calibrate_protocol1(9, omega0=1e-308)
 
     def test_rejects_nan_ratio(self):
         # both (0, 1] comparisons are False for NaN, so neither may let it by
