@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Every subcommand is a thin shell over one library operation.  It returns
-its output files, a manifest with the fully resolved configuration and a
-summary line; only once it has succeeded does ``main`` write them under
-out/<command>/<label>/, so a failed command writes nothing.  All runs are
+its output files (the library's results as they are), a manifest with the
+fully resolved configuration and a summary line.  Only once it has
+succeeded does ``main`` write them under out/<command>/<label>/, so a failed
+command writes nothing.  ``main`` adds the manifest's header:
+``tool_version``, ``delta_units`` and ``command``.  All runs are
 deterministic.
 """
 
@@ -310,9 +312,9 @@ def cmd_reference(args, config):
     spec, _ = _resolve_chain(args, config)
     ref = reference(spec)
     return ({"reference.json": ref.to_dict()},
-            {"command": "reference", "chain": spec_to_dict(spec)},
+            {"chain": spec_to_dict(spec)},
             f"reference: protocol={spec.protocol.value} N={spec.n_sites} "
-            f"p0={ref.p0:.8f} t0={ref.t0:.8f}")
+            f"p0={ref.p0:.8f} t0={ref.t0:.6g}")
 
 
 def cmd_calibrate(args, config):
@@ -322,22 +324,21 @@ def cmd_calibrate(args, config):
     if window is None:
         window = default_calibration_window(args.n_sites, args.omega0)
     return ({"calibration.json": ref.to_dict()},
-            {"command": "calibrate", "n_sites": args.n_sites, "omega0": args.omega0,
-             "window": window, "grid": args.grid},
+            {"n_sites": args.n_sites, "omega0": args.omega0, "window": window,
+             "grid": args.grid},
             f"calibrate: N={args.n_sites} ratio={ref.boundary_ratio:.6f} "
-            f"p0={ref.p0:.6f} t0={ref.t0:.6f}")
+            f"p0={ref.p0:.6f} t0={ref.t0:.6g}")
 
 
 def cmd_metrics(args, config):
     spec, values = _resolve_chain(args, config)
     bend = BendSpec(**values)
     result = transfer_metrics(spec, bend, reference(spec))
-    return ({"metrics.json": {"p": result.p, "t": result.t, "q": result.q, "s": result.s}},
+    return ({"metrics.json": asdict(result)},
             # the chain's delta_alpha is BendSpec's, an energy in omega0 units
-            {"command": "metrics", "delta_units": "omega0",
-             "chain": spec_to_dict(spec, bend)},
+            {"delta_units": "omega0", "chain": spec_to_dict(spec, bend)},
             f"metrics: q={result.q:.6f} s={result.s:.6f} p={result.p:.6f} "
-            f"t={result.t:.6f}")
+            f"t={result.t:.6g}")
 
 
 def cmd_sweep_kappa(args, config):
@@ -347,8 +348,7 @@ def cmd_sweep_kappa(args, config):
     name = f"sweep_kappa.{args.format}"
     qs = [r.result.q for r in table.rows]
     return ({name: _table_content(table, args.format)},
-            {"command": "sweep-kappa", "grid": args.grid,
-             "optimize": args.optimize, "chain": table.metadata},
+            {"grid": args.grid, "optimize": args.optimize, "chain": table.metadata},
             f"sweep-kappa: {len(table.rows)} points, q range "
             f"[{min(qs):.4f}, {max(qs):.4f}] -> {_run_dir(args) / name}")
 
@@ -362,8 +362,7 @@ def cmd_sweep_alpha(args, config):
     table = sweep_alpha(spec, bend["kappa"], alphas, optimize=not args.no_optimize)
     name = f"sweep_alpha.{args.format}"
     return ({name: _table_content(table, args.format)},
-            {"command": "sweep-alpha", "alphas": [int(a) for a in alphas],
-             "chain": table.metadata},
+            {"alphas": [int(a) for a in alphas], "chain": table.metadata},
             f"sweep-alpha: {len(table.rows)} corners at kappa={bend['kappa']} -> "
             f"{_run_dir(args) / name}")
 
@@ -373,18 +372,9 @@ def cmd_optimize(args, config):
     bend = BendSpec(**values)
     lo, hi = args.interval
     res = optimize_detuning(spec, bend, reference(spec), interval=(lo, hi))
-    payload = {
-        "delta_star": res.delta_star,
-        "delta_energy": res.delta_energy,
-        "q_opt": res.q_opt,
-        "s_opt": res.s_opt,
-        "evaluations": res.evaluations,
-        "on_boundary": res.on_boundary,
-    }
     flag = " (boundary)" if res.on_boundary else ""
-    return ({"optimize.json": payload},
-            {"command": "optimize", "interval": [lo, hi],
-             "chain": spec_to_dict(spec, bend)},
+    return ({"optimize.json": asdict(res)},
+            {"interval": [lo, hi], "chain": spec_to_dict(spec, bend)},
             f"optimize: delta*={res.delta_star:.6f} q_opt={res.q_opt:.6f} "
             f"s_opt={res.s_opt:.6f}{flag}")
 
@@ -397,8 +387,7 @@ def cmd_curve(args, config):
             for kappa, res in curve]
     deltas = [res.delta_star for _, res in curve]
     return ({"curve.csv": (["kappa", "delta_opt", "q_opt", "s_opt", "on_boundary"], rows)},
-            {"command": "curve", "grid": args.grid,
-             "chain": {**spec_to_dict(spec), "alpha": bend["alpha"]}},
+            {"grid": args.grid, "chain": {**spec_to_dict(spec), "alpha": bend["alpha"]}},
             f"curve: {len(curve)} points, delta* range "
             f"[{min(deltas):.4f}, {max(deltas):.4f}] -> {_run_dir(args) / 'curve.csv'}")
 
@@ -409,8 +398,7 @@ def cmd_spectrum(args, config):
     res = optimize_detuning(spec, bend, reference(spec))
     report = spectrum_report(spec, bend, res.delta_energy)
     return ({"spectrum.csv": _spectrum_content(report)},
-            {"command": "spectrum", "delta_star": res.delta_star,
-             "chain": spec_to_dict(spec, bend)},
+            {"delta_star": res.delta_star, "chain": spec_to_dict(spec, bend)},
             f"spectrum: gap distortion bent={report.gap_distortion['bent']:.6f} "
             f"optimized={report.gap_distortion['bent_optimized']:.6f} -> "
             f"{_run_dir(args) / 'spectrum.csv'}")
@@ -431,9 +419,7 @@ def cmd_design(args, config):
                         "separations_um": d, "couplings_per_cm": c},
     }
     return (files,
-            {"command": "design", "device": {
-                "eta": args.eta, "xi": args.xi, "length": args.L,
-                "wavelength": args.wavelength}, "chain": spec_to_dict(spec)},
+            {"device": asdict(dev), "chain": spec_to_dict(spec)},
             f"design: separations {min(d):.2f}..{max(d):.2f} um, "
             f"omega0={layout.omega0_physical:.5f}/cm, "
             f"max parasitic ratio {parasitic.max_ratio:.4f}")
@@ -476,59 +462,51 @@ def cmd_fit(args, config):
         report = fit_linear(pairs, kappa_cut=args.kappa_cut)
         summary = (f"fit linear: slope={report.params[0]:.6f} "
                    f"intercept={report.params[1]:.6f} rms={report.residual_rms:.3g}")
-    manifest = {"command": "fit", "kind": args.kind, "input": str(args.input)}
+    manifest = {"kind": args.kind, "input": str(args.input)}
     if args.kind == "linear":  # the gaussian fit has no cut
         manifest["kappa_cut"] = args.kappa_cut
-    return ({"fit.json": {"kind": report.kind, "params": list(report.params),
-                          "residual_rms": report.residual_rms,
-                          "domain": list(report.domain)}},
-            manifest, summary)
+    return {"fit.json": asdict(report)}, manifest, summary
 
 
-def _figure_panel(job: tuple) -> tuple[str, SweepTable | list]:
-    kind, proto, n, alpha, kappa, grid = job
+def _figure_panel(job: tuple) -> tuple[str, tuple]:
+    """One figure panel, ``(kind, protocol, N, alpha, kappa)``, as its CSV
+    file name and content: a kappa sweep at a fixed corner, a corner sweep
+    at a fixed kappa, or the spectra of one bend."""
+    kind, proto, n, alpha, kappa = job
     spec, ref = _protocol_chain(proto, n)
     if kind == "kappa":
-        table = sweep_kappa(spec, alpha, grid, optimize=True, ref=ref)
-        return f"p{proto}_n{n}_alpha{alpha}_kappa", table
-    table = sweep_alpha(spec, kappa, range(2, math.ceil(n / 2) + 1), ref=ref)
-    return f"p{proto}_n{n}_kappa{kappa}_alpha", table
+        table = sweep_kappa(spec, alpha, parse_grid("0:0.1:1"), optimize=True, ref=ref)
+        return f"p{proto}_n{n}_alpha{alpha}_kappa.csv", _table_content(table)
+    if kind == "alpha":
+        table = sweep_alpha(spec, kappa, range(2, math.ceil(n / 2) + 1), ref=ref)
+        return f"p{proto}_n{n}_kappa{kappa}_alpha.csv", _table_content(table)
+    bend = BendSpec(alpha=alpha, kappa=kappa)
+    res = optimize_detuning(spec, bend, ref)
+    report = spectrum_report(spec, bend, res.delta_energy)
+    return (f"p{proto}_n{n}_alpha{alpha}_kappa{kappa}_spectrum.csv",
+            _spectrum_content(report))
 
 
 def cmd_figure(args, config):
-    kappa_grid = parse_grid("0:0.1:1")
-    jobs: list[tuple] = []
-    files: dict[str, tuple] = {}
     if args.tag in ("fig2", "fig3"):
         proto = 1 if args.tag == "fig2" else 2
-        for n in FIGURE_DEFAULT_N:
-            jobs.append(("kappa", proto, n, math.ceil(n / 2), None, kappa_grid))
+        jobs = [("kappa", proto, n, math.ceil(n / 2), None) for n in FIGURE_DEFAULT_N]
     elif args.tag == "fig4":
-        for proto in (1, 2):
-            for n in FIGURE_DEFAULT_N:
-                jobs.append(("alpha", proto, n, None, 0.4, None))
+        jobs = [("alpha", proto, n, None, 0.4) for proto in (1, 2) for n in FIGURE_DEFAULT_N]
     else:  # fig5: spectra for N=25, alpha=12
-        for proto, kappa in ((1, 0.5), (2, 0.3)):
-            spec, ref = _protocol_chain(proto, 25)
-            bend = BendSpec(alpha=12, kappa=kappa)
-            res = optimize_detuning(spec, bend, ref)
-            report = spectrum_report(spec, bend, res.delta_energy)
-            files[f"p{proto}_n25_alpha12_kappa{kappa}_spectrum.csv"] = _spectrum_content(report)
+        jobs = [("spectrum", 1, 25, 12, 0.5), ("spectrum", 2, 25, 12, 0.3)]
 
-    if jobs:
-        workers = min(args.jobs, len(jobs))
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
+    workers = min(args.jobs, len(jobs))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                panels = list(pool.map(_figure_panel, jobs))
-        else:
-            panels = [_figure_panel(j) for j in jobs]
-        for stem, table in panels:
-            files[f"{stem}.csv"] = _table_content(table)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            files = dict(pool.map(_figure_panel, jobs))
+    else:
+        files = dict(map(_figure_panel, jobs))
 
     return (files,
-            {"command": "figure", "tag": args.tag, "files": sorted(files),
+            {"tag": args.tag, "files": sorted(files),
              "axes": {"kappa": "bend strength g/Omega_max",
                       "alpha": "corner site index",
                       "q": "P / P0", "s": "T / T0",
@@ -564,7 +542,8 @@ def main(argv: list[str] | None = None) -> int:
         for name, content in files.items():
             _write(run_dir / name, content)
         _write(run_dir / "manifest.json",
-               {"tool_version": __version__, "delta_units": "omega_max", **manifest})
+               {"tool_version": __version__, "delta_units": "omega_max",
+                "command": args.command, **manifest})
         print(summary)
         return 0
     except (FitDivergedError, FloatingPointError) as exc:

@@ -3,8 +3,9 @@ import concurrent.futures
 import csv
 import json
 import math
+import re
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -13,7 +14,11 @@ from bentchain import (
     BendSpec,
     ChainSpec,
     DeviceParams,
+    FitReport,
+    OptimizationResult,
     Protocol,
+    TransferResult,
+    __version__,
     design_layout,
     optimize_detuning,
     reference,
@@ -23,7 +28,6 @@ from bentchain import (
 )
 from bentchain import cli
 from bentchain.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_USAGE, main, parse_grid
-from bentchain.metrics import SweepTable
 
 
 def run(capsys, *argv):
@@ -760,7 +764,7 @@ class TestErrors:
             calls.append(job)
             if len(calls) == 2:
                 raise FloatingPointError("p0 is not positive")
-            return "first_panel", SweepTable(axis="kappa", rows=[])
+            return "first_panel.csv", (["axis"], [])
 
         monkeypatch.setattr(cli, "_figure_panel", second_panel_fails)
         code, out, err = run(capsys, "figure", "fig2", "--out", str(tmp_path))
@@ -913,7 +917,7 @@ class TestOptionSurface:
         assert len(manifest["files"]) == 2
 
     @pytest.mark.parametrize("tag,jobs,workers", [
-        ("fig4", "64", 8), ("fig2", "2", 2), ("fig3", "1", None),
+        ("fig4", "64", 8), ("fig2", "2", 2), ("fig3", "1", None), ("fig5", "2", 2),
     ])
     def test_figure_workers_capped_at_panels(self, tmp_path, capsys, monkeypatch,
                                              tag, jobs, workers):
@@ -936,7 +940,7 @@ class TestOptionSurface:
 
         def stub_panel(job):
             kind, proto, n = job[:3]
-            return f"{kind}_p{proto}_n{n}", SweepTable(axis=kind, rows=[])
+            return f"{kind}_p{proto}_n{n}.csv", ([kind], [])
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli, "_figure_panel", stub_panel)
@@ -944,7 +948,7 @@ class TestOptionSurface:
         assert code == 0
         assert sizes == ([] if workers is None else [workers])
         manifest = json.loads((tmp_path / "figure" / tag / "manifest.json").read_text())
-        assert len(manifest["files"]) == (8 if tag == "fig4" else 4)
+        assert len(manifest["files"]) == {"fig4": 8, "fig5": 2}.get(tag, 4)
 
     def test_sweep_takes_format(self, tmp_path, capsys):
         code, _, _ = run(
@@ -953,6 +957,60 @@ class TestOptionSurface:
         )
         assert code == 0
         assert (tmp_path / "sweep-kappa" / "sweep-kappa" / "sweep_kappa.json").exists()
+
+
+def _minimal_run(capsys, monkeypatch, tmp_path, command, *flags):
+    """Run ``command`` with its minimal argv in ``tmp_path`` (fit reading a
+    small linear curve.csv there); return the exit code, stdout and the run
+    directory."""
+    monkeypatch.chdir(tmp_path)
+    if command == "fit":
+        with open("curve.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows([["kappa", "delta_opt"],
+                                      *([k, -2 * k] for k in (0.1, 0.2, 0.3, 0.4))])
+    code, out, _ = run(capsys, *_minimal(command), *flags, "--out", "out")
+    (run_dir,) = (tmp_path / "out" / command).iterdir()
+    return code, out, run_dir
+
+
+class TestRunRecord:
+    """main writes every manifest's header, and the payloads are the
+    library's result dataclasses, field for field."""
+
+    @pytest.mark.parametrize("command", list(MINIMAL_ARGV))
+    def test_manifest_header(self, tmp_path, capsys, monkeypatch, command):
+        code, _, run_dir = _minimal_run(capsys, monkeypatch, tmp_path, command)
+        assert code == 0
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["command"] == command
+        assert manifest["tool_version"] == __version__
+        assert manifest["delta_units"] == ("omega0" if command == "metrics" else "omega_max")
+
+    @pytest.mark.parametrize("command,result_type", [
+        ("metrics", TransferResult), ("optimize", OptimizationResult), ("fit", FitReport),
+    ])
+    def test_payload_has_the_result_fields(self, tmp_path, capsys, monkeypatch, command,
+                                           result_type):
+        code, _, run_dir = _minimal_run(capsys, monkeypatch, tmp_path, command)
+        assert code == 0
+        payload = json.loads((run_dir / f"{command}.json").read_text())
+        assert list(payload) == [f.name for f in fields(result_type)]
+
+    @pytest.mark.parametrize("omega0", ["1e-160", "1", "1e200"])
+    @pytest.mark.parametrize("command,name,key", [
+        ("metrics", "metrics.json", "t"),
+        ("reference", "reference.json", "t0"),
+        ("calibrate", "calibration.json", "t0"),
+    ])
+    def test_summary_time_matches_file(self, tmp_path, capsys, monkeypatch, omega0,
+                                       command, name, key):
+        # a fixed-decimal time printed 0.000000 at omega0 = 1e200
+        code, out, run_dir = _minimal_run(capsys, monkeypatch, tmp_path, command,
+                                          "--omega0", omega0)
+        assert code == 0
+        printed = float(re.search(rf" {key}=(\S+)", out).group(1))
+        written = json.loads((run_dir / name).read_text())[key]
+        assert math.isclose(printed, written, rel_tol=5e-6)
 
 
 def _float_options():
