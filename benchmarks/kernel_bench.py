@@ -6,10 +6,13 @@ every Hamiltonian, the bandwidth-scaled scan of |A_N(t)|^2 followed by the
 analytic-slope refine of the first peak, as one one-row ``first_arrivals``
 call on the raw matrix (N = 9, 13, 25).
 
-Refine step: the two calls a slope-refine step makes on the optimizer's
-objective H0 + delta E (E = dH/ddelta at the corner), the first arrival
-``evaluate([delta])``, and then the slope ``evaluate([delta], at=t)`` at
-that arrival, one ``eigh`` and no scan (N = 13, 25).
+Refine step: the calls on the optimizer's objective H0 + delta E
+(E = dH/ddelta at the corner) that a slope-refine step makes: the followed
+arrival and slope ``evaluate(delta, near=t)`` from a nearby arrival t, one
+``eigh`` and Newton steps with no scan; and, where it cannot be followed,
+the full first arrival ``evaluate([delta])`` and then the slope
+``evaluate([delta], at=t)`` at that arrival, one ``eigh`` and no scan
+(N = 13, 25).
 
 End weights: the spectrum and end weights c_k = v_k[1] v_k[N] of one block
 of B copies of a bent chain (B = 1, 32; N = 9, 13, 25, 100), from a stacked
@@ -24,8 +27,8 @@ site-major broadcast, and the real GEMM of the eigenvectors with the
 phases.
 
 Detuning optimizer: ``optimize_detuning`` on the default interval, the
-64-detuning batched coarse scan plus the slope refine, with its evaluations
-per optimized point (N = 9, 13, 25).
+16-detuning batched coarse scan plus the slope refine, with its evaluations
+(full first arrivals) per optimized point (N = 9, 13, 25).
 
 Detuning curve: ``detuning_curve`` over kappa = 0, 0.1, ..., 1 (N = 13,
 alpha = 7), warm-started scans widened at the edge plus one refine per
@@ -34,9 +37,11 @@ point, in ms and evaluations per optimized point.
 Protocol 1 calibration: ``calibrate_protocol1`` over the default 100-point
 ratio grid (N = 13, 21).
 
-Refine evaluations: the one-row ``first_arrivals`` calls per optimized
-point of ``figure fig2`` and ``figure fig4``, one per refine step, the
-refines of their Protocol 1 calibrations included (a count; run once).
+Refine evaluations: per optimized point of ``figure fig2`` and
+``figure fig4``, the one-row ``first_arrivals`` calls (refined optima and
+refine steps that could not be followed) and, apart, the followed refine
+steps, the refines of their Protocol 1 calibrations included (counts; run
+once).
 
 Figures: one in-process ``cli.main(["figure", tag, "--jobs", "1"])`` call
 for fig2 to fig5, its files and manifest written to a temporary directory,
@@ -87,7 +92,7 @@ from bentchain import (
     optimize_detuning,
     reference,
 )
-from bentchain import cli
+from bentchain import cli, propagate
 from bentchain.chain import hamiltonian_matrix
 from bentchain.propagate import _end_weights, _objective, _phase_tables
 
@@ -169,9 +174,11 @@ def blas_threads():
 
 
 def refine_evaluations(figure, out):
-    """One-row first_arrivals calls of ``bentchain figure <figure>`` (one
-    process), and the optimized points in its files."""
-    one_row = 0
+    """One-row first_arrivals calls and followed refine steps of
+    ``bentchain figure <figure>`` (one process), and the optimized points in
+    its files."""
+    one_row = followed = 0
+    follow = propagate._follow
 
     def counting(matrices, window):
         nonlocal one_row
@@ -179,22 +186,30 @@ def refine_evaluations(figure, out):
         one_row += len(matrices) == 1
         return first_arrivals(matrices, window)
 
+    def following(*args):
+        nonlocal followed
+        found = follow(*args)
+        followed += found is not None
+        return found
+
     bound = [module for name, module in sys.modules.items() if name.startswith("bentchain")
              and getattr(module, "first_arrivals", None) is first_arrivals]
     for module in bound:
         module.first_arrivals = counting
+    propagate._follow = following
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["figure", figure, "--jobs", "1", "--out", str(out)])
     finally:
         for module in bound:
             module.first_arrivals = first_arrivals
+        propagate._follow = follow
     assert code == 0
     points = 0
     for path in (Path(out) / "figure" / figure).glob("*.csv"):
         with open(path, newline="") as fh:
             points += sum(1 for row in csv.DictReader(fh) if row.get("delta_opt"))
-    return one_row, points
+    return one_row, followed, points
 
 
 def main(argv=None):
@@ -219,15 +234,19 @@ def main(argv=None):
         direction[corner, corner] = omega_max(ChainSpec(Protocol.PROTOCOL_2, n))
         evaluate = _objective(matrix, direction, WINDOW)
         t_star, _ = evaluate([0.0])
+        # followed from the arrival of a detuning one coarse cell away
+        (t_near,), _ = evaluate([0.3])
         for label, call in (("arrival", lambda: evaluate([0.0])),
-                            ("slope", lambda: evaluate([0.0], at=t_star))):
+                            ("slope", lambda: evaluate([0.0], at=t_star)),
+                            ("followed", lambda: evaluate(0.0, near=float(t_near)))):
             median, q1, q3, found = time_call(
                 rows, f"refine step N={n} {label}", call, 500)
+            value = (f"p*={found[1][0]:.9f}" if label == "arrival"
+                     else f"dp*/ddelta={found[0]:.9f}" if label == "slope"
+                     else f"p*={found[1]:.9f} dp*/ddelta={found[2]:.9f}")
             print(
-                f"refine step N={n:3d} {label:<7}: {median:.3f} ms per one-point call "
-                f"(quartiles {q1:.3f}-{q3:.3f}), "
-                + (f"p*={found[1][0]:.9f}" if label == "arrival"
-                   else f"dp*/ddelta={found[0]:.9f}")
+                f"refine step N={n:3d} {label:<8}: {median:.3f} ms per one-point call "
+                f"(quartiles {q1:.3f}-{q3:.3f}), {value}"
             )
     for n in (9, 13, 25, 100):
         for rows_per_block in (1, 32):
@@ -287,13 +306,16 @@ def main(argv=None):
             print(f"  {layer:<6}      N={n:3d}: {median:.3f} ms (quartiles {q1:.3f}-{q3:.3f})")
     with tempfile.TemporaryDirectory() as out:
         for figure in ("fig2", "fig4"):
-            one_row, points = refine_evaluations(figure, out)
-            per_point = one_row / points
-            record(rows, f"refine {figure}", "one-row evaluations per optimized point",
-                   per_point, per_point, per_point, 1)
+            one_row, followed, points = refine_evaluations(figure, out)
+            for label, count in (("one-row", one_row), ("followed", followed)):
+                per_point = count / points
+                record(rows, f"refine {figure} {label}",
+                       f"{label} evaluations per optimized point",
+                       per_point, per_point, per_point, 1)
             print(
-                f"refine        {figure}: {per_point:.2f} one-row evaluations per "
-                f"optimized point ({one_row} over {points} points)"
+                f"refine        {figure}: {one_row / points:.2f} one-row evaluations and "
+                f"{followed / points:.2f} followed steps per optimized point "
+                f"({one_row} and {followed} over {points} points)"
             )
         for figure in ("fig2", "fig3", "fig4", "fig5"):
             argv = ["figure", figure, "--jobs", "1", "--out", out]

@@ -399,8 +399,8 @@ def cmd_spectrum(args, config):
     report = spectrum_report(spec, bend, res.delta_energy)
     return ({"spectrum.csv": _spectrum_content(report)},
             {"delta_star": res.delta_star, "chain": spec_to_dict(spec, bend)},
-            f"spectrum: gap distortion bent={report.gap_distortion['bent']:.6f} "
-            f"optimized={report.gap_distortion['bent_optimized']:.6f} -> "
+            f"spectrum: gap distortion bent={report.gap_distortion['bent']:.6g} "
+            f"optimized={report.gap_distortion['bent_optimized']:.6g} -> "
             f"{_run_dir(args) / 'spectrum.csv'}")
 
 
@@ -421,8 +421,8 @@ def cmd_design(args, config):
     return (files,
             {"device": asdict(dev), "chain": spec_to_dict(spec)},
             f"design: separations {min(d):.2f}..{max(d):.2f} um, "
-            f"omega0={layout.omega0_physical:.5f}/cm, "
-            f"max parasitic ratio {parasitic.max_ratio:.4f}")
+            f"omega0={layout.omega0_physical:.6g}/cm, "
+            f"max parasitic ratio {parasitic.max_ratio:.6g}")
 
 
 def cmd_fit(args, config):

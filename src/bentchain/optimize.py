@@ -19,7 +19,7 @@ from .reference import ReferencePoint
 from .search import scan_and_refine
 
 DEFAULT_INTERVAL = (-4.0, 0.5)  # in units of Omega_max
-N_COARSE = 64  # detunings of the coarse scan
+N_COARSE = 16  # detunings of the coarse scan
 DELTA_TOL = 1e-6  # |delta| tolerance, units of Omega_max
 
 __all__ = ["OptimizationResult", "optimize_detuning", "detuning_curve"]
@@ -52,10 +52,16 @@ def optimize_detuning(
     need eigenvalues only.  The slope dp*/ddelta at the best detuning and
     its neighbours, at the arrival times the scan found (one ``eigh`` of at
     most three rows, and no scan), then brackets the optimum in one cell,
-    refined by secant steps on the slope to ``DELTA_TOL``, each step one
-    first arrival and then its slope (:func:`search.scan_and_refine`).  An
-    interval end whose slope points outwards is the optimum as it stands,
-    with no refine; it is flagged as ``on_boundary``, not raised.  Raises
+    refined by secant steps on the slope to ``DELTA_TOL``
+    (:func:`search.scan_and_refine`).  Each step follows the arrival from
+    that of the nearest detuning evaluated, with one ``eigh`` and Newton
+    steps in t and no scan (``evaluate(x, near=t)``), and takes the full
+    first arrival and then its slope only where the arrival cannot be
+    followed; the refined optimum takes one full first arrival, which
+    gives p* and t*.  ``evaluations`` counts the detunings whose first
+    arrival took the full path.  An interval end whose slope points
+    outwards is the optimum as it stands, with no refine; it is flagged
+    as ``on_boundary``, not raised.  Raises
     ValueError if the interval ends are not finite with lo < hi or ``ref``
     is not the reference of ``spec`` (:meth:`ReferencePoint.check_chain`),
     and FloatingPointError if the reference probability is not positive or
@@ -76,7 +82,8 @@ def detuning_curve(
     twice the width, within [EXPANSION_FLOOR, EXPANSION_CEIL], and rescanned;
     the slope refine of :func:`optimize_detuning` runs once, on the last
     interval, so an optimum at ``EXPANSION_FLOOR`` is the floor itself.
-    ``evaluations`` counts every scan.  Raises ValueError on an empty grid
+    ``evaluations`` counts every scan and the optimum's full first
+    arrival.  Raises ValueError on an empty grid
     or a repeated kappa."""
     grid = np.sort(np.asarray(kappa_grid, dtype=float))
     if grid.size == 0:

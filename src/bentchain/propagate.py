@@ -47,6 +47,9 @@ REL_TOL = 1e-9  # arrival-time tolerance, relative to the window
 # Newton steps of the slope refine; bisection alone needs about 30 to shrink
 # a scan cell to REL_TOL
 MAX_REFINE_STEPS = 100
+# Newton steps of a followed arrival (:func:`_follow`); the refine steps of
+# the figures and of 300 random bends converged in at most 4
+MAX_FOLLOW_STEPS = 8
 # Hamiltonians per stacked eigh and scan in first_arrivals.  Memory grows
 # with the block (its rows share the widest row's grid): blocks of 32 kept
 # the optimizer's peak RSS within 4% of a one-at-a-time scan, 64 cost 10%.
@@ -175,35 +178,102 @@ def first_arrivals(
     window = float(window)
     if not math.isfinite(window) or window <= 0:
         raise ValueError(f"window must be finite and > 0, got {window}")
-    _, e_window = math.frexp(window)  # 2^(e_window - 1) <= window < 2^e_window
     rows = iter(matrices)
     found = [np.empty((2, 0))]
     while block := list(itertools.islice(rows, BLOCK_ROWS)):
         block = np.array(block, dtype=float)
-        # 2^exponent <= the largest |entry| < 2^(exponent + 1), clipped so
-        # that the scaled window stays a finite normal number
-        exponent = math.frexp(float(np.abs(block).max(initial=0.0)))[1] - 1
-        scale = math.ldexp(1.0, min(max(exponent, -1021 - e_window), 1023 - e_window))
+        scale = _scale(block, window)
         block /= scale
         t_star, p_star = _scan(*_end_weights(block), window * scale)
         found.append((t_star / scale, p_star))
     return tuple(np.concatenate(found, axis=1))
 
 
+def _scale(matrices: np.ndarray, window: float) -> float:
+    """The power of two 2^e with 2^e <= the largest |entry| of ``matrices``
+    < 2^(e + 1), clipped so that ``window`` times it stays a finite normal
+    number: the divisor of a block in :func:`first_arrivals`."""
+    _, e_window = math.frexp(window)  # 2^(e_window - 1) <= window < 2^e_window
+    exponent = math.frexp(float(np.abs(matrices).max(initial=0.0)))[1] - 1
+    return math.ldexp(1.0, min(max(exponent, -1021 - e_window), 1023 - e_window))
+
+
 def _objective(base: np.ndarray, direction: np.ndarray, window: float):
     """The ``evaluate`` callable of :func:`search.scan_and_refine` for the
     matrices H(x) = ``base`` + x ``direction``, built lazily, one block at a
-    time: ``evaluate(xs)`` gives the first arrivals (t*, p*) of the points
-    ``xs`` over [0, window] (:func:`first_arrivals`), and
-    ``evaluate(xs, at=t)`` their slopes dp*/dx at the arrivals t found
-    before (:func:`_arrival_slopes`): one stacked ``eigh`` and no scan."""
-    def evaluate(xs, at=None):
+    time, in three forms:
+
+    - ``evaluate(xs)``: the first arrivals (t*, p*) of the points ``xs``
+      over [0, window] (:func:`first_arrivals`), the full path;
+    - ``evaluate(xs, at=t)``: their slopes dp*/dx at the arrivals t found
+      before (:func:`_arrival_slopes`), one stacked ``eigh`` and no scan;
+    - ``evaluate(x, near=t)``: the first arrival of one point x followed
+      from the arrival t of a nearby point, with its slope: (t*, p*, dp*/dx)
+      from one ``eigh`` and no scan (:func:`_follow`), or None where it
+      cannot be followed.
+
+    ``evaluate.t_tol`` = ``REL_TOL`` * window is the tolerance of both
+    paths' t*."""
+    def evaluate(xs, at=None, near=None):
+        if near is not None:
+            return _follow(base + xs * direction, direction, near, window)
         if at is None:
             return first_arrivals((base + x * direction for x in xs), window)
         lam, vec = np.linalg.eigh(base + np.multiply.outer(xs, direction))
         return _arrival_slopes(lam, vec, direction, at)
 
+    evaluate.t_tol = REL_TOL * window
     return evaluate
+
+
+def _follow(matrix: np.ndarray, direction: np.ndarray, t_near: float,
+            window: float) -> tuple[float, float, float] | None:
+    """The first arrival (t*, p*) of ``matrix`` = H(x) over [0, window] and
+    its slope dp*/dx, with E = dH/dx ``direction``, followed from the
+    arrival ``t_near`` of a nearby x: the refine step of
+    :func:`search.scan_and_refine`, where x moves within one coarse cell
+    and the arrival moves with it.
+
+    One ``eigh`` of H(x), divided by a power of two as a block of
+    :func:`first_arrivals` is (:func:`_scale`), gives the end weights
+    c = v[1] v[N].  Newton steps on p'(t), with p'' from the same
+    :func:`_spectral_sums`, start from ``t_near`` and stop once a step is
+    within ``REL_TOL`` * window; the slope comes from the same eigenvectors
+    (:func:`_arrival_slopes`).  None, for the full path to take over, where
+    ``t_near`` is the window end, where p'' >= 0 (or is not finite) at an
+    iterate, where an iterate leaves the scan cell on either side of
+    ``t_near`` (the grid spacing :func:`_scan` would use for H(x)'s own
+    bandwidth, within [0, window]), or where ``MAX_FOLLOW_STEPS`` steps do
+    not converge.  Only the first arrival's own peak passes these; the
+    caller checks its last point on the full path.
+    """
+    if not t_near < window:
+        return None
+    scale = _scale(matrix, window)
+    lam, vec = np.linalg.eigh(matrix[None] / scale)
+    window, t = window * scale, t_near * scale
+    needed = SAMPLES_PER_HALF_PERIOD * window * float(lam[0, -1] - lam[0, 0]) / math.pi
+    cell = window / max(MIN_GRID_POINTS, math.ceil(needed))
+    lo, hi = max(t - cell, 0.0), min(t + cell, window)
+    _, ilam, moments = _centred_sums(lam, vec[:, 0, :] * vec[:, -1, :])
+    tol = REL_TOL * window
+    for _ in range(MAX_FOLLOW_STEPS):
+        s0, s1, s2 = _spectral_sums(ilam, moments, np.array([[t]]))[0, 0]
+        c0 = s0.conjugate()
+        curvature = s1.real * s1.real + s1.imag * s1.imag - (c0 * s2).real  # p'' / 2
+        if not curvature < 0.0:
+            return None
+        step = (c0 * s1).imag / curvature
+        t -= step
+        if not lo <= t <= hi:
+            return None
+        if abs(step) <= tol:
+            break
+    else:
+        return None
+    amp = _spectral_sums(ilam, moments, np.array([[t]]))[0, 0, 0]
+    slope = _arrival_slopes(lam, vec, direction / scale, np.array([t]))[0]
+    return float(t / scale), float(amp.real * amp.real + amp.imag * amp.imag), float(slope)
 
 
 @functools.lru_cache(maxsize=4)

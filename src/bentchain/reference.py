@@ -142,7 +142,10 @@ def calibrate_protocol1(
     dp0/dratio at the best grid ratio and its neighbours, at the arrival
     times of the scan (one ``eigh`` of at most three rows), brackets the
     optimum, and secant steps on the slope refine it to ``RATIO_TOL``, as
-    the optimizer does (:func:`search.scan_and_refine`).  The default
+    the optimizer does (:func:`search.scan_and_refine`): each step follows
+    the arrival from a nearby ratio's with one ``eigh`` and no scan, and
+    the refined ratio takes one full first arrival, which gives p0 and t0.
+    The default
     window (:func:`default_calibration_window`) raises FloatingPointError
     when a tiny omega0 sends it to infinity; a given window that is not
     finite and positive raises ValueError.

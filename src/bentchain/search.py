@@ -5,7 +5,8 @@ The sign of the analytic slope dp*/dx at that sample and its neighbours,
 taken at the first arrivals the scan found for them, then either settles x*
 at once (an end sample whose slope points out of the grid) or brackets the
 maximum in one grid cell, where secant steps on the slope, safeguarded by
-bisection, close in on its root.  A batched zoom on p* itself
+bisection, close in on its root; each step follows the first arrival from
+that of a nearby point.  A batched zoom on p* itself
 (:func:`zoom_max`) is the fallback where the slopes bracket nothing or are
 not finite, and the first-arrival refine's fallback on a flat or kinked top.
 """
@@ -60,26 +61,38 @@ def scan_and_refine(evaluate, grid: np.ndarray, tol: float, widen=None):
     """Maximize a first-arrival probability p*(x); returns (x*, p*, t*,
     on_boundary, n_evals).
 
-    ``evaluate(xs)`` returns the (t*, p*) arrays of a sequence of points,
-    and ``evaluate(xs, at=t)`` their slopes dp*/dx at the first arrivals
-    ``t`` that an earlier call found for them.  The grid, and each grid
-    ``widen`` returns, must ascend.  The grid is evaluated as one batch and
-    its best sample taken, ties going to the smaller |x|; while
+    ``evaluate(xs)`` returns the (t*, p*) arrays of a sequence of points
+    (the full path), ``evaluate(xs, at=t)`` their slopes dp*/dx at the
+    first arrivals ``t`` that an earlier call found for them, and
+    ``evaluate(x, near=t)`` the first arrival of one point x followed from
+    the arrival ``t`` of a nearby point, with its slope there, as
+    (t*, p*, dp*/dx), or None where it cannot follow it; the two t* agree
+    to within ``evaluate.t_tol``.  The grid, and each grid ``widen``
+    returns, must ascend.  The grid is evaluated as one batch and its best
+    sample taken, ties going to the smaller |x|; while
     ``widen(grid, best)`` returns a new grid, that grid is scanned in turn.
     Then the slopes at sample ``best`` of the last grid and at its
     neighbours, taken at the t* of that scan, go to :func:`_slope_root`,
-    which settles x* or refines it to ``tol``, one point per step.  Where
-    it finds no maximum, :func:`zoom_max` refines p* over the two cells
-    around ``best`` instead, one call per round.
+    which settles x* or refines it to ``tol``, one point per step.  Each
+    step follows the arrival from that of the nearest point whose arrival
+    is known, and takes the full path, then the slope at its t*, only where
+    the arrival cannot be followed.  A refined x* whose arrival
+    was followed then takes the full path too; where that finds another
+    arrival (t* apart by more than ``evaluate.t_tol``), the refine is redone
+    on the full path alone.  Where the slopes find no maximum,
+    :func:`zoom_max` refines p* over the two cells around ``best`` instead,
+    one call per round.
 
-    Every first arrival goes through one local recorder, the only caller of
-    ``evaluate(xs)``: it counts the points and maps each x to its (p*, t*),
-    a later evaluation of the same x overwriting the earlier one.  x*, p*
-    and t* are Python floats of one evaluated point, ``on_boundary`` says
-    whether x* is the first or last point of the last grid, and
-    ``n_evals`` counts every point whose first arrival was evaluated.
+    Every full first arrival goes through one local recorder, the only
+    caller of ``evaluate(xs)``: it counts the points and maps each x to its
+    (p*, t*), a later evaluation of the same x overwriting the earlier one.
+    x*, p* and t* are Python floats of one point evaluated on the full
+    path, ``on_boundary`` says whether x* is the first or last point of the
+    last grid, and ``n_evals`` counts every point whose first arrival was
+    evaluated on the full path (followed steps are not counted).
     """
     seen = {}
+    followed = {}  # t* of each refine point whose arrival was followed
     n_evals = 0
 
     def arrivals(xs):
@@ -89,6 +102,19 @@ def scan_and_refine(evaluate, grid: np.ndarray, tol: float, widen=None):
         seen.update(zip(np.asarray(xs).tolist(), zip(p_star.tolist(), t_star.tolist())))
         return t_star, p_star
 
+    def full_step(x):
+        t_star, _ = arrivals([x])
+        return float(evaluate([x], at=t_star)[0])
+
+    def followed_step(x):
+        start = min([*seen, *followed], key=lambda y: abs(y - x))
+        found = evaluate(x, near=seen[start][1] if start in seen else followed[start])
+        if found is None:
+            return full_step(x)
+        t_star, _, slope = found
+        followed[x] = t_star
+        return slope
+
     while grid is not None:
         t_grid, scores = arrivals(grid)
         ties = np.flatnonzero(scores >= scores.max())
@@ -97,14 +123,20 @@ def scan_and_refine(evaluate, grid: np.ndarray, tol: float, widen=None):
     pick = slice(max(best - 1, 0), best + 2)
     near = last[pick]
     slopes = evaluate(near, at=t_grid[pick])
-    x_star = _slope_root(arrivals, evaluate, near, slopes, min(best, 1), tol)
+    x_star = _slope_root(followed_step, near, slopes, min(best, 1), tol)
+    if x_star in followed:
+        # p* and t* come from the full path; another arrival there means a
+        # step followed a peak that is not the first arrival
+        t_star, _ = arrivals([x_star])
+        if abs(float(t_star[0]) - followed[x_star]) > evaluate.t_tol:
+            x_star = _slope_root(full_step, near, slopes, min(best, 1), tol)
     if x_star is None:
         zoomed, _ = zoom_max(lambda xs, _: arrivals(xs[0])[1][None, :], near[:1], near[-1:], tol)
         x_star = float(zoomed[0])
     return x_star, *seen[x_star], x_star in (last[0], last[-1]), n_evals
 
 
-def _slope_root(arrivals, evaluate, near: np.ndarray, slopes: np.ndarray, i: int,
+def _slope_root(step, near: np.ndarray, slopes: np.ndarray, i: int,
                 tol: float) -> float | None:
     """The maximum x* of p* next to sample ``near[i]``, the best of a grid,
     from the slopes dp*/dx at the samples ``near`` (it and its grid
@@ -115,14 +147,13 @@ def _slope_root(arrivals, evaluate, near: np.ndarray, slopes: np.ndarray, i: int
     the cell between ``near[i]`` and the neighbour its slope points to must
     show the opposite slope (None if not), and secant steps on the slope
     through the two latest points, bisecting the bracket whenever a step
-    leaves it, refine x* inside it; each point takes ``arrivals([x])`` for
-    its first arrival and then ``evaluate([x], at=t)`` for its slope there.
-    Stops at a zero slope, once the bracket is within 2 ``tol``, or when
-    the next secant step would move x by at most ``tol`` / 10: the secant
-    converges superlinearly, so that step estimates the error of the latest
-    point, which is x*.  (Stopping at a step of ``tol`` saves 0.7
-    evaluations per optimum but costs p* up to 3e-13.)  None if a slope
-    inside the cell turns out not finite.
+    leaves it, refine x* inside it; each point x takes its slope from
+    ``step(x)``.  Stops at a zero slope, once the bracket is
+    within 2 ``tol``, or when the next secant step would move x by at most
+    ``tol`` / 10: the secant converges superlinearly, so that step
+    estimates the error of the latest point, which is x*.  (Stopping at a
+    step of ``tol`` saves 0.7 evaluations per optimum but costs p* up to
+    3e-13.)  None if a slope inside the cell turns out not finite.
     """
     if not np.isfinite(slopes).all():
         return None
@@ -142,8 +173,7 @@ def _slope_root(arrivals, evaluate, near: np.ndarray, slopes: np.ndarray, i: int
             x = 0.5 * (a + b)
         elif abs(x - x1) <= 0.1 * tol:
             break
-        t_star, _ = arrivals([x])
-        x0, f0, x1, f1 = x1, f1, x, float(evaluate([x], at=t_star)[0])
+        x0, f0, x1, f1 = x1, f1, x, step(x)
         if not math.isfinite(f1):
             return None
         if f1 > 0.0:

@@ -21,6 +21,7 @@ from bentchain import (
     __version__,
     design_layout,
     optimize_detuning,
+    parasitic_check,
     reference,
     spectrum_report,
     sweep_kappa,
@@ -1011,6 +1012,22 @@ class TestRunRecord:
         printed = float(re.search(rf" {key}=(\S+)", out).group(1))
         written = json.loads((run_dir / name).read_text())[key]
         assert math.isclose(printed, written, rel_tol=5e-6)
+
+    @pytest.mark.parametrize("length", ["10", "1e9"])
+    def test_design_summary_matches_layout(self, tmp_path, capsys, monkeypatch, length):
+        # fixed decimals printed omega0=0.00000/cm and a parasitic ratio of
+        # 0.0000 for a device of length 1e9
+        code, out, run_dir = _minimal_run(capsys, monkeypatch, tmp_path, "design",
+                                          "--L", length)
+        assert code == 0
+        layout = json.loads((run_dir / "layout.json").read_text())
+        printed = float(re.search(r" omega0=(\S+)/cm", out).group(1))
+        assert math.isclose(printed, layout["omega0_per_cm"], rel_tol=5e-6)
+        dev = DeviceParams(**layout["device"])
+        ratio = parasitic_check(design_layout(ChainSpec(Protocol.PROTOCOL_2, 9), dev),
+                                dev).max_ratio
+        printed = float(re.search(r"max parasitic ratio (\S+)", out).group(1))
+        assert ratio > 0.0 and math.isclose(printed, ratio, rel_tol=5e-6)
 
 
 def _float_options():

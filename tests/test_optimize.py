@@ -201,7 +201,8 @@ class TestAgainstDenseScan:
     def test_evaluations_on_default_interval(self, case):
         spec, ref, bend = case()
         res = optimize_detuning(spec, bend, ref)
-        # 64 coarse detunings, the slopes at three of them, then the refine
+        # N_COARSE coarse detunings, the slopes at three of them, then the
+        # refine, whose followed steps count no evaluation
         assert res.evaluations <= 80
 
 
@@ -273,13 +274,14 @@ EXPANDING_CURVE = [
     (-10.640741196350374, 0.9992780847563909, 0.9503506036658644, False),
     (-31.999998704069704, 0.9983155277088257, 0.9473153587325085, True),
 ]
-# the same, refined on the slope dp*/ddelta, with end weights from the
-# eigenvalues alone and each refine slope from its own eigh: the optimum at
-# the floor is the floor itself.  q_opt is p* over the closed-form p0 = 1.
+# the same, refined on the slope dp*/ddelta from coarse scans of N_COARSE
+# detunings, with end weights from the eigenvalues alone and each refine
+# step's arrival followed from a nearby one with its own eigh: the optimum
+# at the floor is the floor itself.  q_opt is p* over the closed-form p0 = 1.
 EXPANDING_CURVE_SLOPE = [
-    (-2.7520070295430843, 0.9968459802631856, 0.9579778120956259, False),
-    (-4.632924278276946, 0.9979381375677904, 0.9531964200419295, False),
-    (-10.640739080707162, 0.9992780847563891, 0.9503506030344123, False),
+    (-2.7520070145785556, 0.9968459802631885, 0.9579778120932585, False),
+    (-4.632924287526387, 0.9979381375677964, 0.953196420048248, False),
+    (-10.640739072585468, 0.9992780847563876, 0.9503506030319887, False),
     (EXPANSION_FLOOR, 0.9983155278099508, 0.9473153587902079, True),
 ]
 
@@ -358,9 +360,9 @@ class TestCurveExpansion:
     def test_evaluations_count_every_scan(self, traced_curve):
         curve, rows = traced_curve
         assert sum(res.evaluations for _, res in curve) == sum(rows)
-        # N_COARSE-row scans, then one-row refine calls; the slopes at the
-        # best detuning and its neighbours, and at each refine point, come
-        # without a scan
+        # N_COARSE-row scans, then the one-row call of a refined x*; the
+        # slopes at the best detuning and its neighbours, and the followed
+        # arrivals and slopes of the refine steps, come without a scan
         pattern = "".join("S" if n == N_COARSE else "r" for n in rows)
         assert set(rows) <= {N_COARSE, 1}
         assert re.fullmatch(f"(S+r*){{{len(curve)}}}", pattern)
@@ -399,19 +401,20 @@ def _scan_blocks(rows: int) -> str:
 
 def test_coarse_rows_skip_eigh(monkeypatch):
     """The coarse scans take eigenvalues and end weights only: eigh sees
-    the three rows of the slope step, which runs no scan, and then each
-    one-row refine call, after its scan."""
+    the three rows of the slope step, which runs no scan, and then one row
+    per refine step, whose arrival is followed with no scan; x* alone then
+    takes a one-row scan."""
     spec = _p2(13)
     ref = reference(spec)
     events = _spy_eigh_and_scan(monkeypatch)
     res = optimize_detuning(spec, BendSpec(alpha=7, kappa=0.5), ref)
     # the coarse detunings in blocks of BLOCK_ROWS
-    assert re.fullmatch(rf"{_scan_blocks(N_COARSE)} E3( S1 E1)+", " ".join(events))
-    assert res.evaluations == N_COARSE + events.count("S1")
+    assert re.fullmatch(rf"{_scan_blocks(N_COARSE)} E3( E1)+ S1", " ".join(events))
+    assert res.evaluations == N_COARSE + 1
     events.clear()
     calibrate_protocol1(13)
     ratios = round(1.0 / DEFAULT_RATIO_GRID_STEP)  # (0, 1] in steps of the default
-    assert re.fullmatch(rf"{_scan_blocks(ratios)} E3( S1 E1)+", " ".join(events))
+    assert re.fullmatch(rf"{_scan_blocks(ratios)} E3( E1)+ S1", " ".join(events))
 
 
 def test_physical_chains_never_zoom(monkeypatch):

@@ -119,7 +119,7 @@ def test_kernel_bench_imports(tmp_path):
     trace = bentchain.evolve(ham, bench.WINDOW, 128)
     product = layers["gemm"]().view(complex)[:, :128].T
     np.testing.assert_allclose(product, trace.amplitudes, rtol=0, atol=1e-12)
-    # the count's spy stands in for first_arrivals, so it must take the
-    # same arguments
-    one_row, points = bench.refine_evaluations("fig5", tmp_path)
-    assert one_row > 0 and points == 0  # fig5 writes spectra, not optima
+    # the count's spies stand in for first_arrivals and the followed step,
+    # so they must take the same arguments
+    one_row, followed, points = bench.refine_evaluations("fig5", tmp_path)
+    assert one_row > 0 and followed > 0 and points == 0  # fig5 writes spectra, not optima

@@ -14,10 +14,13 @@ from bentchain import (
     evolve,
     first_arrivals,
     omega_max,
+    reference,
 )
 from bentchain import propagate
 from bentchain.chain import hamiltonian_matrix
+from bentchain.optimize import DEFAULT_INTERVAL, DELTA_TOL, N_COARSE
 from bentchain.propagate import BLOCK_ROWS
+from bentchain.search import scan_and_refine
 from dense_reference import first_arrival_dense, rk4_site_probs
 
 
@@ -675,3 +678,95 @@ class TestFlatTopFallback:
         # every row of the block is its one-row call, bit for bit
         for i, ((t_one,), (p_one,)) in enumerate(one):
             assert (t[i], p[i]) == (t_one, p_one)
+
+
+# P2, N = 9, bent by 0.4 at site 5, over three unbent arrival times: the
+# first arrival is at t = 1.5600, and from T_SHOULDER, on its rising
+# shoulder where p'' < 0, plain Newton steps on p' jump to t = 3.26 and
+# converge on the second peak, t = 3.1286
+T_SHOULDER = 1.3148
+
+
+def _shoulder_chain():
+    h, e = _corner(p2(9), 5, 0.4, 0.0)
+    return h, e, 1.5 * math.pi
+
+
+class TestFollowedArrivals:
+    """The followed form ``evaluate(x, near=t)`` of the objective, one eigh
+    and Newton steps from a nearby arrival, against the full path."""
+
+    def test_agrees_with_the_full_path(self):
+        # random bent chains, detuned at x and followed from the full
+        # arrival of a point up to one coarse cell of the optimizer away
+        rng = np.random.default_rng(22)
+        spacing = (DEFAULT_INTERVAL[1] - DEFAULT_INTERVAL[0]) / (N_COARSE - 1)
+        followed = 0
+        for _ in range(60):
+            n = int(rng.integers(5, 30))
+            if rng.random() < 0.5:
+                spec = ChainSpec(Protocol.PROTOCOL_1, n,
+                                 boundary_ratio=float(rng.uniform(0.3, 1.0)))
+            else:
+                spec = p2(n)
+            alpha, kappa = int(rng.integers(2, n)), float(rng.uniform(0.0, 1.0))
+            window = reference(spec).t0
+            evaluate = propagate._objective(*_corner(spec, alpha, kappa, 0.0), window)
+            x = float(rng.uniform(*DEFAULT_INTERVAL))
+            (t,), (p,) = evaluate([x])
+            (t_near,), _ = evaluate([x + spacing * float(rng.uniform(-1.0, 1.0))])
+            found = evaluate(x, near=float(t_near))
+            if found is None:  # the window end, or too far to follow
+                continue
+            followed += 1
+            assert abs(found[0] - t) <= propagate.REL_TOL * window
+            assert abs(found[1] - p) <= 1e-13
+            assert abs(found[2] - evaluate([x], at=np.array([t]))[0]) <= 1e-9
+        assert followed >= 45
+
+    def test_newton_jump_to_another_peak_falls_back(self):
+        h, e, window = _shoulder_chain()
+        (t_first,), _ = first_arrivals([h], window)
+        # plain Newton from the shoulder ends on the second peak
+        lam, vec = np.linalg.eigh(h[None])
+        _, ilam, moments = propagate._centred_sums(lam, vec[:, 0, :] * vec[:, -1, :])
+        t = T_SHOULDER
+        for _ in range(50):
+            s0, s1, s2 = propagate._spectral_sums(ilam, moments, np.array([[t]]))[0, 0]
+            t -= (s0.conjugate() * s1).imag / (abs(s1) ** 2 - (s0.conjugate() * s2).real)
+        assert abs(t_first - 1.5600) < 1e-4 and abs(t - 3.1286) < 1e-4
+        evaluate = propagate._objective(h, e, window)
+        assert evaluate(0.0, near=T_SHOULDER) is None
+
+    def test_refine_from_the_shoulder_gets_the_full_answer(self):
+        # every refine step of an optimization starts from T_SHOULDER: none
+        # is followed, and x* is that of a refine on the full path alone
+        evaluate = propagate._objective(*_shoulder_chain())
+        found = []
+
+        def from_the_shoulder(xs, at=None, near=None):
+            if near is None:
+                return evaluate(xs, at=at)
+            found.append(evaluate(xs, near=T_SHOULDER))
+            return found[-1]
+
+        def full_only(xs, at=None, near=None):
+            return None if near is not None else evaluate(xs, at=at)
+
+        from_the_shoulder.t_tol = full_only.t_tol = evaluate.t_tol
+        grid = np.linspace(*DEFAULT_INTERVAL, N_COARSE)
+        result = scan_and_refine(from_the_shoulder, grid, DELTA_TOL)
+        assert result == scan_and_refine(full_only, grid, DELTA_TOL)
+        assert found and all(f is None for f in found)
+        assert not result[3]  # an interior optimum, refined
+
+    def test_window_end_and_flat_start_fall_back(self):
+        h, e, window = _shoulder_chain()
+        evaluate = propagate._objective(h, e, window)
+        # the arrival at the window end is not a peak to follow
+        assert evaluate(0.0, near=window) is None
+        # p'' > 0 at a minimum of p between the first two peaks
+        t = np.linspace(1.6, 3.1, 3001)
+        lam, vec = np.linalg.eigh(h)
+        amp = (vec[0] * vec[-1] * np.exp(-1j * np.outer(t, lam))).sum(axis=1)
+        assert evaluate(0.0, near=float(t[np.argmin(abs(amp))])) is None

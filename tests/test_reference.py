@@ -177,10 +177,11 @@ class TestCalibration:
     def test_pinned_default_grid(self, n, ratio, p0, t0):
         ref = calibrate_protocol1(n)
         # the refine on the slope dp0/dratio, with end weights from the
-        # eigenvalues alone and each refine slope from its own eigh
+        # eigenvalues alone and each refine step's arrival followed from a
+        # nearby one with its own eigh
         assert (ref.boundary_ratio, ref.p0, ref.t0) == {
             13: (0.6974776943806184, 0.968291594742967, 8.58380741857772),
-            21: (0.6438796281464666, 0.9455557122850107, 13.038755657199554),
+            21: (0.6438796281464675, 0.945555712285017, 13.038755657199552),
         }[n]
         assert abs(ref.boundary_ratio - ratio) <= RATIO_TOL
         assert ref.p0 >= p0 - 1e-12 and math.isclose(ref.t0, t0, rel_tol=1e-6)

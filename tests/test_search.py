@@ -101,14 +101,27 @@ class TestZoomMax:
             assert (x[i], fx[i]) == (x_one[0], fx_one[0])
 
 
-def batch(p, dp):
+def batch(p, dp, follow=lambda x: 2.0 * x):
     """An evaluate callable on the objective p with slope dp: (t*, p*) per
-    point with t* = 2 x, and dp alone when given the points' t* (``at``);
-    and the list of its calls: the row count of a first-arrival call,
-    (row count, "at") of a slope call."""
+    point with t* = 2 x; dp alone when given the points' t* (``at``); and
+    (t*, p*, dp) of one point followed from a known arrival (``near``),
+    with t* = ``follow(x)``, or None where that is None; and the list of
+    its calls: the row count of a first-arrival call, (row count, "at") of
+    a slope call and (1, "near") of a followed one."""
     calls = []
+    known = {}  # the t* found for each point
 
-    def evaluate(xs, at=None):
+    def evaluate(xs, at=None, near=None):
+        if near is not None:
+            # followed from the arrival of a nearest point evaluated
+            gap = min(abs(x - xs) for x in known)
+            assert near in [t for x, t in known.items() if abs(x - xs) == gap]
+            calls.append((1, "near"))
+            t = follow(xs)
+            if t is None:
+                return None
+            known[xs] = t
+            return t, p(xs), dp(xs)
         xs = np.asarray(list(xs), dtype=float)
         if at is not None:
             # the slopes are taken at the t* an earlier call found
@@ -116,22 +129,26 @@ def batch(p, dp):
             calls.append((xs.size, "at"))
             return np.array([dp(x) for x in xs])
         calls.append(xs.size)
+        known.update(zip(xs.tolist(), (2.0 * xs).tolist()))
         return 2.0 * xs, np.array([p(x) for x in xs])
 
+    evaluate.t_tol = 1e-12
     return evaluate, calls
 
 
 def evaluated(calls):
-    """The points whose first arrival a list of calls evaluated: every
-    call but the slopes at known arrivals."""
+    """The points whose first arrival a list of calls evaluated on the full
+    path: every call but the slopes at known arrivals and the followed
+    arrivals."""
     return sum(call for call in calls if type(call) is int)
 
 
 def refine_steps(calls):
     """The number of slope-refine steps in a list of calls, asserting that
-    each is a one-point first arrival followed by its slope."""
-    assert calls == [1, (1, "at")] * (len(calls) // 2)
-    return len(calls) // 2
+    each followed its arrival from a known one and that the last point, x*,
+    then took the full path."""
+    assert calls == [(1, "near")] * (len(calls) - 1) + [1]
+    return len(calls) - 1
 
 
 class TestScanAndRefine:
@@ -143,8 +160,8 @@ class TestScanAndRefine:
         assert (p, t) == (1.0 - (x - 0.23) ** 2, 2.0 * x)
         assert all(type(v) is float for v in (x, p, t))
         # the scan, the slopes at the best sample and its neighbours at
-        # their scanned t*, then one point per refine step: a secant step on
-        # a linear slope is exact
+        # their scanned t*, then one followed point per refine step (a
+        # secant step on a linear slope is exact) and x* on the full path
         assert calls[:2] == [11, (3, "at")] and 1 <= refine_steps(calls[2:]) <= 2
         assert n == evaluated(calls)
 
@@ -200,7 +217,8 @@ class TestScanAndRefine:
             x, _, _, _, n = scan_and_refine(evaluate, np.linspace(-1.0, 1.0, 9), tol)
             assert abs(x - x_true) <= tol
             steps = refine_steps(calls[2:])
-            assert 1 <= steps <= 5 and n == 9 + steps
+            # the steps are followed: only x* adds a full evaluation
+            assert 1 <= steps <= 5 and n == 9 + 1
 
     def test_jump_falls_back_to_zoom(self):
         # p* rises on both sides of a drop at x = 0.45: no slope changes
@@ -235,8 +253,8 @@ class TestScanAndRefine:
         evaluate, calls = batch(lambda x: 1.0 - (x - 0.23) ** 2, dp)
         x, _, _, _, n = scan_and_refine(evaluate, np.linspace(0.0, 1.0, 11), 1e-8)
         assert abs(x - 0.23) <= 2e-8
-        assert calls[:4] == [11, (3, "at"), 1, (1, "at")]
-        assert set(calls[4:]) == {ZOOM_POINTS}
+        assert calls[:3] == [11, (3, "at"), (1, "near")]
+        assert set(calls[3:]) == {ZOOM_POINTS}
         assert n == evaluated(calls)
 
     def test_widen_rescans_then_refines_once(self):
@@ -257,3 +275,32 @@ class TestScanAndRefine:
         assert calls[:5] == [5] * 4 + [(3, "at")]
         assert refine_steps(calls[5:]) >= 1
         assert n == evaluated(calls)
+
+    def test_unfollowed_step_takes_the_full_path(self):
+        evaluate, calls = batch(lambda x: 1.0 - (x - 0.23) ** 2, lambda x: -2.0 * (x - 0.23),
+                                follow=lambda x: None)
+        x, p, t, _, n = scan_and_refine(evaluate, np.linspace(0.0, 1.0, 11), 1e-8)
+        assert abs(x - 0.23) <= 2e-8 and (p, t) == (1.0 - (x - 0.23) ** 2, 2.0 * x)
+        # each step tries to follow, then takes a full first arrival and its
+        # slope there; x* is one of those points, so it needs no extra call
+        steps = calls[2:]
+        assert steps == [(1, "near"), 1, (1, "at")] * (len(steps) // 3) and len(steps) >= 3
+        assert n == 11 + len(steps) // 3
+
+    def test_another_arrival_at_x_star_redoes_the_refine(self):
+        # the followed arrivals sit 1 later than the full path's first
+        # arrival, so the full check of x* disagrees
+        p, dp = (lambda x: 1.0 - (x - 0.23) ** 2), (lambda x: -2.0 * (x - 0.23))
+        evaluate, calls = batch(p, dp, follow=lambda x: 2.0 * x + 1.0)
+        x, px, t, _, n = scan_and_refine(evaluate, np.linspace(0.0, 1.0, 11), 1e-8)
+        full, full_calls = batch(p, dp, follow=lambda x: None)
+        assert (x, px, t) == scan_and_refine(full, np.linspace(0.0, 1.0, 11), 1e-8)[:3]
+        assert (px, t) == (p(x), 2.0 * x)
+        # the followed refine and x* on the full path, then the refine again
+        # with a full first arrival and a slope per step
+        followed = calls.index(1, 2) - 2
+        redo = calls[3 + followed:]
+        assert calls[2:3 + followed] == [(1, "near")] * followed + [1]
+        assert redo == [1, (1, "at")] * (len(redo) // 2)
+        assert redo == [call for call in full_calls[2:] if call != (1, "near")]
+        assert n == evaluated(calls) == 11 + 1 + len(redo) // 2
