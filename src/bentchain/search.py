@@ -152,7 +152,7 @@ def _slope_root(step, near: np.ndarray, slopes: np.ndarray, i: int,
     within 2 ``tol``, or when the next secant step would move x by at most
     ``tol`` / 10: the secant converges superlinearly, so that step
     estimates the error of the latest point, which is x*.  (Stopping at a
-    step of ``tol`` saves 0.7 evaluations per optimum but costs p* up to
+    step of ``tol`` saves 0.7 refine steps per optimum but costs p* up to
     3e-13.)  None if a slope inside the cell turns out not finite.
     """
     if not np.isfinite(slopes).all():
