@@ -34,8 +34,10 @@ Detuning curve: ``detuning_curve`` over kappa = 0, 0.1, ..., 1 (N = 13,
 alpha = 7), warm-started scans widened at the edge plus one refine per
 point, in ms and evaluations per optimized point.
 
-Protocol 1 calibration: ``calibrate_protocol1`` over the default 100-point
-ratio grid (N = 13, 21).
+Protocol 1 calibration: ``calibrate_protocol1`` over the default 20-point
+ratio grid (N = 13, 21, 25), with the full first arrivals (the coarse
+ratios and the refined one) and the followed refine steps of one
+calibration (counts; run once).
 
 Refine evaluations: per optimized point of ``figure fig2`` and
 ``figure fig4``, the one-row ``first_arrivals`` calls (refined optima and
@@ -173,23 +175,23 @@ def blas_threads():
     return None
 
 
-def refine_evaluations(figure, out):
-    """One-row first_arrivals calls and followed refine steps of
-    ``bentchain figure <figure>`` (one process), and the optimized points in
-    its files."""
-    one_row = followed = 0
+@contextlib.contextmanager
+def counted_arrivals():
+    """While active, count bentchain's ``first_arrivals`` calls on one row
+    (``one_row``), the matrices all its calls scan (``rows``, the full
+    first arrivals) and the refine steps that were followed (``followed``)."""
+    counts = {"one_row": 0, "rows": 0, "followed": 0}
     follow = propagate._follow
 
     def counting(matrices, window):
-        nonlocal one_row
         matrices = list(matrices)
-        one_row += len(matrices) == 1
+        counts["one_row"] += len(matrices) == 1
+        counts["rows"] += len(matrices)
         return first_arrivals(matrices, window)
 
     def following(*args):
-        nonlocal followed
         found = follow(*args)
-        followed += found is not None
+        counts["followed"] += found is not None
         return found
 
     bound = [module for name, module in sys.modules.items() if name.startswith("bentchain")
@@ -198,18 +200,25 @@ def refine_evaluations(figure, out):
         module.first_arrivals = counting
     propagate._follow = following
     try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["figure", figure, "--jobs", "1", "--out", str(out)])
+        yield counts
     finally:
         for module in bound:
             module.first_arrivals = first_arrivals
         propagate._follow = follow
+
+
+def refine_evaluations(figure, out):
+    """One-row first_arrivals calls and followed refine steps of
+    ``bentchain figure <figure>`` (one process), and the optimized points in
+    its files."""
+    with counted_arrivals() as counts, contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["figure", figure, "--jobs", "1", "--out", str(out)])
     assert code == 0
     points = 0
     for path in (Path(out) / "figure" / figure).glob("*.csv"):
         with open(path, newline="") as fh:
             points += sum(1 for row in csv.DictReader(fh) if row.get("delta_opt"))
-    return one_row, followed, points
+    return counts["one_row"], counts["followed"], points
 
 
 def main(argv=None):
@@ -284,12 +293,19 @@ def main(argv=None):
         f"{evaluations / points:.1f} evaluations per point over {points} kappas, "
         f"delta*(1)={curve[-1][1].delta_star:.9f}"
     )
-    for n in (13, 21):
+    for n in (13, 21, 25):
         median, q1, q3, ref = time_call(
             rows, f"calibrate N={n}", lambda: calibrate_protocol1(n), 3)
+        with counted_arrivals() as counts:
+            calibrate_protocol1(n)
+        for label, unit, count in (("full", "full first arrivals", counts["rows"]),
+                                   ("followed", "followed refine steps", counts["followed"])):
+            record(rows, f"calibrate N={n} {label}", f"{unit} per calibration",
+                   count, count, count, 1)
         print(
             f"calibrate     N={n:3d}: {median:.3f} ms per calibration "
-            f"(quartiles {q1:.3f}-{q3:.3f}), ratio={ref.boundary_ratio:.9f} "
+            f"(quartiles {q1:.3f}-{q3:.3f}), {counts['rows']} full first arrivals and "
+            f"{counts['followed']} followed steps, ratio={ref.boundary_ratio:.9f} "
             f"p0={ref.p0:.9f}"
         )
     for n in (60, 120, 200):

@@ -20,7 +20,7 @@ from .propagate import _objective, first_arrivals
 from .search import scan_and_refine
 
 DEFAULT_REFERENCE_WINDOW = 40.0  # in units of 1/omega0
-DEFAULT_RATIO_GRID_STEP = 1e-2
+DEFAULT_RATIO_GRID_STEP = 0.05
 RATIO_TOL = 1e-6  # refine tolerance of the calibrated boundary ratio
 
 
@@ -136,8 +136,10 @@ def calibrate_protocol1(
     The objective is p0(ratio) of H1 + ratio E, with E = dH/dratio =
     omega0 on the four boundary-coupling entries and H1 the uniform chain
     without them (:func:`propagate._objective`).  Scans the grid (default
-    0.01 resolution on (0, 1]) as one batch of :func:`first_arrivals` (one
-    stacked ``eigvalsh`` and one scan per block; the end weights need no
+    the 20 ratios 0.05, 0.10, ..., 1 of ``DEFAULT_RATIO_GRID_STEP``; a
+    finer ``ratio_grid`` moves the refined ratio by less than ``RATIO_TOL``
+    for N = 4-200) as one batch of :func:`first_arrivals` (one stacked
+    ``eigvalsh`` and one scan per block; the end weights need no
     eigenvectors).  Ties break toward the smaller ratio.  Then the slope
     dp0/dratio at the best grid ratio and its neighbours, at the arrival
     times of the scan (one ``eigh`` of at most three rows), brackets the
@@ -145,10 +147,10 @@ def calibrate_protocol1(
     the optimizer does (:func:`search.scan_and_refine`): each step follows
     the arrival from a nearby ratio's with one ``eigh`` and no scan, and
     the refined ratio takes one full first arrival, which gives p0 and t0.
-    The default
-    window (:func:`default_calibration_window`) raises FloatingPointError
-    when a tiny omega0 sends it to infinity; a given window that is not
-    finite and positive raises ValueError.
+    A grid that is empty, leaves (0, 1] or repeats a ratio raises
+    ValueError.  The default window (:func:`default_calibration_window`)
+    raises FloatingPointError when a tiny omega0 sends it to infinity; a
+    given window that is not finite and positive raises ValueError.
     """
     if n_sites < 4:
         raise ValueError(f"calibration needs n_sites >= 4, got {n_sites}")
@@ -157,17 +159,18 @@ def calibrate_protocol1(
     )
     if ratio_grid is None:
         ratio_grid = np.arange(DEFAULT_RATIO_GRID_STEP, 1.0 + 1e-12, DEFAULT_RATIO_GRID_STEP)
-    ratio_grid = np.asarray(ratio_grid, dtype=float)
-    if ratio_grid.size == 0:
+    grid = np.sort(np.asarray(ratio_grid, dtype=float))
+    if grid.size == 0:
         raise ValueError("ratio grid is empty")
-    if not np.all((ratio_grid > 0) & (ratio_grid <= 1)):  # NaN fails too
+    if not np.all((grid > 0) & (grid <= 1)):  # NaN fails too
         raise ValueError("ratio grid must lie within (0, 1]")
+    if np.unique(grid).size < grid.size:
+        raise ValueError(f"repeated ratio in the calibration grid: {grid.tolist()}")
     if window is None:
         window = default_calibration_window(n_sites, omega0)
 
     direction = np.zeros_like(base)  # dH/dratio
     direction[0, 1] = direction[1, 0] = direction[-2, -1] = direction[-1, -2] = omega0
-    grid = np.sort(ratio_grid)
     best_ratio, p0, t0, on_boundary, _ = scan_and_refine(
         _objective(base - direction, direction, window), grid, RATIO_TOL)
     if grid.size > 1 and on_boundary:

@@ -343,7 +343,7 @@ class TestCommands:
         # calibrate records omega0 and the window and grid it ran with,
         # defaults included; fit records the cut of a linear fit only
         for flags, resolved in (
-            (("--omega0", "2"), (2.0, 4.0, "0.01:0.01:1")),  # window max(0.8 N, 8) / omega0
+            (("--omega0", "2"), (2.0, 4.0, "0.05:0.05:1")),  # window max(0.8 N, 8) / omega0
             (("--window", "6.5", "--grid", "0.1:0.1:1"), (1.0, 6.5, "0.1:0.1:1")),
         ):
             code, _, _ = run(capsys, "calibrate", "--n", "9", *flags, "--out", str(tmp_path))
@@ -718,6 +718,7 @@ class TestErrors:
         ["sweep-alpha", "--protocol", "2", "--n", "9", "--kappa", "0.4", "--alpha-range", "2,2"],
         ["sweep-alpha", "--protocol", "2", "--n", "9", "--kappa", "0.4", "--alpha-range", "3,2,3"],
         ["curve", "--protocol", "2", "--n", "9", "--alpha", "5", "--grid", "0.5,0.5"],
+        ["calibrate", "--n", "13", "--grid", "0.7,0.7"],
     ])
     def test_repeated_sweep_value_is_usage_error(self, tmp_path, capsys, argv):
         code, out, err = run(capsys, *argv, "--out", str(tmp_path))

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bentchain import (
     BendSpec,
@@ -143,6 +144,34 @@ class TestOptimizeDetuning:
         for value, value_1 in ((bent.q, bent_1.q), (bent.s, bent_1.s),
                                (opt.q_opt, opt_1.q_opt), (opt.s_opt, opt_1.s_opt)):
             assert math.isclose(value, value_1, rel_tol=1e-12)
+
+    @settings(max_examples=24, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(9, 25),
+        protocol=st.sampled_from(Protocol),
+        corner=st.floats(0.0, 1.0),
+        kappa=st.floats(0.0, 1.0),
+        k=st.integers(-300, 300),
+    )
+    def test_omega0_power_of_two_scaling_property(self, n, protocol, corner, kappa, k):
+        # omega0 * 2**k scales every matrix and window by an exact power of
+        # two, which the scan divides out again: the calibrated ratio, p0,
+        # q, s and the optimum are bit-identical, and times scale exactly
+        def results(omega0):
+            if protocol is Protocol.PROTOCOL_1:
+                ref = calibrate_protocol1(n, omega0=omega0)
+                spec = ChainSpec(protocol, n, omega0=omega0, boundary_ratio=ref.boundary_ratio)
+            else:
+                spec = ChainSpec(protocol, n, omega0=omega0)
+                ref = reference(spec)
+            bend = BendSpec(alpha=2 + min(int(corner * (n - 2)), n - 3), kappa=kappa)
+            return ref, transfer_metrics(spec, bend, ref), optimize_detuning(spec, bend, ref)
+
+        scale = math.ldexp(1.0, k)
+        (ref, bent, opt), (ref_1, bent_1, opt_1) = results(scale), results(1.0)
+        assert ref == replace(ref_1, t0=ref_1.t0 / scale, omega0=scale)
+        assert bent == replace(bent_1, t=bent_1.t / scale)
+        assert opt == replace(opt_1, delta_energy=opt_1.delta_energy * scale)
 
     def test_deterministic(self):
         spec = _p2(11)

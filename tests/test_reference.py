@@ -145,6 +145,9 @@ class TestCalibration:
             calibrate_protocol1(6, ratio_grid=np.array([]))
         with pytest.raises(ValueError):
             calibrate_protocol1(6, ratio_grid=np.array([0.0, 0.5]))
+        # the refine needs distinct grid ratios
+        with pytest.raises(ValueError, match="repeated ratio"):
+            calibrate_protocol1(6, ratio_grid=np.array([0.6, 0.7, 0.6]))
 
     @pytest.mark.parametrize("omega0", [0.0, -1.0, math.nan])
     def test_rejects_bad_omega0(self, omega0):
@@ -178,13 +181,24 @@ class TestCalibration:
         ref = calibrate_protocol1(n)
         # the refine on the slope dp0/dratio, with end weights from the
         # eigenvalues alone and each refine step's arrival followed from a
-        # nearby one with its own eigh
+        # nearby one with its own eigh, from the 20-ratio default grid
         assert (ref.boundary_ratio, ref.p0, ref.t0) == {
-            13: (0.6974776943806184, 0.968291594742967, 8.58380741857772),
-            21: (0.6438796281464675, 0.945555712285017, 13.038755657199552),
+            13: (0.6974776945325221, 0.968291594742965, 8.583807418035166),
+            21: (0.6438796310695525, 0.9455557122850211, 13.038755645168342),
         }[n]
         assert abs(ref.boundary_ratio - ratio) <= RATIO_TOL
         assert ref.p0 >= p0 - 1e-12 and math.isclose(ref.t0, t0, rel_tol=1e-6)
+
+    def test_default_grid_matches_a_fine_grid(self):
+        # the 20 default ratios put the optimum in the same cell as the 100
+        # of a 0.01 grid: the refined ratio agrees within RATIO_TOL
+        fine_grid = np.arange(0.01, 1.0 + 1e-12, 0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no boundary warning
+            for n in range(4, 26):
+                ref, fine = calibrate_protocol1(n), calibrate_protocol1(n, ratio_grid=fine_grid)
+                assert abs(ref.boundary_ratio - fine.boundary_ratio) <= RATIO_TOL, n
+                assert ref.p0 >= fine.p0 - 1e-12, n
 
     def test_interior_optimum_from_an_end_sample_does_not_warn(self):
         # the best grid ratio is the last one, 0.4, but the refined optimum
