@@ -21,10 +21,12 @@ as ``first_arrivals`` takes them.
 
 Amplitude trace: ``evolve``, every site amplitude on 4096 steps over the
 window (N = 60, 120, 200), the full propagator of the unitarity and RK4
-acceptance checks (no CLI command calls it), and its layers: the ``eigh``
-that builds the Hamiltonian before it, the phase tables with their
-site-major broadcast, and the real GEMM of the eigenvectors with the
-phases.
+acceptance checks (no CLI command calls it), with its tracemalloc peak in
+MB (of 2^20 bytes, as perfbench's peak_rss_mb), and its layers: the
+``eigh`` that builds the Hamiltonian before it, the two phase tables, the
+site-major broadcast of one block of outer-table rows, and the blocked
+product: the real GEMMs of the eigenvectors with every block's phases,
+each written into its columns of the result.
 
 Detuning optimizer: ``optimize_detuning`` on the default interval, the
 16-detuning batched coarse scan plus the slope refine, with its evaluations
@@ -61,7 +63,8 @@ optimizer tunes the detuning of the same bend itself.
 Run:  python3 benchmarks/kernel_bench.py [--json PATH]
 
 With ``--json PATH`` it also writes every row (median, quartiles and the
-repeat count; counts as a single value) with the python and numpy versions
+repeat count; counts as a single value; ``peak_mb`` on the ``evolve N=``
+rows) with the python and numpy versions
 and the BLAS thread count to PATH.
 """
 
@@ -77,6 +80,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -138,20 +142,35 @@ def time_call(rows, row, call, per_repeat, points=1, unit="ms"):
 
 def evolve_layers(ham, t_end, n_steps):
     """The layers of ``evolve`` on ``n_steps`` points of [0, t_end] as
-    callables: the ``eigh`` of the Hamiltonian, the phase tables with their
-    site-major broadcast, and the real GEMM of the eigenvectors with a float
-    view of those phases."""
+    callables: the ``eigh`` of the Hamiltonian, the phase tables, the
+    site-major broadcast of the first block of outer-table rows (the block
+    size ``evolve`` takes from ``propagate.PHASE_BLOCK_BYTES``), and the
+    blocked product: the real GEMM of the eigenvectors with a float view of
+    each block's phases, broadcast beforehand, into that block's columns of
+    the site-major result (returned as its float view)."""
     vec = ham.eigenvectors
+    _, outer, inner = _phase_tables(ham.eigenvalues, t_end, n_steps)
+    n, m1, m2 = vec.shape[0], len(outer), len(inner)
+    rows = min(m1, max(1, propagate.PHASE_BLOCK_BYTES // (16 * n * m2)))
+    weights, steps = (outer * vec[0]).T[:, :, None], inner.T[:, None, :]
+    starts = range(0, m1, rows)
+    blocks = [np.multiply(weights[:, j : j + rows], steps, order="C") for j in starts]
+    product = np.empty((n, 2 * m1 * m2))
 
-    def phases():
-        _, outer, inner = _phase_tables(ham.eigenvalues, t_end, n_steps)
-        return np.multiply((outer * vec[0]).T[:, :, None], inner.T[:, None, :], order="C")
+    def block():
+        return np.multiply(weights[:, :rows], steps, out=blocks[0])
 
-    flat = phases().reshape(vec.shape[0], -1).view(float)
+    def gemm():
+        for j, phases in zip(starts, blocks):
+            np.matmul(vec, phases.reshape(n, -1).view(float),
+                      out=product[:, 2 * j * m2 : 2 * (j + phases.shape[1]) * m2])
+        return product
+
     return {
         "eigh": lambda: np.linalg.eigh(ham.matrix),
-        "phases": phases,
-        "gemm": lambda: vec @ flat,
+        "tables": lambda: _phase_tables(ham.eigenvalues, t_end, n_steps),
+        "block": block,
+        "gemm": gemm,
     }
 
 
@@ -312,10 +331,17 @@ def main(argv=None):
         ham = bent_chain(n)
         median, q1, q3, trace = time_call(
             rows, f"evolve N={n}", lambda: evolve(ham, WINDOW, EVOLVE_STEPS), 10)
+        tracemalloc.start()
+        try:
+            trace = evolve(ham, WINDOW, EVOLVE_STEPS)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        rows[-1]["peak_mb"] = peak_mb
         print(
             f"evolve        N={n:3d}: {median:.3f} ms per trace "
             f"(quartiles {q1:.3f}-{q3:.3f}), {EVOLVE_STEPS} steps, "
-            f"p_end[-1]={trace.p_end[-1]:.9f}"
+            f"tracemalloc peak {peak_mb:.2f} MB, p_end[-1]={trace.p_end[-1]:.9f}"
         )
         for layer, call in evolve_layers(ham, WINDOW, EVOLVE_STEPS).items():
             median, q1, q3, _ = time_call(rows, f"evolve N={n} {layer}", call, 10)

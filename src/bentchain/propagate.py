@@ -50,6 +50,15 @@ MAX_REFINE_STEPS = 100
 # Newton steps of a followed arrival (:func:`_follow`); the refine steps of
 # the figures and of 300 random bends converged in at most 4
 MAX_FOLLOW_STEPS = 8
+# Scan cells on either side of its start within which a followed arrival's
+# Newton iterates must stay: a calibration's refine step can lie up to one
+# 0.05 ratio cell from the nearest known ratio, and its arrival then moves
+# by up to 2 cells
+FOLLOW_CELLS = 3
+# Bytes of the phases evolve builds and multiplies per block: about half of
+# a 2 MiB L2 cache, so that the GEMM reads a block the broadcast has just
+# written while it is still in cache.
+PHASE_BLOCK_BYTES = 2**20
 # Hamiltonians per stacked eigh and scan in first_arrivals.  Memory grows
 # with the block (its rows share the widest row's grid): blocks of 32 kept
 # the optimizer's peak RSS within 4% of a one-at-a-time scan, 64 cost 10%.
@@ -121,11 +130,14 @@ def evolve(ham: Hamiltonian, t_end: float, n_steps: int = DEFAULT_N_STEPS) -> Am
     [0, t_end] (endpoints included).
 
     The phases <v_k, e_1> e^{-i lam_k t} are built site-major, one row per
-    eigenvalue, from the tables of :func:`_phase_tables`, so the
-    product with the real eigenvectors is one real GEMM on their float view
-    (2 T N^2 multiply-adds, half those of a complex GEMM).  ``amplitudes``
-    is the (n_steps, N) transpose of that site-major (N, >= n_steps) array:
-    a view, not a C-ordered copy.
+    eigenvalue, from the tables of :func:`_phase_tables`, a block of whole
+    outer-table rows (at most ``PHASE_BLOCK_BYTES``, at least one row) at a
+    time into one reused buffer.  The product of each block with the real
+    eigenvectors is one real GEMM on their float views (2 T N^2 multiply-adds
+    in all, half those of a complex GEMM), written straight into that
+    block's columns of the site-major (N, >= n_steps) result, so the full
+    phase array is never held.  ``amplitudes`` is the (n_steps, N)
+    transpose of the result: a view, not a C-ordered copy.
     """
     if not math.isfinite(t_end) or t_end <= 0:
         raise ValueError(f"t_end must be finite and > 0, got {t_end}")
@@ -133,9 +145,21 @@ def evolve(ham: Hamiltonian, t_end: float, n_steps: int = DEFAULT_N_STEPS) -> Am
         raise ValueError(f"n_steps must be >= 100, got {n_steps}")
     times, outer, inner = _phase_tables(ham.eigenvalues, t_end, n_steps)
     vec = ham.eigenvectors
-    # phases[k, j1, j2] = <v_k, e_1> e^{-i lam_k t_{j1 m2 + j2}}
-    phases = np.multiply((outer * vec[0]).T[:, :, None], inner.T[:, None, :], order="C")
-    sites = (vec @ phases.reshape(vec.shape[0], -1).view(float)).view(complex)
+    n, m1, m2 = vec.shape[0], len(outer), len(inner)
+    rows = min(m1, max(1, PHASE_BLOCK_BYTES // (16 * n * m2)))
+    # weights[k, j1] = <v_k, e_1> e^{-i lam_k t_{j1 m2}}
+    weights, steps = (outer * vec[0]).T[:, :, None], inner.T[:, None, :]
+    buffer = np.empty(n * rows * m2, dtype=complex)
+    sites = np.empty((n, m1 * m2), dtype=complex)
+    product = sites.view(float)
+    for j in range(0, m1, rows):
+        b = min(rows, m1 - j)
+        # phases[k, j1, j2] = <v_k, e_1> e^{-i lam_k t_{(j + j1) m2 + j2}};
+        # the last block may be short, so it takes the head of the flat buffer
+        phases = buffer[: n * b * m2].reshape(n, b, m2)
+        np.multiply(weights[:, j : j + b], steps, out=phases)
+        np.matmul(vec, phases.reshape(n, -1).view(float),
+                  out=product[:, 2 * j * m2 : 2 * (j + b) * m2])
     amplitudes = sites[:, :n_steps].T
     p_end = np.abs(amplitudes[:, -1]) ** 2
     return AmplitudeTrace(times=times, amplitudes=amplitudes, p_end=p_end)
@@ -241,10 +265,10 @@ def _follow(matrix: np.ndarray, direction: np.ndarray, t_near: float,
     within ``REL_TOL`` * window; the slope comes from the same eigenvectors
     (:func:`_arrival_slopes`).  None, for the full path to take over, where
     ``t_near`` is the window end, where p'' >= 0 (or is not finite) at an
-    iterate, where an iterate leaves the scan cell on either side of
-    ``t_near`` (the grid spacing :func:`_scan` would use for H(x)'s own
-    bandwidth, within [0, window]), or where ``MAX_FOLLOW_STEPS`` steps do
-    not converge.  Only the first arrival's own peak passes these; the
+    iterate, where an iterate leaves the ``FOLLOW_CELLS`` scan cells on
+    either side of ``t_near`` (the grid spacing :func:`_scan` would use for
+    H(x)'s own bandwidth, within [0, window]), or where
+    ``MAX_FOLLOW_STEPS`` steps do not converge.  Only the first arrival's own peak passes these; the
     caller checks its last point on the full path.
     """
     if not t_near < window:
@@ -253,8 +277,8 @@ def _follow(matrix: np.ndarray, direction: np.ndarray, t_near: float,
     lam, vec = np.linalg.eigh(matrix[None] / scale)
     window, t = window * scale, t_near * scale
     needed = SAMPLES_PER_HALF_PERIOD * window * float(lam[0, -1] - lam[0, 0]) / math.pi
-    cell = window / max(MIN_GRID_POINTS, math.ceil(needed))
-    lo, hi = max(t - cell, 0.0), min(t + cell, window)
+    reach = FOLLOW_CELLS * window / max(MIN_GRID_POINTS, math.ceil(needed))
+    lo, hi = max(t - reach, 0.0), min(t + reach, window)
     _, ilam, moments = _centred_sums(lam, vec[:, 0, :] * vec[:, -1, :])
     tol = REL_TOL * window
     for _ in range(MAX_FOLLOW_STEPS):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bentchain import BendSpec, ChainSpec, Protocol, evolve, omega_max
+from bentchain import propagate
 from bentchain.chain import Hamiltonian, build_hamiltonian
 from bentchain.propagate import _end_curve, _phase_tables
 
@@ -92,14 +93,22 @@ class TestPhaseTables:
                                    times)
             np.testing.assert_allclose(row, direct, rtol=0, atol=1e-13)
 
-    # the tables cover more than T rows in every case but (200, 4096)
-    @pytest.mark.parametrize("build,t_end,n_steps", [
-        pytest.param(lambda: _bent_p2(2), math.pi / 2, 113, id="p2-2-113"),
-        pytest.param(lambda: _bent_p1(12), 15.0, 257, id="p1-12-257"),
-        pytest.param(lambda: _bent_p2(200), math.pi / 2, 4096, id="p2-200-4096"),
-        pytest.param(lambda: _bent_p2(200), math.pi / 2, 4097, id="p2-200-4097"),
+    # the tables cover more than T rows in every case but (200, 4096) and
+    # (60, 1024).  A block budget (bytes) below one outer row's 16 N isqrt(T)
+    # bytes, as at N > 1024 for T = 4096, gives one-row blocks; a budget of
+    # 4 of the 17 outer rows at (12, 257) leaves a last block of one row
+    @pytest.mark.parametrize("build,t_end,n_steps,budget", [
+        pytest.param(lambda: _bent_p2(2), math.pi / 2, 113, None, id="p2-2-113"),
+        pytest.param(lambda: _bent_p1(12), 15.0, 257, None, id="p1-12-257"),
+        pytest.param(lambda: _bent_p2(200), math.pi / 2, 4096, None, id="p2-200-4096"),
+        pytest.param(lambda: _bent_p2(200), math.pi / 2, 4097, None, id="p2-200-4097"),
+        pytest.param(lambda: _bent_p2(60), math.pi / 2, 1024, 1, id="p2-60-1024-one-row-blocks"),
+        pytest.param(lambda: _bent_p1(12), 15.0, 257, 4 * 16 * 12 * 16,
+                     id="p1-12-257-short-last-block"),
     ])
-    def test_evolve_matches_direct(self, build, t_end, n_steps):
+    def test_evolve_matches_direct(self, build, t_end, n_steps, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(propagate, "PHASE_BLOCK_BYTES", budget)
         ham = build()
         trace = evolve(ham, t_end, n_steps)
         assert np.array_equal(trace.times, np.linspace(0.0, t_end, n_steps))
@@ -129,8 +138,8 @@ def _bent_p1(n):
 
 
 class TestEvolveLayout:
-    """``evolve`` multiplies the real eigenvectors into a site-major phase
-    array; its amplitudes are a transposed view of the product."""
+    """``evolve`` multiplies the real eigenvectors into site-major phase
+    blocks; its amplitudes are a transposed view of the product."""
 
     @pytest.mark.parametrize("n,n_steps", [(2, 113), (200, 4097)])
     def test_eigenvector_order_does_not_change_bits(self, n, n_steps):
@@ -145,9 +154,10 @@ class TestEvolveLayout:
 
     @pytest.mark.parametrize("n_steps", [4096, 4097])
     def test_peak_allocation(self, n_steps):
-        # the phase array and the product, each (N, m1 m2) complex, plus
-        # small tables; a C-order copy of the result or a second full
-        # phase array would take about 3 T N 16 bytes
+        # the product, (N, m1 m2) complex, plus one phase block of at most
+        # PHASE_BLOCK_BYTES (0.08 T N 16 bytes here) and small tables; a
+        # full phase array or a C-order copy of the result would take
+        # about 2 T N 16 bytes
         ham = _bent_p2(200)
         tracemalloc.start()
         try:
@@ -157,4 +167,4 @@ class TestEvolveLayout:
         finally:
             tracemalloc.stop()
         assert trace.amplitudes.shape == (n_steps, 200)
-        assert peak <= 2.25 * n_steps * 200 * 16
+        assert peak <= 1.35 * n_steps * 200 * 16

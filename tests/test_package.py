@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import bentchain
-from bentchain import cli
+from bentchain import cli, propagate
 
 MODULES = ["bentchain"] + [
     f"bentchain.{m.name}" for m in pkgutil.iter_modules(bentchain.__path__)
@@ -103,7 +103,7 @@ def test_only_cli_touches_files(path):
         assert found == [], f"{path.name} handles files: {found}"
 
 
-def test_kernel_bench_imports(tmp_path):
+def test_kernel_bench_imports(tmp_path, monkeypatch):
     # the script imports library internals; load it without running main,
     # and call its evolve layers and its refine count once on small inputs
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "kernel_bench.py"
@@ -112,10 +112,12 @@ def test_kernel_bench_imports(tmp_path):
     spec.loader.exec_module(bench)
     assert callable(bench.main)
     ham = bench.bent_chain(9)
+    # blocks of 5 of the m1 = 12 outer rows (5, 5 and 2), m2 = isqrt(128) = 11
+    monkeypatch.setattr(propagate, "PHASE_BLOCK_BYTES", 5 * 16 * 9 * 11)
     layers = bench.evolve_layers(ham, bench.WINDOW, 128)
-    assert list(layers) == ["eigh", "phases", "gemm"]
-    # site-major: 9 eigenvalues by m1 = 12 outer rows by m2 = isqrt(128) = 11
-    assert layers["phases"]().shape == (9, 12, 11)
+    assert list(layers) == ["eigh", "tables", "block", "gemm"]
+    # site-major: 9 eigenvalues by 5 outer rows by 11 inner rows
+    assert layers["block"]().shape == (9, 5, 11)
     trace = bentchain.evolve(ham, bench.WINDOW, 128)
     product = layers["gemm"]().view(complex)[:, :128].T
     np.testing.assert_allclose(product, trace.amplitudes, rtol=0, atol=1e-12)
