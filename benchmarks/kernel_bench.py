@@ -15,18 +15,15 @@ the full first arrival ``evaluate([delta])`` and then the slope
 (N = 13, 25).
 
 End weights: the spectrum and end weights c_k = v_k[1] v_k[N] of one block
-of B copies of a bent chain (B = 1, 32; N = 9, 13, 25, 100), from a stacked
-``eigh`` against ``eigvalsh`` plus the weights from the eigenvalues alone,
-as ``first_arrivals`` takes them.
+of B copies of a bent chain (N = 9, 13, 25, 100), from a stacked ``eigh``
+against ``eigvalsh`` plus the weights from the eigenvalues alone, as
+``first_arrivals`` takes them.  B = 1, 16 and 20: the library's own calls
+hold one row, the optimizer's coarse scan (16) or a calibration's (20).
 
 Amplitude trace: ``evolve``, every site amplitude on 4096 steps over the
 window (N = 60, 120, 200), the full propagator of the unitarity and RK4
-acceptance checks (no CLI command calls it), with its tracemalloc peak in
-MB (of 2^20 bytes, as perfbench's peak_rss_mb), and its layers: the
-``eigh`` that builds the Hamiltonian before it, the two phase tables, the
-site-major broadcast of one block of outer-table rows, and the blocked
-product: the real GEMMs of the eigenvectors with every block's phases,
-each written into its columns of the result.
+acceptance checks (no CLI command calls it), and the tracemalloc peak of
+one call in MB (of 2^20 bytes, as perfbench's peak_rss_mb).
 
 Detuning optimizer: ``optimize_detuning`` on the default interval, the
 16-detuning batched coarse scan plus the slope refine, with its evaluations
@@ -62,10 +59,12 @@ optimizer tunes the detuning of the same bend itself.
 
 Run:  python3 benchmarks/kernel_bench.py [--json PATH]
 
-With ``--json PATH`` it also writes every row (median, quartiles and the
-repeat count; counts as a single value; ``peak_mb`` on the ``evolve N=``
-rows) with the python and numpy versions
-and the BLAS thread count to PATH.
+It imports bentchain from the ``src`` directory of its own checkout.  Each
+row prints one line as it is measured: a time as the median with its
+quartiles over the repeats, a count or a peak as a single value.  With
+``--json PATH`` it also writes the same rows (median, quartiles and the
+repeat count; a single value as its own median and quartiles, repeated once)
+with the python and numpy versions and the BLAS thread count to PATH.
 """
 
 import argparse
@@ -85,11 +84,13 @@ from pathlib import Path
 
 import numpy as np
 
-from bentchain import (
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from bentchain import (  # noqa: E402
     BendSpec,
     ChainSpec,
-    Hamiltonian,
     Protocol,
+    build_hamiltonian,
     calibrate_protocol1,
     detuning_curve,
     evolve,
@@ -98,36 +99,35 @@ from bentchain import (
     optimize_detuning,
     reference,
 )
-from bentchain import cli, propagate
-from bentchain.chain import hamiltonian_matrix
-from bentchain.propagate import _end_weights, _objective, _phase_tables
+from bentchain import cli, propagate  # noqa: E402
+from bentchain.propagate import _end_weights, _objective  # noqa: E402
 
 REPEATS = 7
 WINDOW = math.pi / 2
 EVOLVE_STEPS = 4096
 
 
-def bent_matrix(n):
+def bent_chain(n):
+    """The bent chain of every row, with the eigensystem ``evolve`` reads."""
     spec = ChainSpec(Protocol.PROTOCOL_2, n)
     bend = BendSpec(alpha=(n + 1) // 2, kappa=0.5, delta_alpha=-1.5 * omega_max(spec))
-    return hamiltonian_matrix(spec, bend)
+    return build_hamiltonian(spec, bend)
 
 
-def bent_chain(n):
-    """The bent chain with its eigensystem, which only ``evolve`` reads."""
-    h = bent_matrix(n)
-    return Hamiltonian(h, *np.linalg.eigh(h))
-
-
-def record(rows, row, unit, median, q1, q3, repeats):
+def record(rows, row, unit, median, q1=None, q3=None, repeats=1):
+    """Append a row to ``rows`` and print it; a single value (a count or a
+    peak) is its own median and quartiles."""
+    q1, q3 = (median, median) if q1 is None else (q1, q3)
     rows.append({"row": row, "unit": unit, "median": median, "q1": q1, "q3": q3,
                  "repeats": repeats})
+    spread = f" (quartiles {q1:.4g}-{q3:.4g})" if repeats > 1 else ""
+    print(f"{row}: {median:.4g} {unit}{spread}")
 
 
 def time_call(rows, row, call, per_repeat, points=1, unit="ms"):
-    """Median and quartiles of the time per call, in ``unit`` (ms or s;
-    per point, for a call that yields ``points`` results), and the last
-    result; appends the row to ``rows``."""
+    """Record the median and quartiles of the time per call, in ``unit``
+    (ms or s; per point, for a call that yields ``points`` results), and
+    return the last result."""
     scale = {"ms": 1e3, "s": 1.0}[unit]
     samples = []
     for _ in range(REPEATS):
@@ -137,41 +137,15 @@ def time_call(rows, row, call, per_repeat, points=1, unit="ms"):
         samples.append((time.perf_counter() - start) / per_repeat / points * scale)
     q1, median, q3 = statistics.quantiles(samples, n=4)
     record(rows, row, unit, median, q1, q3, REPEATS)
-    return median, q1, q3, result
+    return result
 
 
-def evolve_layers(ham, t_end, n_steps):
-    """The layers of ``evolve`` on ``n_steps`` points of [0, t_end] as
-    callables: the ``eigh`` of the Hamiltonian, the phase tables, the
-    site-major broadcast of the first block of outer-table rows (the block
-    size ``evolve`` takes from ``propagate.PHASE_BLOCK_BYTES``), and the
-    blocked product: the real GEMM of the eigenvectors with a float view of
-    each block's phases, broadcast beforehand, into that block's columns of
-    the site-major result (returned as its float view)."""
-    vec = ham.eigenvectors
-    _, outer, inner = _phase_tables(ham.eigenvalues, t_end, n_steps)
-    n, m1, m2 = vec.shape[0], len(outer), len(inner)
-    rows = min(m1, max(1, propagate.PHASE_BLOCK_BYTES // (16 * n * m2)))
-    weights, steps = (outer * vec[0]).T[:, :, None], inner.T[:, None, :]
-    starts = range(0, m1, rows)
-    blocks = [np.multiply(weights[:, j : j + rows], steps, order="C") for j in starts]
-    product = np.empty((n, 2 * m1 * m2))
-
-    def block():
-        return np.multiply(weights[:, :rows], steps, out=blocks[0])
-
-    def gemm():
-        for j, phases in zip(starts, blocks):
-            np.matmul(vec, phases.reshape(n, -1).view(float),
-                      out=product[:, 2 * j * m2 : 2 * (j + phases.shape[1]) * m2])
-        return product
-
-    return {
-        "eigh": lambda: np.linalg.eigh(ham.matrix),
-        "tables": lambda: _phase_tables(ham.eigenvalues, t_end, n_steps),
-        "block": block,
-        "gemm": gemm,
-    }
+def run_cli(argv):
+    """One in-process ``cli.main(argv)`` with its summary line discarded;
+    it must succeed."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    assert code == 0, f"bentchain {' '.join(argv)} exited {code}"
 
 
 def blas_threads():
@@ -230,9 +204,8 @@ def refine_evaluations(figure, out):
     """One-row first_arrivals calls and followed refine steps of
     ``bentchain figure <figure>`` (one process), and the optimized points in
     its files."""
-    with counted_arrivals() as counts, contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(["figure", figure, "--jobs", "1", "--out", str(out)])
-    assert code == 0
+    with counted_arrivals() as counts:
+        run_cli(["figure", figure, "--jobs", "1", "--out", str(out)])
     points = 0
     for path in (Path(out) / "figure" / figure).glob("*.csv"):
         with open(path, newline="") as fh:
@@ -248,15 +221,11 @@ def main(argv=None):
     opts = parser.parse_args(argv)
     rows = []
     for n in (9, 13, 25):
-        matrix = bent_matrix(n)
-        median, q1, q3, (t, p) = time_call(
-            rows, f"first_arrivals N={n} B=1", lambda: first_arrivals([matrix], WINDOW), 500)
-        print(
-            f"first_arrivals N={n:3d} B=1: {median:.3f} ms per evaluation "
-            f"(quartiles {q1:.3f}-{q3:.3f}), t*={t[0]:.9f} p*={p[0]:.9f}"
-        )
+        matrix = bent_chain(n).matrix
+        time_call(rows, f"first_arrivals N={n} B=1",
+                  lambda: first_arrivals([matrix], WINDOW), 500)
     for n in (13, 25):
-        matrix = bent_matrix(n)
+        matrix = bent_chain(n).matrix
         direction = np.zeros_like(matrix)
         corner = (n + 1) // 2 - 1
         direction[corner, corner] = omega_max(ChainSpec(Protocol.PROTOCOL_2, n))
@@ -267,120 +236,61 @@ def main(argv=None):
         for label, call in (("arrival", lambda: evaluate([0.0])),
                             ("slope", lambda: evaluate([0.0], at=t_star)),
                             ("followed", lambda: evaluate(0.0, near=float(t_near)))):
-            median, q1, q3, found = time_call(
-                rows, f"refine step N={n} {label}", call, 500)
-            value = (f"p*={found[1][0]:.9f}" if label == "arrival"
-                     else f"dp*/ddelta={found[0]:.9f}" if label == "slope"
-                     else f"p*={found[1]:.9f} dp*/ddelta={found[2]:.9f}")
-            print(
-                f"refine step N={n:3d} {label:<8}: {median:.3f} ms per one-point call "
-                f"(quartiles {q1:.3f}-{q3:.3f}), {value}"
-            )
+            time_call(rows, f"refine step N={n} {label}", call, 500)
     for n in (9, 13, 25, 100):
-        for rows_per_block in (1, 32):
-            block = np.repeat(bent_matrix(n)[None], rows_per_block, axis=0)
-            timed = {}
+        for rows_per_block in (1, 16, 20):
+            block = np.repeat(bent_chain(n).matrix[None], rows_per_block, axis=0)
             for label, call in (("eigh", lambda: np.linalg.eigh(block)),
                                 ("eigvalsh+weights", lambda: _end_weights(block))):
-                timed[label] = time_call(
-                    rows, f"end weights N={n} B={rows_per_block} {label}", call, 20)[0]
-            print(
-                f"end weights   N={n:3d} B={rows_per_block:2d}: eigh {timed['eigh']:.3f} ms, "
-                f"eigvalsh+weights {timed['eigvalsh+weights']:.3f} ms per block"
-            )
+                time_call(rows, f"end weights N={n} B={rows_per_block} {label}", call, 20)
     for n in (9, 13, 25):
         spec = ChainSpec(Protocol.PROTOCOL_2, n)
         ref = reference(spec)
         bend = BendSpec(alpha=(n + 1) // 2, kappa=0.5)
-        median, q1, q3, res = time_call(
-            rows, f"optimize N={n}", lambda: optimize_detuning(spec, bend, ref), 5)
-        print(
-            f"optimize      N={n:3d}: {median:.3f} ms per optimized point "
-            f"(quartiles {q1:.3f}-{q3:.3f}), {res.evaluations} evaluations, "
-            f"delta*={res.delta_star:.9f} q_opt={res.q_opt:.9f}"
-        )
+        res = time_call(rows, f"optimize N={n}", lambda: optimize_detuning(spec, bend, ref), 5)
+        record(rows, f"optimize N={n} evaluations", "evaluations per optimized point",
+               res.evaluations)
     spec = ChainSpec(Protocol.PROTOCOL_2, 13)
     ref = reference(spec)
     kappas = np.linspace(0.0, 1.0, 11)
-    median, q1, q3, curve = time_call(
-        rows, "curve N=13", lambda: detuning_curve(spec, 7, kappas, ref), 3, points=kappas.size)
-    points = len(curve)
-    evaluations = sum(res.evaluations for _, res in curve)
-    print(
-        f"curve         N= 13: {median:.3f} ms per optimized point "
-        f"(quartiles {q1:.3f}-{q3:.3f}), "
-        f"{evaluations / points:.1f} evaluations per point over {points} kappas, "
-        f"delta*(1)={curve[-1][1].delta_star:.9f}"
-    )
+    curve = time_call(rows, "curve N=13", lambda: detuning_curve(spec, 7, kappas, ref), 3,
+                      points=kappas.size)
+    record(rows, "curve N=13 evaluations", "evaluations per optimized point",
+           sum(res.evaluations for _, res in curve) / len(curve))
     for n in (13, 21, 25):
-        median, q1, q3, ref = time_call(
-            rows, f"calibrate N={n}", lambda: calibrate_protocol1(n), 3)
+        time_call(rows, f"calibrate N={n}", lambda: calibrate_protocol1(n), 3)
         with counted_arrivals() as counts:
             calibrate_protocol1(n)
-        for label, unit, count in (("full", "full first arrivals", counts["rows"]),
-                                   ("followed", "followed refine steps", counts["followed"])):
-            record(rows, f"calibrate N={n} {label}", f"{unit} per calibration",
-                   count, count, count, 1)
-        print(
-            f"calibrate     N={n:3d}: {median:.3f} ms per calibration "
-            f"(quartiles {q1:.3f}-{q3:.3f}), {counts['rows']} full first arrivals and "
-            f"{counts['followed']} followed steps, ratio={ref.boundary_ratio:.9f} "
-            f"p0={ref.p0:.9f}"
-        )
+        record(rows, f"calibrate N={n} full", "full first arrivals per calibration",
+               counts["rows"])
+        record(rows, f"calibrate N={n} followed", "followed refine steps per calibration",
+               counts["followed"])
     for n in (60, 120, 200):
         ham = bent_chain(n)
-        median, q1, q3, trace = time_call(
-            rows, f"evolve N={n}", lambda: evolve(ham, WINDOW, EVOLVE_STEPS), 10)
+        time_call(rows, f"evolve N={n}", lambda: evolve(ham, WINDOW, EVOLVE_STEPS), 10)
         tracemalloc.start()
         try:
-            trace = evolve(ham, WINDOW, EVOLVE_STEPS)
-            peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+            evolve(ham, WINDOW, EVOLVE_STEPS)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        rows[-1]["peak_mb"] = peak_mb
-        print(
-            f"evolve        N={n:3d}: {median:.3f} ms per trace "
-            f"(quartiles {q1:.3f}-{q3:.3f}), {EVOLVE_STEPS} steps, "
-            f"tracemalloc peak {peak_mb:.2f} MB, p_end[-1]={trace.p_end[-1]:.9f}"
-        )
-        for layer, call in evolve_layers(ham, WINDOW, EVOLVE_STEPS).items():
-            median, q1, q3, _ = time_call(rows, f"evolve N={n} {layer}", call, 10)
-            print(f"  {layer:<6}      N={n:3d}: {median:.3f} ms (quartiles {q1:.3f}-{q3:.3f})")
+        record(rows, f"evolve N={n} peak", "MB", peak / 2**20)
     with tempfile.TemporaryDirectory() as out:
         for figure in ("fig2", "fig4"):
             one_row, followed, points = refine_evaluations(figure, out)
             for label, count in (("one-row", one_row), ("followed", followed)):
-                per_point = count / points
                 record(rows, f"refine {figure} {label}",
-                       f"{label} evaluations per optimized point",
-                       per_point, per_point, per_point, 1)
-            print(
-                f"refine        {figure}: {one_row / points:.2f} one-row evaluations and "
-                f"{followed / points:.2f} followed steps per optimized point "
-                f"({one_row} and {followed} over {points} points)"
-            )
+                       f"{label} evaluations per optimized point", count / points)
         for figure in ("fig2", "fig3", "fig4", "fig5"):
             argv = ["figure", figure, "--jobs", "1", "--out", out]
-            with contextlib.redirect_stdout(io.StringIO()):
-                median, q1, q3, code = time_call(
-                    rows, f"figure {figure}", lambda: cli.main(argv), 1, unit="s")
-            print(
-                f"figure        {figure}: {median:.3f} s per figure "
-                f"(quartiles {q1:.3f}-{q3:.3f}), exit code {code}"
-            )
+            time_call(rows, f"figure {figure}", lambda: run_cli(argv), 1, unit="s")
     commands = (
         ["reference", "--protocol", "2", "--n", "13"],
         ["sweep-kappa", "--protocol", "2", "--n", "13", "--alpha", "7", "--grid", "0:0.1:1"],
     )
     with tempfile.TemporaryDirectory() as out:
         for argv in commands:
-            with contextlib.redirect_stdout(io.StringIO()):
-                median, q1, q3, code = time_call(
-                    rows, f"cli {argv[0]}", lambda: cli.main([*argv, "--out", out]), 20)
-            print(
-                f"cli {argv[0]:<11}     : {median:.3f} ms per main call "
-                f"(quartiles {q1:.3f}-{q3:.3f}), exit code {code}"
-            )
+            time_call(rows, f"cli {argv[0]}", lambda: run_cli([*argv, "--out", out]), 20)
     if opts.json:
         environment = {"python": platform.python_version(), "numpy": np.__version__,
                        "blas_threads": blas_threads()}

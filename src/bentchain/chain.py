@@ -234,4 +234,4 @@ def perfect_transfer_time(spec: ChainSpec) -> float:
     """Protocol 2's analytic arrival time pi/(2*omega0)."""
     if spec.protocol is not Protocol.PROTOCOL_2:
         raise ValueError("analytic arrival time exists only for Protocol 2")
-    return math.pi / (2.0 * spec.omega0)
+    return 0.5 * math.pi / spec.omega0

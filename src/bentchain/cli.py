@@ -546,10 +546,8 @@ def main(argv: list[str] | None = None) -> int:
                 "command": args.command, **manifest})
         print(summary)
         return 0
-    except (FitDivergedError, FloatingPointError) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except np.linalg.LinAlgError as exc:  # a ValueError subclass: catch it first
+    # LinAlgError is a ValueError subclass: catch it before ValueError
+    except (FitDivergedError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

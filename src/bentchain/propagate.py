@@ -59,9 +59,11 @@ FOLLOW_CELLS = 3
 # a 2 MiB L2 cache, so that the GEMM reads a block the broadcast has just
 # written while it is still in cache.
 PHASE_BLOCK_BYTES = 2**20
-# Hamiltonians per stacked eigh and scan in first_arrivals.  Memory grows
-# with the block (its rows share the widest row's grid): blocks of 32 kept
-# the optimizer's peak RSS within 4% of a one-at-a-time scan, 64 cost 10%.
+# Hamiltonians per stacked eigvalsh and scan in first_arrivals.  The
+# library's own calls hold at most 20 (the optimizer's coarse scan 16, a
+# calibration's 20), so the block bounds the memory of a long sweep a
+# caller passes in, whose rows would otherwise all share one grid as wide
+# as the widest row's.
 BLOCK_ROWS = 32
 
 __all__ = [
@@ -184,7 +186,8 @@ def first_arrivals(
     way; otherwise the endpoint is reported (transfer not yet peaked).
     Raises ValueError if the window is not finite and positive (checked
     once per call, also for an empty sequence), or if the bandwidth would
-    need more than ``MAX_GRID_POINTS`` points.
+    need more than ``MAX_GRID_POINTS`` points, and FloatingPointError if a
+    matrix has a non-finite entry (an overflowing coupling or detuning).
 
     Takes the matrices ``BLOCK_ROWS`` at a time: one stacked ``eigvalsh``
     and one scan per block, on a grid fine enough for the block's widest
@@ -216,9 +219,15 @@ def first_arrivals(
 def _scale(matrices: np.ndarray, window: float) -> float:
     """The power of two 2^e with 2^e <= the largest |entry| of ``matrices``
     < 2^(e + 1), clipped so that ``window`` times it stays a finite normal
-    number: the divisor of a block in :func:`first_arrivals`."""
+    number: the divisor of a block in :func:`first_arrivals`, and of the
+    matrices of a slope or followed call of :func:`_objective`.  Raises
+    FloatingPointError if an entry is not finite (the largest |entry| is
+    then inf or NaN)."""
+    largest = float(np.abs(matrices).max(initial=0.0))
+    if not math.isfinite(largest):
+        raise FloatingPointError("non-finite matrix entry (an overflowing coupling or detuning)")
     _, e_window = math.frexp(window)  # 2^(e_window - 1) <= window < 2^e_window
-    exponent = math.frexp(float(np.abs(matrices).max(initial=0.0)))[1] - 1
+    exponent = math.frexp(largest)[1] - 1
     return math.ldexp(1.0, min(max(exponent, -1021 - e_window), 1023 - e_window))
 
 
@@ -230,7 +239,8 @@ def _objective(base: np.ndarray, direction: np.ndarray, window: float):
     - ``evaluate(xs)``: the first arrivals (t*, p*) of the points ``xs``
       over [0, window] (:func:`first_arrivals`), the full path;
     - ``evaluate(xs, at=t)``: their slopes dp*/dx at the arrivals t found
-      before (:func:`_arrival_slopes`), one stacked ``eigh`` and no scan;
+      before (:func:`_arrival_slopes`), one stacked ``eigh`` of the stack
+      divided by its power of two (:func:`_scale`) and no scan;
     - ``evaluate(x, near=t)``: the first arrival of one point x followed
       from the arrival t of a nearby point, with its slope: (t*, p*, dp*/dx)
       from one ``eigh`` and no scan (:func:`_follow`), or None where it
@@ -243,8 +253,9 @@ def _objective(base: np.ndarray, direction: np.ndarray, window: float):
             return _follow(base + xs * direction, direction, near, window)
         if at is None:
             return first_arrivals((base + x * direction for x in xs), window)
-        lam, vec = np.linalg.eigh(base + np.multiply.outer(xs, direction))
-        return _arrival_slopes(lam, vec, direction, at)
+        stack = base + np.multiply.outer(xs, direction)
+        scale = _scale(stack, window)
+        return _arrival_slopes(*np.linalg.eigh(stack / scale), direction / scale, at * scale)
 
     evaluate.t_tol = REL_TOL * window
     return evaluate

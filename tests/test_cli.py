@@ -603,6 +603,25 @@ class TestErrors:
         assert "non-finite window" in err
         assert out == "" and not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ("metrics", "--protocol", "1", "--n", "25", "--ratio", "1e308", "--alpha", "12",
+         "--kappa", "0.5", "--omega0", "10"),
+        ("metrics", "--protocol", "2", "--n", "9", "--alpha", "5", "--kappa", "0.4",
+         "--omega0", "1.7e308"),
+        ("optimize", "--protocol", "2", "--n", "13", "--alpha", "7", "--kappa", "0.5",
+         "--omega0", "1e307"),
+    ], ids=["metrics-p1", "metrics-p2", "optimize"])
+    def test_overflowing_matrix_is_numerical(self, tmp_path, capsys, argv):
+        # a coupling or detuning that overflows gave exit 2 with "scan needs
+        # nan grid points", or exit 3 with "Eigenvalues did not converge";
+        # numpy warns as the Protocol 2 couplings overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == EXIT_NUMERICAL
+        assert "non-finite matrix" in err
+        assert out == "" and not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("interval", [("0", "nan"), ("-1", "inf"), ("nan", "nan")])
     def test_nonfinite_interval_is_usage_error(self, tmp_path, capsys, interval):
         code, out, err = run(

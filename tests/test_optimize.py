@@ -151,7 +151,7 @@ class TestOptimizeDetuning:
         protocol=st.sampled_from(Protocol),
         corner=st.floats(0.0, 1.0),
         kappa=st.floats(0.0, 1.0),
-        k=st.integers(-300, 300),
+        k=st.integers(-1000, 1000),
     )
     def test_omega0_power_of_two_scaling_property(self, n, protocol, corner, kappa, k):
         # omega0 * 2**k scales every matrix and window by an exact power of

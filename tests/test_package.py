@@ -10,11 +10,10 @@ import pkgutil
 import shlex
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import bentchain
-from bentchain import cli, propagate
+from bentchain import cli
 
 MODULES = ["bentchain"] + [
     f"bentchain.{m.name}" for m in pkgutil.iter_modules(bentchain.__path__)
@@ -103,24 +102,14 @@ def test_only_cli_touches_files(path):
         assert found == [], f"{path.name} handles files: {found}"
 
 
-def test_kernel_bench_imports(tmp_path, monkeypatch):
+def test_kernel_bench_imports(tmp_path):
     # the script imports library internals; load it without running main,
-    # and call its evolve layers and its refine count once on small inputs
+    # and run its refine count once
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "kernel_bench.py"
     spec = importlib.util.spec_from_file_location("kernel_bench", path)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     assert callable(bench.main)
-    ham = bench.bent_chain(9)
-    # blocks of 5 of the m1 = 12 outer rows (5, 5 and 2), m2 = isqrt(128) = 11
-    monkeypatch.setattr(propagate, "PHASE_BLOCK_BYTES", 5 * 16 * 9 * 11)
-    layers = bench.evolve_layers(ham, bench.WINDOW, 128)
-    assert list(layers) == ["eigh", "tables", "block", "gemm"]
-    # site-major: 9 eigenvalues by 5 outer rows by 11 inner rows
-    assert layers["block"]().shape == (9, 5, 11)
-    trace = bentchain.evolve(ham, bench.WINDOW, 128)
-    product = layers["gemm"]().view(complex)[:, :128].T
-    np.testing.assert_allclose(product, trace.amplitudes, rtol=0, atol=1e-12)
     # the count's spies stand in for first_arrivals and the followed step,
     # so they must take the same arguments
     one_row, followed, points = bench.refine_evaluations("fig5", tmp_path)

@@ -229,6 +229,12 @@ class TestFirstArrival:
         with pytest.raises(ValueError, match="window must be finite"):
             first_arrivals(matrices, window)
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_rejects_non_finite_matrix(self, entry):
+        # a NaN entry gave an arrival, (1.1107, 0.5), instead of an error
+        with pytest.raises(FloatingPointError, match="non-finite matrix"):
+            first_arrivals([[[entry, 1.0], [1.0, 0.0]]], 3.0)
+
     @pytest.mark.parametrize("k", [520, -520, -540])
     def test_matrix_scale_is_exact(self, k):
         # H and its window rescaled by 2^k: without the scan's own

@@ -46,6 +46,11 @@ class TestReference:
         ref = reference(ChainSpec(Protocol.PROTOCOL_2, 5, omega0=4.0))
         assert math.isclose(ref.t0, math.pi / 8, rel_tol=1e-12)
 
+    def test_protocol2_largest_omega0(self):
+        # pi / (2 omega0) overflowed 2 omega0 and gave t0 = 0
+        ref = reference(ChainSpec(Protocol.PROTOCOL_2, 3, omega0=1.7e308))
+        assert math.isclose(ref.t0 * 1.7e308, math.pi / 2, rel_tol=1e-12)
+
     def test_protocol1_uniform_chain_imperfect(self):
         # ratio 1 is the plain uniform chain; transfer is not faithful
         ref = reference(ChainSpec(Protocol.PROTOCOL_1, 4, boundary_ratio=1.0))
