@@ -44,9 +44,9 @@ refine steps that could not be followed) and, apart, the followed refine
 steps, the refines of their Protocol 1 calibrations included (counts; run
 once).
 
-Figures: one in-process ``cli.main(["figure", tag, "--jobs", "1"])`` call
-for fig2 to fig5, its files and manifest written to a temporary directory,
-in s per figure.
+Figures: one in-process ``cli.main(["figure", tag])`` call for fig2 to
+fig5, its files and manifest written to a temporary directory, in s per
+figure.
 
 CLI: one in-process ``cli.main`` call, parsing plus the command plus its
 files and manifest written to a temporary directory, for
@@ -202,10 +202,9 @@ def counted_arrivals():
 
 def refine_evaluations(figure, out):
     """One-row first_arrivals calls and followed refine steps of
-    ``bentchain figure <figure>`` (one process), and the optimized points in
-    its files."""
+    ``bentchain figure <figure>``, and the optimized points in its files."""
     with counted_arrivals() as counts:
-        run_cli(["figure", figure, "--jobs", "1", "--out", str(out)])
+        run_cli(["figure", figure, "--out", str(out)])
     points = 0
     for path in (Path(out) / "figure" / figure).glob("*.csv"):
         with open(path, newline="") as fh:
@@ -282,7 +281,7 @@ def main(argv=None):
                 record(rows, f"refine {figure} {label}",
                        f"{label} evaluations per optimized point", count / points)
         for figure in ("fig2", "fig3", "fig4", "fig5"):
-            argv = ["figure", figure, "--jobs", "1", "--out", out]
+            argv = ["figure", figure, "--out", out]
             time_call(rows, f"figure {figure}", lambda: run_cli(argv), 1, unit="s")
     commands = (
         ["reference", "--protocol", "2", "--n", "13"],

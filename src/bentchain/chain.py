@@ -46,6 +46,17 @@ def _require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _sorted_grid(values, name: str, item: str) -> np.ndarray:
+    """A caller's grid as an ascending float array.  Raises ValueError
+    if it is empty or repeats a value."""
+    grid = np.sort(np.asarray(values, dtype=float))
+    if grid.size == 0:
+        raise ValueError(f"{name} is empty")
+    if np.unique(grid).size < grid.size:
+        raise ValueError(f"repeated {item} in the {name}: {grid.tolist()}")
+    return grid
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """An unbent N-site chain: protocol, size and energy scale.
@@ -118,7 +129,8 @@ class Hamiltonian:
 
 
 def build_couplings(spec: ChainSpec) -> np.ndarray:
-    """Nearest-neighbour coupling list, N-1 entries, centrosymmetric."""
+    """Nearest-neighbour coupling list, N-1 entries, centrosymmetric.
+    Raises FloatingPointError if a Protocol 2 coupling overflows."""
     n = spec.n_sites
     if spec.protocol is Protocol.PROTOCOL_1:
         if n < 3:
@@ -126,6 +138,13 @@ def build_couplings(spec: ChainSpec) -> np.ndarray:
         couplings = np.full(n - 1, spec.omega0)
         couplings[0] = couplings[-1] = spec.boundary_ratio * spec.omega0
     else:
+        # the middle coupling is the largest; checked as a Python float, whose
+        # product overflows to inf where numpy's would warn
+        if not math.isfinite(spec.omega0 * math.sqrt((n // 2) * (n - n // 2))):
+            raise FloatingPointError(
+                f"non-finite matrix entry: the Protocol 2 couplings overflow at "
+                f"omega0={spec.omega0!r}"
+            )
         j = np.arange(1, n)
         couplings = spec.omega0 * np.sqrt((n - j) * j)
     return couplings
@@ -145,16 +164,14 @@ def hamiltonian_matrix(spec: ChainSpec, bend: BendSpec | None = None) -> np.ndar
     detuning delta_alpha on the corner diagonal entry.
     """
     n = spec.n_sites
+    if bend is not None and not 2 <= bend.alpha <= n - 1:
+        raise ValueError(f"corner index alpha={bend.alpha} out of range [2, {n - 1}]")
     couplings = build_couplings(spec)
     h = np.zeros((n, n))
     idx = np.arange(n - 1)
     h[idx, idx + 1] = couplings
     h[idx + 1, idx] = couplings
     if bend is not None:
-        if not 2 <= bend.alpha <= n - 1:
-            raise ValueError(
-                f"corner index alpha={bend.alpha} out of range [2, {n - 1}]"
-            )
         g = bend.kappa * omega_max(spec)
         a = bend.alpha - 1  # 0-based corner index
         h[a - 1, a + 1] += g

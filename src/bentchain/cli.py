@@ -74,13 +74,6 @@ def parse_grid(text: str) -> np.ndarray:
     return np.array([float(v) for v in text.split(",")])
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 class _Parser(argparse.ArgumentParser):
     """An argument parser that reads a negative number in exponent form
     (``-1.5e-1``, ``-4e0``) as a value.  Python 3.11's argparse knows only
@@ -196,9 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure", help="reproduce a figure's data files")
     p.add_argument("tag", choices=("fig2", "fig3", "fig4", "fig5"))
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes for figure panels (at most one "
-                        "per panel)")
     _out_args(p)
 
     return parser
@@ -468,11 +458,11 @@ def cmd_fit(args, config):
     return {"fit.json": asdict(report)}, manifest, summary
 
 
-def _figure_panel(job: tuple) -> tuple[str, tuple]:
+def _figure_panel(panel: tuple) -> tuple[str, tuple]:
     """One figure panel, ``(kind, protocol, N, alpha, kappa)``, as its CSV
     file name and content: a kappa sweep at a fixed corner, a corner sweep
     at a fixed kappa, or the spectra of one bend."""
-    kind, proto, n, alpha, kappa = job
+    kind, proto, n, alpha, kappa = panel
     spec, ref = _protocol_chain(proto, n)
     if kind == "kappa":
         table = sweep_kappa(spec, alpha, parse_grid("0:0.1:1"), optimize=True, ref=ref)
@@ -490,21 +480,13 @@ def _figure_panel(job: tuple) -> tuple[str, tuple]:
 def cmd_figure(args, config):
     if args.tag in ("fig2", "fig3"):
         proto = 1 if args.tag == "fig2" else 2
-        jobs = [("kappa", proto, n, math.ceil(n / 2), None) for n in FIGURE_DEFAULT_N]
+        panels = [("kappa", proto, n, math.ceil(n / 2), None) for n in FIGURE_DEFAULT_N]
     elif args.tag == "fig4":
-        jobs = [("alpha", proto, n, None, 0.4) for proto in (1, 2) for n in FIGURE_DEFAULT_N]
+        panels = [("alpha", proto, n, None, 0.4) for proto in (1, 2) for n in FIGURE_DEFAULT_N]
     else:  # fig5: spectra for N=25, alpha=12
-        jobs = [("spectrum", 1, 25, 12, 0.5), ("spectrum", 2, 25, 12, 0.3)]
+        panels = [("spectrum", 1, 25, 12, 0.5), ("spectrum", 2, 25, 12, 0.3)]
 
-    workers = min(args.jobs, len(jobs))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            files = dict(pool.map(_figure_panel, jobs))
-    else:
-        files = dict(map(_figure_panel, jobs))
-
+    files = dict(map(_figure_panel, panels))
     return (files,
             {"tag": args.tag, "files": sorted(files),
              "axes": {"kappa": "bend strength g/Omega_max",

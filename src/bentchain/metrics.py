@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import BendSpec, ChainSpec, hamiltonian_matrix, spec_to_dict
+from .chain import BendSpec, ChainSpec, _sorted_grid, hamiltonian_matrix, spec_to_dict
 from .optimize import OptimizationResult, detuning_curve, optimize_detuning
 from .propagate import first_arrivals
 from .reference import ReferencePoint, reference
@@ -115,11 +115,7 @@ def sweep_kappa(
     """One TransferResult per distinct kappa at a fixed corner; optionally
     also the optimal detuning and optimized metrics per row.  Raises
     ValueError on an empty grid or a repeated kappa."""
-    kappa_grid = np.sort(np.asarray(kappa_grid, dtype=float))
-    if kappa_grid.size == 0:
-        raise ValueError("kappa grid is empty")
-    if np.unique(kappa_grid).size < kappa_grid.size:
-        raise ValueError(f"repeated kappa in the sweep: {kappa_grid.tolist()}")
+    kappa_grid = _sorted_grid(kappa_grid, "kappa grid", "kappa")
     ref = ref or reference(spec)
     optima: dict[float, OptimizationResult] = {}
     if optimize:
@@ -147,11 +143,7 @@ def sweep_alpha(
     corners = [float(a) for a in alpha_range]
     if not all(a.is_integer() for a in corners):
         raise ValueError(f"corner range needs integer corners, got {corners}")
-    alphas = sorted(int(a) for a in corners)
-    if not alphas:
-        raise ValueError("corner range is empty")
-    if len(set(alphas)) < len(alphas):
-        raise ValueError(f"repeated corner in the sweep: {alphas}")
+    alphas = [int(a) for a in _sorted_grid(corners, "corner range", "corner")]
     ref = ref or reference(spec)
     bends = [BendSpec(alpha=alpha, kappa=kappa) for alpha in alphas]
     rows = [

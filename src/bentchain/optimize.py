@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain import BendSpec, ChainSpec, hamiltonian_matrix, omega_max
+from .chain import BendSpec, ChainSpec, _sorted_grid, hamiltonian_matrix, omega_max
 from .propagate import _objective
 from .reference import ReferencePoint
 from .search import scan_and_refine
@@ -85,11 +85,7 @@ def detuning_curve(
     ``evaluations`` counts every scan and the optimum's full first
     arrival.  Raises ValueError on an empty grid
     or a repeated kappa."""
-    grid = np.sort(np.asarray(kappa_grid, dtype=float))
-    if grid.size == 0:
-        raise ValueError("kappa grid is empty")
-    if np.unique(grid).size < grid.size:
-        raise ValueError(f"repeated kappa in the curve: {grid.tolist()}")
+    grid = _sorted_grid(kappa_grid, "kappa grid", "kappa")
     results: list[tuple[float, OptimizationResult]] = []
     interval = DEFAULT_INTERVAL
     for i, kappa in enumerate(grid):
@@ -129,8 +125,8 @@ def _optimize(spec: ChainSpec, bend: BendSpec, ref: ReferencePoint,
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid interval: [{lo}, {hi}]")
     ref.check_chain(spec)
-    om = omega_max(spec)
     base = hamiltonian_matrix(spec, replace(bend, delta_alpha=0.0))
+    om = omega_max(spec)
     direction = np.zeros_like(base)  # dH/ddelta, delta in units of Omega_max
     direction[bend.alpha - 1, bend.alpha - 1] = om
     delta_star, p_star, t_star, on_boundary, evaluations = scan_and_refine(

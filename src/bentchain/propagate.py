@@ -216,19 +216,29 @@ def first_arrivals(
     return tuple(np.concatenate(found, axis=1))
 
 
+_NON_FINITE_ENTRY = "non-finite matrix entry (an overflowing coupling or detuning)"
+
+
 def _scale(matrices: np.ndarray, window: float) -> float:
     """The power of two 2^e with 2^e <= the largest |entry| of ``matrices``
     < 2^(e + 1), clipped so that ``window`` times it stays a finite normal
     number: the divisor of a block in :func:`first_arrivals`, and of the
     matrices of a slope or followed call of :func:`_objective`.  Raises
     FloatingPointError if an entry is not finite (the largest |entry| is
-    then inf or NaN)."""
+    then inf or NaN), or if the clip leaves the largest |entry| divided by
+    2^e beyond the float range."""
     largest = float(np.abs(matrices).max(initial=0.0))
     if not math.isfinite(largest):
-        raise FloatingPointError("non-finite matrix entry (an overflowing coupling or detuning)")
+        raise FloatingPointError(_NON_FINITE_ENTRY)
     _, e_window = math.frexp(window)  # 2^(e_window - 1) <= window < 2^e_window
     exponent = math.frexp(largest)[1] - 1
-    return math.ldexp(1.0, min(max(exponent, -1021 - e_window), 1023 - e_window))
+    scale = math.ldexp(1.0, min(max(exponent, -1021 - e_window), 1023 - e_window))
+    if not math.isfinite(largest / scale):
+        raise FloatingPointError(
+            f"overflow: the largest |entry| {largest:.6g} and the window {window:.6g} "
+            f"cannot both be scaled into the float range"
+        )
+    return scale
 
 
 def _objective(base: np.ndarray, direction: np.ndarray, window: float):
@@ -247,13 +257,24 @@ def _objective(base: np.ndarray, direction: np.ndarray, window: float):
       cannot be followed.
 
     ``evaluate.t_tol`` = ``REL_TOL`` * window is the tolerance of both
-    paths' t*."""
+    paths' t*.  Each form raises FloatingPointError if x ``direction``
+    overflows; ``base`` is zero wherever ``direction`` is not, so base +
+    x ``direction`` cannot overflow otherwise."""
+    largest = float(np.abs(direction).max(initial=0.0))
+
+    def checked(x) -> float:
+        # a Python float product overflows to inf where numpy's would warn
+        x = float(x)
+        if not math.isfinite(x * largest):
+            raise FloatingPointError(_NON_FINITE_ENTRY)
+        return x
+
     def evaluate(xs, at=None, near=None):
         if near is not None:
-            return _follow(base + xs * direction, direction, near, window)
+            return _follow(base + checked(xs) * direction, direction, near, window)
         if at is None:
-            return first_arrivals((base + x * direction for x in xs), window)
-        stack = base + np.multiply.outer(xs, direction)
+            return first_arrivals((base + checked(x) * direction for x in xs), window)
+        stack = base + np.multiply.outer([checked(x) for x in xs], direction)
         scale = _scale(stack, window)
         return _arrival_slopes(*np.linalg.eigh(stack / scale), direction / scale, at * scale)
 

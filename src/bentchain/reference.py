@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .chain import ChainSpec, Protocol, hamiltonian_matrix, perfect_transfer_time
+from .chain import ChainSpec, Protocol, _sorted_grid, hamiltonian_matrix, perfect_transfer_time
 from .propagate import _objective, first_arrivals
 from .search import scan_and_refine
 
@@ -159,13 +159,11 @@ def calibrate_protocol1(
     )
     if ratio_grid is None:
         ratio_grid = np.arange(DEFAULT_RATIO_GRID_STEP, 1.0 + 1e-12, DEFAULT_RATIO_GRID_STEP)
-    grid = np.sort(np.asarray(ratio_grid, dtype=float))
-    if grid.size == 0:
-        raise ValueError("ratio grid is empty")
-    if not np.all((grid > 0) & (grid <= 1)):  # NaN fails too
+    grid = np.asarray(ratio_grid, dtype=float)
+    # NaN fails too; an empty grid passes, for _sorted_grid to name it
+    if not np.all((grid > 0) & (grid <= 1)):
         raise ValueError("ratio grid must lie within (0, 1]")
-    if np.unique(grid).size < grid.size:
-        raise ValueError(f"repeated ratio in the calibration grid: {grid.tolist()}")
+    grid = _sorted_grid(grid, "ratio grid", "ratio")
     if window is None:
         window = default_calibration_window(n_sites, omega0)
 

@@ -10,6 +10,7 @@ little because the initial state barely overlaps those eigenvectors).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,7 +42,9 @@ def spectrum_report(
     """Compare unperturbed, bent (no defect) and bent-optimized spectra.
 
     ``delta_alpha`` is the optimized corner detuning in energy units
-    (same units as omega0).
+    (same units as omega0).  Raises FloatingPointError if a gap is not
+    finite (``eigh`` of entries near the float limit can return an
+    infinite eigenvalue, and two finite ones can lie too far apart).
     """
     hams = {
         "unperturbed": build_hamiltonian(spec),
@@ -50,6 +53,11 @@ def spectrum_report(
             spec, replace(bend, delta_alpha=delta_alpha)
         ),
     }
+    for k, h in hams.items():
+        lam = h.eigenvalues.tolist()
+        # a Python float difference overflows to inf where np.diff would warn
+        if not all(math.isfinite(b - a) for a, b in zip(lam, lam[1:])):
+            raise FloatingPointError(f"{k} spectrum has a non-finite gap")
     eigenvalues = {k: h.eigenvalues.copy() for k, h in hams.items()}
     gaps = {k: np.diff(v) for k, v in eigenvalues.items()}
     overlaps = {k: overlap_profile(h) for k, h in hams.items()}
@@ -63,8 +71,13 @@ def spectrum_report(
     distortion_weighted = {}
     for k in LABELS:
         d = gaps[k] - ref_gaps
-        distortion[k] = float(np.sqrt(np.mean(d**2)))
-        distortion_weighted[k] = float(np.sqrt(np.sum(w * d**2)))
+        # divided by the power of two at or below max |d|, d^2 cannot
+        # overflow; the RMS is bit for bit the unscaled one wherever d^2
+        # neither overflows nor underflows
+        scale = math.ldexp(1.0, math.frexp(float(np.abs(d).max()))[1] - 1)
+        d = d / scale
+        distortion[k] = scale * float(np.sqrt(np.mean(d**2)))
+        distortion_weighted[k] = scale * float(np.sqrt(np.sum(w * d**2)))
     return SpectrumReport(
         eigenvalues=eigenvalues,
         gaps=gaps,

@@ -1,14 +1,18 @@
 import argparse
-import concurrent.futures
+import contextlib
 import csv
+import io
 import json
 import math
 import re
+import tempfile
 import warnings
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bentchain import (
     BendSpec,
@@ -554,14 +558,6 @@ class TestErrors:
         assert "nan" not in out
         assert not list(tmp_path.rglob("layout.*"))
 
-    @pytest.mark.parametrize("jobs", ["0", "-2"])
-    def test_figure_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
-        with pytest.raises(SystemExit) as exc:
-            main(["figure", "fig2", "--jobs", jobs, "--out", str(tmp_path)])
-        assert exc.value.code == EXIT_USAGE
-        assert "--jobs: must be >= 1" in capsys.readouterr().err
-        assert not any(tmp_path.iterdir())
-
     def test_calibrate_zero_window_is_usage_error(self, tmp_path, capsys):
         # a window of 0 is rejected, not replaced by the default window
         code, out, err = run(
@@ -610,16 +606,22 @@ class TestErrors:
          "--omega0", "1.7e308"),
         ("optimize", "--protocol", "2", "--n", "13", "--alpha", "7", "--kappa", "0.5",
          "--omega0", "1e307"),
-    ], ids=["metrics-p1", "metrics-p2", "optimize"])
+        ("metrics", "--protocol", "2", "--n", "3", "--omega0", "1e-308", "--alpha", "2",
+         "--kappa", "0.5", "--delta", "1e308"),
+        ("optimize", "--protocol", "2", "--n", "3", "--omega0", "1e308", "--alpha", "2",
+         "--kappa", "0"),
+    ], ids=["metrics-p1", "metrics-p2", "optimize", "scale-clip", "optimize-n3"])
     def test_overflowing_matrix_is_numerical(self, tmp_path, capsys, argv):
         # a coupling or detuning that overflows gave exit 2 with "scan needs
         # nan grid points", or exit 3 with "Eigenvalues did not converge";
-        # numpy warns as the Protocol 2 couplings overflow
+        # numpy warned as a coupling, a detuning term or a scaled entry
+        # overflowed
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error", RuntimeWarning)
             code, out, err = run(capsys, *argv, "--out", str(tmp_path))
         assert code == EXIT_NUMERICAL
-        assert "non-finite matrix" in err
+        assert re.search("non-finite matrix|overflow", err)
+        assert "did not converge" not in err
         assert out == "" and not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("interval", [("0", "nan"), ("-1", "inf"), ("nan", "nan")])
@@ -781,8 +783,8 @@ class TestErrors:
         # fig2's second panel fails after the first one has succeeded
         calls = []
 
-        def second_panel_fails(job):
-            calls.append(job)
+        def second_panel_fails(panel):
+            calls.append(panel)
             if len(calls) == 2:
                 raise FloatingPointError("p0 is not positive")
             return "first_panel.csv", (["axis"], [])
@@ -847,7 +849,7 @@ OPTION_SURFACE = {
     "design": ["--L", "--config", "--eta", "--label", "--n", "--out", "--protocol", "--ratio",
                "--wavelength", "--xi"],
     "fit": ["--input", "--kappa-cut", "--kind", "--label", "--out"],
-    "figure": ["--jobs", "--label", "--out"],
+    "figure": ["--label", "--out"],
 }
 
 
@@ -888,6 +890,7 @@ class TestOptionSurface:
         [*_minimal("spectrum"), "--delta", "-1"],
         [*_minimal("design"), "--omega0", "2.5"],
         *([*_minimal(command), "--epsilon", "0.37"] for command in MINIMAL_ARGV),
+        ["figure", "fig5", "--jobs", "2"],
     ])
     def test_unread_option_is_usage_error(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -930,46 +933,6 @@ class TestOptionSurface:
             run_dir = out_dir / command / command
             outputs.append({p.name: p.read_bytes() for p in run_dir.iterdir()})
         assert outputs[0] == outputs[1]
-
-    def test_figure_takes_jobs(self, tmp_path, capsys):
-        code, _, _ = run(capsys, "figure", "fig5", "--jobs", "1", "--out", str(tmp_path))
-        assert code == 0
-        manifest = json.loads((tmp_path / "figure" / "fig5" / "manifest.json").read_text())
-        assert len(manifest["files"]) == 2
-
-    @pytest.mark.parametrize("tag,jobs,workers", [
-        ("fig4", "64", 8), ("fig2", "2", 2), ("fig3", "1", None), ("fig5", "2", 2),
-    ])
-    def test_figure_workers_capped_at_panels(self, tmp_path, capsys, monkeypatch,
-                                             tag, jobs, workers):
-        # a pool that records its size and runs the panels in this process,
-        # with a stub panel, so the test starts no worker
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return [fn(job) for job in jobs]
-
-        def stub_panel(job):
-            kind, proto, n = job[:3]
-            return f"{kind}_p{proto}_n{n}.csv", ([kind], [])
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli, "_figure_panel", stub_panel)
-        code, _, _ = run(capsys, "figure", tag, "--jobs", jobs, "--out", str(tmp_path))
-        assert code == 0
-        assert sizes == ([] if workers is None else [workers])
-        manifest = json.loads((tmp_path / "figure" / tag / "manifest.json").read_text())
-        assert len(manifest["files"]) == {"fig4": 8, "fig5": 2}.get(tag, 4)
 
     def test_sweep_takes_format(self, tmp_path, capsys):
         code, _, _ = run(
@@ -1086,3 +1049,71 @@ class TestNegativeExponentForm:
             run_dir = tmp_path / value / argv[0] / argv[0]
             outputs.append((out, {p.name: p.read_bytes() for p in run_dir.iterdir()}))
         assert outputs[0] == outputs[1]
+
+
+# edge values: the smallest subnormal to the largest finite float, signed
+# zeros and NaN, with the ordinary values between
+EDGE_OMEGA0 = [5e-324, 1e-320, 1e-308, 1e-300, 1.0, 1e300, 1e307, 1e308, 1.7e308,
+               0.0, -0.0, math.nan]
+EDGE_DELTA = [1e308, -1e308, 0.0, -1.0]
+EDGE_RATIO = [1e-300, 0.7, 1e300]
+EDGE_KAPPA = [-0.0, 1e-320, 1.0, 1.5, math.nan]
+
+
+@st.composite
+def _contract_argv(draw):
+    command = draw(st.sampled_from(["reference", "metrics", "optimize", "sweep-kappa",
+                                    "sweep-alpha", "spectrum", "calibrate"]))
+    n = draw(st.integers(3, 9))
+    omega0 = repr(draw(st.sampled_from(EDGE_OMEGA0)))
+    if command == "calibrate":
+        return [command, "--n", str(n), "--omega0", omega0]
+    protocol = draw(st.sampled_from([1, 2]))
+    argv = [command, "--protocol", str(protocol), "--n", str(n), "--omega0", omega0]
+    if protocol == 1:
+        argv += ["--ratio", repr(draw(st.sampled_from(EDGE_RATIO)))]
+    if command not in ("reference", "sweep-alpha"):
+        argv += ["--alpha", str(draw(st.sampled_from([1, 2, n - 1, n])))]
+    if command in ("metrics", "optimize", "sweep-alpha", "spectrum"):
+        argv += ["--kappa", repr(draw(st.sampled_from(EDGE_KAPPA)))]
+    if command == "metrics":
+        argv += ["--delta", repr(draw(st.sampled_from(EDGE_DELTA)))]
+    if command == "sweep-kappa":
+        argv += ["--optimize", "--grid", "0:0.5:1"]
+    return argv
+
+
+def _finite_numbers(value) -> bool:
+    """Whether every number in a JSON value is finite."""
+    if isinstance(value, dict):
+        return all(_finite_numbers(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_finite_numbers(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(argv=_contract_argv())
+def test_cli_contract_at_edge_values(argv):
+    # exit 0, 2, 3 or 4 and no RuntimeWarning; a run that succeeds writes
+    # finite numbers only (a CSV optimum cell may be empty), and any other
+    # leaves --out empty
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = main([*argv, "--out", out])
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (0, EXIT_USAGE, EXIT_NUMERICAL, EXIT_IO)
+        files = [p for p in Path(out).rglob("*") if p.is_file()]
+        if code != 0:
+            assert not files
+        for path in files:
+            if path.suffix == ".csv":
+                with open(path, newline="") as fh:
+                    cells = [c for row in list(csv.reader(fh))[1:] for c in row if c]
+                assert all(math.isfinite(float(c)) for c in cells), path.name
+            else:
+                assert _finite_numbers(json.loads(path.read_text())), path.name

@@ -81,3 +81,22 @@ class TestSpectrumReport:
             for k in (0.1, 0.4, 0.8)
         ]
         assert d[0] < d[1] < d[2]
+
+    def test_distortion_of_huge_gaps(self):
+        # gap differences near 2^1000 overflowed as they were squared
+        bend = BendSpec(alpha=5, kappa=0.4)
+        big = spectrum_report(ChainSpec(Protocol.PROTOCOL_2, 9, omega0=2.0**1000), bend,
+                              -(2.0**1000))
+        unit = spectrum_report(ChainSpec(Protocol.PROTOCOL_2, 9), bend, -1.0)
+        for k in ("bent", "bent_optimized"):
+            assert big.gap_distortion[k] / 2.0**1000 == pytest.approx(
+                unit.gap_distortion[k], rel=1e-12)
+            assert big.gap_distortion_weighted[k] / 2.0**1000 == pytest.approx(
+                unit.gap_distortion_weighted[k], rel=1e-12)
+
+    def test_infinite_eigenvalue_raises(self):
+        # eigh returns -inf for a corner detuning of -1.79e308; the spectrum
+        # command wrote an infinite gap with exit 0
+        spec = ChainSpec(Protocol.PROTOCOL_2, 9, omega0=1e307)
+        with pytest.raises(FloatingPointError, match="non-finite gap"):
+            spectrum_report(spec, BendSpec(alpha=2, kappa=1.0), -1.7888543819998319e308)
