@@ -46,6 +46,13 @@ def _require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _binary_exponent(values: np.ndarray) -> int:
+    """k with 2**k <= max |values| < 2**(k + 1) (k = -1 if all are 0).
+    Divided by 2**k the values' squares cannot overflow, and a product, sum
+    or square root that neither overflows nor underflows changes by no bit."""
+    return math.frexp(float(np.abs(values).max()))[1] - 1
+
+
 def _sorted_grid(values, name: str, item: str) -> np.ndarray:
     """A caller's grid as an ascending float array.  Raises ValueError
     if it is empty or repeats a value."""

@@ -35,7 +35,7 @@ from .metrics import (
     sweep_kappa,
     transfer_metrics,
 )
-from .optimize import DEFAULT_INTERVAL, detuning_curve, optimize_detuning
+from .optimize import DEFAULT_INTERVAL, optimize_detuning
 from .photonic import DeviceParams, design_layout, parasitic_check
 from .reference import (
     DEFAULT_RATIO_GRID_STEP,
@@ -144,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="0:0.1:1", help="kappa grid")
     p.add_argument("--optimize", action="store_true",
                    help="also optimize the corner detuning per point")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     _out_args(p)
 
     p = sub.add_parser("sweep-alpha", help="sweep corner position at fixed kappa")
@@ -152,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-range", default=None,
                    help="alpha grid (default 2:1:ceil(N/2))")
     p.add_argument("--no-optimize", action="store_true")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     _out_args(p)
 
     p = sub.add_parser("optimize", help="optimal corner detuning for one bend")
@@ -161,11 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("LO", "HI"),
                    help="detuning search interval, units of Omega_max "
                    "(default: -4 0.5)")
-    _out_args(p)
-
-    p = sub.add_parser("curve", help="optimal detuning vs kappa")
-    _chain_args(p, "omega0", "alpha")
-    p.add_argument("--grid", default="0:0.1:1", help="kappa grid")
     _out_args(p)
 
     p = sub.add_parser("spectrum", help="eigenvalue gaps and overlaps")
@@ -253,11 +246,10 @@ def _write(path: Path, content) -> None:
 _SWEEP_COLUMNS = ["axis", "p", "t", "q", "s", "delta_opt", "q_opt", "s_opt", "on_boundary"]
 
 
-def _table_content(table: SweepTable, fmt: str = "csv"):
-    """A sweep table as CSV ``(header, rows)`` or as its JSON object; a row
-    without an optimum leaves the optimum columns empty (null in JSON).
-    ``on_boundary`` is 1 for an optimum pinned at an end of its detuning
-    interval, else 0."""
+def _table_content(table: SweepTable):
+    """A sweep table as CSV ``(header, rows)``; a row without an optimum
+    leaves the optimum columns empty.  ``on_boundary`` is 1 for an optimum
+    pinned at an end of its detuning interval, else 0."""
     rows = []
     for row in table.rows:
         opt = row.optimized
@@ -265,11 +257,7 @@ def _table_content(table: SweepTable, fmt: str = "csv"):
                      row.result.s, *((opt.delta_star, opt.q_opt, opt.s_opt,
                                       int(opt.on_boundary))
                                      if opt else (None,) * 4)])
-    if fmt == "csv":
-        return _SWEEP_COLUMNS, rows
-    keys = ["axis_value", *_SWEEP_COLUMNS[1:]]
-    return {"axis": table.axis, "metadata": table.metadata,
-            "rows": [dict(zip(keys, r)) for r in rows]}
+    return _SWEEP_COLUMNS, rows
 
 
 def _spectrum_content(report: SpectrumReport):
@@ -335,9 +323,9 @@ def cmd_sweep_kappa(args, config):
     spec, bend = _resolve_chain(args, config)
     grid = parse_grid(args.grid)
     table = sweep_kappa(spec, bend["alpha"], grid, optimize=args.optimize)
-    name = f"sweep_kappa.{args.format}"
+    name = "sweep_kappa.csv"
     qs = [r.result.q for r in table.rows]
-    return ({name: _table_content(table, args.format)},
+    return ({name: _table_content(table)},
             {"grid": args.grid, "optimize": args.optimize, "chain": table.metadata},
             f"sweep-kappa: {len(table.rows)} points, q range "
             f"[{min(qs):.4f}, {max(qs):.4f}] -> {_run_dir(args) / name}")
@@ -350,8 +338,8 @@ def cmd_sweep_alpha(args, config):
     else:
         alphas = range(2, math.ceil(spec.n_sites / 2) + 1)
     table = sweep_alpha(spec, bend["kappa"], alphas, optimize=not args.no_optimize)
-    name = f"sweep_alpha.{args.format}"
-    return ({name: _table_content(table, args.format)},
+    name = "sweep_alpha.csv"
+    return ({name: _table_content(table)},
             {"alphas": [int(a) for a in alphas], "chain": table.metadata},
             f"sweep-alpha: {len(table.rows)} corners at kappa={bend['kappa']} -> "
             f"{_run_dir(args) / name}")
@@ -367,19 +355,6 @@ def cmd_optimize(args, config):
             {"interval": [lo, hi], "chain": spec_to_dict(spec, bend)},
             f"optimize: delta*={res.delta_star:.6f} q_opt={res.q_opt:.6f} "
             f"s_opt={res.s_opt:.6f}{flag}")
-
-
-def cmd_curve(args, config):
-    spec, bend = _resolve_chain(args, config)
-    grid = parse_grid(args.grid)
-    curve = detuning_curve(spec, bend["alpha"], grid, reference(spec))
-    rows = [[kappa, res.delta_star, res.q_opt, res.s_opt, int(res.on_boundary)]
-            for kappa, res in curve]
-    deltas = [res.delta_star for _, res in curve]
-    return ({"curve.csv": (["kappa", "delta_opt", "q_opt", "s_opt", "on_boundary"], rows)},
-            {"grid": args.grid, "chain": {**spec_to_dict(spec), "alpha": bend["alpha"]}},
-            f"curve: {len(curve)} points, delta* range "
-            f"[{min(deltas):.4f}, {max(deltas):.4f}] -> {_run_dir(args) / 'curve.csv'}")
 
 
 def cmd_spectrum(args, config):
@@ -410,7 +385,7 @@ def cmd_design(args, config):
     }
     return (files,
             {"device": asdict(dev), "chain": spec_to_dict(spec)},
-            f"design: separations {min(d):.2f}..{max(d):.2f} um, "
+            f"design: separations {min(d):.6g}..{max(d):.6g} um, "
             f"omega0={layout.omega0_physical:.6g}/cm, "
             f"max parasitic ratio {parasitic.max_ratio:.6g}")
 
@@ -444,14 +419,15 @@ def cmd_fit(args, config):
             ],
         )
         report = fit_gaussian(table)
-        summary = (f"fit gaussian: A={report.params[0]:.6f} "
-                   f"sigma={report.params[1]:.6f} rms={report.residual_rms:.3g}")
+        summary = (f"fit gaussian: A={report.params[0]:.6g} "
+                   f"sigma={report.params[1]:.6g} rms={report.residual_rms:.3g}")
     else:
-        x_key, key = column("axis", "kappa"), column("delta_opt", "delta_star")
-        pairs = [(float(r[x_key]), float(r[key])) for r in rows if r.get(key)]
+        key = column("delta_opt", "delta_star")
+        column("axis")
+        pairs = [(float(r["axis"]), float(r[key])) for r in rows if r.get(key)]
         report = fit_linear(pairs, kappa_cut=args.kappa_cut)
-        summary = (f"fit linear: slope={report.params[0]:.6f} "
-                   f"intercept={report.params[1]:.6f} rms={report.residual_rms:.3g}")
+        summary = (f"fit linear: slope={report.params[0]:.6g} "
+                   f"intercept={report.params[1]:.6g} rms={report.residual_rms:.3g}")
     manifest = {"kind": args.kind, "input": str(args.input)}
     if args.kind == "linear":  # the gaussian fit has no cut
         manifest["kappa_cut"] = args.kappa_cut
@@ -503,7 +479,6 @@ COMMANDS = {
     "sweep-kappa": cmd_sweep_kappa,
     "sweep-alpha": cmd_sweep_alpha,
     "optimize": cmd_optimize,
-    "curve": cmd_curve,
     "spectrum": cmd_spectrum,
     "design": cmd_design,
     "fit": cmd_fit,

@@ -12,7 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import BendSpec, ChainSpec, _sorted_grid, hamiltonian_matrix, spec_to_dict
+from .chain import (
+    BendSpec,
+    ChainSpec,
+    _binary_exponent,
+    _sorted_grid,
+    hamiltonian_matrix,
+    spec_to_dict,
+)
 from .optimize import OptimizationResult, detuning_curve, optimize_detuning
 from .propagate import first_arrivals
 from .reference import ReferencePoint, reference
@@ -159,6 +166,23 @@ def sweep_alpha(
     return SweepTable(axis="alpha", rows=rows, metadata=meta)
 
 
+def _rms(r: np.ndarray) -> float:
+    """sqrt(mean(r**2)), with r divided by a power of two first so that
+    r**2 cannot overflow (see :func:`_binary_exponent`)."""
+    scale = math.ldexp(1.0, _binary_exponent(r))
+    return scale * float(np.sqrt(np.mean((r / scale) ** 2)))
+
+
+def _finite_report(kind: str, params: tuple[float, float], rms: float,
+                   domain: tuple[float, float]) -> FitReport:
+    """The fit's report; raises FloatingPointError if a parameter or the
+    RMS is not finite."""
+    if not all(math.isfinite(v) for v in (*params, rms)):
+        raise FloatingPointError(
+            f"{kind} fit is not finite: params {params}, residual rms {rms!r}")
+    return FitReport(kind, params, rms, domain)
+
+
 def _require_finite_points(points) -> None:
     """Raise ValueError at the first (x, y) point with a non-finite entry."""
     for x, y in points:
@@ -177,9 +201,10 @@ def fit_gaussian(table: SweepTable) -> FitReport:
 
     Starts from (A, sigma) = (1, 0.5).  Raises ValueError on fewer than 5
     rows, a non-finite point, fewer than 2 distinct |kappa| (which leave
-    sigma undetermined) or a |kappa| above 1, which no bend has, and
+    sigma undetermined) or a |kappa| above 1, which no bend has,
     FitDivergedError (carrying the best iterate) on non-convergence or a
-    degenerate flat profile.
+    degenerate flat profile, and FloatingPointError if the converged fit
+    or its RMS is not finite.
     """
     if table.axis != "kappa":
         raise ValueError("gaussian fit expects a kappa sweep")
@@ -200,7 +225,7 @@ def fit_gaussian(table: SweepTable) -> FitReport:
         shape = np.exp(-(x**2) / (2.0 * sigma**2))
         model = amp * shape
         r = y - model
-        rms = float(np.sqrt(np.mean(r**2)))
+        rms = _rms(r)
         if best is None or rms < best[0]:
             best = (rms, amp, sigma)
         jac = np.column_stack([shape, model * x**2 / sigma**3])
@@ -217,8 +242,8 @@ def fit_gaussian(table: SweepTable) -> FitReport:
             )
         if float(np.hypot(*step)) < FIT_TOL:
             model = amp * np.exp(-(x**2) / (2.0 * sigma**2))
-            rms = float(np.sqrt(np.mean((y - model) ** 2)))
-            return FitReport("gaussian", (float(amp), float(sigma)), rms, domain)
+            return _finite_report("gaussian", (float(amp), float(sigma)), _rms(y - model),
+                                  domain)
     raise FitDivergedError(
         f"gaussian fit did not converge in {FIT_MAX_ITER} iterations",
         FitReport("gaussian", (best[1], best[2]), best[0], domain),
@@ -230,7 +255,8 @@ def fit_linear(pairs, kappa_cut: float = 0.7) -> FitReport:
 
     ``delta*`` values are expected in units of Omega_max, matching the
     optimizer's output.  Raises ValueError on a non-finite pair, or on fewer
-    than 3 points or 2 distinct kappa at or below the cut.
+    than 3 points or 2 distinct kappa at or below the cut, and
+    FloatingPointError if a parameter or the RMS is not finite.
     """
     pts = [(float(k), float(d)) for k, d in pairs]
     _require_finite_points(pts)
@@ -241,12 +267,16 @@ def fit_linear(pairs, kappa_cut: float = 0.7) -> FitReport:
     y = np.array([p[1] for p in pts])
     if np.unique(x).size < 2:
         raise ValueError(f"linear fit needs >= 2 distinct kappa <= {kappa_cut}")
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    rms = float(np.sqrt(np.mean(resid**2)))
-    return FitReport(
-        "linear",
-        (float(slope), float(intercept)),
-        rms,
-        (float(x.min()), float(x.max())),
-    )
+    # fitted to x / 2**kx and y / 2**ky, which polyfit can square, and
+    # scaled back by the same powers of two (see _binary_exponent)
+    kx, ky = _binary_exponent(x), _binary_exponent(y)
+    xs, ys = np.ldexp(x, -kx), np.ldexp(y, -ky)
+    slope, intercept = np.polyfit(xs, ys, 1)
+    resid = ys - (slope * xs + intercept)
+    try:
+        params = (math.ldexp(float(slope), ky - kx), math.ldexp(float(intercept), ky))
+        rms = math.ldexp(_rms(resid), ky)
+    except OverflowError:  # where numpy would give inf
+        raise FloatingPointError("linear fit is not finite: it overflows the float range") \
+            from None
+    return _finite_report("linear", params, rms, (float(x.min()), float(x.max())))

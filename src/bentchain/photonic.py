@@ -65,7 +65,8 @@ def coupling_from_separation(d_um: float, dev: DeviceParams) -> float:
 
 
 def separation_from_coupling(c_per_cm: float, dev: DeviceParams) -> float:
-    """d = -ln(C / eta) / xi, in um; requires C < eta."""
+    """d = -ln(C / eta) / xi, in um; requires 0 < C < eta.  Raises
+    FloatingPointError if C / eta underflows to 0 or d is not finite."""
     if c_per_cm >= dev.eta:
         raise ValueError(
             f"separation non-positive: coupling {c_per_cm:.4g}/cm exceeds "
@@ -73,7 +74,14 @@ def separation_from_coupling(c_per_cm: float, dev: DeviceParams) -> float:
         )
     if c_per_cm <= 0:
         raise ValueError("coupling must be > 0")
-    return -math.log(c_per_cm / dev.eta) / dev.xi
+    ratio = c_per_cm / dev.eta
+    d = -math.log(ratio) / dev.xi if ratio > 0 else math.inf
+    if not math.isfinite(d):
+        raise FloatingPointError(
+            f"separation not finite: coupling {c_per_cm:.4g}/cm against "
+            f"eta={dev.eta:.4g}/cm at xi={dev.xi:.4g}/um"
+        )
+    return d
 
 
 def design_layout(spec: ChainSpec, dev: DeviceParams) -> WaveguideLayout:

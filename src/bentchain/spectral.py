@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain import BendSpec, ChainSpec, Hamiltonian, build_hamiltonian
+from .chain import BendSpec, ChainSpec, Hamiltonian, _binary_exponent, build_hamiltonian
 
 LABELS = ("unperturbed", "bent", "bent_optimized")
 
@@ -71,10 +71,8 @@ def spectrum_report(
     distortion_weighted = {}
     for k in LABELS:
         d = gaps[k] - ref_gaps
-        # divided by the power of two at or below max |d|, d^2 cannot
-        # overflow; the RMS is bit for bit the unscaled one wherever d^2
-        # neither overflows nor underflows
-        scale = math.ldexp(1.0, math.frexp(float(np.abs(d).max()))[1] - 1)
+        # d^2 cannot overflow at this scale (see _binary_exponent)
+        scale = math.ldexp(1.0, _binary_exponent(d))
         d = d / scale
         distortion[k] = scale * float(np.sqrt(np.mean(d**2)))
         distortion_weighted[k] = scale * float(np.sqrt(np.sum(w * d**2)))

@@ -24,6 +24,8 @@ from bentchain import (
     TransferResult,
     __version__,
     design_layout,
+    detuning_curve,
+    fit_linear,
     optimize_detuning,
     parasitic_check,
     reference,
@@ -141,17 +143,6 @@ class TestCommands:
             (tmp_path / "optimize" / "optimize" / "manifest.json").read_text())
         assert manifest["delta_units"] == "omega_max"
 
-    def test_curve_manifest_records_only_the_corner(self, tmp_path, capsys):
-        # curve optimizes each kappa of its grid: the chain it records has
-        # the corner but no kappa or delta_alpha of a bend
-        code, _, _ = run(
-            capsys, "curve", "--protocol", "2", "--n", "9", "--alpha", "5",
-            "--grid", "0.2,0.4", "--out", str(tmp_path),
-        )
-        assert code == 0
-        manifest = json.loads((tmp_path / "curve" / "curve" / "manifest.json").read_text())
-        assert manifest["chain"] == {"protocol": 2, "n_sites": 9, "omega0": 1.0, "alpha": 5}
-
     def test_sweep_kappa_csv(self, tmp_path, capsys):
         code, out, _ = run(
             capsys, "sweep-kappa", "--protocol", "2", "--n", "9",
@@ -185,22 +176,6 @@ class TestCommands:
         assert math.isclose(
             float(rows[2][5]), table.rows[1].optimized.delta_star, rel_tol=1e-12
         )
-
-    def test_sweep_kappa_json(self, tmp_path, capsys):
-        code, _, _ = run(
-            capsys, "sweep-kappa", "--protocol", "2", "--n", "9", "--alpha", "5",
-            "--grid", "0,0.4", "--format", "json", "--out", str(tmp_path),
-        )
-        assert code == 0
-        path = tmp_path / "sweep-kappa" / "sweep-kappa" / "sweep_kappa.json"
-        payload = json.loads(path.read_text())
-        table = sweep_kappa(ChainSpec(Protocol.PROTOCOL_2, 9), 5, [0.0, 0.4])
-        assert payload["axis"] == "kappa"
-        assert payload["metadata"]["n_sites"] == 9
-        assert len(payload["rows"]) == 2
-        for rec, row in zip(payload["rows"], table.rows):
-            assert math.isclose(rec["q"], row.result.q, rel_tol=1e-12)
-            assert rec["delta_opt"] is None and rec["on_boundary"] is None
 
     def test_optimize_and_label(self, tmp_path, capsys):
         code, out, _ = run(
@@ -290,7 +265,7 @@ class TestCommands:
             "--L", "10", "--out", str(tmp_path),
         )
         assert code == 0
-        assert "21.87" in out and "24.88" in out
+        assert "separations 21.8655..24.8796 um" in out
         layout = (tmp_path / "design" / "design" / "layout.csv").read_text()
         assert layout.splitlines()[0] == "j,d_um,coupling_per_cm"
 
@@ -314,13 +289,14 @@ class TestCommands:
         # default detuning interval (as in figure fig4)
         code, _, _ = run(
             capsys, "sweep-alpha", "--protocol", "2", "--n", "21", "--kappa", "0.4",
-            "--alpha-range", "2,3", "--format", "json", "--out", str(tmp_path),
+            "--alpha-range", "2,3", "--out", str(tmp_path),
         )
         assert code == 0
-        path = tmp_path / "sweep-alpha" / "sweep-alpha" / "sweep_alpha.json"
-        rows = json.loads(path.read_text())["rows"]
-        assert [(r["delta_opt"], r["on_boundary"]) for r in rows][0] == (-4.0, 1)
-        assert rows[1]["on_boundary"] == 0
+        path = tmp_path / "sweep-alpha" / "sweep-alpha" / "sweep_alpha.csv"
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert (rows[0]["delta_opt"], rows[0]["on_boundary"]) == ("-4.0", "1")
+        assert rows[1]["on_boundary"] == "0"
 
     @pytest.mark.parametrize("flags", [True, False], ids=["with", "without"])
     def test_fit_reads_sweeps_with_or_without_on_boundary(self, tmp_path, capsys, flags):
@@ -370,20 +346,41 @@ class TestCommands:
             assert manifest.get("kappa_cut") == cut
 
     def test_fit_linear_from_curve(self, tmp_path, capsys):
+        # sweep-kappa --optimize writes the optimal-detuning curve, cell for
+        # cell as detuning_curve gives it, and fit reads it from there
         code, _, _ = run(
-            capsys, "curve", "--protocol", "2", "--n", "9", "--alpha", "5",
-            "--grid", "0.1:0.1:0.5", "--out", str(tmp_path),
+            capsys, "sweep-kappa", "--protocol", "2", "--n", "9", "--alpha", "5",
+            "--grid", "0.1:0.1:0.5", "--optimize", "--out", str(tmp_path),
         )
         assert code == 0
-        curve_csv = tmp_path / "curve" / "curve" / "curve.csv"
+        path = tmp_path / "sweep-kappa" / "sweep-kappa" / "sweep_kappa.csv"
+        with open(path, newline="") as fh:
+            rows = [r[5:] for r in csv.reader(fh)][1:]
+        spec = ChainSpec(Protocol.PROTOCOL_2, 9)
+        curve = detuning_curve(spec, 5, parse_grid("0.1:0.1:0.5"), reference(spec))
+        assert rows == [[repr(res.delta_star), repr(res.q_opt), repr(res.s_opt),
+                         str(int(res.on_boundary))] for _, res in curve]
         code, out, _ = run(
-            capsys, "fit", "--kind", "linear", "--input", str(curve_csv),
-            "--out", str(tmp_path),
+            capsys, "fit", "--kind", "linear", "--input", str(path), "--out", str(tmp_path),
         )
         assert code == 0
         assert "slope=" in out
         payload = json.loads((tmp_path / "fit" / "fit" / "fit.json").read_text())
-        assert payload["params"][0] < 0
+        expected = fit_linear([(kappa, res.delta_star) for kappa, res in curve])
+        assert payload["params"] == list(expected.params) and expected.params[0] < 0
+
+    def test_fit_overflowing_residuals(self, tmp_path, capsys):
+        # the squared residuals overflowed: fit.json held "residual_rms":
+        # Infinity with exit 0, and numpy warned
+        path = tmp_path / "in.csv"
+        path.write_text("axis,delta_opt\n0.1,1e300\n0.2,-1e300\n0.3,1e300\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, _ = run(capsys, "fit", "--kind", "linear", "--input", str(path),
+                               "--out", str(tmp_path))
+        assert code == 0
+        report = json.loads((tmp_path / "fit" / "fit" / "fit.json").read_text())
+        assert math.isclose(report["residual_rms"], math.sqrt(8 / 9) * 1e300, rel_tol=1e-12)
 
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "chain.json"
@@ -558,6 +555,20 @@ class TestErrors:
         assert "nan" not in out
         assert not list(tmp_path.rglob("layout.*"))
 
+    @pytest.mark.parametrize("device", [
+        ("--L", "10", "--xi", "5e-324"), ("--L", "10", "--xi", "1e-310"),
+        ("--L", "1e300", "--eta", "1e300"),
+    ], ids=["xi-subnormal", "xi-1e-310", "ratio-underflows"])
+    def test_unrepresentable_separation_is_numerical(self, tmp_path, capsys, device):
+        # the separations overflowed, and parasitic_check divided by a zero
+        # coupling (exit 1); or C / eta underflowed to 0, and math.log raised
+        # "math domain error" (exit 2)
+        code, out, err = run(capsys, "design", "--protocol", "2", "--n", "9", *device,
+                             "--out", str(tmp_path))
+        assert code == EXIT_NUMERICAL
+        assert "separation not finite: coupling" in err and "eta=" in err
+        assert out == "" and not any(tmp_path.iterdir())
+
     def test_calibrate_zero_window_is_usage_error(self, tmp_path, capsys):
         # a window of 0 is rejected, not replaced by the default window
         code, out, err = run(
@@ -635,7 +646,7 @@ class TestErrors:
         assert out == "" and not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("kind,text", [
-        ("linear", "kappa,delta_opt\n0.1,-0.2\n0.2,nan\n0.3,-0.6\n0.4,-0.8\n"),
+        ("linear", "axis,delta_opt\n0.1,-0.2\n0.2,nan\n0.3,-0.6\n0.4,-0.8\n"),
         ("gaussian", "axis,p,t,q,s\n" + "".join(
             f"{k / 10},1,1,{'inf' if k == 3 else 1 - k / 100},1\n" for k in range(6))),
     ], ids=["linear", "gaussian"])
@@ -648,6 +659,18 @@ class TestErrors:
         )
         assert code == EXIT_USAGE
         assert "fit points must be finite" in err
+        assert out == "" and not out_dir.exists()
+
+    def test_fit_overflowing_parameters_is_numerical(self, tmp_path, capsys):
+        path = tmp_path / "in.csv"
+        path.write_text("axis,delta_opt\n0.1,1.7e308\n0.2,1.7e308\n0.3,-1.7e308\n")
+        out_dir = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, "fit", "--kind", "linear", "--input", str(path),
+                                 "--out", str(out_dir))
+        assert code == EXIT_NUMERICAL
+        assert "linear fit is not finite" in err
         assert out == "" and not out_dir.exists()
 
     @pytest.mark.parametrize("kind,text,reason", [
@@ -721,8 +744,10 @@ class TestErrors:
     @pytest.mark.parametrize("argv", [
         ["sweep-kappa", "--protocol", "2", "--n", "9", "--alpha", "5", "--grid", "0:0.1:inf"],
         ["sweep-kappa", "--protocol", "2", "--n", "9", "--alpha", "5", "--grid", "1:0.1:0"],
-        ["curve", "--protocol", "2", "--n", "9", "--alpha", "5", "--grid", "0:0.1:inf"],
-        ["curve", "--protocol", "2", "--n", "9", "--alpha", "5", "--grid", "1:0.1:0"],
+        ["sweep-alpha", "--protocol", "2", "--n", "9", "--kappa", "0.4", "--alpha-range",
+         "2:1:inf"],
+        ["sweep-alpha", "--protocol", "2", "--n", "9", "--kappa", "0.4", "--alpha-range",
+         "5:1:2"],
         ["calibrate", "--n", "6", "--grid", "0.1:0.1:inf"],
         ["calibrate", "--n", "6", "--grid", "1:0.1:0.5"],
         ["sweep-kappa", "--protocol", "2", "--n", "9", "--alpha", "5", "--grid", "0:1e-12:1"],
@@ -738,7 +763,8 @@ class TestErrors:
         ["sweep-kappa", "--protocol", "2", "--n", "9", "--alpha", "5", "--grid", "0.3,0.2,0.3"],
         ["sweep-alpha", "--protocol", "2", "--n", "9", "--kappa", "0.4", "--alpha-range", "2,2"],
         ["sweep-alpha", "--protocol", "2", "--n", "9", "--kappa", "0.4", "--alpha-range", "3,2,3"],
-        ["curve", "--protocol", "2", "--n", "9", "--alpha", "5", "--grid", "0.5,0.5"],
+        ["sweep-kappa", "--protocol", "2", "--n", "9", "--alpha", "5", "--grid", "0.5,0.5",
+         "--optimize"],
         ["calibrate", "--n", "13", "--grid", "0.7,0.7"],
     ])
     def test_repeated_sweep_value_is_usage_error(self, tmp_path, capsys, argv):
@@ -797,7 +823,7 @@ class TestErrors:
     @pytest.mark.parametrize("kind,text,missing", [
         ("gaussian", "", "axis"),
         ("gaussian", "axis,p,t,q\n0.1,1,1,1\n", "s"),
-        ("linear", "a,b\n1,2\n", "axis or kappa"),
+        ("linear", "a,delta_opt\n1,2\n", "axis"),
         ("linear", "kappa,q_opt\n0.1,1\n", "delta_opt or delta_star"),
     ])
     def test_fit_input_missing_column(self, tmp_path, capsys, kind, text, missing):
@@ -818,10 +844,9 @@ MINIMAL_ARGV = {
     "sweep-kappa": ["--protocol", "2", "--n", "9", "--alpha", "5"],
     "sweep-alpha": ["--protocol", "2", "--n", "9", "--kappa", "0.4"],
     "optimize": ["--protocol", "2", "--n", "9", "--alpha", "5", "--kappa", "0.4"],
-    "curve": ["--protocol", "2", "--n", "9", "--alpha", "5"],
     "spectrum": ["--protocol", "2", "--n", "9", "--alpha", "5", "--kappa", "0.4"],
     "design": ["--protocol", "2", "--n", "9", "--L", "10"],
-    "fit": ["--kind", "linear", "--input", "curve.csv"],
+    "fit": ["--kind", "linear", "--input", "sweep.csv"],
     "figure": ["fig5"],
 }
 
@@ -836,14 +861,12 @@ OPTION_SURFACE = {
     "calibrate": ["--grid", "--label", "--n", "--omega0", "--out", "--window"],
     "metrics": ["--alpha", "--config", "--delta", "--kappa", "--label", "--n", "--omega0",
                 "--out", "--protocol", "--ratio"],
-    "sweep-kappa": ["--alpha", "--config", "--format", "--grid", "--label", "--n", "--omega0",
+    "sweep-kappa": ["--alpha", "--config", "--grid", "--label", "--n", "--omega0",
                     "--optimize", "--out", "--protocol", "--ratio"],
-    "sweep-alpha": ["--alpha-range", "--config", "--format", "--kappa", "--label", "--n",
+    "sweep-alpha": ["--alpha-range", "--config", "--kappa", "--label", "--n",
                     "--no-optimize", "--omega0", "--out", "--protocol", "--ratio"],
     "optimize": ["--alpha", "--config", "--interval", "--kappa", "--label", "--n", "--omega0",
                  "--out", "--protocol", "--ratio"],
-    "curve": ["--alpha", "--config", "--grid", "--label", "--n", "--omega0", "--out",
-              "--protocol", "--ratio"],
     "spectrum": ["--alpha", "--config", "--kappa", "--label", "--n", "--omega0", "--out",
                  "--protocol", "--ratio"],
     "design": ["--L", "--config", "--eta", "--label", "--n", "--out", "--protocol", "--ratio",
@@ -876,7 +899,7 @@ class TestOptionSurface:
          "--format", "json"],
         ["reference", "--protocol", "2", "--n", "9", "--jobs", "2"],
         ["reference", "--protocol", "2", "--n", "9", "--window", "3"],
-        ["fit", "--kind", "linear", "--input", "curve.csv", "--config", "x.json"],
+        ["fit", "--kind", "linear", "--input", "sweep.csv", "--config", "x.json"],
         ["calibrate", "--n", "6", "--cache", "x.json"],
         # bend flags and omega0 of commands that do not read them; sweep-alpha's
         # --alpha is no abbreviation of --alpha-range
@@ -884,8 +907,10 @@ class TestOptionSurface:
         [*_minimal("sweep-alpha"), "--delta", "-1"],
         [*_minimal("sweep-kappa"), "--kappa", "0.4"],
         [*_minimal("sweep-kappa"), "--delta", "-1"],
-        [*_minimal("curve"), "--kappa", "0.4"],
-        [*_minimal("curve"), "--delta", "-1"],
+        # the table format option and the command that are deleted
+        [*_minimal("sweep-kappa"), "--optimize", "--format", "json"],
+        [*_minimal("sweep-alpha"), "--format", "csv"],
+        ["curve", "--protocol", "2", "--n", "9", "--alpha", "5"],
         [*_minimal("optimize"), "--delta", "-1"],
         [*_minimal("spectrum"), "--delta", "-1"],
         [*_minimal("design"), "--omega0", "2.5"],
@@ -900,7 +925,7 @@ class TestOptionSurface:
 
     @pytest.mark.parametrize("command,flag", [
         *((command, "--alpha")
-          for command in ("metrics", "sweep-kappa", "optimize", "curve", "spectrum")),
+          for command in ("metrics", "sweep-kappa", "optimize", "spectrum")),
         *((command, "--kappa") for command in ("metrics", "sweep-alpha", "optimize", "spectrum")),
     ])
     def test_missing_bend_flag_is_usage_error(self, tmp_path, capsys, command, flag):
@@ -934,23 +959,15 @@ class TestOptionSurface:
             outputs.append({p.name: p.read_bytes() for p in run_dir.iterdir()})
         assert outputs[0] == outputs[1]
 
-    def test_sweep_takes_format(self, tmp_path, capsys):
-        code, _, _ = run(
-            capsys, "sweep-kappa", "--protocol", "2", "--n", "9", "--alpha", "5",
-            "--grid", "0:0.5:1", "--format", "json", "--out", str(tmp_path),
-        )
-        assert code == 0
-        assert (tmp_path / "sweep-kappa" / "sweep-kappa" / "sweep_kappa.json").exists()
-
 
 def _minimal_run(capsys, monkeypatch, tmp_path, command, *flags):
     """Run ``command`` with its minimal argv in ``tmp_path`` (fit reading a
-    small linear curve.csv there); return the exit code, stdout and the run
+    small linear sweep.csv there); return the exit code, stdout and the run
     directory."""
     monkeypatch.chdir(tmp_path)
     if command == "fit":
-        with open("curve.csv", "w", newline="") as fh:
-            csv.writer(fh).writerows([["kappa", "delta_opt"],
+        with open("sweep.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows([["axis", "delta_opt"],
                                       *([k, -2 * k] for k in (0.1, 0.2, 0.3, 0.4))])
     code, out, _ = run(capsys, *_minimal(command), *flags, "--out", "out")
     (run_dir,) = (tmp_path / "out" / command).iterdir()
@@ -996,21 +1013,45 @@ class TestRunRecord:
         written = json.loads((run_dir / name).read_text())[key]
         assert math.isclose(printed, written, rel_tol=5e-6)
 
-    @pytest.mark.parametrize("length", ["10", "1e9"])
-    def test_design_summary_matches_layout(self, tmp_path, capsys, monkeypatch, length):
+    @pytest.mark.parametrize("device", [("--L", "10"), ("--L", "1e9"),
+                                        ("--L", "10", "--xi", "1e300")],
+                             ids=["10", "1e9", "xi1e300"])
+    def test_design_summary_matches_layout(self, tmp_path, capsys, monkeypatch, device):
         # fixed decimals printed omega0=0.00000/cm and a parasitic ratio of
-        # 0.0000 for a device of length 1e9
-        code, out, run_dir = _minimal_run(capsys, monkeypatch, tmp_path, "design",
-                                          "--L", length)
+        # 0.0000 for a device of length 1e9, and separations of 0.00 um at
+        # xi = 1e300/um
+        code, out, run_dir = _minimal_run(capsys, monkeypatch, tmp_path, "design", *device)
         assert code == 0
         layout = json.loads((run_dir / "layout.json").read_text())
         printed = float(re.search(r" omega0=(\S+)/cm", out).group(1))
         assert math.isclose(printed, layout["omega0_per_cm"], rel_tol=5e-6)
+        printed = [float(v) for v in re.search(r"separations (\S+)\.\.(\S+) um", out).groups()]
+        d = layout["separations_um"]
+        assert all(math.isclose(p, v, rel_tol=5e-6) for p, v in zip(printed, (min(d), max(d))))
         dev = DeviceParams(**layout["device"])
         ratio = parasitic_check(design_layout(ChainSpec(Protocol.PROTOCOL_2, 9), dev),
                                 dev).max_ratio
         printed = float(re.search(r"max parasitic ratio (\S+)", out).group(1))
         assert ratio > 0.0 and math.isclose(printed, ratio, rel_tol=5e-6)
+
+    @pytest.mark.parametrize("kind,rows,names", [
+        ("linear", [(k, 1.25e-8 * k) for k in (0.1, 0.2, 0.3)], ("slope", "intercept")),
+        ("gaussian", [(k, 1e-9 * math.exp(-2 * k * k)) for k in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)],
+         ("A", "sigma")),
+    ], ids=["linear", "gaussian"])
+    def test_fit_summary_matches_file(self, tmp_path, capsys, kind, rows, names):
+        # fixed decimals printed a slope and an amplitude of 0.000000
+        path = tmp_path / "sweep.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([["axis", "p", "t", "q", "s", "delta_opt"],
+                                      *([k, 1.0, 1.0, v, 1.0, v] for k, v in rows)])
+        code, out, _ = run(capsys, "fit", "--kind", kind, "--input", str(path),
+                           "--out", str(tmp_path))
+        assert code == 0
+        report = json.loads((tmp_path / "fit" / "fit" / "fit.json").read_text())
+        for name, value in zip(names, report["params"]):
+            printed = float(re.search(rf" {name}=(\S+)", out).group(1))
+            assert value != 0.0 and math.isclose(printed, value, rel_tol=5e-6)
 
 
 def _float_options():
@@ -1058,20 +1099,46 @@ EDGE_OMEGA0 = [5e-324, 1e-320, 1e-308, 1e-300, 1.0, 1e300, 1e307, 1e308, 1.7e308
 EDGE_DELTA = [1e308, -1e308, 0.0, -1.0]
 EDGE_RATIO = [1e-300, 0.7, 1e300]
 EDGE_KAPPA = [-0.0, 1e-320, 1.0, 1.5, math.nan]
+# design's --L, --eta, --xi and --wavelength: ordinary values, up to two of
+# them replaced by edge values
+DEVICE_FLAGS = {"--L": 10.0, "--eta": 19.5, "--xi": 0.152, "--wavelength": 633.0}
+EDGE_DEVICE = [5e-324, 1e-310, 1e-300, 1e300, 1.7e308, 0.0, -1.0, math.inf, math.nan]
+# a fit input's axis (mostly kappas a gaussian fit accepts) and its q and
+# delta_opt
+EDGE_AXIS = [-1e300, -1.0, -0.0, 5e-324, 0.1, 0.3, 0.7, 1.0, math.nan]
+EDGE_FIT_VALUE = [5e-324, -0.0, 0.5, -1.0, 1e-300, 1e300, -1e300, 1.7e308, -1.7e308,
+                  math.nan]
 
 
 @st.composite
 def _contract_argv(draw):
+    """A command line, and for fit the (axis, value) rows of its input
+    (whose path is the argument "INPUT")."""
     command = draw(st.sampled_from(["reference", "metrics", "optimize", "sweep-kappa",
-                                    "sweep-alpha", "spectrum", "calibrate"]))
+                                    "sweep-alpha", "spectrum", "calibrate", "design",
+                                    "fit"]))
+    if command == "fit":
+        rows = draw(st.lists(st.tuples(st.sampled_from(EDGE_AXIS),
+                                       st.sampled_from(EDGE_FIT_VALUE)),
+                             min_size=3, max_size=8))
+        kind = draw(st.sampled_from(["gaussian", "linear"]))
+        return [command, "--kind", kind, "--input", "INPUT"], rows
     n = draw(st.integers(3, 9))
-    omega0 = repr(draw(st.sampled_from(EDGE_OMEGA0)))
     if command == "calibrate":
-        return [command, "--n", str(n), "--omega0", omega0]
+        return [command, "--n", str(n), "--omega0", repr(draw(st.sampled_from(EDGE_OMEGA0)))], []
     protocol = draw(st.sampled_from([1, 2]))
-    argv = [command, "--protocol", str(protocol), "--n", str(n), "--omega0", omega0]
+    argv = [command, "--protocol", str(protocol), "--n", str(n)]
+    if command == "design":  # an ordinary chain on an edge device
+        if protocol == 1:
+            argv += ["--ratio", "0.7"]
+        edges = draw(st.dictionaries(st.sampled_from(list(DEVICE_FLAGS)),
+                                     st.sampled_from(EDGE_DEVICE), max_size=2))
+        for flag, ordinary in DEVICE_FLAGS.items():
+            argv += [flag, repr(edges.get(flag, ordinary))]
+        return argv, []
     if protocol == 1:
         argv += ["--ratio", repr(draw(st.sampled_from(EDGE_RATIO)))]
+    argv += ["--omega0", repr(draw(st.sampled_from(EDGE_OMEGA0)))]
     if command not in ("reference", "sweep-alpha"):
         argv += ["--alpha", str(draw(st.sampled_from([1, 2, n - 1, n])))]
     if command in ("metrics", "optimize", "sweep-alpha", "spectrum"):
@@ -1080,7 +1147,7 @@ def _contract_argv(draw):
         argv += ["--delta", repr(draw(st.sampled_from(EDGE_DELTA)))]
     if command == "sweep-kappa":
         argv += ["--optimize", "--grid", "0:0.5:1"]
-    return argv
+    return argv, []
 
 
 def _finite_numbers(value) -> bool:
@@ -1092,22 +1159,28 @@ def _finite_numbers(value) -> bool:
     return not isinstance(value, float) or math.isfinite(value)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(argv=_contract_argv())
-def test_cli_contract_at_edge_values(argv):
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=_contract_argv())
+def test_cli_contract_at_edge_values(case):
     # exit 0, 2, 3 or 4 and no RuntimeWarning; a run that succeeds writes
     # finite numbers only (a CSV optimum cell may be empty), and any other
     # leaves --out empty
-    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(), \
+    argv, rows = case
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
             contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         warnings.simplefilter("error", RuntimeWarning)
+        source, out = Path(tmp) / "sweep.csv", Path(tmp) / "out"
+        with open(source, "w", newline="") as fh:
+            csv.writer(fh).writerows([["axis", "p", "t", "q", "s", "delta_opt"],
+                                      *([x, 1.0, 1.0, v, 1.0, v] for x, v in rows)])
         try:
-            code = main([*argv, "--out", out])
+            code = main([str(source) if a == "INPUT" else a for a in argv]
+                        + ["--out", str(out)])
         except SystemExit as exc:
             code = exc.code
         assert code in (0, EXIT_USAGE, EXIT_NUMERICAL, EXIT_IO)
-        files = [p for p in Path(out).rglob("*") if p.is_file()]
+        files = [p for p in out.rglob("*") if p.is_file()]
         if code != 0:
             assert not files
         for path in files:

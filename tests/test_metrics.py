@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -292,6 +293,23 @@ class TestFits:
             point[i] = bad
             with pytest.raises(ValueError, match="finite"):
                 fit_linear(pairs[:1] + [tuple(point)] + pairs[2:])
+
+    def test_overflowing_residuals_keep_a_finite_rms(self):
+        # the squares of these residuals overflow; their RMS does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fit = fit_linear([(0.1, 1e300), (0.2, -1e300), (0.3, 1e300)])
+            assert math.isclose(fit.residual_rms, math.sqrt(8 / 9) * 1e300, rel_tol=1e-12)
+            fit = fit_linear([(-1e300, 1.0), (0.2, -1.0), (0.3, 1.0)])
+            assert all(math.isfinite(v) for v in (*fit.params, fit.residual_rms))
+            with pytest.raises(FitDivergedError) as exc:
+                fit_gaussian(_synthetic_table(np.linspace(0.0, 0.8, 5),
+                                              [1e300, -1e300, 1e300, 1.0, 1.0]))
+        assert math.isfinite(exc.value.best.residual_rms)
+
+    def test_overflowing_parameters_raise(self):
+        with pytest.raises(FloatingPointError, match="linear fit is not finite"):
+            fit_linear([(0.1, 1.7e308), (0.2, 1.7e308), (0.3, -1.7e308)])
 
     def test_linear_too_few_points(self):
         with pytest.raises(ValueError):

@@ -39,6 +39,16 @@ class TestCouplingLaw:
         with pytest.raises(ValueError):
             separation_from_coupling(0.0, DEV)
 
+    @pytest.mark.parametrize("c,dev", [
+        (0.5, DeviceParams(eta=19.5, xi=5e-324, length=10.0)),
+        (1e-300, DeviceParams(eta=1e300, xi=0.152, length=10.0)),
+    ], ids=["separation-overflows", "ratio-underflows"])
+    def test_unrepresentable_separation_raises(self, c, dev):
+        # d = -ln(C / eta) / xi came out infinite, or C / eta underflowed to
+        # 0 and math.log raised "math domain error"
+        with pytest.raises(FloatingPointError, match=r"coupling .*/cm against eta="):
+            separation_from_coupling(c, dev)
+
     def test_rejects_bad_device(self):
         with pytest.raises(ValueError):
             DeviceParams(eta=-1.0, xi=0.152, length=10.0)
