@@ -6,6 +6,12 @@ every Hamiltonian, the bandwidth-scaled scan of |A_N(t)|^2 followed by the
 analytic-slope refine of the first peak, as one one-row ``first_arrivals``
 call on the raw matrix (N = 9, 13, 25).
 
+Coarse block: the optimizer's coarse scan, the first arrivals of 16
+detunings over the default interval as one block ``evaluate(deltas)`` on
+the objective below (N = 13, 25), and at N = 25 the phase tables of that
+block's scan alone (``propagate._phase_tables`` with the arguments the
+scan passes it).
+
 Refine step: the calls on the optimizer's objective H0 + delta E
 (E = dH/ddelta at the corner) that a slope-refine step makes: the followed
 arrival and slope ``evaluate(delta, near=t)`` from a nearby arrival t, one
@@ -100,6 +106,7 @@ from bentchain import (  # noqa: E402
     reference,
 )
 from bentchain import cli, propagate  # noqa: E402
+from bentchain.optimize import DEFAULT_INTERVAL, N_COARSE  # noqa: E402
 from bentchain.propagate import _end_weights, _objective  # noqa: E402
 
 REPEATS = 7
@@ -200,6 +207,20 @@ def counted_arrivals():
         propagate._follow = follow
 
 
+def phase_table_arguments(call):
+    """The arguments of the one ``propagate._phase_tables`` call that
+    ``call()`` makes."""
+    seen = []
+    build = propagate._phase_tables
+    propagate._phase_tables = lambda *args: seen.append(args) or build(*args)
+    try:
+        call()
+    finally:
+        propagate._phase_tables = build
+    (args,) = seen
+    return args
+
+
 def refine_evaluations(figure, out):
     """One-row first_arrivals calls and followed refine steps of
     ``bentchain figure <figure>``, and the optimized points in its files."""
@@ -229,6 +250,12 @@ def main(argv=None):
         corner = (n + 1) // 2 - 1
         direction[corner, corner] = omega_max(ChainSpec(Protocol.PROTOCOL_2, n))
         evaluate = _objective(matrix, direction, WINDOW)
+        coarse = np.linspace(*DEFAULT_INTERVAL, N_COARSE)
+        time_call(rows, f"first_arrivals N={n} B={N_COARSE}", lambda: evaluate(coarse), 100)
+        if n == 25:
+            tables = phase_table_arguments(lambda: evaluate(coarse))
+            time_call(rows, f"phase tables N={n} B={N_COARSE}",
+                      lambda: propagate._phase_tables(*tables), 200)
         t_star, _ = evaluate([0.0])
         # followed from the arrival of a detuning one coarse cell away
         (t_near,), _ = evaluate([0.3])

@@ -173,14 +173,22 @@ def _rms(r: np.ndarray) -> float:
     return scale * float(np.sqrt(np.mean((r / scale) ** 2)))
 
 
-def _finite_report(kind: str, params: tuple[float, float], rms: float,
-                   domain: tuple[float, float]) -> FitReport:
+def _ldexp(value: float, k: int) -> float:
+    """value * 2**k, or an infinity of its sign where that overflows (as
+    numpy's product would)."""
+    try:
+        return math.ldexp(value, k)
+    except OverflowError:
+        return math.copysign(math.inf, value)
+
+
+def _finite_report(fit: FitReport) -> FitReport:
     """The fit's report; raises FloatingPointError if a parameter or the
     RMS is not finite."""
-    if not all(math.isfinite(v) for v in (*params, rms)):
-        raise FloatingPointError(
-            f"{kind} fit is not finite: params {params}, residual rms {rms!r}")
-    return FitReport(kind, params, rms, domain)
+    if not all(math.isfinite(v) for v in (*fit.params, fit.residual_rms)):
+        raise FloatingPointError(f"{fit.kind} fit is not finite: params {fit.params}, "
+                                 f"residual rms {fit.residual_rms!r}")
+    return fit
 
 
 def _require_finite_points(points) -> None:
@@ -199,7 +207,12 @@ FIT_TOL = 1e-12
 def fit_gaussian(table: SweepTable) -> FitReport:
     """Gauss-Newton fit of q(kappa) ~ A exp(-kappa^2 / (2 sigma^2)).
 
-    Starts from (A, sigma) = (1, 0.5).  Raises ValueError on fewer than 5
+    Fits q / 2**k, with k such that its largest |q| lies in [1, 2) (see
+    :func:`_binary_exponent`), from (A, sigma) = (1, 0.5), and scales A
+    and the RMS back by 2**k: the start and the absolute step tolerance
+    ``FIT_TOL`` then suit a profile of any amplitude, and a sweep whose
+    largest q already lies in [1, 2) (every kappa sweep, since q(0) = 1)
+    is fitted as it is.  Raises ValueError on fewer than 5
     rows, a non-finite point, fewer than 2 distinct |kappa| (which leave
     sigma undetermined) or a |kappa| above 1, which no bend has,
     FitDivergedError (carrying the best iterate) on non-convergence or a
@@ -218,6 +231,11 @@ def fit_gaussian(table: SweepTable) -> FitReport:
     if np.any(np.abs(x) > 1.0):
         raise ValueError("gaussian fit expects kappa within [-1, 1]")
     domain = (float(x.min()), float(x.max()))
+    k = _binary_exponent(y)
+    y = np.ldexp(y, -k)
+
+    def report(rms: float, amp: float, sigma: float) -> FitReport:
+        return FitReport("gaussian", (_ldexp(amp, k), sigma), _ldexp(rms, k), domain)
 
     amp, sigma = 1.0, 0.5
     best = None
@@ -238,15 +256,14 @@ def fit_gaussian(table: SweepTable) -> FitReport:
         if sigma <= 0 or not np.isfinite(sigma) or sigma > sigma_cap:
             raise FitDivergedError(
                 "gaussian fit degenerate (sigma escaped); profile may be flat",
-                FitReport("gaussian", (best[1], best[2]), best[0], domain),
+                report(*best),
             )
         if float(np.hypot(*step)) < FIT_TOL:
             model = amp * np.exp(-(x**2) / (2.0 * sigma**2))
-            return _finite_report("gaussian", (float(amp), float(sigma)), _rms(y - model),
-                                  domain)
+            return _finite_report(report(_rms(y - model), float(amp), float(sigma)))
     raise FitDivergedError(
         f"gaussian fit did not converge in {FIT_MAX_ITER} iterations",
-        FitReport("gaussian", (best[1], best[2]), best[0], domain),
+        report(*best),
     )
 
 
@@ -255,8 +272,10 @@ def fit_linear(pairs, kappa_cut: float = 0.7) -> FitReport:
 
     ``delta*`` values are expected in units of Omega_max, matching the
     optimizer's output.  Raises ValueError on a non-finite pair, or on fewer
-    than 3 points or 2 distinct kappa at or below the cut, and
-    FloatingPointError if a parameter or the RMS is not finite.
+    than 3 points or 2 distinct kappa at or below the cut (kappas a few ulps
+    apart count as one: the least-squares matrix then has rank 1, and the
+    slope is undetermined), and FloatingPointError if a parameter or the
+    RMS is not finite.
     """
     pts = [(float(k), float(d)) for k, d in pairs]
     _require_finite_points(pts)
@@ -271,12 +290,10 @@ def fit_linear(pairs, kappa_cut: float = 0.7) -> FitReport:
     # scaled back by the same powers of two (see _binary_exponent)
     kx, ky = _binary_exponent(x), _binary_exponent(y)
     xs, ys = np.ldexp(x, -kx), np.ldexp(y, -ky)
-    slope, intercept = np.polyfit(xs, ys, 1)
+    (slope, intercept), _, rank, _, _ = np.polyfit(xs, ys, 1, full=True)
+    if rank < 2:
+        raise ValueError(f"linear fit needs >= 2 distinct kappa <= {kappa_cut}")
     resid = ys - (slope * xs + intercept)
-    try:
-        params = (math.ldexp(float(slope), ky - kx), math.ldexp(float(intercept), ky))
-        rms = math.ldexp(_rms(resid), ky)
-    except OverflowError:  # where numpy would give inf
-        raise FloatingPointError("linear fit is not finite: it overflows the float range") \
-            from None
-    return _finite_report("linear", params, rms, (float(x.min()), float(x.max())))
+    params = (_ldexp(float(slope), ky - kx), _ldexp(float(intercept), ky))
+    return _finite_report(FitReport("linear", params, _ldexp(_rms(resid), ky),
+                                    (float(x.min()), float(x.max()))))

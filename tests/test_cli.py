@@ -675,11 +675,14 @@ class TestErrors:
 
     @pytest.mark.parametrize("kind,text,reason", [
         ("linear", "axis,delta_opt\n0.1,-1\n0.1,-2\n0.1,-3\n", "2 distinct kappa"),
+        # kappas one ulp apart: the slope is as undetermined as with equal ones
+        ("linear", "axis,delta_opt\n0.1,1\n0.1,2\n0.10000000000000002,3\n",
+         "2 distinct kappa"),
         ("gaussian", "axis,p,t,q,s\n" + "".join(
             f"{k},1,1,{q},1\n" for k, q in
             [(0.3, 0.8), (-0.3, 0.8), (0.3, 0.81), (-0.3, 0.79), (0.3, 0.8)]),
          "2 distinct |kappa|"),
-    ], ids=["linear", "gaussian"])
+    ], ids=["linear", "linear-ulps-apart", "gaussian"])
     def test_fit_undetermined_is_usage_error(self, tmp_path, capsys, kind, text, reason):
         path = tmp_path / "in.csv"
         path.write_text(text)

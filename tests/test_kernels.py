@@ -74,6 +74,21 @@ class TestPhaseTables:
             _, outer, inner = _phase_tables(np.stack([lam, lam + 1.0, -lam]), 1.0, size)
             assert outer.shape == (3, m1, 4) and inner.shape == (3, m2, 4)
 
+    def test_tables_match_direct_at_the_largest_grid(self):
+        # the scan's largest grid takes the deepest doubling: rows up to
+        # about 1024 powers of the base, each off by about eps per power.
+        # Phases lam t of order 1 keep direct evaluation within a few eps
+        size = propagate.MAX_GRID_POINTS + 1
+        lam = np.array([[-1.3, -0.45, 0.0, 0.2, 1.1, 1.7], [-2.0, -1.0, -0.3, 0.3, 1.0, 2.0]])
+        times, outer, inner = _phase_tables(lam, 1.0, size)
+        m2 = math.isqrt(size)
+        assert outer.shape == (2, -(-size // m2), 6) and inner.shape == (2, m2, 6)
+        tol = outer.shape[1] * np.finfo(float).eps
+        dt = times[1]
+        for table, t in ((outer, times[::m2]), (inner, dt * np.arange(m2))):
+            direct = np.exp(-1j * t[:, None] * lam[:, None, :])
+            np.testing.assert_allclose(table, direct, rtol=0, atol=tol)
+
     @pytest.mark.parametrize("size", [3, 65, 4097])
     def test_batched_curve_matches_rows(self, size):
         # rows of very different bandwidth share one grid

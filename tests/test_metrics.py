@@ -302,9 +302,14 @@ class TestFits:
             assert math.isclose(fit.residual_rms, math.sqrt(8 / 9) * 1e300, rel_tol=1e-12)
             fit = fit_linear([(-1e300, 1.0), (0.2, -1.0), (0.3, 1.0)])
             assert all(math.isfinite(v) for v in (*fit.params, fit.residual_rms))
+            # fitted as q / 2**996, this profile converges like its copy of
+            # order 1 (it used to diverge on its scale alone) ...
+            x = np.linspace(0.0, 0.8, 5)
+            fit = fit_gaussian(_synthetic_table(x, [1e300, -1e300, 1e300, 1.0, 1.0]))
+            assert all(math.isfinite(v) for v in (*fit.params, fit.residual_rms))
+            # ... and a flat one diverges with a finite best RMS
             with pytest.raises(FitDivergedError) as exc:
-                fit_gaussian(_synthetic_table(np.linspace(0.0, 0.8, 5),
-                                              [1e300, -1e300, 1e300, 1.0, 1.0]))
+                fit_gaussian(_synthetic_table(x, [1e300] * 5))
         assert math.isfinite(exc.value.best.residual_rms)
 
     def test_overflowing_parameters_raise(self):
@@ -321,6 +326,35 @@ class TestFits:
         with pytest.raises(ValueError, match="2 distinct kappa"):
             fit_linear(pairs)
         assert fit_linear(pairs, kappa_cut=1.0).params[0] < 0.0
+
+    def test_linear_rejects_kappas_ulps_apart(self):
+        # distinct kappas a few ulps apart leave the slope as undetermined as
+        # equal ones: polyfit warned RankWarning and returned slope 10
+        pairs = [(0.1, 1.0), (0.1, 2.0), (math.nextafter(0.1, 1.0), 3.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="2 distinct kappa"):
+                fit_linear(pairs)
+
+    @pytest.mark.parametrize("amp", [1e-300, 1e200])
+    def test_gaussian_is_scale_free(self, amp):
+        # the fit of q / 2**k: a tiny amplitude no longer stops on the
+        # absolute step tolerance far from A, nor a huge one escape in sigma
+        x = np.linspace(0.0, 1.0, 11)
+        fit = fit_gaussian(_synthetic_table(x, amp * np.exp(-(x**2) / (2 * 0.5**2))))
+        assert math.isclose(fit.params[0], amp, rel_tol=1e-12)
+        assert math.isclose(fit.params[1], 0.5, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("k", [-1000, -3, 5, 600])
+    def test_gaussian_exact_under_powers_of_two(self, k):
+        # a profile times 2**k fits to the same sigma, bit for bit, and to
+        # A and an RMS times 2**k
+        x = np.linspace(0.0, 1.0, 11)
+        y = 0.97 * np.exp(-(x**2) / (2 * 0.45**2)) + 0.01 * np.cos(7.0 * x)
+        fit = fit_gaussian(_synthetic_table(x, y))
+        scaled = fit_gaussian(_synthetic_table(x, np.ldexp(y, k)))
+        assert scaled.params == (math.ldexp(fit.params[0], k), fit.params[1])
+        assert scaled.residual_rms == math.ldexp(fit.residual_rms, k)
 
     @pytest.mark.parametrize("x", [[2, 3, 4, 5, 6], [-1.5, -0.5, 0.0, 0.5, 1.0]])
     def test_gaussian_rejects_kappa_beyond_one(self, x):
