@@ -31,7 +31,6 @@ __all__ = [
     "build_hamiltonian",
     "hamiltonian_matrix",
     "spec_to_dict",
-    "spec_from_dict",
 ]
 
 
@@ -195,11 +194,10 @@ def build_hamiltonian(spec: ChainSpec, bend: BendSpec | None = None) -> Hamilton
     return Hamiltonian(matrix=h, eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
-# --- JSON config (keys: protocol, n_sites, omega0, boundary_ratio, alpha,
-#     kappa, delta_alpha) ---
-
-
 def spec_to_dict(spec: ChainSpec, bend: BendSpec | None = None) -> dict:
+    """A chain, and a bend if given, as a manifest's JSON object (keys
+    protocol, n_sites, omega0, boundary_ratio for Protocol 1, and alpha,
+    kappa, delta_alpha)."""
     d = {
         "protocol": spec.protocol.value,
         "n_sites": spec.n_sites,
@@ -212,46 +210,6 @@ def spec_to_dict(spec: ChainSpec, bend: BendSpec | None = None) -> dict:
         d["kappa"] = bend.kappa
         d["delta_alpha"] = bend.delta_alpha
     return d
-
-
-def _integer(key: str, value) -> int:
-    """An integer config value.  int() would truncate a float with a
-    fractional part (or read a bool as 0 or 1) into a different chain than
-    the config names, so those raise ValueError, as do null, lists and
-    objects; 9 and 9.0 both give 9."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float, str))
-            or (isinstance(value, float) and not value.is_integer())):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _float(key: str, value) -> float:
-    """A float config value: a number or a numeric string.  float() would
-    read a bool as 0.0 or 1.0, so a bool raises ValueError, as do null,
-    lists and objects."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def spec_from_dict(d: dict) -> tuple[ChainSpec, BendSpec | None]:
-    spec = ChainSpec(
-        protocol=Protocol(_integer("protocol", d["protocol"])),
-        n_sites=_integer("n_sites", d["n_sites"]),
-        omega0=_float("omega0", d.get("omega0", 1.0)),
-        boundary_ratio=(
-            _float("boundary_ratio", d["boundary_ratio"])
-            if d.get("boundary_ratio") is not None else None
-        ),
-    )
-    bend = None
-    if "alpha" in d:
-        bend = BendSpec(
-            alpha=_integer("alpha", d["alpha"]),
-            kappa=_float("kappa", d.get("kappa", 0.0)),
-            delta_alpha=_float("delta_alpha", d.get("delta_alpha", 0.0)),
-        )
-    return spec, bend
 
 
 def perfect_transfer_time(spec: ChainSpec) -> float:

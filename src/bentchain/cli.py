@@ -1,12 +1,14 @@
 """Command-line front end.
 
-Every subcommand is a thin shell over one library operation.  It returns
-its output files (the library's results as they are), a manifest with the
-fully resolved configuration and a summary line.  Only once it has
-succeeded does ``main`` write them under out/<command>/<label>/, so a failed
-command writes nothing.  ``main`` adds the manifest's header:
-``tool_version``, ``delta_units`` and ``command``.  All runs are
-deterministic.
+Every subcommand is a thin shell over one library operation, and takes
+its inputs as flags only.  argparse rejects a missing required flag, or one
+the command does not read, with exit 2 before anything runs.  A command
+returns its output files (the library's results as they are), a manifest
+of every input it ran with, defaults included, and a summary line.  Only
+once it has succeeded does ``main`` write them under
+out/<command>/<label>/, so a failed command writes nothing.  ``main`` adds
+the manifest's header: ``tool_version``, ``delta_units`` and ``command``.
+All runs are deterministic.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chain import BendSpec, ChainSpec, Protocol, _float, _integer, spec_from_dict, spec_to_dict
+from .chain import BendSpec, ChainSpec, Protocol, spec_to_dict
 from .metrics import (
     FitDivergedError,
     SweepTable,
@@ -87,23 +89,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _chain_args(parser: argparse.ArgumentParser, *flags: str) -> None:
-    """--config, --protocol, --n and --ratio, and those of --omega0, --alpha,
-    --kappa and --delta named in ``flags``; each dest is its config key."""
-    parser.add_argument("--config", type=Path,
-                        help="JSON file providing chain/bend parameters")
-    parser.add_argument("--protocol", type=int, choices=(1, 2), help="1 or 2")
-    parser.add_argument("--n", type=int, dest="n_sites", help="number of sites")
+    """--protocol, --n and --ratio, and those of --omega0, --alpha, --kappa
+    and --delta named in ``flags``; --protocol, --n, --alpha and --kappa are
+    required."""
+    parser.add_argument("--protocol", type=int, choices=(1, 2), required=True, help="1 or 2")
+    parser.add_argument("--n", type=int, dest="n_sites", required=True,
+                        help="number of sites")
     if "omega0" in flags:
-        parser.add_argument("--omega0", type=float)
+        parser.add_argument("--omega0", type=float, default=1.0)
     parser.add_argument("--ratio", type=float, dest="boundary_ratio",
                         help="boundary coupling ratio (Protocol 1)")
     if "alpha" in flags:
-        parser.add_argument("--alpha", type=int, help="corner site index")
+        parser.add_argument("--alpha", type=int, required=True, help="corner site index")
     if "kappa" in flags:
-        parser.add_argument("--kappa", type=float, help="bend strength g/Omega_max")
+        parser.add_argument("--kappa", type=float, required=True,
+                            help="bend strength g/Omega_max")
     if "delta" in flags:
-        parser.add_argument("--delta", type=float, dest="delta_alpha", metavar="DELTA",
-                            help="corner detuning (units of omega0)")
+        parser.add_argument("--delta", type=float, default=0.0, dest="delta_alpha",
+                            metavar="DELTA", help="corner detuning (units of omega0)")
 
 
 def _out_args(parser: argparse.ArgumentParser) -> None:
@@ -187,40 +190,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_BEND_READERS = {"alpha": _integer, "kappa": _float, "delta_alpha": _float}
-
-
-def _resolve_chain(args, config: dict) -> tuple[ChainSpec, dict]:
-    """The chain, and the bend values by config key, of the flags the
-    command takes: each from its flag, else from its --config key.  Config
-    keys of other flags are ignored.  A command taking --alpha or --kappa
-    needs it."""
-    keys = [key for key in ("protocol", "n_sites", "omega0", "boundary_ratio", *_BEND_READERS)
-            if hasattr(args, key)]
-    merged = {key: config[key] for key in keys if key in config}
-    merged.update((key, getattr(args, key)) for key in keys if getattr(args, key) is not None)
-    if "protocol" not in merged or "n_sites" not in merged:
-        raise ValueError("missing --protocol/--n (or a --config providing them)")
-    missing = [f"--{key}" for key in ("alpha", "kappa") if key in keys and key not in merged]
-    if missing:
-        raise ValueError(f"{args.command} needs {' and '.join(missing)}")
-    bend = {key: merged.pop(key) for key in _BEND_READERS if key in merged}
+def _resolve_chain(args) -> ChainSpec:
+    """The chain of the command's flags (omega0 = 1 for ``design``, which
+    takes no --omega0)."""
     try:
-        spec, _ = spec_from_dict(merged)
-        return spec, {key: _BEND_READERS[key](key, value) for key, value in bend.items()}
+        return ChainSpec(Protocol(args.protocol), args.n_sites,
+                         omega0=getattr(args, "omega0", 1.0),
+                         boundary_ratio=args.boundary_ratio)
     except ValueError as exc:
         raise ValueError(f"bad chain parameter: {exc}") from None
-
-
-def _load_config(path: Path) -> dict:
-    with open(path) as fh:
-        try:
-            config = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"config {path}: {exc}") from None
-    if not isinstance(config, dict):
-        raise ValueError(f"config {path} must hold a JSON object")
-    return config
 
 
 def _run_dir(args) -> Path:
@@ -286,8 +264,8 @@ def _protocol_chain(proto: int, n: int) -> tuple[ChainSpec, ReferencePoint]:
 # writes the files and the manifest under _run_dir, then prints the summary.
 
 
-def cmd_reference(args, config):
-    spec, _ = _resolve_chain(args, config)
+def cmd_reference(args):
+    spec = _resolve_chain(args)
     ref = reference(spec)
     return ({"reference.json": ref.to_dict()},
             {"chain": spec_to_dict(spec)},
@@ -295,7 +273,7 @@ def cmd_reference(args, config):
             f"p0={ref.p0:.8f} t0={ref.t0:.6g}")
 
 
-def cmd_calibrate(args, config):
+def cmd_calibrate(args):
     ref = calibrate_protocol1(args.n_sites, ratio_grid=parse_grid(args.grid),
                               window=args.window, omega0=args.omega0)
     window = args.window
@@ -308,9 +286,9 @@ def cmd_calibrate(args, config):
             f"p0={ref.p0:.6f} t0={ref.t0:.6g}")
 
 
-def cmd_metrics(args, config):
-    spec, values = _resolve_chain(args, config)
-    bend = BendSpec(**values)
+def cmd_metrics(args):
+    spec = _resolve_chain(args)
+    bend = BendSpec(args.alpha, args.kappa, args.delta_alpha)
     result = transfer_metrics(spec, bend, reference(spec))
     return ({"metrics.json": asdict(result)},
             # the chain's delta_alpha is BendSpec's, an energy in omega0 units
@@ -319,10 +297,10 @@ def cmd_metrics(args, config):
             f"t={result.t:.6g}")
 
 
-def cmd_sweep_kappa(args, config):
-    spec, bend = _resolve_chain(args, config)
+def cmd_sweep_kappa(args):
+    spec = _resolve_chain(args)
     grid = parse_grid(args.grid)
-    table = sweep_kappa(spec, bend["alpha"], grid, optimize=args.optimize)
+    table = sweep_kappa(spec, args.alpha, grid, optimize=args.optimize)
     name = "sweep_kappa.csv"
     qs = [r.result.q for r in table.rows]
     return ({name: _table_content(table)},
@@ -331,23 +309,23 @@ def cmd_sweep_kappa(args, config):
             f"[{min(qs):.4f}, {max(qs):.4f}] -> {_run_dir(args) / name}")
 
 
-def cmd_sweep_alpha(args, config):
-    spec, bend = _resolve_chain(args, config)
+def cmd_sweep_alpha(args):
+    spec = _resolve_chain(args)
     if args.alpha_range:
         alphas = parse_grid(args.alpha_range)
     else:
         alphas = range(2, math.ceil(spec.n_sites / 2) + 1)
-    table = sweep_alpha(spec, bend["kappa"], alphas, optimize=not args.no_optimize)
+    table = sweep_alpha(spec, args.kappa, alphas, optimize=not args.no_optimize)
     name = "sweep_alpha.csv"
     return ({name: _table_content(table)},
             {"alphas": [int(a) for a in alphas], "chain": table.metadata},
-            f"sweep-alpha: {len(table.rows)} corners at kappa={bend['kappa']} -> "
+            f"sweep-alpha: {len(table.rows)} corners at kappa={args.kappa} -> "
             f"{_run_dir(args) / name}")
 
 
-def cmd_optimize(args, config):
-    spec, values = _resolve_chain(args, config)
-    bend = BendSpec(**values)
+def cmd_optimize(args):
+    spec = _resolve_chain(args)
+    bend = BendSpec(args.alpha, args.kappa)
     lo, hi = args.interval
     res = optimize_detuning(spec, bend, reference(spec), interval=(lo, hi))
     flag = " (boundary)" if res.on_boundary else ""
@@ -357,9 +335,9 @@ def cmd_optimize(args, config):
             f"s_opt={res.s_opt:.6f}{flag}")
 
 
-def cmd_spectrum(args, config):
-    spec, values = _resolve_chain(args, config)
-    bend = BendSpec(**values)
+def cmd_spectrum(args):
+    spec = _resolve_chain(args)
+    bend = BendSpec(args.alpha, args.kappa)
     res = optimize_detuning(spec, bend, reference(spec))
     report = spectrum_report(spec, bend, res.delta_energy)
     return ({"spectrum.csv": _spectrum_content(report)},
@@ -369,8 +347,8 @@ def cmd_spectrum(args, config):
             f"{_run_dir(args) / 'spectrum.csv'}")
 
 
-def cmd_design(args, config):
-    spec, _ = _resolve_chain(args, config)
+def cmd_design(args):
+    spec = _resolve_chain(args)
     dev = DeviceParams(eta=args.eta, xi=args.xi, length=args.L,
                        wavelength=args.wavelength)
     layout = design_layout(spec, dev)
@@ -390,23 +368,17 @@ def cmd_design(args, config):
             f"max parasitic ratio {parasitic.max_ratio:.6g}")
 
 
-def cmd_fit(args, config):
+def cmd_fit(args):
     with open(args.input, newline="") as fh:
         reader = csv.DictReader(fh)
         present = reader.fieldnames or []
         rows = list(reader)
-
-    def column(*names: str) -> str:
-        """The first of ``names`` that the input has as a column."""
-        for name in names:
-            if name in present:
-                return name
-        raise ValueError(f"{args.input}: {args.kind} fit needs a "
-                         f"{' or '.join(names)} column")
+    needed = ("axis", "p", "t", "q", "s") if args.kind == "gaussian" else ("delta_opt", "axis")
+    missing = [name for name in needed if name not in present]
+    if missing:
+        raise ValueError(f"{args.input}: {args.kind} fit needs a {missing[0]} column")
 
     if args.kind == "gaussian":
-        for name in ("axis", "p", "t", "q", "s"):
-            column(name)
         table = SweepTable(
             axis="kappa",
             rows=[
@@ -422,9 +394,7 @@ def cmd_fit(args, config):
         summary = (f"fit gaussian: A={report.params[0]:.6g} "
                    f"sigma={report.params[1]:.6g} rms={report.residual_rms:.3g}")
     else:
-        key = column("delta_opt", "delta_star")
-        column("axis")
-        pairs = [(float(r["axis"]), float(r[key])) for r in rows if r.get(key)]
+        pairs = [(float(r["axis"]), float(r["delta_opt"])) for r in rows if r.get("delta_opt")]
         report = fit_linear(pairs, kappa_cut=args.kappa_cut)
         summary = (f"fit linear: slope={report.params[0]:.6g} "
                    f"intercept={report.params[1]:.6g} rms={report.residual_rms:.3g}")
@@ -453,7 +423,7 @@ def _figure_panel(panel: tuple) -> tuple[str, tuple]:
             _spectrum_content(report))
 
 
-def cmd_figure(args, config):
+def cmd_figure(args):
     if args.tag in ("fig2", "fig3"):
         proto = 1 if args.tag == "fig2" else 2
         panels = [("kappa", proto, n, math.ceil(n / 2), None) for n in FIGURE_DEFAULT_N]
@@ -492,8 +462,7 @@ _PARSER = build_parser()
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        config = _load_config(args.config) if getattr(args, "config", None) else {}
-        files, manifest, summary = COMMANDS[args.command](args, config)
+        files, manifest, summary = COMMANDS[args.command](args)
         run_dir = _run_dir(args)
         run_dir.mkdir(parents=True, exist_ok=True)
         for name, content in files.items():

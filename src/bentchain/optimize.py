@@ -62,7 +62,7 @@ def optimize_detuning(
     arrival took the full path.  An interval end whose slope points
     outwards is the optimum as it stands, with no refine; it is flagged
     as ``on_boundary``, not raised.  Raises
-    ValueError if the interval ends are not finite with lo < hi or ``ref``
+    ValueError unless lo < hi with a finite width hi - lo, or if ``ref``
     is not the reference of ``spec`` (:meth:`ReferencePoint.check_chain`),
     and FloatingPointError if the reference probability is not positive or
     the optimized metrics are not finite.
@@ -122,7 +122,9 @@ def _widened(grid: np.ndarray, best: int) -> np.ndarray | None:
 def _optimize(spec: ChainSpec, bend: BendSpec, ref: ReferencePoint,
               interval: tuple[float, float], widen=None) -> OptimizationResult:
     lo, hi = interval
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+    # a width that overflows (-1e308, 1e308) would make linspace warn and
+    # give non-finite detunings; as a Python float it is inf, not a warning
+    if not (lo < hi and math.isfinite(hi - lo)):
         raise ValueError(f"invalid interval: [{lo}, {hi}]")
     ref.check_chain(spec)
     base = hamiltonian_matrix(spec, replace(bend, delta_alpha=0.0))

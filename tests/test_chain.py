@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from bentchain import (
     BendSpec,
@@ -13,7 +12,7 @@ from bentchain import (
     build_hamiltonian,
     omega_max,
 )
-from bentchain.chain import spec_from_dict, spec_to_dict
+from bentchain.chain import spec_to_dict
 
 
 def p2(n, omega0=1.0):
@@ -165,69 +164,3 @@ class TestConfigRoundtrip:
             "protocol", "n_sites", "omega0", "alpha", "kappa", "delta_alpha",
         }
         assert json.loads(json.dumps(d)) == d
-
-    def test_defaults_applied(self):
-        spec, bend = spec_from_dict({"protocol": 2, "n_sites": 4})
-        assert spec.omega0 == 1.0 and bend is None
-
-    @pytest.mark.parametrize("key,value", [
-        ("n_sites", 9.7), ("n_sites", True), ("n_sites", math.inf),
-        ("protocol", 2.9), ("protocol", True), ("alpha", 5.5), ("alpha", False),
-    ])
-    def test_non_integral_integer_field_rejected(self, key, value):
-        # int() would truncate these to a chain the config does not name
-        d = {"protocol": 2, "n_sites": 9, "alpha": 5, "kappa": 0.4, key: value}
-        with pytest.raises(ValueError, match=f"{key} must be an integer"):
-            spec_from_dict(d)
-
-    @pytest.mark.parametrize("key", [
-        "omega0", "boundary_ratio", "kappa", "delta_alpha",
-    ])
-    @pytest.mark.parametrize("value", [True, False])
-    def test_bool_float_field_rejected(self, key, value):
-        # float() would read true as 1.0 and false as 0.0
-        d = {"protocol": 1, "n_sites": 9, "boundary_ratio": 0.7, "alpha": 5,
-             "kappa": 0.4, key: value}
-        with pytest.raises(ValueError, match=f"{key} must be a number"):
-            spec_from_dict(d)
-
-    def test_numeric_float_fields_accepted(self):
-        d = {"protocol": 1, "n_sites": 9, "omega0": 2, "boundary_ratio": "0.7",
-             "alpha": 5, "kappa": 1, "delta_alpha": "-1.5"}
-        spec, bend = spec_from_dict(d)
-        assert spec == ChainSpec(Protocol.PROTOCOL_1, 9, omega0=2.0, boundary_ratio=0.7)
-        assert bend == BendSpec(alpha=5, kappa=1.0, delta_alpha=-1.5)
-        assert all(type(v) is float for v in (spec.omega0, spec.boundary_ratio,
-                                              bend.kappa, bend.delta_alpha))
-
-    def test_integral_float_fields_accepted(self):
-        d = {"protocol": 2.0, "n_sites": 9.0, "alpha": 5.0, "kappa": 0.4}
-        spec, bend = spec_from_dict(d)
-        assert spec == p2(9) and bend == BendSpec(alpha=5, kappa=0.4)
-        assert type(spec.n_sites) is int and type(bend.alpha) is int
-
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(
-        n=st.integers(3, 200),
-        protocol=st.sampled_from(Protocol),
-        omega0=st.floats(1e-6, 1e6),
-        ratio=st.floats(1e-6, 1e6),
-        bent=st.booleans(),
-        corner=st.floats(0.0, 1.0),
-        kappa=st.floats(0.0, 1.0),
-        delta=st.floats(-1e6, 1e6),
-    )
-    def test_dict_roundtrip_property(
-        self, n, protocol, omega0, ratio, bent, corner, kappa, delta
-    ):
-        spec = ChainSpec(
-            protocol, n, omega0=omega0,
-            boundary_ratio=ratio if protocol is Protocol.PROTOCOL_1 else None,
-        )
-        bend = None
-        if bent:
-            alpha = 2 + min(int(corner * (n - 2)), n - 3)
-            bend = BendSpec(alpha=alpha, kappa=kappa, delta_alpha=delta)
-        d = spec_to_dict(spec, bend)
-        assert spec_from_dict(d) == (spec, bend)
-        assert spec_from_dict(json.loads(json.dumps(d))) == (spec, bend)

@@ -382,26 +382,6 @@ class TestCommands:
         report = json.loads((tmp_path / "fit" / "fit" / "fit.json").read_text())
         assert math.isclose(report["residual_rms"], math.sqrt(8 / 9) * 1e300, rel_tol=1e-12)
 
-    def test_config_file(self, tmp_path, capsys):
-        cfg = tmp_path / "chain.json"
-        cfg.write_text(json.dumps(
-            {"protocol": 2, "n_sites": 9, "alpha": 5, "kappa": 0.4}
-        ))
-        code, out, _ = run(
-            capsys, "metrics", "--config", str(cfg), "--out", str(tmp_path)
-        )
-        assert code == 0
-        # CLI flags override config values
-        code2, out2, _ = run(
-            capsys, "metrics", "--config", str(cfg), "--kappa", "0.0",
-            "--out", str(tmp_path),
-        )
-        assert code2 == 0
-        q2 = json.loads(
-            (tmp_path / "metrics" / "metrics" / "metrics.json").read_text()
-        )["q"]
-        assert math.isclose(q2, 1.0, abs_tol=1e-8)
-
     def test_optimize_interval_negative_bound(self, tmp_path, capsys):
         code, _, _ = run(
             capsys, "optimize", "--protocol", "2", "--n", "13", "--alpha", "7",
@@ -433,16 +413,12 @@ class TestCommands:
 
 class TestErrors:
     def test_missing_chain_args(self, tmp_path, capsys):
-        code, _, err = run(capsys, "reference", "--out", str(tmp_path))
-        assert code == EXIT_USAGE
-        assert "error" in err
-
-    def test_missing_config_file(self, tmp_path, capsys):
-        code, _, err = run(
-            capsys, "reference", "--protocol", "2", "--n", "9",
-            "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path),
-        )
-        assert code == EXIT_IO
+        with pytest.raises(SystemExit) as exc:
+            main(["reference", "--out", str(tmp_path)])
+        out = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE
+        assert "the following arguments are required: --protocol, --n" in out.err
+        assert out.out == "" and not any(tmp_path.iterdir())
 
     def test_bad_alpha(self, tmp_path, capsys):
         code, _, err = run(
@@ -461,7 +437,7 @@ class TestErrors:
         assert "nan" not in out
 
     def test_linalg_error_is_numerical(self, tmp_path, capsys, monkeypatch):
-        def fail(args, config):
+        def fail(args):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setitem(cli.COMMANDS, "reference", fail)
@@ -481,63 +457,6 @@ class TestErrors:
         assert code == EXIT_NUMERICAL
         assert "numerical error" in err and "p0" in err
         assert "nan" not in out and not list(tmp_path.rglob("*.json"))
-
-    def test_malformed_config_is_usage_error(self, tmp_path, capsys):
-        cfg = tmp_path / "chain.json"
-        cfg.write_text("{bad")
-        code, _, err = run(
-            capsys, "metrics", "--config", str(cfg), "--out", str(tmp_path)
-        )
-        assert code == EXIT_USAGE
-        assert err.startswith("error: config")
-
-    @pytest.mark.parametrize("content", [
-        [1, 2],
-        {"protocol": 2, "n_sites": None, "alpha": 5, "kappa": 0.4},
-    ])
-    def test_config_of_wrong_type_is_usage_error(self, tmp_path, capsys, content):
-        cfg = tmp_path / "chain.json"
-        cfg.write_text(json.dumps(content))
-        code, _, err = run(
-            capsys, "metrics", "--config", str(cfg), "--out", str(tmp_path)
-        )
-        assert code == EXIT_USAGE
-        assert err.startswith("error: ")
-
-    # Infinity (which json reads) used to escape as an OverflowError
-    @pytest.mark.parametrize("key,value", [
-        ("protocol", 2.9), ("n_sites", 9.7), ("n_sites", True), ("n_sites", math.inf),
-        ("alpha", 5.5),
-    ])
-    def test_config_non_integral_integer_is_usage_error(self, tmp_path, capsys, key, value):
-        cfg = tmp_path / "chain.json"
-        cfg.write_text(json.dumps(
-            {"protocol": 2, "n_sites": 9, "alpha": 5, "kappa": 0.4, key: value}
-        ))
-        out_dir = tmp_path / "out"
-        code, _, err = run(
-            capsys, "metrics", "--config", str(cfg), "--out", str(out_dir)
-        )
-        assert code == EXIT_USAGE
-        assert f"{key} must be an integer" in err
-        assert not out_dir.exists()
-
-    @pytest.mark.parametrize("key", [
-        "omega0", "boundary_ratio", "kappa", "delta_alpha",
-    ])
-    def test_config_bool_float_field_is_usage_error(self, tmp_path, capsys, key):
-        # float() read true as 1.0: kappa true ran a kappa = 1 bend
-        cfg = tmp_path / "chain.json"
-        cfg.write_text(json.dumps(
-            {"protocol": 2, "n_sites": 9, "alpha": 5, "kappa": 0.4, key: True}
-        ))
-        out_dir = tmp_path / "out"
-        code, out, err = run(
-            capsys, "metrics", "--config", str(cfg), "--out", str(out_dir)
-        )
-        assert code == EXIT_USAGE
-        assert f"{key} must be a number" in err
-        assert out == "" and not out_dir.exists()
 
     @pytest.mark.parametrize("device,name", [
         (["--L", "nan"], "length"),
@@ -635,7 +554,8 @@ class TestErrors:
         assert "did not converge" not in err
         assert out == "" and not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("interval", [("0", "nan"), ("-1", "inf"), ("nan", "nan")])
+    @pytest.mark.parametrize("interval", [("0", "nan"), ("-1", "inf"), ("nan", "nan"),
+                                          ("-1e308", "1e308")])
     def test_nonfinite_interval_is_usage_error(self, tmp_path, capsys, interval):
         code, out, err = run(
             capsys, "optimize", "--protocol", "2", "--n", "9", "--alpha", "5",
@@ -709,29 +629,6 @@ class TestErrors:
         )
         assert code == EXIT_USAGE
         assert "gaussian fit expects kappa within [-1, 1]" in err
-        assert out == "" and not out_dir.exists()
-
-    def test_sweep_alpha_config_kappa_list_is_usage_error(self, tmp_path, capsys):
-        cfg = tmp_path / "k.json"
-        cfg.write_text(json.dumps({"protocol": 2, "n_sites": 9, "kappa": [1]}))
-        out_dir = tmp_path / "out"
-        code, out, err = run(
-            capsys, "sweep-alpha", "--config", str(cfg), "--out", str(out_dir)
-        )
-        assert code == EXIT_USAGE
-        assert err.startswith("error: bad chain parameter: kappa")
-        assert out == "" and not out_dir.exists()
-
-    def test_sweep_alpha_config_kappa_bool_is_usage_error(self, tmp_path, capsys):
-        # float(True) ran every corner at kappa = 1
-        cfg = tmp_path / "k.json"
-        cfg.write_text(json.dumps({"protocol": 2, "n_sites": 9, "kappa": True}))
-        out_dir = tmp_path / "out"
-        code, out, err = run(
-            capsys, "sweep-alpha", "--config", str(cfg), "--out", str(out_dir)
-        )
-        assert code == EXIT_USAGE
-        assert err.startswith("error: bad chain parameter: kappa")
         assert out == "" and not out_dir.exists()
 
     def test_non_integer_alpha_range_is_usage_error(self, tmp_path, capsys):
@@ -827,7 +724,7 @@ class TestErrors:
         ("gaussian", "", "axis"),
         ("gaussian", "axis,p,t,q\n0.1,1,1,1\n", "s"),
         ("linear", "a,delta_opt\n1,2\n", "axis"),
-        ("linear", "kappa,q_opt\n0.1,1\n", "delta_opt or delta_star"),
+        ("linear", "kappa,q_opt\n0.1,1\n", "delta_opt"),
     ])
     def test_fit_input_missing_column(self, tmp_path, capsys, kind, text, missing):
         path = tmp_path / "in.csv"
@@ -860,19 +757,19 @@ def _minimal(command: str) -> list[str]:
 
 # every option of every subcommand, --help aside
 OPTION_SURFACE = {
-    "reference": ["--config", "--label", "--n", "--omega0", "--out", "--protocol", "--ratio"],
+    "reference": ["--label", "--n", "--omega0", "--out", "--protocol", "--ratio"],
     "calibrate": ["--grid", "--label", "--n", "--omega0", "--out", "--window"],
-    "metrics": ["--alpha", "--config", "--delta", "--kappa", "--label", "--n", "--omega0",
+    "metrics": ["--alpha", "--delta", "--kappa", "--label", "--n", "--omega0",
                 "--out", "--protocol", "--ratio"],
-    "sweep-kappa": ["--alpha", "--config", "--grid", "--label", "--n", "--omega0",
+    "sweep-kappa": ["--alpha", "--grid", "--label", "--n", "--omega0",
                     "--optimize", "--out", "--protocol", "--ratio"],
-    "sweep-alpha": ["--alpha-range", "--config", "--kappa", "--label", "--n",
+    "sweep-alpha": ["--alpha-range", "--kappa", "--label", "--n",
                     "--no-optimize", "--omega0", "--out", "--protocol", "--ratio"],
-    "optimize": ["--alpha", "--config", "--interval", "--kappa", "--label", "--n", "--omega0",
+    "optimize": ["--alpha", "--interval", "--kappa", "--label", "--n", "--omega0",
                  "--out", "--protocol", "--ratio"],
-    "spectrum": ["--alpha", "--config", "--kappa", "--label", "--n", "--omega0", "--out",
+    "spectrum": ["--alpha", "--kappa", "--label", "--n", "--omega0", "--out",
                  "--protocol", "--ratio"],
-    "design": ["--L", "--config", "--eta", "--label", "--n", "--out", "--protocol", "--ratio",
+    "design": ["--L", "--eta", "--label", "--n", "--out", "--protocol", "--ratio",
                "--wavelength", "--xi"],
     "fit": ["--input", "--kappa-cut", "--kind", "--label", "--out"],
     "figure": ["--label", "--out"],
@@ -919,6 +816,9 @@ class TestOptionSurface:
         [*_minimal("design"), "--omega0", "2.5"],
         *([*_minimal(command), "--epsilon", "0.37"] for command in MINIMAL_ARGV),
         ["figure", "fig5", "--jobs", "2"],
+        # the chain file option that is deleted
+        [*_minimal("reference"), "--config", "x.json"],
+        [*_minimal("metrics"), "--config", "x.json"],
     ])
     def test_unread_option_is_usage_error(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -935,32 +835,12 @@ class TestOptionSurface:
         # metrics, optimize and spectrum used to run a kappa = 0 bend
         argv = _minimal(command)
         i = argv.index(flag)
-        code, out, err = run(capsys, *argv[:i], *argv[i + 2:], "--out", str(tmp_path))
-        assert code == EXIT_USAGE
-        assert err == f"error: {command} needs {flag}\n"
-        assert out == "" and not any(tmp_path.iterdir())
-
-    @pytest.mark.parametrize("command", ["reference", "sweep-alpha", "design"])
-    def test_config_keys_not_read_are_ignored(self, tmp_path, capsys, command):
-        # keys of flags the command does not take, even invalid ones
-        argv = MINIMAL_ARGV[command][4:]  # all but --protocol 2 --n 9
-        cfg = tmp_path / "chain.json"
-        cfg.write_text(json.dumps({"protocol": 2, "n_sites": 9}))
-        unread = tmp_path / "unread.json"
-        unread.write_text(json.dumps({
-            "protocol": 2, "n_sites": 9, "epsilon": 0.37, "delta_alpha": True,
-            **({"omega0": 2.5} if command == "design" else {}),
-            **({"alpha": 1} if command == "sweep-alpha" else {"alpha": 5, "kappa": True}),
-        }))
-        outputs = []
-        for config in (cfg, unread):
-            out_dir = tmp_path / config.stem
-            code, out, _ = run(capsys, command, *argv, "--config", str(config),
-                               "--out", str(out_dir))
-            assert code == 0
-            run_dir = out_dir / command / command
-            outputs.append({p.name: p.read_bytes() for p in run_dir.iterdir()})
-        assert outputs[0] == outputs[1]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv[:i], *argv[i + 2:], "--out", str(tmp_path)])
+        out = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE
+        assert f"the following arguments are required: {flag}\n" in out.err
+        assert out.out == "" and not any(tmp_path.iterdir())
 
 
 def _minimal_run(capsys, monkeypatch, tmp_path, command, *flags):
@@ -1102,6 +982,10 @@ EDGE_OMEGA0 = [5e-324, 1e-320, 1e-308, 1e-300, 1.0, 1e300, 1e307, 1e308, 1.7e308
 EDGE_DELTA = [1e308, -1e308, 0.0, -1.0]
 EDGE_RATIO = [1e-300, 0.7, 1e300]
 EDGE_KAPPA = [-0.0, 1e-320, 1.0, 1.5, math.nan]
+# optimize's --interval ends: the default pair among them, and ends whose
+# width overflows
+EDGE_INTERVAL_LO = [-1.7e308, -1e308, -4.0, -0.0]
+EDGE_INTERVAL_HI = [0.0, 0.5, 1e308, 1.7e308]
 # design's --L, --eta, --xi and --wavelength: ordinary values, up to two of
 # them replaced by edge values
 DEVICE_FLAGS = {"--L": 10.0, "--eta": 19.5, "--xi": 0.152, "--wavelength": 633.0}
@@ -1139,6 +1023,12 @@ def _contract_argv(draw):
         for flag, ordinary in DEVICE_FLAGS.items():
             argv += [flag, repr(edges.get(flag, ordinary))]
         return argv, []
+    if command == "optimize":
+        argv += ["--interval", repr(draw(st.sampled_from(EDGE_INTERVAL_LO))),
+                 repr(draw(st.sampled_from(EDGE_INTERVAL_HI)))]
+        if draw(st.booleans()):  # an ordinary bend, whose run reaches the interval
+            ratio = ["--ratio", "0.7"] if protocol == 1 else []
+            return argv + [*ratio, "--alpha", "2", "--kappa", "0.4"], []
     if protocol == 1:
         argv += ["--ratio", repr(draw(st.sampled_from(EDGE_RATIO)))]
     argv += ["--omega0", repr(draw(st.sampled_from(EDGE_OMEGA0)))]

@@ -83,6 +83,7 @@ class TestOptimizeDetuning:
 
     @pytest.mark.parametrize("interval", [
         (0.0, math.nan), (math.nan, 0.0), (-1.0, math.inf), (-math.inf, 0.5),
+        (-1e308, 1e308),  # finite ends whose width overflows
     ])
     def test_nonfinite_interval_rejected(self, interval):
         spec = _p2(9)
