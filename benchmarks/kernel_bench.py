@@ -31,6 +31,11 @@ window (N = 60, 120, 200), the full propagator of the unitarity and RK4
 acceptance checks (no CLI command calls it), and the tracemalloc peak of
 one call in MB (of 2^20 bytes, as perfbench's peak_rss_mb).
 
+Spectrum report: ``spectrum_report`` of the bent chain at its detuning
+(N = 60, 120, 200), what the ``spectrum`` command and fig5 write: one
+``eigh`` of the unbent chain and one stacked ``eigvalsh`` of the bent
+matrices at delta 0 and at the detuning.
+
 Detuning optimizer: ``optimize_detuning`` on the default interval, the
 16-detuning batched coarse scan plus the slope refine, with its evaluations
 (full first arrivals) per optimized point (N = 9, 13, 25).
@@ -65,7 +70,9 @@ optimizer tunes the detuning of the same bend itself.
 
 Run:  python3 benchmarks/kernel_bench.py [--json PATH]
 
-It imports bentchain from the ``src`` directory of its own checkout.  Each
+It imports bentchain from the ``src`` directory of its own checkout, and
+sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before
+it imports numpy, so that every row runs on one BLAS thread.  Each
 row prints one line as it is measured: a time as the median with its
 quartiles over the repeats, a count or a peak as a single value.  With
 ``--json PATH`` it also writes the same rows (median, quartiles and the
@@ -80,6 +87,7 @@ import ctypes
 import io
 import json
 import math
+import os
 import platform
 import statistics
 import sys
@@ -88,7 +96,11 @@ import time
 import tracemalloc
 from pathlib import Path
 
-import numpy as np
+# one BLAS thread, as perfbench/run.py runs: set before numpy loads its BLAS
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -104,6 +116,7 @@ from bentchain import (  # noqa: E402
     omega_max,
     optimize_detuning,
     reference,
+    spectrum_report,
 )
 from bentchain import cli, propagate  # noqa: E402
 from bentchain.optimize import DEFAULT_INTERVAL, N_COARSE  # noqa: E402
@@ -114,11 +127,15 @@ WINDOW = math.pi / 2
 EVOLVE_STEPS = 4096
 
 
+def bent_spec(n):
+    """The chain and bend of every row."""
+    spec = ChainSpec(Protocol.PROTOCOL_2, n)
+    return spec, BendSpec(alpha=(n + 1) // 2, kappa=0.5, delta_alpha=-1.5 * omega_max(spec))
+
+
 def bent_chain(n):
     """The bent chain of every row, with the eigensystem ``evolve`` reads."""
-    spec = ChainSpec(Protocol.PROTOCOL_2, n)
-    bend = BendSpec(alpha=(n + 1) // 2, kappa=0.5, delta_alpha=-1.5 * omega_max(spec))
-    return build_hamiltonian(spec, bend)
+    return build_hamiltonian(*bent_spec(n))
 
 
 def record(rows, row, unit, median, q1=None, q3=None, repeats=1):
@@ -301,6 +318,10 @@ def main(argv=None):
         finally:
             tracemalloc.stop()
         record(rows, f"evolve N={n} peak", "MB", peak / 2**20)
+    for n in (60, 120, 200):
+        spec, bend = bent_spec(n)
+        time_call(rows, f"spectrum_report N={n}",
+                  lambda: spectrum_report(spec, bend, bend.delta_alpha), 20)
     with tempfile.TemporaryDirectory() as out:
         for figure in ("fig2", "fig4"):
             one_row, followed, points = refine_evaluations(figure, out)

@@ -243,7 +243,7 @@ def _spectrum_content(report: SpectrumReport):
     unperturbed initial-state overlap of level k, as CSV ``(header, rows)``."""
     gaps = zip(report.gaps["unperturbed"].tolist(), report.gaps["bent"].tolist(),
                report.gaps["bent_optimized"].tolist(),
-               report.overlaps["unperturbed"].tolist())
+               report.overlaps.tolist())
     return (["k", "gap_unperturbed", "gap_bent", "gap_optimized", "overlap_unperturbed"],
             [[k, *values] for k, values in enumerate(gaps, start=1)])
 

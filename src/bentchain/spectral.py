@@ -1,11 +1,14 @@
-"""Spectral diagnostics: eigenvalue gaps and initial-state overlaps for the
-unperturbed, bent, and bent-optimized Hamiltonians.
+"""Spectral diagnostics: eigenvalue gaps of the unperturbed, bent, and
+bent-optimized Hamiltonians, and the initial-state overlaps of the
+unperturbed one.
 
 The bend distorts the (uniform, for Protocol 2) gap structure; a good
 corner detuning restores it.  Restoration is quantified as the RMS of the
 gap differences relative to the unperturbed spectrum, plus a variant
 weighted by the initial-state overlap profile (end-of-spectrum gaps matter
 little because the initial state barely overlaps those eigenvectors).
+Only the unperturbed chain needs eigenvectors (``eigh``); the two bent
+spectra are eigenvalues only, one stacked ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain import BendSpec, ChainSpec, Hamiltonian, _binary_exponent, build_hamiltonian
+from .chain import (
+    BendSpec,
+    ChainSpec,
+    Hamiltonian,
+    _binary_exponent,
+    build_hamiltonian,
+    hamiltonian_matrix,
+)
 
 LABELS = ("unperturbed", "bent", "bent_optimized")
 
@@ -26,7 +36,7 @@ __all__ = ["SpectrumReport", "spectrum_report", "overlap_profile"]
 class SpectrumReport:
     eigenvalues: dict[str, np.ndarray]
     gaps: dict[str, np.ndarray]
-    overlaps: dict[str, np.ndarray]
+    overlaps: np.ndarray  # the unperturbed chain's overlap_profile
     gap_distortion: dict[str, float]
     gap_distortion_weighted: dict[str, float]
 
@@ -42,30 +52,29 @@ def spectrum_report(
     """Compare unperturbed, bent (no defect) and bent-optimized spectra.
 
     ``delta_alpha`` is the optimized corner detuning in energy units
-    (same units as omega0).  Raises FloatingPointError if a gap is not
-    finite (``eigh`` of entries near the float limit can return an
-    infinite eigenvalue, and two finite ones can lie too far apart).
+    (same units as omega0).  The unperturbed chain is diagonalized with
+    ``eigh`` for its overlap profile; the two bent matrices are stacked
+    into one ``eigvalsh``, as their eigenvectors are not read.  Raises
+    FloatingPointError if a gap is not finite (``eigvalsh`` of entries
+    near the float limit can return an infinite eigenvalue, and two
+    finite ones can lie too far apart).
     """
-    hams = {
-        "unperturbed": build_hamiltonian(spec),
-        "bent": build_hamiltonian(spec, replace(bend, delta_alpha=0.0)),
-        "bent_optimized": build_hamiltonian(
-            spec, replace(bend, delta_alpha=delta_alpha)
-        ),
-    }
-    for k, h in hams.items():
-        lam = h.eigenvalues.tolist()
+    unbent = build_hamiltonian(spec)
+    bent = np.linalg.eigvalsh(np.stack([
+        hamiltonian_matrix(spec, replace(bend, delta_alpha=d)) for d in (0.0, delta_alpha)
+    ]))
+    eigenvalues = dict(zip(LABELS, (unbent.eigenvalues, *bent)))
+    for k, v in eigenvalues.items():
+        lam = v.tolist()
         # a Python float difference overflows to inf where np.diff would warn
         if not all(math.isfinite(b - a) for a, b in zip(lam, lam[1:])):
             raise FloatingPointError(f"{k} spectrum has a non-finite gap")
-    eigenvalues = {k: h.eigenvalues.copy() for k, h in hams.items()}
     gaps = {k: np.diff(v) for k, v in eigenvalues.items()}
-    overlaps = {k: overlap_profile(h) for k, h in hams.items()}
+    overlaps = overlap_profile(unbent)
 
     ref_gaps = gaps["unperturbed"]
-    ref_overlap = overlaps["unperturbed"]
     # weight gap k by the initial-state overlap of its two flanking levels
-    w = 0.5 * (ref_overlap[:-1] + ref_overlap[1:])
+    w = 0.5 * (overlaps[:-1] + overlaps[1:])
     w = w / w.sum()
     distortion = {}
     distortion_weighted = {}

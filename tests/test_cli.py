@@ -254,7 +254,7 @@ class TestCommands:
         rep = spectrum_report(spec, bend, res.delta_energy)
         expected = np.column_stack([rep.gaps["unperturbed"], rep.gaps["bent"],
                                     rep.gaps["bent_optimized"],
-                                    rep.overlaps["unperturbed"][:-1]])
+                                    rep.overlaps[:-1]])
         got = np.array(rows[1:], dtype=float)
         assert got[:, 0].tolist() == list(range(1, 9))
         np.testing.assert_allclose(got[:, 1:], expected, rtol=0, atol=1e-12)
@@ -1026,9 +1026,13 @@ def _contract_argv(draw):
     if command == "optimize":
         argv += ["--interval", repr(draw(st.sampled_from(EDGE_INTERVAL_LO))),
                  repr(draw(st.sampled_from(EDGE_INTERVAL_HI)))]
-        if draw(st.booleans()):  # an ordinary bend, whose run reaches the interval
-            ratio = ["--ratio", "0.7"] if protocol == 1 else []
-            return argv + [*ratio, "--alpha", "2", "--kappa", "0.4"], []
+    if command in ("optimize", "spectrum") and draw(st.booleans()):
+        # an ordinary bend, so that optimize reaches its interval check and
+        # spectrum, at an edge omega0, can reach its eigen-solves
+        ratio = ["--ratio", "0.7"] if protocol == 1 else []
+        omega0 = (["--omega0", repr(draw(st.sampled_from(EDGE_OMEGA0)))]
+                  if command == "spectrum" else [])
+        return argv + [*ratio, *omega0, "--alpha", "2", "--kappa", "0.4"], []
     if protocol == 1:
         argv += ["--ratio", repr(draw(st.sampled_from(EDGE_RATIO)))]
     argv += ["--omega0", repr(draw(st.sampled_from(EDGE_OMEGA0)))]

@@ -12,7 +12,18 @@ from bentchain import (
     reference,
     spectrum_report,
 )
-from bentchain.chain import build_hamiltonian
+from bentchain.chain import build_hamiltonian, omega_max
+
+
+def _spy(monkeypatch, name, calls):
+    """Record the name and argument shape of every np.linalg.<name> call."""
+    solver = getattr(np.linalg, name)
+
+    def spy(a, *args, **kwargs):
+        calls.append((name, np.shape(a)))
+        return solver(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, spy)
 
 
 class TestOverlapProfile:
@@ -95,8 +106,31 @@ class TestSpectrumReport:
                 unit.gap_distortion_weighted[k], rel=1e-12)
 
     def test_infinite_eigenvalue_raises(self):
-        # eigh returns -inf for a corner detuning of -1.79e308; the spectrum
-        # command wrote an infinite gap with exit 0
+        # eigvalsh of the bent matrices returns -inf for a corner detuning
+        # of -1.79e308; the spectrum command wrote an infinite gap with exit 0
         spec = ChainSpec(Protocol.PROTOCOL_2, 9, omega0=1e307)
         with pytest.raises(FloatingPointError, match="non-finite gap"):
             spectrum_report(spec, BendSpec(alpha=2, kappa=1.0), -1.7888543819998319e308)
+
+    @pytest.mark.parametrize("n", [13, 60, 200])
+    @pytest.mark.parametrize("spec_of", [
+        lambda n: ChainSpec(Protocol.PROTOCOL_1, n, boundary_ratio=0.7),
+        lambda n: ChainSpec(Protocol.PROTOCOL_2, n),
+    ], ids=["p1", "p2"])
+    def test_one_eigh_and_one_eigvalsh(self, spec_of, n, monkeypatch):
+        # only the unperturbed chain's eigenvectors are read; the two bent
+        # spectra are eigenvalues of one stacked call
+        spec = spec_of(n)
+        bend = BendSpec(alpha=(n + 1) // 2, kappa=0.5)
+        delta = -1.5 * omega_max(spec)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            _spy(monkeypatch, name, calls)
+        rep = spectrum_report(spec, bend, delta)
+        assert calls == [("eigh", (n, n)), ("eigvalsh", (2, n, n))]
+        monkeypatch.undo()
+        np.testing.assert_array_equal(rep.overlaps,
+                                      overlap_profile(build_hamiltonian(spec)))
+        for label, d in (("bent", 0.0), ("bent_optimized", delta)):
+            lam = build_hamiltonian(spec, BendSpec(bend.alpha, bend.kappa, d)).eigenvalues
+            assert np.abs(rep.eigenvalues[label] - lam).max() <= 1e-13 * np.abs(lam).max()
