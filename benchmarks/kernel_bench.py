@@ -7,24 +7,26 @@ analytic-slope refine of the first peak, as one one-row ``first_arrivals``
 call on the raw matrix (N = 9, 13, 25).
 
 Coarse block: the optimizer's coarse scan, the first arrivals of 16
-detunings over the default interval as one block ``evaluate(deltas)`` on
-the objective below (N = 13, 25), and at N = 25 the phase tables of that
-block's scan alone (``propagate._phase_tables`` with the arguments the
-scan passes it).
+detunings over the default interval as one scan request
+``answer("scan", [(0, deltas)])`` on the objective below (N = 13, 25), and
+at N = 25 the phase tables of that block's scan alone
+(``propagate._phase_tables`` with the arguments the scan passes it).
 
-Refine step: the calls on the optimizer's objective H0 + delta E
-(E = dH/ddelta at the corner) that a slope-refine step makes: the followed
-arrival and slope ``evaluate(delta, near=t)`` from a nearby arrival t, one
-``eigh`` and Newton steps with no scan; and, where it cannot be followed,
-the full first arrival ``evaluate([delta])`` and then the slope
-``evaluate([delta], at=t)`` at that arrival, one ``eigh`` and no scan
-(N = 13, 25).
+Refine step: the requests on the optimizer's objective H0 + delta E
+(E = dH/ddelta at the corner) that a slope-refine step of one search makes,
+each answered alone as ``propagate._objectives`` answers one optimization:
+the followed arrival and slope ``answer("follow", [(0, delta, t)])`` from a
+nearby arrival t, one ``eigh`` and Newton steps with no scan; and, where it
+cannot be followed, the full first arrival ``answer("scan", [(0, [delta])])``
+and then the slope ``answer("slope", [(0, [delta], t)])`` at that arrival,
+one ``eigh`` and no scan (N = 13, 25).
 
 End weights: the spectrum and end weights c_k = v_k[1] v_k[N] of one block
 of B copies of a bent chain (N = 9, 13, 25, 100), from a stacked ``eigh``
 against ``eigvalsh`` plus the weights from the eigenvalues alone, as
-``first_arrivals`` takes them.  B = 1, 16 and 20: the library's own calls
-hold one row, the optimizer's coarse scan (16) or a calibration's (20).
+``first_arrivals`` takes them.  B = 1, 16 and 20: a one-row call, one
+optimizer's coarse scan (16) or a calibration's (20); a lockstep scan of
+several searches fills blocks of ``propagate.BLOCK_ROWS``.
 
 Amplitude trace: ``evolve``, every site amplitude on 4096 steps over the
 window (N = 60, 120, 200), the full propagator of the unitarity and RK4
@@ -41,8 +43,12 @@ Detuning optimizer: ``optimize_detuning`` on the default interval, the
 (full first arrivals) per optimized point (N = 9, 13, 25).
 
 Detuning curve: ``detuning_curve`` over kappa = 0, 0.1, ..., 1 (N = 13,
-alpha = 7), warm-started scans widened at the edge plus one refine per
-point, in ms and evaluations per optimized point.
+alpha = 7), one search per kappa from the default interval, widened at the
+edge, all eleven in lockstep, in ms and evaluations per optimized point.
+
+Corner sweep: ``sweep_alpha`` with ``optimize=True`` over corners 2-7 at
+kappa = 0.5 (N = 13), the plain metrics of every corner plus one search
+per corner, the six in lockstep, in ms per sweep.
 
 Protocol 1 calibration: ``calibrate_protocol1`` over the default 20-point
 ratio grid (N = 13, 21, 25), with the full first arrivals (the coarse
@@ -51,9 +57,11 @@ calibration (counts; run once).
 
 Refine evaluations: per optimized point of ``figure fig2`` and
 ``figure fig4``, the one-row ``first_arrivals`` calls (refined optima and
-refine steps that could not be followed) and, apart, the followed refine
-steps, the refines of their Protocol 1 calibrations included (counts; run
-once).
+refine steps that could not be followed, each alone or in one call with
+those of other searches), the ``np.linalg.eigh`` calls on a single matrix
+(slopes and followed steps asked alone in their round) and, apart, the
+followed refine steps, the refines of their Protocol 1 calibrations
+included (counts; run once).
 
 Figures: one in-process ``cli.main(["figure", tag])`` call for fig2 to
 fig5, its files and manifest written to a temporary directory, in s per
@@ -117,10 +125,11 @@ from bentchain import (  # noqa: E402
     optimize_detuning,
     reference,
     spectrum_report,
+    sweep_alpha,
 )
 from bentchain import cli, propagate  # noqa: E402
 from bentchain.optimize import DEFAULT_INTERVAL, N_COARSE  # noqa: E402
-from bentchain.propagate import _end_weights, _objective  # noqa: E402
+from bentchain.propagate import _end_weights, _objectives  # noqa: E402
 
 REPEATS = 7
 WINDOW = math.pi / 2
@@ -196,9 +205,10 @@ def blas_threads():
 def counted_arrivals():
     """While active, count bentchain's ``first_arrivals`` calls on one row
     (``one_row``), the matrices all its calls scan (``rows``, the full
-    first arrivals) and the refine steps that were followed (``followed``)."""
-    counts = {"one_row": 0, "rows": 0, "followed": 0}
-    follow = propagate._follow
+    first arrivals), the refine steps that were followed (``followed``) and
+    the ``np.linalg.eigh`` calls on a single matrix (``one_eigh``)."""
+    counts = {"one_row": 0, "rows": 0, "followed": 0, "one_eigh": 0}
+    follow, eigh = propagate._follow, np.linalg.eigh
 
     def counting(matrices, window):
         matrices = list(matrices)
@@ -211,17 +221,23 @@ def counted_arrivals():
         counts["followed"] += found is not None
         return found
 
+    def counting_eigh(matrices, *args, **kwargs):
+        counts["one_eigh"] += np.ndim(matrices) == 2 or len(matrices) == 1
+        return eigh(matrices, *args, **kwargs)
+
     bound = [module for name, module in sys.modules.items() if name.startswith("bentchain")
              and getattr(module, "first_arrivals", None) is first_arrivals]
     for module in bound:
         module.first_arrivals = counting
     propagate._follow = following
+    np.linalg.eigh = counting_eigh
     try:
         yield counts
     finally:
         for module in bound:
             module.first_arrivals = first_arrivals
         propagate._follow = follow
+        np.linalg.eigh = eigh
 
 
 def phase_table_arguments(call):
@@ -239,15 +255,16 @@ def phase_table_arguments(call):
 
 
 def refine_evaluations(figure, out):
-    """One-row first_arrivals calls and followed refine steps of
-    ``bentchain figure <figure>``, and the optimized points in its files."""
+    """One-row first_arrivals calls, single-matrix eigh calls and followed
+    refine steps of ``bentchain figure <figure>``, and the optimized points
+    in its files."""
     with counted_arrivals() as counts:
         run_cli(["figure", figure, "--out", str(out)])
     points = 0
     for path in (Path(out) / "figure" / figure).glob("*.csv"):
         with open(path, newline="") as fh:
             points += sum(1 for row in csv.DictReader(fh) if row.get("delta_opt"))
-    return counts["one_row"], counts["followed"], points
+    return counts["one_row"], counts["one_eigh"], counts["followed"], points
 
 
 def main(argv=None):
@@ -266,19 +283,20 @@ def main(argv=None):
         direction = np.zeros_like(matrix)
         corner = (n + 1) // 2 - 1
         direction[corner, corner] = omega_max(ChainSpec(Protocol.PROTOCOL_2, n))
-        evaluate = _objective(matrix, direction, WINDOW)
+        answer = _objectives([matrix], [direction], WINDOW)
         coarse = np.linspace(*DEFAULT_INTERVAL, N_COARSE)
-        time_call(rows, f"first_arrivals N={n} B={N_COARSE}", lambda: evaluate(coarse), 100)
+        time_call(rows, f"first_arrivals N={n} B={N_COARSE}",
+                  lambda: answer("scan", [(0, coarse)]), 100)
         if n == 25:
-            tables = phase_table_arguments(lambda: evaluate(coarse))
+            tables = phase_table_arguments(lambda: answer("scan", [(0, coarse)]))
             time_call(rows, f"phase tables N={n} B={N_COARSE}",
                       lambda: propagate._phase_tables(*tables), 200)
-        t_star, _ = evaluate([0.0])
+        ((t_star, _),) = answer("scan", [(0, [0.0])])
         # followed from the arrival of a detuning one coarse cell away
-        (t_near,), _ = evaluate([0.3])
-        for label, call in (("arrival", lambda: evaluate([0.0])),
-                            ("slope", lambda: evaluate([0.0], at=t_star)),
-                            ("followed", lambda: evaluate(0.0, near=float(t_near)))):
+        (((t_near,), _),) = answer("scan", [(0, [0.3])])
+        for label, call in (("arrival", lambda: answer("scan", [(0, [0.0])])),
+                            ("slope", lambda: answer("slope", [(0, [0.0], t_star)])),
+                            ("followed", lambda: answer("follow", [(0, 0.0, float(t_near))]))):
             time_call(rows, f"refine step N={n} {label}", call, 500)
     for n in (9, 13, 25, 100):
         for rows_per_block in (1, 16, 20):
@@ -300,6 +318,8 @@ def main(argv=None):
                       points=kappas.size)
     record(rows, "curve N=13 evaluations", "evaluations per optimized point",
            sum(res.evaluations for _, res in curve) / len(curve))
+    time_call(rows, "sweep_alpha N=13 optimize",
+              lambda: sweep_alpha(spec, 0.5, range(2, 8), optimize=True, ref=ref), 5)
     for n in (13, 21, 25):
         time_call(rows, f"calibrate N={n}", lambda: calibrate_protocol1(n), 3)
         with counted_arrivals() as counts:
@@ -324,10 +344,12 @@ def main(argv=None):
                   lambda: spectrum_report(spec, bend, bend.delta_alpha), 20)
     with tempfile.TemporaryDirectory() as out:
         for figure in ("fig2", "fig4"):
-            one_row, followed, points = refine_evaluations(figure, out)
+            one_row, one_eigh, followed, points = refine_evaluations(figure, out)
             for label, count in (("one-row", one_row), ("followed", followed)):
                 record(rows, f"refine {figure} {label}",
                        f"{label} evaluations per optimized point", count / points)
+            record(rows, f"refine {figure} single-matrix eigh",
+                   "single-matrix eigh calls per optimized point", one_eigh / points)
         for figure in ("fig2", "fig3", "fig4", "fig5"):
             argv = ["figure", figure, "--out", out]
             time_call(rows, f"figure {figure}", lambda: run_cli(argv), 1, unit="s")

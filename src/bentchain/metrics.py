@@ -20,7 +20,7 @@ from .chain import (
     hamiltonian_matrix,
     spec_to_dict,
 )
-from .optimize import OptimizationResult, detuning_curve, optimize_detuning
+from .optimize import DEFAULT_INTERVAL, OptimizationResult, _optimize, detuning_curve
 from .propagate import first_arrivals
 from .reference import ReferencePoint, reference
 
@@ -145,21 +145,25 @@ def sweep_alpha(
     ref: ReferencePoint | None = None,
 ) -> SweepTable:
     """Metrics (and optimal detunings) per distinct corner at fixed kappa.
-    Raises ValueError on an empty range, a corner with a fractional part
-    (3.0 is corner 3) or a repeated corner."""
+    With ``optimize``, each corner is optimized as
+    :func:`optimize_detuning` does, the corners as independent searches
+    run in lockstep (:func:`search._lockstep`): each round asks for the
+    scans, slopes and followed arrivals of all of them with one batched
+    call per kind.  Their refined optima share :func:`first_arrivals`
+    blocks, whose rows share one grid, so an optimum can differ from
+    ``optimize_detuning`` of its corner alone in the last bits.  Raises ValueError on an empty range, a corner with a
+    fractional part (3.0 is corner 3) or a repeated corner."""
     corners = [float(a) for a in alpha_range]
     if not all(a.is_integer() for a in corners):
         raise ValueError(f"corner range needs integer corners, got {corners}")
     alphas = [int(a) for a in _sorted_grid(corners, "corner range", "corner")]
     ref = ref or reference(spec)
     bends = [BendSpec(alpha=alpha, kappa=kappa) for alpha in alphas]
+    results = _transfer_rows(spec, bends, ref)
+    optima = _optimize(spec, bends, ref, DEFAULT_INTERVAL) if optimize else [None] * len(bends)
     rows = [
-        SweepRow(
-            axis_value=float(bend.alpha),
-            result=result,
-            optimized=optimize_detuning(spec, bend, ref) if optimize else None,
-        )
-        for bend, result in zip(bends, _transfer_rows(spec, bends, ref))
+        SweepRow(axis_value=float(bend.alpha), result=result, optimized=optimum)
+        for bend, result, optimum in zip(bends, results, optima)
     ]
     meta = _base_metadata(spec, ref)
     meta["kappa"] = kappa

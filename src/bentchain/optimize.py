@@ -14,9 +14,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chain import BendSpec, ChainSpec, _sorted_grid, hamiltonian_matrix, omega_max
-from .propagate import _objective
+from .propagate import _objectives
 from .reference import ReferencePoint
-from .search import scan_and_refine
+from .search import _lockstep
 
 DEFAULT_INTERVAL = (-4.0, 0.5)  # in units of Omega_max
 N_COARSE = 16  # detunings of the coarse scan
@@ -46,16 +46,17 @@ def optimize_detuning(
 
     The objective is p*(delta) of H0 + delta E, with H0 the bent matrix and
     E = dH/ddelta = Omega_max on the corner diagonal entry
-    (:func:`propagate._objective`).  A coarse scan of ``N_COARSE``
+    (:func:`propagate._objectives`).  A coarse scan of ``N_COARSE``
     equispaced detunings over ``interval`` (units of Omega_max) is one batch
     of :func:`first_arrivals`, ties going to the smaller |delta|; its rows
     need eigenvalues only.  The slope dp*/ddelta at the best detuning and
     its neighbours, at the arrival times the scan found (one ``eigh`` of at
     most three rows, and no scan), then brackets the optimum in one cell,
     refined by secant steps on the slope to ``DELTA_TOL``
-    (:func:`search.scan_and_refine`).  Each step follows the arrival from
-    that of the nearest detuning evaluated, with one ``eigh`` and Newton
-    steps in t and no scan (``evaluate(x, near=t)``), and takes the full
+    (:func:`search._search`, run alone by :func:`search._lockstep`).
+    Each step follows the arrival from that of the nearest detuning
+    evaluated, with one ``eigh`` and Newton steps in t and no scan (a
+    ``"follow"`` request), and takes the full
     first arrival and then its slope only where the arrival cannot be
     followed; the refined optimum takes one full first arrival, which
     gives p* and t*.  ``evaluations`` counts the detunings whose first
@@ -67,7 +68,8 @@ def optimize_detuning(
     and FloatingPointError if the reference probability is not positive or
     the optimized metrics are not finite.
     """
-    return _optimize(spec, bend, ref, interval)
+    (result,) = _optimize(spec, [bend], ref, interval)
+    return result
 
 
 def detuning_curve(
@@ -76,28 +78,24 @@ def detuning_curve(
     kappa_grid: np.ndarray,
     ref: ReferencePoint,
 ) -> list[tuple[float, OptimizationResult]]:
-    """Optimal detuning per kappa, warm-starting each coarse scan on the
-    previous optimum (kappa values processed in ascending order).  While the
-    best coarse detuning lies on an interval edge, that side is widened by
-    twice the width, within [EXPANSION_FLOOR, EXPANSION_CEIL], and rescanned;
-    the slope refine of :func:`optimize_detuning` runs once, on the last
-    interval, so an optimum at ``EXPANSION_FLOOR`` is the floor itself.
+    """Optimal detuning per kappa, in ascending order of kappa.  Each kappa
+    is optimized as :func:`optimize_detuning` does on ``DEFAULT_INTERVAL``,
+    except that while the best coarse detuning lies on an interval edge,
+    that side is widened by twice the width, within [EXPANSION_FLOOR,
+    EXPANSION_CEIL], and rescanned; the slope refine runs once, on the
+    last interval, so an optimum at ``EXPANSION_FLOOR`` is the floor
+    itself.  No point starts from another's optimum: the kappas are
+    independent searches, run in lockstep (:func:`search._lockstep`), so
+    that each round asks for the scans, slopes and followed arrivals of
+    all of them with one batched call per kind.  Their refined optima
+    share :func:`first_arrivals` blocks, whose rows share one grid, so a
+    point can differ from that kappa optimized alone in the last bits.
     ``evaluations`` counts every scan and the optimum's full first
-    arrival.  Raises ValueError on an empty grid
-    or a repeated kappa."""
+    arrival.  Raises ValueError on an empty grid or a repeated kappa."""
     grid = _sorted_grid(kappa_grid, "kappa grid", "kappa")
-    results: list[tuple[float, OptimizationResult]] = []
-    interval = DEFAULT_INTERVAL
-    for i, kappa in enumerate(grid):
-        bend = BendSpec(alpha=alpha, kappa=float(kappa))
-        res = _optimize(spec, bend, ref, interval, widen=_widened)
-        results.append((float(kappa), res))
-        # recentre the next scan around this optimum; the margin covers the
-        # steepest observed drift of delta* with kappa (about -3 per unit)
-        gap = grid[i + 1] - kappa if i + 1 < grid.size else 0.0
-        margin = 0.5 + 4.0 * gap
-        interval = (res.delta_star - margin, res.delta_star + margin)
-    return results
+    bends = [BendSpec(alpha=alpha, kappa=kappa) for kappa in grid.tolist()]
+    found = _optimize(spec, bends, ref, DEFAULT_INTERVAL, widen=_widened)
+    return [(bend.kappa, res) for bend, res in zip(bends, found)]
 
 
 # beyond this the corner site is effectively eliminated; the objective
@@ -119,22 +117,29 @@ def _widened(grid: np.ndarray, best: int) -> np.ndarray | None:
     return None if wider == (lo, hi) else np.linspace(*wider, N_COARSE)
 
 
-def _optimize(spec: ChainSpec, bend: BendSpec, ref: ReferencePoint,
-              interval: tuple[float, float], widen=None) -> OptimizationResult:
+def _optimize(spec: ChainSpec, bends: list[BendSpec], ref: ReferencePoint,
+              interval: tuple[float, float], widen=None) -> list[OptimizationResult]:
+    """The optimum of each bend of one chain, the searches run in lockstep
+    (:func:`search._lockstep`), each from a coarse scan of ``interval``."""
     lo, hi = interval
     # a width that overflows (-1e308, 1e308) would make linspace warn and
     # give non-finite detunings; as a Python float it is inf, not a warning
     if not (lo < hi and math.isfinite(hi - lo)):
         raise ValueError(f"invalid interval: [{lo}, {hi}]")
     ref.check_chain(spec)
-    base = hamiltonian_matrix(spec, replace(bend, delta_alpha=0.0))
     om = omega_max(spec)
-    direction = np.zeros_like(base)  # dH/ddelta, delta in units of Omega_max
-    direction[bend.alpha - 1, bend.alpha - 1] = om
-    delta_star, p_star, t_star, on_boundary, evaluations = scan_and_refine(
-        _objective(base, direction, ref.t0), np.linspace(lo, hi, N_COARSE),
-        DELTA_TOL, widen,
-    )
-    q_opt, s_opt = ref.normalise(p_star, t_star)
-    return OptimizationResult(delta_star, delta_star * om, q_opt, s_opt, evaluations,
-                              on_boundary)
+    bases, directions = [], []
+    for bend in bends:
+        bases.append(hamiltonian_matrix(spec, replace(bend, delta_alpha=0.0)))
+        direction = np.zeros_like(bases[-1])  # dH/ddelta, delta in units of Omega_max
+        direction[bend.alpha - 1, bend.alpha - 1] = om
+        directions.append(direction)
+    grid = np.linspace(lo, hi, N_COARSE)
+    results = []
+    for delta_star, p_star, t_star, on_boundary, evaluations in _lockstep(
+        _objectives(bases, directions, ref.t0), [grid] * len(bends), DELTA_TOL, widen,
+    ):
+        q_opt, s_opt = ref.normalise(p_star, t_star)
+        results.append(OptimizationResult(delta_star, delta_star * om, q_opt, s_opt,
+                                          evaluations, on_boundary))
+    return results

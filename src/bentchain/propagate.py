@@ -68,10 +68,10 @@ FOLLOW_CELLS = 3
 # written while it is still in cache.
 PHASE_BLOCK_BYTES = 2**20
 # Hamiltonians per stacked eigvalsh and scan in first_arrivals.  The
-# library's own calls hold at most 20 (the optimizer's coarse scan 16, a
-# calibration's 20), so the block bounds the memory of a long sweep a
-# caller passes in, whose rows would otherwise all share one grid as wide
-# as the widest row's.
+# single points that K lockstep searches ask for in one round are one call
+# of K rows (_objectives), and a sweep a caller passes in holds any number;
+# the block bounds the memory of such a call, whose rows would otherwise
+# all share one grid as wide as the widest row's.
 BLOCK_ROWS = 32
 
 __all__ = [
@@ -253,8 +253,9 @@ _NON_FINITE_ENTRY = "non-finite matrix entry (an overflowing coupling or detunin
 def _scale(matrices: np.ndarray, window: float) -> float:
     """The power of two 2^e with 2^e <= the largest |entry| of ``matrices``
     < 2^(e + 1), clipped so that ``window`` times it stays a finite normal
-    number: the divisor of a block in :func:`first_arrivals`, and of the
-    matrices of a slope or followed call of :func:`_objective`.  Raises
+    number: the divisor of a block in :func:`first_arrivals`, of the
+    matrices of a slope request and of each matrix of a follow request of
+    :func:`_objectives`.  Raises
     FloatingPointError if an entry is not finite (the largest |entry| is
     then inf or NaN), or if the clip leaves the largest |entry| divided by
     2^e beyond the float range."""
@@ -272,75 +273,166 @@ def _scale(matrices: np.ndarray, window: float) -> float:
     return scale
 
 
+def _objectives(bases, directions, window: float):
+    """The ``answer`` callable of :func:`search._lockstep` for K problems
+    over one window, problem k's matrices being H_k(x) = ``bases[k]`` + x
+    ``directions[k]``.  Each call answers the requests of one kind, from
+    any of the problems, in one batch:
+
+    - ``"scan"``: the first arrivals (t*, p*) of their points over
+      [0, window] (:func:`first_arrivals`, on the matrices built lazily):
+      one call for the single points of all the requests, whose
+      ``BLOCK_ROWS`` blocks scan the points of several problems on the
+      grid of the block's widest spectrum, and one call per request of
+      several points (a coarse grid), as the problem alone would scan it;
+    - ``"slope"``: the slopes dp*/dx at the first arrivals found before
+      (:func:`_arrival_slopes`), one stacked ``eigh`` and no scan;
+    - ``"follow"``: the first arrival of each point x followed from the
+      arrival t of a nearby point, with its slope: one stacked ``eigh``
+      and no scan, then the Newton steps of :func:`_follow` row by row; a
+      reply is None where t is the window end (that row takes no
+      ``eigh``) or :func:`_follow` cannot follow the arrival.
+
+    A coarse grid keeps a call of its own because a block shared with a
+    widened grid (detunings down to ``optimize.EXPANSION_FLOOR``) would
+    take that grid's far finer time steps.  The matrices of a slope
+    request, and each matrix of a follow request, are divided by their own
+    power of two (:func:`_scale`), so that the slopes and followed
+    arrivals of a problem are those it would get alone, to the bit, as
+    are its grid scans; only its single-point scans depend on the other
+    problems.  ``answer.t_tol`` = ``REL_TOL`` * window is the tolerance of
+    both paths' t*.  Each kind raises FloatingPointError if x
+    ``directions[k]`` overflows; ``bases[k]`` is zero wherever
+    ``directions[k]`` is not, so H_k(x) cannot overflow otherwise.
+    """
+    largest = [float(np.abs(direction).max(initial=0.0)) for direction in directions]
+
+    def checked(k, x) -> float:
+        # a Python float product overflows to inf where numpy's would warn
+        x = float(x)
+        if not math.isfinite(x * largest[k]):
+            raise FloatingPointError(_NON_FINITE_ENTRY)
+        return x
+
+    def scan(requests):
+        found = [None] * len(requests)
+        single = [i for i, (_, xs) in enumerate(requests) if len(xs) == 1]
+        calls = [[i] for i, (_, xs) in enumerate(requests) if len(xs) != 1]
+        for call in [single, *calls] if single else calls:
+            arrivals = first_arrivals(
+                (bases[k] + checked(k, x) * directions[k]
+                 for k, xs in (requests[i] for i in call) for x in xs), window)
+            if len(call) == 1:  # the arrays as they are, with no split
+                found[call[0]] = arrivals
+                continue
+            for row, i in enumerate(call):  # one point per request
+                found[i] = arrivals[0][row : row + 1], arrivals[1][row : row + 1]
+        return found
+
+    def slope(requests):
+        stack, steps, times = [], [], []
+        for k, xs, t in requests:
+            rows = bases[k] + np.multiply.outer([checked(k, x) for x in xs], directions[k])
+            scale = _scale(rows, window)
+            stack.append(rows / scale)
+            steps.append(directions[k] / scale)
+            times.append(t * scale)
+        # each row's E, divided as its matrix is; a lone request's rows
+        # share one, which needs no copy per row
+        step = steps[0] if len(requests) == 1 else np.repeat(
+            steps, [len(xs) for _, xs, _ in requests], axis=0)
+        slopes = _arrival_slopes(*np.linalg.eigh(np.concatenate(stack)), step,
+                                 np.concatenate(times))
+        found, i = [], 0
+        for _, xs, _ in requests:
+            found.append(slopes[i : i + len(xs)])
+            i += len(xs)
+        return found
+
+    def follow(requests):
+        found, rows, stack = [None] * len(requests), [], []
+        for i, (k, x, t_near) in enumerate(requests):
+            matrix = bases[k] + checked(k, x) * directions[k]
+            # an arrival at the window end is not a peak to follow
+            if t_near < window:
+                scale = _scale(matrix, window)
+                rows.append((i, k, float(t_near) * scale, scale))
+                stack.append(matrix / scale)
+        if rows:
+            lam, vec = np.linalg.eigh(np.array(stack))
+            for j, (i, k, t_near, scale) in enumerate(rows):
+                arrival = _follow(lam[j : j + 1], vec[j : j + 1], directions[k] / scale, t_near,
+                                  window * scale)
+                if arrival is not None:
+                    t_star, p_star, slope = arrival
+                    found[i] = t_star / scale, p_star, slope
+        return found
+
+    kinds = {"scan": scan, "slope": slope, "follow": follow}
+
+    def answer(kind, requests):
+        return kinds[kind](requests)
+
+    answer.t_tol = REL_TOL * window
+    return answer
+
+
 def _objective(base: np.ndarray, direction: np.ndarray, window: float):
     """The ``evaluate`` callable of :func:`search.scan_and_refine` for the
-    matrices H(x) = ``base`` + x ``direction``, built lazily, one block at a
-    time, in three forms:
+    one problem H(x) = ``base`` + x ``direction`` of :func:`_objectives`,
+    in three forms:
 
     - ``evaluate(xs)``: the first arrivals (t*, p*) of the points ``xs``
       over [0, window] (:func:`first_arrivals`), the full path;
     - ``evaluate(xs, at=t)``: their slopes dp*/dx at the arrivals t found
-      before (:func:`_arrival_slopes`), one stacked ``eigh`` of the stack
-      divided by its power of two (:func:`_scale`) and no scan;
+      before (:func:`_arrival_slopes`), one stacked ``eigh`` and no scan;
     - ``evaluate(x, near=t)``: the first arrival of one point x followed
-      from the arrival t of a nearby point, with its slope: (t*, p*, dp*/dx)
-      from one ``eigh`` and no scan (:func:`_follow`), or None where it
-      cannot be followed.
+      from the arrival t of a nearby point, with its slope: (t*, p*,
+      dp*/dx) from one ``eigh`` and no scan (:func:`_follow`), or None
+      where it cannot be followed.
 
-    ``evaluate.t_tol`` = ``REL_TOL`` * window is the tolerance of both
-    paths' t*.  Each form raises FloatingPointError if x ``direction``
-    overflows; ``base`` is zero wherever ``direction`` is not, so base +
-    x ``direction`` cannot overflow otherwise."""
-    largest = float(np.abs(direction).max(initial=0.0))
-
-    def checked(x) -> float:
-        # a Python float product overflows to inf where numpy's would warn
-        x = float(x)
-        if not math.isfinite(x * largest):
-            raise FloatingPointError(_NON_FINITE_ENTRY)
-        return x
+    ``evaluate.t_tol`` is that of :func:`_objectives`, and each form
+    raises FloatingPointError where x ``direction`` overflows."""
+    answer = _objectives([base], [direction], window)
 
     def evaluate(xs, at=None, near=None):
         if near is not None:
-            return _follow(base + checked(xs) * direction, direction, near, window)
-        if at is None:
-            return first_arrivals((base + checked(x) * direction for x in xs), window)
-        stack = base + np.multiply.outer([checked(x) for x in xs], direction)
-        scale = _scale(stack, window)
-        return _arrival_slopes(*np.linalg.eigh(stack / scale), direction / scale, at * scale)
+            (found,) = answer("follow", [(0, xs, near)])
+        elif at is None:
+            (found,) = answer("scan", [(0, xs)])
+        else:
+            (found,) = answer("slope", [(0, xs, at)])
+        return found
 
-    evaluate.t_tol = REL_TOL * window
+    evaluate.t_tol = answer.t_tol
     return evaluate
 
 
-def _follow(matrix: np.ndarray, direction: np.ndarray, t_near: float,
+def _follow(lam: np.ndarray, vec: np.ndarray, direction: np.ndarray, t_near: float,
             window: float) -> tuple[float, float, float] | None:
-    """The first arrival (t*, p*) of ``matrix`` = H(x) over [0, window] and
-    its slope dp*/dx, with E = dH/dx ``direction``, followed from the
-    arrival ``t_near`` of a nearby x: the refine step of
-    :func:`search.scan_and_refine`, where x moves within one coarse cell
-    and the arrival moves with it.
+    """The first arrival (t*, p*) over [0, window] of a matrix H(x) and its
+    slope dp*/dx, with E = dH/dx ``direction``, followed from the arrival
+    ``t_near`` < window of a nearby x: a refine step of a search
+    (:func:`search._search`), where x moves within one coarse cell and the
+    arrival moves with it.  ``lam`` (1, N) and ``vec`` (1, N, N) are the
+    ``eigh`` of H(x) divided by a power of two, as a block of
+    :func:`first_arrivals` is (:func:`_scale`), and ``direction``, the
+    times and t* are in the units of that division.
 
-    One ``eigh`` of H(x), divided by a power of two as a block of
-    :func:`first_arrivals` is (:func:`_scale`), gives the end weights
-    c = v[1] v[N].  Newton steps on p'(t), with p'' from the same sums
-    (those of :func:`_spectral_sums` at one time: one ``exp`` and one dot
-    over the spectrum per step, the rest on Python scalars), start from
-    ``t_near`` and stop once a step is within ``REL_TOL`` * window; the
-    slope comes from the same eigenvectors (:func:`_arrival_slopes`).
-    None, for the full path to take over, where ``t_near`` is the window
-    end, where p'' >= 0 (or is not finite) at an iterate, where an iterate
+    The end weights are c = v[1] v[N].  Newton steps on p'(t), with p''
+    from the same sums (those of :func:`_spectral_sums` at one time: one
+    ``exp`` and one dot over the spectrum per step, the rest on Python
+    scalars), start from ``t_near`` and stop once a step is within
+    ``REL_TOL`` * window; the slope comes from the same eigenvectors
+    (:func:`_arrival_slopes`).  None, for the full path to take over,
+    where p'' >= 0 (or is not finite) at an iterate, where an iterate
     leaves the ``FOLLOW_CELLS`` scan cells on either side of ``t_near``
     (the grid spacing :func:`_scan` would use for H(x)'s own bandwidth,
     within [0, window]), or where ``MAX_FOLLOW_STEPS`` steps do not
-    converge.  Only the first arrival's own peak passes these; the caller
+    converge.  Only the first arrival's own peak passes these; the search
     checks its last point on the full path.
     """
-    if not t_near < window:
-        return None
-    scale = _scale(matrix, window)
-    lam, vec = np.linalg.eigh(matrix[None] / scale)
-    window, t = window * scale, float(t_near) * scale
+    t = t_near
     needed = SAMPLES_PER_HALF_PERIOD * window * float(lam[0, -1] - lam[0, 0]) / math.pi
     reach = FOLLOW_CELLS * window / max(MIN_GRID_POINTS, math.ceil(needed))
     lo, hi = max(t - reach, 0.0), min(t + reach, window)
@@ -362,8 +454,8 @@ def _follow(matrix: np.ndarray, direction: np.ndarray, t_near: float,
     else:
         return None
     amp = complex(np.exp(t * ilam) @ moments[:, 0])
-    slope = _arrival_slopes(lam, vec, direction / scale, np.array([t]))[0]
-    return float(t / scale), float(amp.real * amp.real + amp.imag * amp.imag), float(slope)
+    slope = _arrival_slopes(lam, vec, direction, np.array([t]))[0]
+    return t, float(amp.real * amp.real + amp.imag * amp.imag), float(slope)
 
 
 @functools.lru_cache(maxsize=4)

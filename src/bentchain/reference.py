@@ -16,8 +16,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .chain import ChainSpec, Protocol, _sorted_grid, hamiltonian_matrix, perfect_transfer_time
-from .propagate import _objective, first_arrivals
-from .search import scan_and_refine
+from .propagate import _objectives, first_arrivals
+from .search import _lockstep
 
 DEFAULT_REFERENCE_WINDOW = 40.0  # in units of 1/omega0
 DEFAULT_RATIO_GRID_STEP = 0.05
@@ -135,7 +135,7 @@ def calibrate_protocol1(
 
     The objective is p0(ratio) of H1 + ratio E, with E = dH/dratio =
     omega0 on the four boundary-coupling entries and H1 the uniform chain
-    without them (:func:`propagate._objective`).  Scans the grid (default
+    without them (:func:`propagate._objectives`).  Scans the grid (default
     the 20 ratios 0.05, 0.10, ..., 1 of ``DEFAULT_RATIO_GRID_STEP``; a
     finer ``ratio_grid`` moves the refined ratio by less than ``RATIO_TOL``
     for N = 4-200) as one batch of :func:`first_arrivals` (one stacked
@@ -144,7 +144,7 @@ def calibrate_protocol1(
     dp0/dratio at the best grid ratio and its neighbours, at the arrival
     times of the scan (one ``eigh`` of at most three rows), brackets the
     optimum, and secant steps on the slope refine it to ``RATIO_TOL``, as
-    the optimizer does (:func:`search.scan_and_refine`): each step follows
+    the optimizer does (:func:`search._search`): each step follows
     the arrival from a nearby ratio's with one ``eigh`` and no scan, and
     the refined ratio takes one full first arrival, which gives p0 and t0.
     A grid that is empty, leaves (0, 1] or repeats a ratio raises
@@ -169,8 +169,8 @@ def calibrate_protocol1(
 
     direction = np.zeros_like(base)  # dH/dratio
     direction[0, 1] = direction[1, 0] = direction[-2, -1] = direction[-1, -2] = omega0
-    best_ratio, p0, t0, on_boundary, _ = scan_and_refine(
-        _objective(base - direction, direction, window), grid, RATIO_TOL)
+    ((best_ratio, p0, t0, on_boundary, _),) = _lockstep(
+        _objectives([base - direction], [direction], window), [grid], RATIO_TOL)
     if grid.size > 1 and on_boundary:
         warnings.warn(
             f"calibration optimum at ratio grid boundary ({best_ratio:.4g})",

@@ -1026,13 +1026,24 @@ def _contract_argv(draw):
     if command == "optimize":
         argv += ["--interval", repr(draw(st.sampled_from(EDGE_INTERVAL_LO))),
                  repr(draw(st.sampled_from(EDGE_INTERVAL_HI)))]
-    if command in ("optimize", "spectrum") and draw(st.booleans()):
-        # an ordinary bend, so that optimize reaches its interval check and
-        # spectrum, at an edge omega0, can reach its eigen-solves
-        ratio = ["--ratio", "0.7"] if protocol == 1 else []
-        omega0 = (["--omega0", repr(draw(st.sampled_from(EDGE_OMEGA0)))]
-                  if command == "spectrum" else [])
-        return argv + [*ratio, *omega0, "--alpha", "2", "--kappa", "0.4"], []
+    if command in ("metrics", "optimize", "sweep-kappa", "sweep-alpha", "spectrum") \
+            and draw(st.booleans()):
+        # an ordinary chain and bend, so that optimize reaches its interval
+        # check, and the others, at an edge omega0 (metrics also at an edge
+        # delta), can reach their eigen-solves and searches
+        if protocol == 1:
+            argv += ["--ratio", "0.7"]
+        if command != "optimize":
+            argv += ["--omega0", repr(draw(st.sampled_from(EDGE_OMEGA0)))]
+        if command != "sweep-alpha":
+            argv += ["--alpha", "2"]
+        if command != "sweep-kappa":
+            argv += ["--kappa", "0.4"]
+        if command == "metrics":
+            argv += ["--delta", repr(draw(st.sampled_from(EDGE_DELTA)))]
+        if command == "sweep-kappa":
+            argv += ["--optimize", "--grid", "0:0.5:1"]
+        return argv, []
     if protocol == 1:
         argv += ["--ratio", repr(draw(st.sampled_from(EDGE_RATIO)))]
     argv += ["--omega0", repr(draw(st.sampled_from(EDGE_OMEGA0)))]

@@ -12,12 +12,14 @@ from bentchain import (
     fit_gaussian,
     omega_max,
     fit_linear,
+    optimize_detuning,
     reference,
     sweep_alpha,
     sweep_kappa,
     transfer_metrics,
 )
 from bentchain.metrics import FitDivergedError, SweepRow, SweepTable, TransferResult
+from bentchain.optimize import DELTA_TOL
 
 
 def _p2(n):
@@ -193,6 +195,22 @@ class TestSweeps:
             sweep_kappa(_p2(9), 5, [])
         with pytest.raises(ValueError, match="corner range is empty"):
             sweep_alpha(_p2(9), 0.4, [], optimize=False)
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_alpha_sweep_optimizes_each_corner_as_alone(self, protocol):
+        # the corners' searches run in lockstep; each optimum is that of
+        # its corner alone, within the tolerances, with the same flags and
+        # evaluations (kappa = 0.9 pins corners on the interval edge)
+        spec = ChainSpec(protocol, 13, boundary_ratio=0.7 if protocol is Protocol.PROTOCOL_1 else None)
+        ref = reference(spec)
+        for kappa in (0.4, 0.9):
+            table = sweep_alpha(spec, kappa, range(2, 13), optimize=True, ref=ref)
+            for row in table.rows:
+                alone = optimize_detuning(spec, BendSpec(alpha=int(row.axis_value), kappa=kappa), ref)
+                got = row.optimized
+                assert abs(got.delta_star - alone.delta_star) <= DELTA_TOL
+                assert abs(got.q_opt - alone.q_opt) <= 1e-12
+                assert (got.on_boundary, got.evaluations) == (alone.on_boundary, alone.evaluations)
 
     @pytest.mark.parametrize("alphas", [[2, 2], [3, 2, 3]])
     def test_alpha_sweep_rejects_repeats(self, alphas):

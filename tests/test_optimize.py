@@ -23,9 +23,10 @@ from bentchain.chain import omega_max
 from bentchain.optimize import (
     DEFAULT_INTERVAL,
     DELTA_TOL,
-    EXPANSION_CEIL,
     EXPANSION_FLOOR,
     N_COARSE,
+    _optimize,
+    _widened,
 )
 from bentchain.propagate import BLOCK_ROWS, first_arrivals
 from bentchain.reference import DEFAULT_RATIO_GRID_STEP
@@ -275,7 +276,7 @@ class TestDetuningCurve:
 
     @pytest.mark.parametrize("kappas", [[0.5, 0.5], [0.3, 0.2, 0.3]])
     def test_rejects_repeats(self, kappas):
-        # a repeat would warm-start on the first and give a second optimum
+        # a repeat would give a second optimum for one kappa
         spec = _p2(9)
         with pytest.raises(ValueError, match="repeated kappa"):
             detuning_curve(spec, 5, kappas, reference(spec))
@@ -293,8 +294,8 @@ class TestDetuningCurve:
             )
 
 
-# Protocol 2, N = 13, alpha = 7: from kappa = 0.8 on, delta* leaves each
-# warm-started interval, and at kappa = 1 it reaches EXPANSION_FLOOR
+# Protocol 2, N = 13, alpha = 7: from kappa = 0.8 on, delta* leaves
+# DEFAULT_INTERVAL, and at kappa = 1 it reaches EXPANSION_FLOOR
 EXPANDING_KAPPAS = np.array([0.7, 0.8, 0.9, 1.0])
 # (delta*, q_opt, s_opt, on_boundary) of that curve, recorded when each
 # expansion round was a full optimizer run with Brent's refine
@@ -308,10 +309,11 @@ EXPANDING_CURVE = [
 # detunings, with end weights from the eigenvalues alone and each refine
 # step's arrival followed from a nearby one with its own eigh: the optimum
 # at the floor is the floor itself.  q_opt is p* over the closed-form p0 = 1.
+# Each kappa starts cold on DEFAULT_INTERVAL, and the four run in lockstep.
 EXPANDING_CURVE_SLOPE = [
     (-2.7520070145785556, 0.9968459802631885, 0.9579778120932585, False),
-    (-4.632924287526387, 0.9979381375677964, 0.953196420048248, False),
-    (-10.640739072585468, 0.9992780847563876, 0.9503506030319887, False),
+    (-4.632924285652109, 0.9979381375677864, 0.953196420046967, False),
+    (-10.640739122311352, 0.9992780847563857, 0.9503506030468301, False),
     (EXPANSION_FLOOR, 0.9983155278099508, 0.9473153587902079, True),
 ]
 
@@ -331,24 +333,6 @@ def _spy_first_arrivals(monkeypatch):
         if name.startswith("bentchain") and getattr(module, "first_arrivals", None) is original:
             monkeypatch.setattr(module, "first_arrivals", spy)
     return rows
-
-
-def _on_last_interval(spec, bend, ref, interval):
-    """optimize_detuning on each interval the curve scans for one kappa, in
-    turn: its result on the last one."""
-    lo, hi = interval
-    while True:
-        res = optimize_detuning(spec, bend, ref, interval=(lo, hi))
-        if not res.on_boundary:
-            return res
-        width = hi - lo
-        if res.delta_star - lo < hi - res.delta_star:
-            wider = (max(lo - 2.0 * width, EXPANSION_FLOOR), hi)
-        else:
-            wider = (lo, min(hi + 2.0 * width, EXPANSION_CEIL))
-        if wider == (lo, hi):
-            return res
-        lo, hi = wider
 
 
 class TestCurveExpansion:
@@ -376,31 +360,36 @@ class TestCurveExpansion:
             assert new[1] >= old[1] - 1e-12 and new[3] == old[3]
 
     def test_matches_optimizer_on_last_interval(self, chain, traced_curve):
+        # each point is the optimum of its kappa alone, widened from
+        # DEFAULT_INTERVAL and refined on the last interval; the lockstep
+        # scans share blocks, so the bits may differ
         spec, ref = chain
         curve, _ = traced_curve
-        interval = DEFAULT_INTERVAL
-        for i, (kappa, res) in enumerate(curve):
-            last = _on_last_interval(spec, BendSpec(alpha=7, kappa=kappa), ref, interval)
-            assert (res.delta_star, res.q_opt, res.s_opt, res.on_boundary) == (
-                last.delta_star, last.q_opt, last.s_opt, last.on_boundary)
-            gap = EXPANDING_KAPPAS[i + 1] - kappa if i + 1 < len(curve) else 0.0
-            margin = 0.5 + 4.0 * gap
-            interval = (res.delta_star - margin, res.delta_star + margin)
+        for kappa, res in curve:
+            (alone,) = _optimize(spec, [BendSpec(alpha=7, kappa=kappa)], ref, DEFAULT_INTERVAL,
+                                 widen=_widened)
+            assert abs(res.delta_star - alone.delta_star) <= DELTA_TOL
+            assert abs(res.q_opt - alone.q_opt) <= 1e-12
+            assert (res.on_boundary, res.evaluations) == (alone.on_boundary, alone.evaluations)
 
     def test_evaluations_count_every_scan(self, traced_curve):
         curve, rows = traced_curve
         assert sum(res.evaluations for _, res in curve) == sum(rows)
-        # N_COARSE-row scans, then the one-row call of a refined x*; the
-        # slopes at the best detuning and its neighbours, and the followed
-        # arrivals and slopes of the refine steps, come without a scan
-        pattern = "".join("S" if n == N_COARSE else "r" for n in rows)
-        assert set(rows) <= {N_COARSE, 1}
-        assert re.fullmatch(f"(S+r*){{{len(curve)}}}", pattern)
-        # kappa = 0.7 stays inside its interval: one scan
-        assert pattern.startswith("Sr")
-        assert pattern.count("S") > len(curve)
-        # the optimum at EXPANSION_FLOOR is an end sample: no refine
-        assert pattern.endswith("S")
+        # the kappas run in lockstep: each coarse grid, the first and the
+        # widened ones, is a call of its own, and the refined optima x*
+        # that the searches ask for in one round share a call; the slopes
+        # and the followed arrivals and slopes of the refine steps come
+        # without a scan
+        assert rows[: len(curve)] == [N_COARSE] * len(curve)
+        assert all(n == N_COARSE or 1 <= n <= len(curve) for n in rows)
+        assert rows.count(N_COARSE) == sum(res.evaluations // N_COARSE for _, res in curve)
+        # kappa = 0.7 stays inside DEFAULT_INTERVAL: one scan, then x*
+        assert curve[0][1].evaluations == N_COARSE + 1
+        # the others widen at least once
+        assert all(res.evaluations > 2 * N_COARSE for _, res in curve[1:])
+        # the optimum at EXPANSION_FLOOR is an end sample: no refine, no x*
+        assert curve[-1][1].evaluations % N_COARSE == 0
+        assert sum(n for n in rows if n != N_COARSE) == len(curve) - 1
 
 
 def _spy_eigh_and_scan(monkeypatch):

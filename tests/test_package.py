@@ -110,7 +110,8 @@ def test_kernel_bench_imports(tmp_path):
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     assert callable(bench.main)
-    # the count's spies stand in for first_arrivals and the followed step,
-    # so they must take the same arguments
-    one_row, followed, points = bench.refine_evaluations("fig5", tmp_path)
+    # the count's spies stand in for first_arrivals, the followed step and
+    # eigh, so they must take the same arguments
+    one_row, one_eigh, followed, points = bench.refine_evaluations("fig5", tmp_path)
     assert one_row > 0 and followed > 0 and points == 0  # fig5 writes spectra, not optima
+    assert one_eigh > 0

@@ -299,6 +299,41 @@ class TestFirstArrivals:
             assert abs(t[i] - t_ref) <= 1e-9 * window
             assert abs(p[i] - p_ref) <= 1e-12
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(5, 29),
+        protocol=st.sampled_from(Protocol),
+        ratio=st.floats(0.3, 1.0),
+        corner=st.floats(0.0, 1.0),
+        kappa=st.floats(-1.0, 1.0),
+        delta=st.floats(-4.0, 4.0),
+    )
+    def test_bend_sign_symmetry(self, n, protocol, ratio, corner, kappa, delta):
+        # the sublattice flip U = diag((-1)^j) negates the chain couplings
+        # and keeps the chord and the corner, which lie on one sublattice:
+        # H(-kappa, -delta) = -U H(kappa, delta) U, which has the same
+        # |A_N(t)|^2, so p*(kappa, delta) = p*(-kappa, -delta).  BendSpec
+        # takes no kappa < 0, so the matrices are built here.
+        spec = ChainSpec(protocol, n, boundary_ratio=ratio if protocol is Protocol.PROTOCOL_1 else None)
+        a = 1 + min(int(corner * (n - 2)), n - 3)  # 0-based corner, 1..n-2
+        om = omega_max(spec)
+
+        def bent(kappa, delta):
+            h = hamiltonian_matrix(spec)
+            h[a - 1, a + 1] = h[a + 1, a - 1] = kappa * om
+            h[a, a] = delta * om
+            return h
+
+        u = (-1.0) ** np.arange(n)
+        h = bent(kappa, delta)
+        flipped = bent(-kappa, -delta)
+        assert np.array_equal(flipped, -(u[:, None] * h * u[None, :]))
+        window = reference(spec).t0
+        (t, t_flip), (p, p_flip) = (np.concatenate(pair) for pair in zip(
+            first_arrivals([h], window), first_arrivals([flipped], window)))
+        assert abs(p - p_flip) <= 1e-12
+        assert abs(t - t_flip) <= 1e-12 * window
+
     def test_several_blocks(self):
         # a detuning scan over the optimizer's widest range, longer than
         # two blocks
@@ -431,7 +466,8 @@ class TestArrivalSlopes:
         # H(x) is built as base + x E, one block at a time
         seen = []
         monkeypatch.setattr(propagate, "first_arrivals",
-                            lambda matrices, window: seen.append(matrices))
+                            lambda matrices, window: seen.append(matrices)
+                            or (np.zeros(2), np.zeros(2)))
         h, e = _corner(p2(9), 5, 0.4, 0.0)
         propagate._objective(h, e, math.pi / 2)(np.array([-1.5, 0.25]))
         (matrices,) = seen
@@ -696,6 +732,60 @@ T_SHOULDER = 1.3148
 def _shoulder_chain():
     h, e = _corner(p2(9), 5, 0.4, 0.0)
     return h, e, 1.5 * math.pi
+
+
+class TestBatchedObjectives:
+    """``propagate._objectives`` answers the requests of several problems of
+    one window in one call per kind."""
+
+    @staticmethod
+    def _problems():
+        # corners of one P1 chain and of P2 chains, N = 9-13, padded into
+        # one window: the problems of a sweep and of a curve
+        spec = ChainSpec(Protocol.PROTOCOL_1, 11, boundary_ratio=0.7)
+        return [_corner(spec, alpha, kappa, 0.0)
+                for alpha, kappa in ((2, 0.4), (6, 0.4), (6, 0.9), (9, 0.1))]
+
+    def test_each_problem_gets_its_own_answers(self):
+        # slopes, followed arrivals and grid scans, to the bit, as the
+        # problem alone gets them; single points share a scan block
+        problems = self._problems()
+        window = 9.0
+        answer = propagate._objectives(*zip(*problems), window)
+        grid = np.linspace(*DEFAULT_INTERVAL, N_COARSE)
+        alone = [propagate._objective(h, e, window) for h, e in problems]
+        scans = answer("scan", [(k, grid) for k in range(len(problems))])
+        points = answer("scan", [(k, [-1.0 - 0.3 * k]) for k in range(len(problems))])
+        slopes = answer("slope", [(k, grid[:3], t[:3]) for k, (t, _) in enumerate(scans)])
+        follows = answer("follow", [(k, -1.0 - 0.3 * k, float(t[0]))
+                                    for k, (t, _) in enumerate(points)])
+        for k, evaluate in enumerate(alone):
+            t, p = evaluate(grid)
+            assert np.array_equal(scans[k][0], t) and np.array_equal(scans[k][1], p)
+            assert np.array_equal(slopes[k], evaluate(grid[:3], at=t[:3]))
+            (t_point,), (p_point,) = evaluate([-1.0 - 0.3 * k])
+            assert abs(points[k][0][0] - t_point) <= answer.t_tol
+            assert abs(points[k][1][0] - p_point) <= 1e-13
+            assert follows[k] == evaluate(-1.0 - 0.3 * k, near=float(points[k][0][0]))
+        assert sum(f is not None for f in follows) >= 3
+
+    def test_window_end_is_not_followed(self):
+        # that row takes no eigh; the others are followed as alone
+        problems = self._problems()[:2]
+        answer = propagate._objectives(*zip(*problems), 9.0)
+        ((t, _),) = answer("scan", [(1, [0.0])])
+        found = answer("follow", [(0, 0.0, 9.0), (1, 0.1, float(t[0]))])
+        assert found[0] is None
+        assert found[1] == propagate._objective(*problems[1], 9.0)(0.1, near=float(t[0]))
+
+    def test_overflowing_detuning_raises(self):
+        # x E overflows for the problem asked last, whatever the others ask
+        bases, directions = zip(*self._problems())
+        answer = propagate._objectives(bases, [4.0 * e for e in directions], 9.0)
+        for kind, request in (("scan", (3, [1e308])), ("slope", (3, [1e308], np.ones(1))),
+                              ("follow", (3, 1e308, 1.0))):
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                answer(kind, [(0, *request[1:]), request])
 
 
 class TestFollowedArrivals:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bentchain import search
 from bentchain.search import ZOOM_POINTS, scan_and_refine, zoom_max
 
 
@@ -304,3 +305,58 @@ class TestScanAndRefine:
         assert redo == [1, (1, "at")] * (len(redo) // 2)
         assert redo == [call for call in full_calls[2:] if call != (1, "near")]
         assert n == evaluated(calls) == 11 + 1 + len(redo) // 2
+
+
+def quadratic(x_max):
+    """p = 1 - (x - x_max)^2 and its slope."""
+    return (lambda x: 1.0 - (x - x_max) ** 2), (lambda x: -2.0 * (x - x_max))
+
+
+# (p, dp, follow) of searches that take every path: a widen, a follow that
+# returns None, a redo, an end-sample optimum and a plain refine
+LOCKSTEP_PROBLEMS = [
+    (*quadratic(-2.5), lambda x: 2.0 * x),
+    (*quadratic(0.23), lambda x: None),
+    (*quadratic(0.23), lambda x: 2.0 * x + 1.0),
+    (lambda x: x, lambda x: 1.0, lambda x: 2.0 * x),
+    (*quadratic(0.61), lambda x: 2.0 * x),
+]
+
+
+def widen_left(grid, best):
+    """Widen by 1 to the left while the best sample is the first, down to -3."""
+    return np.linspace(grid[0] - 1.0, grid[-1], 5) if best == 0 and grid[0] > -3.0 else None
+
+
+class TestLockstep:
+    def test_equals_solo_searches(self):
+        grid, tol = np.linspace(0.0, 1.0, 5), 1e-8
+        solo = [batch(*problem) for problem in LOCKSTEP_PROBLEMS]
+        expected = [scan_and_refine(evaluate, grid, tol, widen_left) for evaluate, _ in solo]
+        together = [batch(*problem) for problem in LOCKSTEP_PROBLEMS]
+        rounds = []
+        forms = {"scan": lambda evaluate, xs: evaluate(xs),
+                 "slope": lambda evaluate, xs, t: evaluate(xs, at=t),
+                 "follow": lambda evaluate, x, t: evaluate(x, near=t)}
+
+        def answer(kind, requests):
+            rounds.append((kind, [k for k, *_ in requests]))
+            return [forms[kind](together[k][0], *args) for k, *args in requests]
+
+        answer.t_tol = 1e-12
+        found = search._lockstep(answer, [grid] * len(together), tol, widen_left)
+        # the same results, from the same requests in the same order
+        assert found == expected
+        assert [calls for _, calls in together] == [calls for _, calls in solo]
+        # each path is taken: the widen rescans, the unfollowed steps take
+        # the full path, the redo and the end sample
+        assert solo[0][1][:4] == [5] * 4
+        assert 1 in solo[1][1] and (1, "near") in solo[1][1]
+        assert found[3][0] == 1.0 and found[3][3] is True
+        redo = solo[2][1]
+        assert redo.index(1) < len(redo) - 1 and redo[-1] == (1, "at")
+        # one call per kind per round: the first scan holds every problem,
+        # and there are fewer calls than requests
+        assert rounds[0] == ("scan", list(range(len(together))))
+        assert len(rounds) < sum(len(calls) for _, calls in solo)
+        assert all(ks == sorted(set(ks)) for _, ks in rounds)
